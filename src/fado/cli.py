@@ -41,6 +41,8 @@ from .experiments import (
     sweep_margin,
 )
 from .scene import (
+    DEFAULT_EPSILON,
+    DEFAULT_GAMMA,
     gen_synthetic_clips,
     load_pgm_sequence,
     read_frames_packed,
@@ -50,6 +52,10 @@ from .scene import (
 )
 from .streams import Design, StreamSpec, generate
 from .streamio import read_vectors, write_vectors
+
+
+class _Default(float):
+    """A flag's default, told apart from the same value given explicitly."""
 
 
 def _log(message: str) -> None:
@@ -106,8 +112,12 @@ def _build_parser() -> argparse.ArgumentParser:
     scene_p.add_argument("--packed", help="packed raw frame file")
     scene_p.add_argument("--synthetic", action="store_true",
                          help="generate the synthetic clip sequence")
-    scene_p.add_argument("--epsilon", type=float, default=100.0)
-    scene_p.add_argument("--gamma", type=float, default=1.0)
+    scene_p.add_argument("--epsilon", type=float,
+                         default=_Default(DEFAULT_EPSILON),
+                         help="radius of a fresh detector")
+    scene_p.add_argument("--gamma", type=float,
+                         default=_Default(DEFAULT_GAMMA),
+                         help="constant gain of a fresh detector")
     scene_p.add_argument("--timeline", help="timeline CSV output")
     scene_p.add_argument("--snapshot", help="final memory snapshot PGM")
     scene_p.add_argument("--checkpoint-in")
@@ -155,6 +165,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args, parser) -> int:
+    if args.checkpoint_in and (args.mode or args.epsilon is not None):
+        parser.error("--mode and --epsilon conflict with --checkpoint-in, "
+                     "which fixes the detector")
     samples = read_vectors(args.input)
     if args.checkpoint_in:
         detector = checkpoint_decode(Path(args.checkpoint_in).read_bytes())
@@ -219,6 +232,10 @@ def _cmd_scene(args, parser) -> int:
     sources = sum([bool(args.frames), bool(args.packed), args.synthetic])
     if sources != 1:
         parser.error("give exactly one of: PGM frames, --packed, --synthetic")
+    if args.checkpoint_in and not (isinstance(args.epsilon, _Default)
+                                   and isinstance(args.gamma, _Default)):
+        parser.error("--epsilon and --gamma conflict with --checkpoint-in, "
+                     "which fixes the detector")
     transitions = None
     if args.synthetic:
         frames, transitions = gen_synthetic_clips(
@@ -231,6 +248,9 @@ def _cmd_scene(args, parser) -> int:
     detector = None
     if args.checkpoint_in:
         detector = checkpoint_decode(Path(args.checkpoint_in).read_bytes())
+        if transitions is not None:
+            # the timeline continues the checkpoint's global frame index
+            transitions = [t + detector.t for t in transitions]
     timeline, detector = run_scene_detection(frames, args.epsilon, args.gamma,
                                              detector=detector)
     if args.timeline:

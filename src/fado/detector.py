@@ -14,8 +14,9 @@ radius policies are supported:
 
 The per-step bookkeeping needed by the invariant auditors (gain energy,
 gain mass, and the gain-weighted inner products with the pre-update center)
-is accumulated in a :class:`DiagnosticsTrace` with compensated summation;
-the center update itself runs in plain binary64.
+is accumulated in a :class:`DiagnosticsTrace` of plain binary64 sums, like
+the center update itself, so a checkpoint captures the state exactly and a
+resumed run matches the uninterrupted one bit for bit.
 """
 
 from __future__ import annotations
@@ -138,28 +139,7 @@ class StepOutcome:
     gain_applied: float
 
 
-class _NeumaierSum:
-    """Kahan-Babuska (Neumaier) compensated accumulator."""
-
-    __slots__ = ("_s", "_c")
-
-    def __init__(self, value: float = 0.0):
-        self._s = float(value)
-        self._c = 0.0
-
-    def add(self, x: float) -> None:
-        t = self._s + x
-        if abs(self._s) >= abs(x):
-            self._c += (self._s - t) + x
-        else:
-            self._c += (x - t) + self._s
-        self._s = t
-
-    @property
-    def value(self) -> float:
-        return self._s + self._c
-
-
+@dataclass
 class DiagnosticsTrace:
     """Running sums that back the detector's audit inequalities.
 
@@ -169,51 +149,21 @@ class DiagnosticsTrace:
     accumulated sums and the recomputed ``w . w``.
     """
 
-    __slots__ = ("_gg", "_g", "_gvw", "_wn")
-
-    def __init__(self, sum_d_gamma_sq=0.0, sum_d_gamma=0.0, sum_d_gamma_vw=0.0,
-                 w_norm_sq=0.0):
-        self._gg = _NeumaierSum(sum_d_gamma_sq)
-        self._g = _NeumaierSum(sum_d_gamma)
-        self._gvw = _NeumaierSum(sum_d_gamma_vw)
-        self._wn = _NeumaierSum(w_norm_sq)
-
-    @property
-    def sum_d_gamma_sq(self) -> float:
-        return self._gg.value
-
-    @property
-    def sum_d_gamma(self) -> float:
-        return self._g.value
-
-    @property
-    def sum_d_gamma_vw(self) -> float:
-        return self._gvw.value
-
-    @property
-    def w_norm_sq(self) -> float:
-        return self._wn.value
+    sum_d_gamma_sq: float = 0.0
+    sum_d_gamma: float = 0.0
+    sum_d_gamma_vw: float = 0.0
+    w_norm_sq: float = 0.0
 
     def record_alarm(self, gain: float, vw: float) -> None:
         """Fold one alarm with gain ``gain`` and inner product v . w_prev."""
-        self._gg.add(gain * gain)
-        self._g.add(gain)
-        self._gvw.add(gain * vw)
-        self._wn.add(gain * gain + 2.0 * gain * vw)
+        self.sum_d_gamma_sq += gain * gain
+        self.sum_d_gamma += gain
+        self.sum_d_gamma_vw += gain * vw
+        self.w_norm_sq += gain * gain + 2.0 * gain * vw
 
     def as_tuple(self):
         return (self.sum_d_gamma_sq, self.sum_d_gamma,
                 self.sum_d_gamma_vw, self.w_norm_sq)
-
-    def __eq__(self, other):
-        if not isinstance(other, DiagnosticsTrace):
-            return NotImplemented
-        return self.as_tuple() == other.as_tuple()
-
-    def __repr__(self):
-        gg, g, gvw, wn = self.as_tuple()
-        return (f"DiagnosticsTrace(sum_d_gamma_sq={gg!r}, sum_d_gamma={g!r}, "
-                f"sum_d_gamma_vw={gvw!r}, w_norm_sq={wn!r})")
 
 
 class Detector:

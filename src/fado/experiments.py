@@ -14,11 +14,12 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from . import __version__ as _version
 from .bounds import (
@@ -67,8 +68,13 @@ DEFAULT_POWER_DELTA = 0.1
 
 def spearman_rho(x: Sequence[float], y: Sequence[float]) -> float:
     """Spearman rank correlation (average ranks on ties)."""
-    rho = _scipy_stats.spearmanr(np.asarray(x, float), np.asarray(y, float))
-    return float(rho.statistic)
+    def ranks(values):
+        _, inverse, counts = np.unique(np.asarray(values, float),
+                                       return_inverse=True,
+                                       return_counts=True)
+        # tied values share the mean of the 1-based ranks they span
+        return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+    return float(np.corrcoef(ranks(x), ranks(y))[0, 1])
 
 
 def _heldout_rng(seed: int) -> SplitMix64:
@@ -108,9 +114,7 @@ def run_detection_experiment(spec: StreamSpec, mode: DetectorMode,
     center reaches the detector's current radius.
     """
     started = time.perf_counter()
-    generated = generate(spec)
-    samples = generated[0]
-    labels = generated[1] if spec.design is Design.MIXTURE else None
+    samples = generate(spec)[0]
 
     detector = Detector(spec.dim, mode, schedule)
     for row in samples:
@@ -130,12 +134,10 @@ def run_detection_experiment(spec: StreamSpec, mode: DetectorMode,
         audit_passed = audit_trace(detector.trace, schedule.tau,
                                    schedule.gamma0).passed
 
-    sigma_t = None
-    p_realized = None
-    if labels is not None:
+    sigma_t = p_realized = None
+    if spec.design is Design.MIXTURE:
         report = sigma_size(samples, spec.truth)
-        p_realized = report.p_T
-        sigma_t = report.sigma_T
+        p_realized, sigma_t = report.p_T, report.sigma_T
 
     return ExperimentRecord(
         m_T=detector.m,
@@ -208,32 +210,73 @@ def _stream_seeds(base_seed: int, n_seeds: int) -> List[int]:
     return [root.next_u64() for _ in range(n_seeds)]
 
 
-def _count_inversions(values: Sequence[float], nonincreasing: bool) -> int:
-    bad = 0
-    for left, right in zip(values, values[1:]):
-        if nonincreasing and right > left:
-            bad += 1
-        if not nonincreasing and right < left:
-            bad += 1
-    return bad
+class _Point(NamedTuple):
+    """A grid value, its ``spec(seed=...)`` factory, schedule and variants.
+
+    A variant is (name, mode, bound); the bound is an int or a function of
+    the run's :class:`ExperimentRecord`.
+    """
+
+    value: float
+    spec: Callable[..., StreamSpec]
+    schedule: GainSchedule
+    variants: Sequence[Tuple[str, DetectorMode, object]]
 
 
-def _dominance_check(records: Sequence[SweepRecord]) -> dict:
-    violations = [r for r in records
-                  if r.bound is not None and r.m_T > r.bound]
-    return {"passed": not violations, "violations": len(violations),
-            "runs": len(records)}
+def _ball(dim: int, c: float, epsilon: float, mu: float, count: int):
+    """Ball-design truth with w_bar = c * ones(dim), and its spec factory."""
+    truth = GroundTruth(np.full(dim, c, dtype=np.float64), epsilon, mu)
+    return truth, partial(StreamSpec, dim=dim, count=count, truth=truth)
 
 
-def _ones_center(dim: int, c: float) -> np.ndarray:
-    return np.full(dim, c, dtype=np.float64)
+def _ball_point(value: float, dim: int, c: float, epsilon: float, mu: float,
+                count: int, tau: float, gamma0: float) -> _Point:
+    """Ball-design point run by one fixed-radius variant under its cap."""
+    truth, spec = _ball(dim, c, epsilon, mu, count)
+    bound = mistake_bound_realizable(truth.norm, mu, tau, gamma0)
+    return _Point(value, spec, PowerDecay(gamma0=gamma0, tau=tau),
+                  [("", FixedRadius(epsilon), bound)])
 
 
-def _offset_center(dim: int) -> np.ndarray:
-    # (2, 2, 0, ..., 0): the robustness-study center family.
-    w = np.zeros(dim, dtype=np.float64)
-    w[:2] = 2.0
-    return w
+def _run_grid(parameter: str, seeds: Sequence[int], points: Sequence[_Point],
+              metadata: Dict[str, object], audits: bool = True,
+              heldout_radius_max: Optional[float] = None) -> SweepResult:
+    """One record per (point, seed, variant), in that order, plus the
+    per-run checks: bound dominance and, with ``audits``, trace audits."""
+    records: List[SweepRecord] = []
+    audits_ok = True
+    for point in points:
+        for seed in seeds:
+            spec = point.spec(seed=seed)
+            for variant, mode, bound in point.variants:
+                rec = run_detection_experiment(
+                    spec, mode, point.schedule,
+                    outlier_radius_max=heldout_radius_max)
+                audits_ok &= bool(rec.audit_passed)
+                records.append(SweepRecord(
+                    value=point.value, seed=seed, m_T=rec.m_T,
+                    power=rec.power, final_w_error=rec.final_w_error,
+                    bound=bound(rec) if callable(bound) else bound,
+                    p_realized=rec.p_realized, variant=variant,
+                    wall_time=rec.wall_time))
+    result = SweepResult(parameter, [point.value for point in points],
+                         records, metadata={**metadata, "version": _version})
+    violations = sum(r.bound is not None and r.m_T > r.bound for r in records)
+    result.checks["bound_dominance"] = {"passed": not violations,
+                                        "violations": violations,
+                                        "runs": len(records)}
+    if audits:
+        result.checks["audits"] = {"passed": audits_ok}
+    return result
+
+
+def _monotone(result: SweepResult, nonincreasing: bool) -> dict:
+    """Per-point median m_T with at most one adjacent inversion."""
+    medians = [result.median_m(value) for value in result.grid]
+    inversions = sum(right > left if nonincreasing else right < left
+                     for left, right in zip(medians, medians[1:]))
+    return {"passed": inversions <= 1, "inversions": inversions,
+            "medians": medians}
 
 
 def sweep_margin(mus: Sequence[float] = (0.001, 0.01, 0.1),
@@ -248,32 +291,14 @@ def sweep_margin(mus: Sequence[float] = (0.001, 0.01, 0.1),
     [-2.5, -0.5] - the observed decay is far milder than the mu**-2 cap.
     """
     seeds = _stream_seeds(base_seed, n_seeds)
-    schedule = PowerDecay(gamma0=gamma0, tau=tau)
-    records: List[SweepRecord] = []
-    audits_ok = True
-    for mu in mus:
-        truth = GroundTruth(_ones_center(dim, c), epsilon, mu)
-        bound = mistake_bound_realizable(truth.norm, mu, tau, gamma0)
-        for seed in seeds:
-            spec = StreamSpec(dim=dim, count=count, truth=truth, seed=seed)
-            rec = run_detection_experiment(spec, FixedRadius(epsilon), schedule)
-            audits_ok &= bool(rec.audit_passed)
-            records.append(SweepRecord(
-                value=mu, seed=seed, m_T=rec.m_T, power=rec.power,
-                final_w_error=rec.final_w_error, bound=bound,
-                wall_time=rec.wall_time))
-    result = SweepResult(
-        parameter="mu", grid=list(mus), records=records,
-        metadata={"design": "ball", "dim": dim, "c": c, "epsilon": epsilon,
-                  "count": count, "tau": tau, "gamma0": gamma0,
-                  "seeds": seeds, "version": _version})
-    medians = [result.median_m(mu) for mu in mus]
-    inversions = _count_inversions(medians, nonincreasing=True)
-    result.checks["bound_dominance"] = _dominance_check(records)
-    result.checks["audits"] = {"passed": audits_ok}
-    result.checks["monotone"] = {"passed": inversions <= 1,
-                                 "inversions": inversions,
-                                 "medians": medians}
+    result = _run_grid(
+        "mu", seeds,
+        [_ball_point(mu, dim, c, epsilon, mu, count, tau, gamma0)
+         for mu in mus],
+        {"design": "ball", "dim": dim, "c": c, "epsilon": epsilon,
+         "count": count, "tau": tau, "gamma0": gamma0, "seeds": seeds})
+    result.checks["monotone"] = _monotone(result, nonincreasing=True)
+    medians = result.checks["monotone"]["medians"]
     if len(mus) < 2:
         result.checks["loglog_slope"] = {"passed": True, "slope": math.nan,
                                          "note": "needs >= 2 grid points"}
@@ -299,32 +324,13 @@ def sweep_center_scale(cs: Sequence[float] = (0.5, 1.0, 2.0, 4.0),
     swamp the travel cost and flatten the curve.
     """
     seeds = _stream_seeds(base_seed, n_seeds)
-    schedule = PowerDecay(gamma0=gamma0, tau=tau)
-    records: List[SweepRecord] = []
-    audits_ok = True
-    for c in cs:
-        truth = GroundTruth(_ones_center(dim, c), epsilon, mu)
-        bound = mistake_bound_realizable(truth.norm, mu, tau, gamma0)
-        for seed in seeds:
-            spec = StreamSpec(dim=dim, count=count, truth=truth, seed=seed)
-            rec = run_detection_experiment(spec, FixedRadius(epsilon), schedule)
-            audits_ok &= bool(rec.audit_passed)
-            records.append(SweepRecord(
-                value=c, seed=seed, m_T=rec.m_T, power=rec.power,
-                final_w_error=rec.final_w_error, bound=bound,
-                wall_time=rec.wall_time))
-    result = SweepResult(
-        parameter="c", grid=list(cs), records=records,
-        metadata={"design": "ball", "dim": dim, "mu": mu, "epsilon": epsilon,
-                  "count": count, "tau": tau, "gamma0": gamma0,
-                  "seeds": seeds, "version": _version})
-    medians = [result.median_m(c) for c in cs]
-    inversions = _count_inversions(medians, nonincreasing=False)
-    result.checks["bound_dominance"] = _dominance_check(records)
-    result.checks["audits"] = {"passed": audits_ok}
-    result.checks["monotone"] = {"passed": inversions <= 1,
-                                 "inversions": inversions,
-                                 "medians": medians}
+    result = _run_grid(
+        "c", seeds,
+        [_ball_point(c, dim, c, epsilon, mu, count, tau, gamma0) for c in cs],
+        {"design": "ball", "dim": dim, "mu": mu, "epsilon": epsilon,
+         "count": count, "tau": tau, "gamma0": gamma0, "seeds": seeds})
+    result.checks["monotone"] = _monotone(result, nonincreasing=False)
+    medians = result.checks["monotone"]["medians"]
     if len(cs) >= 2 and medians[0] > 0:
         # observed growth sits far below the quartic rate of the cap
         growth = medians[-1] / medians[0]
@@ -341,32 +347,13 @@ def sweep_dimension(dims: Sequence[int] = (2, 10, 50, 100),
                     base_seed: int = DEFAULT_SEED) -> SweepResult:
     """Mistakes versus dimension with w_bar = c * ones(n)."""
     seeds = _stream_seeds(base_seed, n_seeds)
-    schedule = PowerDecay(gamma0=gamma0, tau=tau)
-    records: List[SweepRecord] = []
-    audits_ok = True
-    for dim in dims:
-        truth = GroundTruth(_ones_center(dim, c), epsilon, mu)
-        bound = mistake_bound_realizable(truth.norm, mu, tau, gamma0)
-        for seed in seeds:
-            spec = StreamSpec(dim=dim, count=count, truth=truth, seed=seed)
-            rec = run_detection_experiment(spec, FixedRadius(epsilon), schedule)
-            audits_ok &= bool(rec.audit_passed)
-            records.append(SweepRecord(
-                value=float(dim), seed=seed, m_T=rec.m_T, power=rec.power,
-                final_w_error=rec.final_w_error, bound=bound,
-                wall_time=rec.wall_time))
-    result = SweepResult(
-        parameter="n", grid=[float(d) for d in dims], records=records,
-        metadata={"design": "ball", "c": c, "mu": mu, "epsilon": epsilon,
-                  "count": count, "tau": tau, "gamma0": gamma0,
-                  "seeds": seeds, "version": _version})
-    medians = [result.median_m(float(d)) for d in dims]
-    inversions = _count_inversions(medians, nonincreasing=False)
-    result.checks["bound_dominance"] = _dominance_check(records)
-    result.checks["audits"] = {"passed": audits_ok}
-    result.checks["monotone"] = {"passed": inversions <= 1,
-                                 "inversions": inversions,
-                                 "medians": medians}
+    result = _run_grid(
+        "n", seeds,
+        [_ball_point(float(dim), dim, c, epsilon, mu, count, tau, gamma0)
+         for dim in dims],
+        {"design": "ball", "c": c, "mu": mu, "epsilon": epsilon,
+         "count": count, "tau": tau, "gamma0": gamma0, "seeds": seeds})
+    result.checks["monotone"] = _monotone(result, nonincreasing=False)
     return result
 
 
@@ -389,34 +376,19 @@ def sweep_epsilon(num_points: int = 20, n_seeds: int = 5,
     params_rng = root.spawn()
     grid = [float(e) for e in np.logspace(math.log10(eps_lo),
                                           math.log10(eps_hi), num_points)]
-    records: List[SweepRecord] = []
-    audits_ok = True
-    point_params = []
+    points, point_params = [], []
     for eps in grid:
         mu = eps * 10.0 ** (-3.0 + 2.0 * params_rng.next_double())
         c = eps * (0.5 + 3.5 * params_rng.next_double())
         dim = 2 + int(params_rng.next_double() * 19.0)
         point_params.append({"epsilon": eps, "mu": mu, "c": c, "n": dim})
-        truth = GroundTruth(_ones_center(dim, c), eps, mu)
-        schedule = PowerDecay(gamma0=eps, tau=tau)
-        for seed in seeds:
-            spec = StreamSpec(dim=dim, count=count, truth=truth, seed=seed)
-            rec = run_detection_experiment(spec, FixedRadius(eps), schedule)
-            audits_ok &= bool(rec.audit_passed)
-            records.append(SweepRecord(
-                value=eps, seed=seed, m_T=rec.m_T, power=rec.power,
-                final_w_error=rec.final_w_error,
-                bound=mistake_bound_realizable(truth.norm, mu, tau, eps),
-                wall_time=rec.wall_time))
-    result = SweepResult(
-        parameter="epsilon", grid=grid, records=records,
-        metadata={"design": "ball", "count": count, "tau": tau,
-                  "gamma0": "epsilon", "seeds": seeds,
-                  "points": point_params, "version": _version})
+        points.append(_ball_point(eps, dim, c, eps, mu, count, tau, eps))
+    result = _run_grid(
+        "epsilon", seeds, points,
+        {"design": "ball", "count": count, "tau": tau, "gamma0": "epsilon",
+         "seeds": seeds, "points": point_params})
     medians = [result.median_m(eps) for eps in grid]
     rho = spearman_rho(grid, medians)
-    result.checks["bound_dominance"] = _dominance_check(records)
-    result.checks["audits"] = {"passed": audits_ok}
     result.checks["no_trend"] = {"passed": abs(rho) <= 0.3, "spearman": rho,
                                  "medians": medians}
     return result
@@ -438,48 +410,37 @@ def sweep_contamination(fractions: Sequence[float] = (0.0, 0.1, 0.2, 0.3, 0.4, 0
     """
     seeds = _stream_seeds(base_seed, n_seeds)
     schedule = PowerDecay(gamma0=gamma0, tau=tau)
-    truth = GroundTruth(_offset_center(dim), epsilon, mu)
-    records: List[SweepRecord] = []
-    audits_ok = True
-    for fraction in fractions:
-        for seed in seeds:
-            spec = StreamSpec(dim=dim, count=count, truth=truth, seed=seed,
-                              design=Design.MIXTURE,
-                              contamination_fraction=fraction,
-                              outlier_radius_max=outlier_radius_max)
-            rec = run_detection_experiment(spec, FixedRadius(epsilon), schedule)
-            audits_ok &= bool(rec.audit_passed)
-            bound = mistake_bound_agnostic(truth.norm, mu, tau, gamma0,
-                                           rec.sigma_T)
-            records.append(SweepRecord(
-                value=fraction, seed=seed, m_T=rec.m_T, power=rec.power,
-                final_w_error=rec.final_w_error, bound=bound,
-                p_realized=rec.p_realized, wall_time=rec.wall_time))
-    result = SweepResult(
-        parameter="contamination_fraction", grid=list(fractions),
-        records=records,
-        metadata={"design": "mixture", "dim": dim, "mu": mu,
-                  "epsilon": epsilon, "radius_max": outlier_radius_max,
-                  "count": count, "tau": tau, "gamma0": gamma0,
-                  "seeds": seeds, "version": _version})
+    center = np.zeros(dim, dtype=np.float64)
+    center[:2] = 2.0
+    truth = GroundTruth(center, epsilon, mu)
+    variants = [("", FixedRadius(epsilon), lambda rec: mistake_bound_agnostic(
+        truth.norm, mu, tau, gamma0, rec.sigma_T))]
+    result = _run_grid(
+        "contamination_fraction", seeds,
+        [_Point(fraction,
+                partial(StreamSpec, dim=dim, count=count, truth=truth,
+                        design=Design.MIXTURE,
+                        contamination_fraction=fraction,
+                        outlier_radius_max=outlier_radius_max),
+                schedule, variants)
+         for fraction in fractions],
+        {"design": "mixture", "dim": dim, "mu": mu, "epsilon": epsilon,
+         "radius_max": outlier_radius_max, "count": count, "tau": tau,
+         "gamma0": gamma0, "seeds": seeds})
     xs = [result.median_field(f, "p_realized") for f in fractions]
     ys = [result.median_m(f) for f in fractions]
-    result.checks["bound_dominance"] = _dominance_check(records)
-    result.checks["audits"] = {"passed": audits_ok}
     if len(set(xs)) < 2:
-        result.checks["linear_fit"] = {"passed": True, "slope": math.nan,
-                                       "r2": math.nan,
-                                       "note": "needs >= 2 distinct points",
-                                       "p_medians": xs, "m_medians": ys}
-        return result
-    slope, intercept = np.polyfit(xs, ys, 1)
-    fitted = np.polyval([slope, intercept], xs)
-    ss_res = float(np.sum((np.asarray(ys) - fitted) ** 2))
-    ss_tot = float(np.sum((np.asarray(ys) - np.mean(ys)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else math.nan
-    result.checks["linear_fit"] = {"passed": slope > 0 and r2 >= 0.8,
-                                   "slope": float(slope), "r2": r2,
-                                   "p_medians": xs, "m_medians": ys}
+        fit = {"passed": True, "slope": math.nan, "r2": math.nan,
+               "note": "needs >= 2 distinct points"}
+    else:
+        slope, intercept = np.polyfit(xs, ys, 1)
+        fitted = np.polyval([slope, intercept], xs)
+        ss_res = float(np.sum((np.asarray(ys) - fitted) ** 2))
+        ss_tot = float(np.sum((np.asarray(ys) - np.mean(ys)) ** 2))
+        r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else math.nan
+        fit = {"passed": slope > 0 and r2 >= 0.8, "slope": float(slope),
+               "r2": r2}
+    result.checks["linear_fit"] = {**fit, "p_medians": xs, "m_medians": ys}
     return result
 
 
@@ -498,34 +459,23 @@ def compare_adaptive(mus: Sequence[float] = (0.01, 0.05, 0.1),
     """
     seeds = _stream_seeds(base_seed, n_seeds)
     schedule = PowerDecay(gamma0=gamma0, tau=tau)
-    records: List[SweepRecord] = []
-    adaptive_cap = None
+    points = []
     for mu in mus:
-        truth = GroundTruth(_ones_center(dim, c), epsilon, mu)
-        fixed_bound = mistake_bound_realizable(truth.norm, mu, tau, gamma0)
-        adaptive_cap = adaptive_mistake_bound(truth.norm, epsilon, tau,
-                                              gamma0).bound
-        for seed in seeds:
-            spec = StreamSpec(dim=dim, count=count, truth=truth, seed=seed)
-            for variant, mode, bound in (
-                    ("fixed", FixedRadius(epsilon), fixed_bound),
-                    ("adaptive", AdaptiveRadius(), adaptive_cap)):
-                rec = run_detection_experiment(
-                    spec, mode, schedule,
-                    outlier_radius_max=heldout_radius_max)
-                records.append(SweepRecord(
-                    value=mu, seed=seed, m_T=rec.m_T, power=rec.power,
-                    final_w_error=rec.final_w_error, bound=bound,
-                    variant=variant, wall_time=rec.wall_time))
-    result = SweepResult(
-        parameter="mu", grid=list(mus), records=records,
-        metadata={"design": "ball", "dim": dim, "c": c, "epsilon": epsilon,
-                  "count": count, "tau": tau, "gamma0": gamma0,
-                  "seeds": seeds, "version": _version})
+        truth, spec = _ball(dim, c, epsilon, mu, count)
+        points.append(_Point(mu, spec, schedule, [
+            ("fixed", FixedRadius(epsilon),
+             mistake_bound_realizable(truth.norm, mu, tau, gamma0)),
+            ("adaptive", AdaptiveRadius(),
+             adaptive_mistake_bound(truth.norm, epsilon, tau, gamma0).bound),
+        ]))
+    result = _run_grid(
+        "mu", seeds, points,
+        {"design": "ball", "dim": dim, "c": c, "epsilon": epsilon,
+         "count": count, "tau": tau, "gamma0": gamma0, "seeds": seeds},
+        audits=False, heldout_radius_max=heldout_radius_max)
     fixed_power = [result.median_field(mu, "power", "fixed") for mu in mus]
     adaptive_power = [result.median_field(mu, "power", "adaptive")
                       for mu in mus]
-    result.checks["bound_dominance"] = _dominance_check(records)
     result.checks["fixed_power"] = {
         "passed": all(p == 1.0 for p in fixed_power), "medians": fixed_power}
     result.checks["adaptive_power"] = {

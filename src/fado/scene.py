@@ -180,6 +180,8 @@ def run_scene_detection(frames: FrameSequence, epsilon: float = DEFAULT_EPSILON,
     Pass a decoded checkpoint as ``detector`` to resume a stream; the
     dimension must match the frames, and the checkpoint's own radius and
     gain are used (``epsilon``/``gamma`` apply only to fresh detectors).
+    Frame indices continue from the detector's step count, so a resumed
+    timeline carries the same global indices as an uninterrupted one.
     """
     if len(frames) == 0:
         raise ValueError("frame sequence is empty")
@@ -190,9 +192,10 @@ def run_scene_detection(frames: FrameSequence, epsilon: float = DEFAULT_EPSILON,
             f"checkpoint dimension {detector.dim} does not match frames "
             f"({frames.dim})")
     records = []
+    start = detector.t
     for i in range(len(frames)):
         outcome = detector.step(frame_to_vector(frames.frames[i]))
-        records.append(FrameRecord(index=i, alarm=outcome.alarm,
+        records.append(FrameRecord(index=start + i, alarm=outcome.alarm,
                                    distance=outcome.distance,
                                    radius=outcome.threshold))
     alarms = sum(1 for r in records if r.alarm)

@@ -88,18 +88,24 @@ class SplitMix64:
         return SplitMix64(self.next_u64())
 
 
-def _normal_block(rng: SplitMix64, rows: int, cols: int) -> np.ndarray:
-    """(rows, cols) standard normals; each row consumes 2*ceil(cols/2) doubles."""
-    npairs = (cols + 1) // 2
-    u = rng.next_double_block(rows * 2 * npairs).reshape(rows, 2 * npairs)
-    u1 = np.maximum(u[:, 0::2], _U53)
-    u2 = u[:, 1::2]
-    r = np.sqrt(-2.0 * np.log(u1))
-    ang = (2.0 * math.pi) * u2
-    g = np.empty((rows, 2 * npairs), dtype=np.float64)
+def _box_muller(u: np.ndarray, cols: int) -> np.ndarray:
+    """Standard normals from rows of interleaved (u1, u2) uniform pairs.
+
+    Each pair yields two normals in place; the first ``cols`` are kept.
+    """
+    r = np.sqrt(-2.0 * np.log(np.maximum(u[:, 0::2], _U53)))
+    ang = (2.0 * math.pi) * u[:, 1::2]
+    g = np.empty(u.shape, dtype=np.float64)
     g[:, 0::2] = r * np.cos(ang)
     g[:, 1::2] = r * np.sin(ang)
     return g[:, :cols]
+
+
+def _normal_block(rng: SplitMix64, rows: int, cols: int) -> np.ndarray:
+    """(rows, cols) standard normals; each row consumes 2*ceil(cols/2) doubles."""
+    width = 2 * ((cols + 1) // 2)
+    u = rng.next_double_block(rows * width).reshape(rows, width)
+    return _box_muller(u, cols)
 
 
 def _ball_block(rng: SplitMix64, count: int, dim: int, center: np.ndarray,
@@ -118,14 +124,7 @@ def _ball_block(rng: SplitMix64, count: int, dim: int, center: np.ndarray,
     rows = np.arange(count)
     while rows.size:
         ublock = u[rows]
-        u1 = np.maximum(ublock[:, 0:2 * npairs:2], _U53)
-        u2 = ublock[:, 1:2 * npairs:2]
-        rad = np.sqrt(-2.0 * np.log(u1))
-        ang = (2.0 * math.pi) * u2
-        g = np.empty((rows.size, 2 * npairs), dtype=np.float64)
-        g[:, 0::2] = rad * np.cos(ang)
-        g[:, 1::2] = rad * np.sin(ang)
-        g = g[:, :dim]
+        g = _box_muller(ublock[:, :2 * npairs], dim)
         norms = np.sqrt(np.einsum("ij,ij->i", g, g))
         bad = norms == 0.0
         scale = radius * ublock[:, -1] ** (1.0 / dim)

@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from fado.bounds import GroundTruth
 from fado.checkpoint import (
     MAGIC,
     CheckpointError,
@@ -16,6 +17,7 @@ from fado.detector import (
     PowerDecay,
     new_detector,
 )
+from fado.streams import Design, StreamSpec, generate
 
 
 def _states_equal(a, b):
@@ -49,17 +51,25 @@ def test_roundtrip_after_thousand_steps_bit_exact():
 
 
 def test_decoded_state_resumes_stream():
-    rng = np.random.default_rng(6)
-    stream = rng.normal(size=(200, 3)) * 2.0
-    full = new_detector(3, FixedRadius(1.0), PowerDecay(1.0, 0.25))
-    full.run_stream(stream)
+    """Split at row 2000, a resumed run ends in the uninterrupted run's
+    checkpoint bytes, trace sums included, in all three modes."""
+    center = np.zeros(10)
+    center[:2] = 2.0
+    stream, _ = generate(StreamSpec(
+        dim=10, count=4000, truth=GroundTruth(center, 1.0, 0.1), seed=1,
+        design=Design.MIXTURE, contamination_fraction=0.05,
+        outlier_radius_max=5.0))
+    for mode, schedule in [(FixedRadius(1.0), PowerDecay(1.0, 0.25)),
+                           (AdaptiveRadius(), PowerDecay(1.0, 0.25)),
+                           (FixedRadius(1.0), Constant(0.5))]:
+        full = new_detector(10, mode, schedule)
+        full.run_stream(stream)
 
-    half = new_detector(3, FixedRadius(1.0), PowerDecay(1.0, 0.25))
-    half.run_stream(stream[:100])
-    resumed = checkpoint_decode(checkpoint_encode(half))
-    resumed.run_stream(stream[100:])
-    assert resumed.m == full.m and resumed.t == full.t
-    np.testing.assert_allclose(resumed.w, full.w, rtol=1e-12)
+        half = new_detector(10, mode, schedule)
+        half.run_stream(stream[:2000])
+        resumed = checkpoint_decode(checkpoint_encode(half))
+        resumed.run_stream(stream[2000:])
+        assert checkpoint_encode(resumed) == checkpoint_encode(full), mode
 
 
 def test_corrupted_magic_rejected():

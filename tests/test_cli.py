@@ -77,6 +77,31 @@ class TestUsageErrors:
                           "--input", str(path))
         assert code == 2
 
+    def test_run_resume_rejects_mode_and_epsilon(self, tmp_path):
+        path, ckpt = tmp_path / "s.csv", tmp_path / "s.ckpt"
+        write_vectors(np.zeros((2, 2)), path)
+        assert run_cli("run", "--mode", "fixed", "--epsilon", "1",
+                       "--input", str(path), "--output",
+                       str(tmp_path / "o.csv"),
+                       "--checkpoint-out", str(ckpt))[0] == 0
+        for extra in (["--mode", "adaptive"], ["--epsilon", "7"],
+                      ["--mode", "fixed", "--epsilon", "1"]):
+            code, _ = run_cli("run", "--checkpoint-in", str(ckpt), *extra,
+                              "--input", str(path))
+            assert code == 2, extra
+
+    def test_scene_resume_rejects_epsilon_and_gamma(self, tmp_path):
+        ckpt = tmp_path / "s.ckpt"
+        scene = ["scene", "--synthetic", "--clips", "2",
+                 "--frames-per-clip", "2", "--width", "4", "--height", "4"]
+        assert run_cli(*scene, "--epsilon", "5",
+                       "--checkpoint-out", str(ckpt))[0] == 0
+        assert run_cli(*scene, "--checkpoint-in", str(ckpt))[0] == 0
+        for extra in (["--epsilon", "999"], ["--gamma", "2"],
+                      ["--epsilon", "100"]):
+            code, _ = run_cli(*scene, "--checkpoint-in", str(ckpt), *extra)
+            assert code == 2, extra
+
     def test_help_exits_zero(self):
         code, out = run_cli("--help")
         assert code == 0
@@ -118,6 +143,39 @@ class TestRun:
         # resumed output continues the step index
         first_t = int(out2.read_text().splitlines()[1].split(",")[0])
         assert first_t == 31
+
+    def test_split_resume_is_bit_exact(self, tmp_path):
+        """Two resumed halves write the uninterrupted run's outcome rows
+        and end in its checkpoint bytes, in all three modes."""
+        stream = tmp_path / "s.bin"
+        assert run_cli("gen", "--design", "mixture", "--dim", "10",
+                       "--count", "4000", "--center", "2,2,0,0,0,0,0,0,0,0",
+                       "--epsilon", "1", "--mu", "0.1", "--fraction", "0.05",
+                       "--radius-max", "5", "--seed", "1",
+                       "--out", str(stream))[0] == 0
+        rows = read_vectors(stream)
+        halves = tmp_path / "a.bin", tmp_path / "b.bin"
+        write_vectors(rows[:2000], halves[0])
+        write_vectors(rows[2000:], halves[1])
+        for mode in (["--mode", "fixed", "--epsilon", "1"],
+                     ["--mode", "adaptive"],
+                     ["--mode", "constant-gain", "--epsilon", "1",
+                      "--gamma", "0.5"]):
+            full, ckpt = tmp_path / "full.csv", tmp_path / "full.ckpt"
+            assert run_cli("run", *mode, "--input", str(stream),
+                           "--output", str(full),
+                           "--checkpoint-out", str(ckpt))[0] == 0
+            parts = []
+            start = mode
+            for k, half in enumerate(halves):
+                out, ckpt_k = tmp_path / f"{k}.csv", tmp_path / f"{k}.ckpt"
+                assert run_cli("run", *start, "--input", str(half),
+                               "--output", str(out),
+                               "--checkpoint-out", str(ckpt_k))[0] == 0
+                parts += out.read_text().splitlines()[1:]
+                start = ["--checkpoint-in", str(ckpt_k)]
+            assert parts == full.read_text().splitlines()[1:], mode
+            assert ckpt_k.read_bytes() == ckpt.read_bytes(), mode
 
     def test_adaptive_mode_outcomes(self, tmp_path):
         stream = tmp_path / "s.csv"
@@ -227,6 +285,55 @@ class TestScene:
         code, _ = run_cli("scene", *paths, "--epsilon", "0.5",
                           "--timeline", str(tmp_path / "t.csv"))
         assert code == 0
+
+    def test_resume_keeps_global_frame_index(self, tmp_path):
+        """A 20-frame pack split 10 + 10 gives the uninterrupted timeline
+        rows and checkpoint bytes."""
+        from fado.scene import (
+            FrameSequence,
+            gen_synthetic_clips,
+            write_frames_packed,
+        )
+        frames, _ = gen_synthetic_clips(8, 8, 4, 5, 5, seed=5)
+        packs = {}
+        for name, part in (("full", frames.frames), ("a", frames.frames[:10]),
+                           ("b", frames.frames[10:])):
+            packs[name] = tmp_path / f"{name}.pack"
+            write_frames_packed(FrameSequence(8, 8, part), packs[name])
+
+        def scene(name, *extra):
+            timeline = tmp_path / f"{name}.csv"
+            ckpt = tmp_path / f"{name}.ckpt"
+            assert run_cli("scene", "--packed", str(packs[name]), *extra,
+                           "--timeline", str(timeline),
+                           "--checkpoint-out", str(ckpt))[0] == 0
+            rows = [ln for ln in timeline.read_text().splitlines()[1:]
+                    if not ln.startswith("#")]
+            return rows, ckpt.read_bytes()
+
+        full_rows, full_ckpt = scene("full", "--epsilon", "2")
+        a_rows, _ = scene("a", "--epsilon", "2")
+        b_rows, b_ckpt = scene("b", "--checkpoint-in",
+                               str(tmp_path / "a.ckpt"))
+        assert b_rows[0].startswith("10,")
+        assert a_rows + b_rows == full_rows
+        assert b_ckpt == full_ckpt
+
+    def test_resumed_synthetic_transitions_use_global_index(self, tmp_path):
+        scene = ["scene", "--synthetic", "--clips", "2",
+                 "--frames-per-clip", "5", "--width", "8", "--height", "8",
+                 "--noise", "2", "--seed", "3"]
+        ckpt, timeline = tmp_path / "s.ckpt", tmp_path / "t.csv"
+        assert run_cli(*scene, "--epsilon", "2",
+                       "--checkpoint-out", str(ckpt))[0] == 0
+        assert run_cli(*scene, "--checkpoint-in", str(ckpt),
+                       "--timeline", str(timeline))[0] == 0
+        lines = timeline.read_text().splitlines()
+        rows = [ln.split(",") for ln in lines[1:] if not ln.startswith("#")]
+        assert [int(r[0]) for r in rows] == list(range(10, 20))
+        assert [int(r[0]) for r in rows if r[4] == "1"] == [15]
+        assert any(ln.startswith("# transition_latency,15,")
+                   for ln in lines)
 
     def test_requires_exactly_one_source(self):
         code, _ = run_cli("scene")

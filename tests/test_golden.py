@@ -1,0 +1,68 @@
+"""Byte contracts: sweep CSVs and generated streams under fixed seeds.
+
+The digests were recorded before the sweep engine and the Box-Muller
+helper were consolidated; any refactor of ``fado.experiments`` or
+``fado.streams`` must reproduce them exactly.  ``margin`` exits 1 at this
+reduced size (its log-log slope check fails) but still writes its CSV.
+"""
+
+import hashlib
+import subprocess
+import sys
+
+import pytest
+
+from fado.cli import main
+
+SWEEP_DIGESTS = {
+    "margin": ("af35afd34ebd09af003e89e59e80d8077e7366772ec2744a01e67098cfbbdf90", 1),
+    "center": ("14d29825b3fa125bce1eac14427e4d79a137513af59290c5703f40be9e50ecf8", 0),
+    "dim": ("725db8c2e8616bf0bd326e976bcbf0fa618e38c27dcddc88c4f252362186138d", 0),
+    "epsilon": ("007daaee53787660c54887a3d3a9e4e0aa2fecf56d1eacc4551fb0de100332b0", 0),
+    "contamination": ("1e5d019319f86f83fe6801783c140cf06193cfa96b98eadd4d4a734c79c491be", 0),
+    "adaptive": ("6edca8ed4e6d4c4ac0c92369dc128f1d41ca3d3bf98236e2e132b1bb7931e02e", 0),
+}
+
+GEN_DIGESTS = {
+    "ball": (["--dim", "7", "--count", "5000", "--center", "1",
+              "--epsilon", "1", "--mu", "0.1", "--seed", "3"],
+             "97ef156c9b2f062d130cd815d3c875c645b5ee9a0efc87b53533f30522899576"),
+    "circle": (["--dim", "2", "--count", "5000", "--center", "2",
+                "--epsilon", "1", "--mu", "0.001", "--seed", "3"],
+               "3d57eb09b974631be4c35197863e5b56dacde83403b25af045f58be10eab01e4"),
+    "mixture": (["--dim", "10", "--count", "5000",
+                 "--center", "2,2,0,0,0,0,0,0,0,0", "--epsilon", "1",
+                 "--mu", "0.1", "--fraction", "0.05", "--radius-max", "5",
+                 "--seed", "3"],
+                "fb9de267208a03497404a6cfc5a1ec830264d0238bfd29e80093c0734a2bb9d2"),
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("kind", sorted(SWEEP_DIGESTS))
+def test_sweep_csv_bytes_are_pinned(kind, tmp_path):
+    digest, exit_code = SWEEP_DIGESTS[kind]
+    out = tmp_path / f"{kind}.csv"
+    assert main(["sweep", kind, "--seeds", "2", "--count", "1500",
+                 "--out", str(out)]) == exit_code
+    assert _sha256(out) == digest
+
+
+@pytest.mark.parametrize("design", sorted(GEN_DIGESTS))
+def test_generated_stream_bytes_are_pinned(design, tmp_path):
+    args, digest = GEN_DIGESTS[design]
+    out = tmp_path / f"{design}.bin"
+    assert main(["gen", "--design", design, *args, "--out", str(out)]) == 0
+    assert _sha256(out) == digest
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, fado.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"

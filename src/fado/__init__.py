@@ -31,6 +31,7 @@ from .detector import (
     DiagnosticsTrace,
     FixedRadius,
     PowerDecay,
+    ScanOutcomes,
     StepOutcome,
     gain_value,
     new_detector,
@@ -58,6 +59,7 @@ __all__ = [
     "FixedRadius",
     "GroundTruth",
     "PowerDecay",
+    "ScanOutcomes",
     "SplitMix64",
     "StepOutcome",
     "StreamSpec",

@@ -11,6 +11,7 @@ defaults to epsilon=100 with unit constant gain; tau defaults to 0.25).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -54,6 +55,10 @@ from .streams import Design, StreamSpec, generate
 from .streamio import read_vectors, write_vectors
 
 
+# Outcome rows formatted per write, which bounds the text held at once.
+_CSV_ROWS = 8192
+
+
 class _Default(float):
     """A flag's default, told apart from the same value given explicitly."""
 
@@ -85,12 +90,14 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="detector variant (omit when resuming a checkpoint)")
     run_p.add_argument("--epsilon", type=float,
                        help="radius for fixed/constant-gain modes")
-    run_p.add_argument("--gamma0", type=float, default=1.0,
-                       help="gain scale for the decaying schedule")
-    run_p.add_argument("--tau", type=float, default=0.25,
-                       help="gain decay exponent offset, in (0, 1/2)")
-    run_p.add_argument("--gamma", type=float, default=1.0,
-                       help="constant gain (constant-gain mode)")
+    run_p.add_argument("--gamma0", type=float,
+                       help="gain scale for the decaying schedule "
+                            "(default 1.0)")
+    run_p.add_argument("--tau", type=float,
+                       help="gain decay exponent offset, in (0, 1/2) "
+                            "(default 0.25)")
+    run_p.add_argument("--gamma", type=float,
+                       help="constant gain, constant-gain mode (default 1.0)")
     run_p.add_argument("--input", required=True,
                        help="stream file (.csv or packed binary)")
     run_p.add_argument("--output", help="outcome CSV (default stdout)")
@@ -165,8 +172,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args, parser) -> int:
-    if args.checkpoint_in and (args.mode or args.epsilon is not None):
-        parser.error("--mode and --epsilon conflict with --checkpoint-in, "
+    given = [flag for flag, value in (
+        ("--mode", args.mode), ("--epsilon", args.epsilon),
+        ("--gamma0", args.gamma0), ("--tau", args.tau),
+        ("--gamma", args.gamma)) if value is not None]
+    if args.checkpoint_in and given:
+        parser.error(f"{', '.join(given)} conflict with --checkpoint-in, "
                      "which fixes the detector")
     samples = read_vectors(args.input)
     if args.checkpoint_in:
@@ -183,24 +194,29 @@ def _cmd_run(args, parser) -> int:
                 parser.error("--epsilon conflicts with the adaptive mode")
             mode = AdaptiveRadius()
         if args.mode == "constant-gain":
-            schedule = Constant(args.gamma)
+            schedule = Constant(1.0 if args.gamma is None else args.gamma)
         else:
-            schedule = PowerDecay(gamma0=args.gamma0, tau=args.tau)
+            schedule = PowerDecay(
+                gamma0=1.0 if args.gamma0 is None else args.gamma0,
+                tau=0.25 if args.tau is None else args.tau)
         detector = Detector(samples.shape[1], mode, schedule)
-    outcomes = detector.run_stream(samples)
-    lines = ["t,alarm,distance,threshold,gain_applied"]
-    start = detector.t - len(outcomes)
-    for i, out in enumerate(outcomes):
-        lines.append(f"{start + i + 1},{int(out.alarm)},{out.distance!r},"
-                     f"{out.threshold!r},{out.gain_applied!r}")
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        Path(args.output).write_text(text, encoding="ascii")
-    else:
-        sys.stdout.write(text)
+    start = detector.t + 1
+    outcomes = detector.scan(samples)
+    with (open(args.output, "w", encoding="ascii") if args.output
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        fh.write("t,alarm,distance,threshold,gain_applied\n")
+        for lo in range(0, len(outcomes), _CSV_ROWS):
+            hi = min(lo + _CSV_ROWS, len(outcomes))
+            rows = zip(map(str, range(start + lo, start + hi)),
+                       map("01".__getitem__, outcomes.alarm[lo:hi].tolist()),
+                       map(repr, outcomes.distance[lo:hi].tolist()),
+                       map(repr, outcomes.threshold[lo:hi].tolist()),
+                       map(repr, outcomes.gain_applied[lo:hi].tolist()))
+            fh.write("\n".join(map(",".join, rows)) + "\n")
     if args.checkpoint_out:
         Path(args.checkpoint_out).write_bytes(checkpoint_encode(detector))
-    _log(f"processed {len(outcomes)} transactions, {detector.m} alarms")
+    _log(f"processed {len(outcomes)} transactions, "
+         f"{int(outcomes.alarm.sum())} alarms")
     return 0
 
 

@@ -12,6 +12,13 @@ radius policies are supported:
   reciprocal of the current gain and therefore grows slowly as mistakes
   accumulate.
 
+Two entry points share one distance kernel and one alarm update.
+:meth:`Detector.step` judges a single transaction.  :meth:`Detector.scan`
+judges a block: the center and radius change only on an alarm, so one
+vectorized distance pass decides every row up to the next alarm.  The scan
+jumps there, applies the scalar update, and resumes on the following row,
+so its decisions, center and trace are bit-identical to a ``step`` loop.
+
 The per-step bookkeeping needed by the invariant auditors (gain energy,
 gain mass, and the gain-weighted inner products with the pre-update center)
 is accumulated in a :class:`DiagnosticsTrace` of plain binary64 sums, like
@@ -35,12 +42,28 @@ __all__ = [
     "AdaptiveRadius",
     "DetectorMode",
     "StepOutcome",
+    "ScanOutcomes",
     "DiagnosticsTrace",
     "Detector",
     "new_detector",
     "gain_value",
     "as_vector",
+    "SCAN_CHUNK_BYTES",
 ]
+
+# Upper bound on the float64 rows one scan pass holds at once (and on the
+# same-sized difference block it computes from them).
+SCAN_CHUNK_BYTES = 1 << 20
+
+
+def _sq_norms(diff: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm along the last axis.
+
+    The one distance kernel: ``vecdot`` gives the same bits for a single
+    row and for that row inside a block, which is what makes the block
+    scan and the step path decide identically.
+    """
+    return np.vecdot(diff, diff)
 
 
 def as_vector(values, dim: int | None = None, name: str = "vector") -> np.ndarray:
@@ -139,6 +162,43 @@ class StepOutcome:
     gain_applied: float
 
 
+@dataclass(frozen=True)
+class ScanOutcomes:
+    """Decision records for a block of transactions, one array per field."""
+
+    alarm: np.ndarray         # bool
+    distance: np.ndarray      # float64
+    threshold: np.ndarray     # float64
+    gain_applied: np.ndarray  # float64
+
+    def __len__(self) -> int:
+        return len(self.alarm)
+
+
+def _as_block(rows, dim: int) -> np.ndarray:
+    """Validate a block of transactions as a finite (T, dim) float64 array.
+
+    Errors name the first offending row as ``stream item i``.
+    """
+    if not isinstance(rows, np.ndarray):
+        rows = list(rows)
+    try:
+        block = np.asarray(rows, dtype=np.float64)
+    except (ValueError, TypeError):
+        block = None
+    if block is not None and block.ndim >= 1 and len(block) == 0:
+        return np.empty((0, dim), dtype=np.float64)
+    if block is not None and block.ndim == 2 and block.shape[1] == dim \
+            and np.isfinite(block).all():
+        return block
+    for i, y in enumerate(rows):
+        try:
+            as_vector(y, dim=dim, name="transaction")
+        except ValueError as exc:
+            raise ValueError(f"stream item {i}: {exc}") from exc
+    raise ValueError(f"transactions must form a (T, {dim}) block")
+
+
 @dataclass
 class DiagnosticsTrace:
     """Running sums that back the detector's audit inequalities.
@@ -169,7 +229,8 @@ class DiagnosticsTrace:
 class Detector:
     """Online fault detector state machine.
 
-    Single-writer: :meth:`step` must not run concurrently on one instance.
+    Single-writer: :meth:`step` and :meth:`scan` must not run concurrently
+    on one instance.
     Instances are self-contained and can be moved between threads or run
     in parallel on independent streams.
     """
@@ -195,43 +256,101 @@ class Detector:
             return self.mode.epsilon
         return 1.0 / gain_value(self.schedule, self.m + 1)
 
+    def _learn(self, diff: np.ndarray, distance: float) -> float:
+        """Count an alarm at ``diff = y - w`` and move the center; return the gain.
+
+        The adaptive detector's pre-decision gain uses m+1, which equals the
+        fixed-radius gain at the incremented count, so one line serves both.
+        """
+        self.m += 1
+        if distance == 0.0:
+            # epsilon = 0 with a dead-center point: the alarm is counted
+            # but the update direction is undefined, so none is applied.
+            return 0.0
+        gain = gain_value(self.schedule, self.m)
+        v = diff / distance
+        vw = float(v @ self.w)
+        self.w += gain * v
+        self.trace.record_alarm(gain, vw)
+        return gain
+
+    def _judge(self, y: np.ndarray, radius: float):
+        """Decide one validated row against ``radius``; learn on an alarm.
+
+        Returns ``(distance, alarm, gain)``.  It does not advance ``t``.
+        """
+        diff = y - self.w
+        distance = math.sqrt(float(_sq_norms(diff)))
+        if distance >= radius:
+            return distance, True, self._learn(diff, distance)
+        return distance, False, 0.0
+
     def step(self, y) -> StepOutcome:
         """Judge one transaction and learn from it if it is flagged."""
         y = as_vector(y, dim=self.dim, name="transaction")
-        diff = y - self.w
-        distance = math.sqrt(float(diff @ diff))
         threshold = self.current_radius()
-        alarm = distance >= threshold
-        gain = 0.0
-        if alarm:
-            if isinstance(self.mode, AdaptiveRadius):
-                gain = gain_value(self.schedule, self.m + 1)
-                self.m += 1
-            else:
-                self.m += 1
-                gain = gain_value(self.schedule, self.m)
-            if distance > 0.0:
-                v = diff / distance
-                vw = float(v @ self.w)
-                self.w += gain * v
-                self.trace.record_alarm(gain, vw)
-            else:
-                # epsilon = 0 with a dead-center point: the alarm is counted
-                # but the update direction is undefined, so none is applied.
-                gain = 0.0
+        distance, alarm, gain = self._judge(y, threshold)
         self.t += 1
         return StepOutcome(alarm=alarm, distance=distance,
                            threshold=threshold, gain_applied=gain)
 
+    def scan(self, rows) -> ScanOutcomes:
+        """Judge a (T, dim) block; the same decisions and state as T steps.
+
+        The whole block is validated before any state changes.  Rows are
+        then taken in chunks: one distance pass per chunk, an update at its
+        first alarm, and the next chunk starts on the row after it.  The
+        chunk doubles while no alarm occurs and halves after one, up to
+        :data:`SCAN_CHUNK_BYTES` of rows.
+        """
+        block = _as_block(rows, self.dim)
+        count = len(block)
+        alarm = np.zeros(count, dtype=bool)
+        distance = np.empty(count)
+        threshold = np.empty(count)
+        gain = np.zeros(count)
+        cap = max(1, SCAN_CHUNK_BYTES // (8 * self.dim))
+        size = 1
+        radius = self.current_radius()
+        i = 0
+        # Rows past a chunk's first alarm are written but rewritten by the
+        # chunk that later covers them, so each row keeps its final verdict.
+        while i < count:
+            if size == 1:
+                # One row, as step() takes it: no chunk arrays to set up.
+                distance[i], alarm[i], gain[i] = self._judge(block[i], radius)
+                threshold[i] = radius
+                if alarm[i]:
+                    radius = self.current_radius()
+                else:
+                    size = min(2, cap)
+                i += 1
+                continue
+            stop = min(count, i + size)
+            diff = block[i:stop] - self.w
+            dist = distance[i:stop]
+            np.sqrt(_sq_norms(diff), out=dist)
+            threshold[i:stop] = radius
+            hit = np.greater_equal(dist, radius, out=alarm[i:stop])
+            k = int(hit.argmax())
+            if not hit[k]:
+                i = stop
+                size = min(2 * size, cap)
+                continue
+            gain[i + k] = self._learn(diff[k], float(dist[k]))
+            radius = self.current_radius()
+            i += k + 1
+            size = max(1, size // 2)
+        self.t += count
+        return ScanOutcomes(alarm=alarm, distance=distance,
+                            threshold=threshold, gain_applied=gain)
+
     def run_stream(self, stream: Iterable) -> List[StepOutcome]:
-        """Apply :meth:`step` over a stream, annotating failures with the index."""
-        outcomes: List[StepOutcome] = []
-        for i, y in enumerate(stream):
-            try:
-                outcomes.append(self.step(y))
-            except ValueError as exc:
-                raise ValueError(f"stream item {i}: {exc}") from exc
-        return outcomes
+        """Judge a stream through :meth:`scan`; errors name the stream item."""
+        out = self.scan(stream)
+        return [StepOutcome(*row) for row in zip(
+            out.alarm.tolist(), out.distance.tolist(),
+            out.threshold.tolist(), out.gain_applied.tolist())]
 
     def copy(self) -> "Detector":
         dup = Detector(self.dim, self.mode, self.schedule)

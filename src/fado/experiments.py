@@ -117,8 +117,7 @@ def run_detection_experiment(spec: StreamSpec, mode: DetectorMode,
     samples = generate(spec)[0]
 
     detector = Detector(spec.dim, mode, schedule)
-    for row in samples:
-        detector.step(row)
+    detector.scan(samples)
 
     if outlier_radius_max is None:
         outlier_radius_max = 10.0 * (spec.truth.epsilon + power_delta)

@@ -14,6 +14,7 @@ transient concentrates in the early clips the way it does on real video.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .detector import Constant, Detector, FixedRadius
+from .detector import SCAN_CHUNK_BYTES, Constant, Detector, FixedRadius
 from .streams import SplitMix64
 
 __all__ = [
@@ -191,13 +192,18 @@ def run_scene_detection(frames: FrameSequence, epsilon: float = DEFAULT_EPSILON,
         raise ValueError(
             f"checkpoint dimension {detector.dim} does not match frames "
             f"({frames.dim})")
-    records = []
     start = detector.t
-    for i in range(len(frames)):
-        outcome = detector.step(frame_to_vector(frames.frames[i]))
-        records.append(FrameRecord(index=start + i, alarm=outcome.alarm,
-                                   distance=outcome.distance,
-                                   radius=outcome.threshold))
+    per_chunk = max(1, SCAN_CHUNK_BYTES // (8 * frames.dim))
+    records = []
+    for lo in range(0, len(frames), per_chunk):
+        # the same arithmetic as frame_to_vector, a bounded chunk at a time
+        chunk = frames.frames[lo:lo + per_chunk]
+        block = chunk.reshape(len(chunk), -1).astype(np.float64) / 255.0
+        outcomes = detector.scan(block)
+        records += map(FrameRecord,
+                       range(start + lo, start + lo + len(outcomes)),
+                       outcomes.alarm.tolist(), outcomes.distance.tolist(),
+                       outcomes.threshold.tolist())
     alarms = sum(1 for r in records if r.alarm)
     timeline = DetectionTimeline(records=records, alarms=alarms,
                                  alarm_rate=alarms / len(records))
@@ -298,26 +304,28 @@ def write_frames_packed(frames: FrameSequence, path) -> None:
 
 def read_frames_packed(path) -> FrameSequence:
     """Read the packed raw frame container."""
-    data = Path(path).read_bytes()
     header = len(FRAMES_MAGIC) + struct.calcsize("<III") + struct.calcsize("<Q")
-    if len(data) < header:
-        raise FrameFormatError(f"{path}: truncated header")
-    if data[:len(FRAMES_MAGIC)] != FRAMES_MAGIC:
-        raise FrameFormatError(f"{path}: bad magic, not a frame pack")
-    version, width, height = struct.unpack_from("<III", data,
-                                                len(FRAMES_MAGIC))
-    (count,) = struct.unpack_from("<Q", data,
-                                  len(FRAMES_MAGIC) + struct.calcsize("<III"))
-    if version != FRAMES_VERSION:
-        raise FrameFormatError(f"{path}: unsupported version {version}")
-    if width < 1 or height < 1:
-        raise FrameFormatError(f"{path}: degenerate frame size")
-    expected = header + count * width * height
-    if len(data) != expected:
-        raise FrameFormatError(
-            f"{path}: payload length {len(data)} does not match header "
-            f"(expected {expected})")
-    pixels = np.frombuffer(data, dtype=np.uint8, offset=header)
-    return FrameSequence(width=width, height=height,
-                         frames=pixels.reshape(count, height, width).copy(),
+    with open(path, "rb") as fh:
+        head = fh.read(header)
+        if len(head) < header:
+            raise FrameFormatError(f"{path}: truncated header")
+        if head[:len(FRAMES_MAGIC)] != FRAMES_MAGIC:
+            raise FrameFormatError(f"{path}: bad magic, not a frame pack")
+        version, width, height, count = struct.unpack_from(
+            "<IIIQ", head, len(FRAMES_MAGIC))
+        if version != FRAMES_VERSION:
+            raise FrameFormatError(f"{path}: unsupported version {version}")
+        if width < 1 or height < 1:
+            raise FrameFormatError(f"{path}: degenerate frame size")
+        size = os.fstat(fh.fileno()).st_size
+        expected = header + count * width * height
+        if size != expected:
+            raise FrameFormatError(
+                f"{path}: payload length {size} does not match header "
+                f"(expected {expected})")
+        # one buffer, filled in place: no second copy of the payload
+        pixels = np.empty((count, height, width), dtype=np.uint8)
+        if fh.readinto(pixels) != pixels.nbytes:
+            raise FrameFormatError(f"{path}: truncated payload")
+    return FrameSequence(width=width, height=height, frames=pixels,
                          source=str(path))

@@ -15,6 +15,7 @@ the CLI pick the format from the file extension (.csv means CSV).
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -61,24 +62,29 @@ def read_vectors(path) -> np.ndarray:
     path = Path(path)
     if path.suffix.lower() == ".csv":
         return _read_csv(path)
-    data = path.read_bytes()
     header = len(MAGIC) + struct.calcsize("<IQQ")
-    if len(data) < header:
-        raise StreamFormatError(f"{path}: truncated header")
-    if data[:len(MAGIC)] != MAGIC:
-        raise StreamFormatError(f"{path}: bad magic, not a vector stream")
-    version, n, t = struct.unpack_from("<IQQ", data, len(MAGIC))
-    if version != VERSION:
-        raise StreamFormatError(f"{path}: unsupported version {version}")
-    if n < 1:
-        raise StreamFormatError(f"{path}: dimension must be positive")
-    expected = header + 8 * n * t
-    if len(data) != expected:
-        raise StreamFormatError(
-            f"{path}: payload length {len(data)} does not match header "
-            f"(expected {expected})")
-    flat = np.frombuffer(data, dtype="<f8", offset=header)
-    return flat.astype(np.float64).reshape(t, n)
+    with open(path, "rb") as fh:
+        head = fh.read(header)
+        if len(head) < header:
+            raise StreamFormatError(f"{path}: truncated header")
+        if head[:len(MAGIC)] != MAGIC:
+            raise StreamFormatError(f"{path}: bad magic, not a vector stream")
+        version, n, t = struct.unpack_from("<IQQ", head, len(MAGIC))
+        if version != VERSION:
+            raise StreamFormatError(f"{path}: unsupported version {version}")
+        if n < 1:
+            raise StreamFormatError(f"{path}: dimension must be positive")
+        size = os.fstat(fh.fileno()).st_size
+        expected = header + 8 * n * t
+        if size != expected:
+            raise StreamFormatError(
+                f"{path}: payload length {size} does not match header "
+                f"(expected {expected})")
+        # one buffer, filled in place: no second copy of the payload
+        rows = np.empty((t, n), dtype="<f8")
+        if fh.readinto(rows) != rows.nbytes:
+            raise StreamFormatError(f"{path}: truncated payload")
+    return rows.astype(np.float64, copy=False)
 
 
 def _read_csv(path: Path) -> np.ndarray:

@@ -384,3 +384,57 @@ def test_console_entrypoint_runs():
         [sys.executable, "-m", "fado.cli", "--version"],
         capture_output=True, text=True)
     assert proc.returncode == 0
+
+
+class TestRunResume:
+    """What a resumed ``fado run`` takes from the checkpoint and logs."""
+
+    def _segments(self, tmp_path):
+        rng = np.random.default_rng(6)
+        first, second = tmp_path / "a.bin", tmp_path / "b.bin"
+        write_vectors(rng.normal(size=(300, 3)) * 3, first)
+        write_vectors(rng.normal(size=(200, 3)) * 3, second)
+        ckpt = tmp_path / "a.ckpt"
+        assert run_cli("run", "--mode", "constant-gain", "--epsilon", "5",
+                       "--input", str(first), "--output",
+                       str(tmp_path / "a.csv"),
+                       "--checkpoint-out", str(ckpt))[0] == 0
+        return second, ckpt
+
+    def test_logs_this_runs_alarm_count(self, tmp_path, capsys):
+        second, ckpt = self._segments(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "b.csv"
+        assert run_cli("run", "--checkpoint-in", str(ckpt), "--input",
+                       str(second), "--output", str(out))[0] == 0
+        rows = out.read_text().splitlines()[1:]
+        alarms = sum(int(row.split(",")[1]) for row in rows)
+        assert 0 < alarms < len(rows)
+        assert capsys.readouterr().err.strip() == \
+            f"processed 200 transactions, {alarms} alarms"
+
+    @pytest.mark.parametrize("flag", ["--gamma0", "--tau", "--gamma"])
+    def test_gain_flags_conflict_with_checkpoint(self, tmp_path, flag):
+        second, ckpt = self._segments(tmp_path)
+        code, _ = run_cli("run", "--checkpoint-in", str(ckpt), flag, "0.3",
+                          "--input", str(second))
+        assert code == 2
+
+    @pytest.mark.parametrize("mode,defaults", [
+        (["--mode", "fixed", "--epsilon", "1"], ["--gamma0", "1", "--tau",
+                                                 "0.25"]),
+        (["--mode", "adaptive"], ["--gamma0", "1", "--tau", "0.25"]),
+        (["--mode", "constant-gain", "--epsilon", "1"], ["--gamma", "1"]),
+    ])
+    def test_fresh_detector_gain_defaults(self, tmp_path, mode, defaults):
+        stream = tmp_path / "s.bin"
+        write_vectors(np.random.default_rng(9).normal(size=(300, 3)) * 3,
+                      stream)
+        blobs = []
+        for extra in ([], defaults):
+            ckpt = tmp_path / f"{len(extra)}.ckpt"
+            assert run_cli("run", *mode, *extra, "--input", str(stream),
+                           "--output", str(tmp_path / "o.csv"),
+                           "--checkpoint-out", str(ckpt))[0] == 0
+            blobs.append(ckpt.read_bytes())
+        assert blobs[0] == blobs[1]

@@ -1,9 +1,11 @@
-"""Byte contracts: sweep CSVs and generated streams under fixed seeds.
+"""Byte contracts: sweep CSVs, generated streams, run and scene outputs.
 
 The digests were recorded before the sweep engine and the Box-Muller
 helper were consolidated; any refactor of ``fado.experiments`` or
 ``fado.streams`` must reproduce them exactly.  ``margin`` exits 1 at this
 reduced size (its log-log slope check fails) but still writes its CSV.
+The ``fado run`` and ``fado scene`` digests were recorded with the
+row-by-row step loop, before the block scan replaced it.
 """
 
 import hashlib
@@ -38,6 +40,26 @@ GEN_DIGESTS = {
 }
 
 
+RUN_DIGESTS = {
+    "fixed": (["--mode", "fixed", "--epsilon", "1"],
+              "927d5642dc3d50535dd36cbd61e6dc89d7de9a12a6a545a236a592a8ef4d1bc9",
+              "c327b9db670d8964e10073222cf531f2819ef201a6f00448b1497f648285be61"),
+    "adaptive": (["--mode", "adaptive"],
+                 "0f2dc3b021811da8733b0b93fc477885751791dd5286114252657091e6427a5e",
+                 "5cdfadb8f78a1fc1bf02462561b8935373988f81e348ba4f94e19e5b04ca1699"),
+    "constant-gain": (["--mode", "constant-gain", "--epsilon", "1",
+                       "--gamma", "0.5"],
+                      "5a786630c717d0c84faa3e205a2a3d7ccab023b6cd5d304797d2cc4d858606fe",
+                      "d3495ef7d592e5f01054af43296f1407e997f0ca22ffd476ef2098b1608b4714"),
+}
+
+SCENE_DIGESTS = {
+    "timeline.csv": "8a6d743a663fc97387adef5b6838cd94319506dc343e4dbfce5bd4b661b34e72",
+    "memory.pgm": "71503e082b7baaeb36ebdb1b40267f8d0b496fac1e467b41ca58c20bd287c4b3",
+    "state.ckpt": "a42ed18f2f7cf44fd2b7e5b6e583db0e4fd0587c869f598f6262f317e0c0339f",
+}
+
+
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -57,6 +79,27 @@ def test_generated_stream_bytes_are_pinned(design, tmp_path):
     out = tmp_path / f"{design}.bin"
     assert main(["gen", "--design", design, *args, "--out", str(out)]) == 0
     assert _sha256(out) == digest
+
+
+@pytest.mark.parametrize("mode", sorted(RUN_DIGESTS))
+def test_run_outcome_and_checkpoint_bytes_are_pinned(mode, tmp_path):
+    args, csv_digest, ckpt_digest = RUN_DIGESTS[mode]
+    stream = tmp_path / "mixture.bin"
+    assert main(["gen", "--design", "mixture", *GEN_DIGESTS["mixture"][0],
+                 "--out", str(stream)]) == 0
+    out, ckpt = tmp_path / "out.csv", tmp_path / "state.ckpt"
+    assert main(["run", *args, "--input", str(stream), "--output", str(out),
+                 "--checkpoint-out", str(ckpt)]) == 0
+    assert (_sha256(out), _sha256(ckpt)) == (csv_digest, ckpt_digest)
+
+
+def test_scene_outputs_are_pinned(tmp_path):
+    paths = {name: tmp_path / name for name in SCENE_DIGESTS}
+    assert main(["scene", "--synthetic", "--epsilon", "5",
+                 "--timeline", str(paths["timeline.csv"]),
+                 "--snapshot", str(paths["memory.pgm"]),
+                 "--checkpoint-out", str(paths["state.ckpt"])]) == 0
+    assert {name: _sha256(p) for name, p in paths.items()} == SCENE_DIGESTS
 
 
 def test_cli_import_loads_no_scipy():

@@ -74,3 +74,54 @@ def test_empty_csv_rejected(tmp_path):
     path.write_text("")
     with pytest.raises(StreamFormatError, match="empty"):
         read_vectors(path)
+
+
+def test_header_claiming_more_rows_than_the_file_holds(tmp_path):
+    """The header is checked against the file size before any allocation."""
+    path = tmp_path / "s.bin"
+    path.write_bytes(MAGIC + struct.pack("<IQQ", 1, 1 << 20, 1 << 40))
+    with pytest.raises(StreamFormatError, match="length"):
+        read_vectors(path)
+
+
+_PEAK_RSS_PROBE = """
+import resource, sys
+from fado.scene import read_frames_packed
+from fado.streamio import read_vectors
+reader = {"vectors": read_vectors, "frames": read_frames_packed}[sys.argv[1]]
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+payload = reader(sys.argv[2])
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(after - before)
+"""
+
+
+@pytest.mark.parametrize("kind", ["vectors", "frames"])
+def test_binary_readers_hold_one_copy_of_the_payload(tmp_path, kind):
+    """Reading a 32 MB file raises peak RSS by about 32 MB, not twice that."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import fado
+    from fado.scene import FRAMES_MAGIC
+
+    payload = 32 * 2 ** 20
+    path = tmp_path / f"{kind}.bin"
+    if kind == "vectors":
+        header = MAGIC + struct.pack("<IQQ", 1, 16, payload // 128)
+    else:
+        header = FRAMES_MAGIC + struct.pack("<IIIQ", 1, 512, 256,
+                                            payload // (512 * 256))
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.truncate(len(header) + payload)  # zeros, without writing them
+    src = str(Path(fado.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_PROBE, kind,
+                           str(path)], capture_output=True, text=True,
+                          env=env, check=True)
+    grown_kib = int(proc.stdout)
+    assert grown_kib * 1024 < 1.5 * payload

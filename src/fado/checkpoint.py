@@ -110,9 +110,7 @@ def checkpoint_decode(data: bytes) -> Detector:
 
     (mode_tag,) = r.take("<B")
     if mode_tag == _MODE_FIXED:
-        (epsilon,) = r.take("<d")
-        _require_finite(epsilon, "epsilon")
-        mode = FixedRadius(epsilon)
+        mode = _configure(FixedRadius, *r.take("<d"))
     elif mode_tag == _MODE_ADAPTIVE:
         mode = AdaptiveRadius()
     else:
@@ -120,14 +118,9 @@ def checkpoint_decode(data: bytes) -> Detector:
 
     (sched_tag,) = r.take("<B")
     if sched_tag == _SCHED_POWER:
-        gamma0, tau = r.take("<dd")
-        _require_finite(gamma0, "gamma0")
-        _require_finite(tau, "tau")
-        schedule = PowerDecay(gamma0=gamma0, tau=tau)
+        schedule = _configure(PowerDecay, *r.take("<dd"))
     elif sched_tag == _SCHED_CONSTANT:
-        (gamma,) = r.take("<d")
-        _require_finite(gamma, "gamma")
-        schedule = Constant(gamma=gamma)
+        schedule = _configure(Constant, *r.take("<d"))
     else:
         raise CheckpointError(f"unknown schedule tag {sched_tag}")
 
@@ -145,15 +138,20 @@ def checkpoint_decode(data: bytes) -> Detector:
     if not np.isfinite(w).all():
         raise CheckpointError("non-finite center payload")
 
-    try:
-        state = Detector(int(n), mode, schedule)
-    except ValueError as exc:
-        raise CheckpointError(f"invalid configuration payload: {exc}") from exc
+    state = _configure(Detector, int(n), mode, schedule)
     state.w = w
     state.t = int(t)
     state.m = int(m)
     state.trace = DiagnosticsTrace(*trace_vals)
     return state
+
+
+def _configure(cls, *args):
+    """Build a mode, schedule or detector; a range error is a format error."""
+    try:
+        return cls(*args)
+    except ValueError as exc:
+        raise CheckpointError(f"invalid configuration payload: {exc}") from exc
 
 
 def _require_finite(value: float, name: str) -> None:

@@ -18,6 +18,8 @@ judges a block: the center and radius change only on an alarm, so one
 vectorized distance pass decides every row up to the next alarm.  The scan
 jumps there, applies the scalar update, and resumes on the following row,
 so its decisions, center and trace are bit-identical to a ``step`` loop.
+The kernel hands BLAS at most 8192 elements per call, which OpenBLAS sums
+on one thread, so wide rows give the same bits whatever its thread count.
 
 The per-step bookkeeping needed by the invariant auditors (gain energy,
 gain mass, and the gain-weighted inner products with the pre-update center)
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Union
+from typing import Iterable, List, NamedTuple, Union
 
 import numpy as np
 
@@ -55,15 +57,33 @@ __all__ = [
 # same-sized difference block it computes from them).
 SCAN_CHUNK_BYTES = 1 << 20
 
+# Longest slice one ``vecdot`` call sums.  OpenBLAS runs a dot product of
+# up to 10000 elements on one thread and splits a longer one across its
+# threads, which changes the summation order and so the bits; slices of a
+# power of two below that limit keep wide rows independent of the thread
+# count.
+_DOT_WIDTH = 8192
 
-def _sq_norms(diff: np.ndarray) -> np.ndarray:
-    """Squared Euclidean norm along the last axis.
 
-    The one distance kernel: ``vecdot`` gives the same bits for a single
-    row and for that row inside a block, which is what makes the block
-    scan and the step path decide identically.
+def _dot(a: np.ndarray, b: np.ndarray):
+    """Inner product along the last axis, summed slice by slice.
+
+    The one dot kernel: ``vecdot`` over consecutive column slices of at
+    most :data:`_DOT_WIDTH` elements, added left to right.  A row of up to
+    that width is a single ``vecdot`` call.  ``vecdot`` gives the same bits
+    for a single row and for that row inside a block, which is what makes
+    the block scan and the step path decide identically.
     """
-    return np.vecdot(diff, diff)
+    total = np.vecdot(a[..., :_DOT_WIDTH], b[..., :_DOT_WIDTH])
+    for lo in range(_DOT_WIDTH, a.shape[-1], _DOT_WIDTH):
+        total += np.vecdot(a[..., lo:lo + _DOT_WIDTH],
+                           b[..., lo:lo + _DOT_WIDTH])
+    return total
+
+
+def _sq_norms(diff: np.ndarray):
+    """Squared Euclidean norm along the last axis."""
+    return _dot(diff, diff)
 
 
 def as_vector(values, dim: int | None = None, name: str = "vector") -> np.ndarray:
@@ -152,8 +172,7 @@ def gain_value(schedule: GainSchedule, m: int) -> float:
     raise TypeError(f"unknown gain schedule: {schedule!r}")
 
 
-@dataclass(frozen=True)
-class StepOutcome:
+class StepOutcome(NamedTuple):
     """Decision record for one transaction."""
 
     alarm: bool
@@ -259,7 +278,9 @@ class Detector:
     def _learn(self, diff: np.ndarray, distance: float) -> float:
         """Count an alarm at ``diff = y - w`` and move the center; return the gain.
 
-        The adaptive detector's pre-decision gain uses m+1, which equals the
+        ``diff`` is overwritten: it becomes the unit step ``v`` and then
+        ``gain * v``, so an alarm allocates nothing.  The adaptive
+        detector's pre-decision gain uses m+1, which equals the
         fixed-radius gain at the incremented count, so one line serves both.
         """
         self.m += 1
@@ -268,9 +289,11 @@ class Detector:
             # but the update direction is undefined, so none is applied.
             return 0.0
         gain = gain_value(self.schedule, self.m)
-        v = diff / distance
-        vw = float(v @ self.w)
-        self.w += gain * v
+        v = diff
+        v /= distance
+        vw = float(_dot(v, self.w))
+        v *= gain
+        self.w += v
         self.trace.record_alarm(gain, vw)
         return gain
 
@@ -348,9 +371,9 @@ class Detector:
     def run_stream(self, stream: Iterable) -> List[StepOutcome]:
         """Judge a stream through :meth:`scan`; errors name the stream item."""
         out = self.scan(stream)
-        return [StepOutcome(*row) for row in zip(
+        return list(map(StepOutcome._make, zip(
             out.alarm.tolist(), out.distance.tolist(),
-            out.threshold.tolist(), out.gain_applied.tolist())]
+            out.threshold.tolist(), out.gain_applied.tolist())))
 
     def copy(self) -> "Detector":
         dup = Detector(self.dim, self.mode, self.schedule)

@@ -97,7 +97,8 @@ def read_pgm(path) -> Tuple[int, int, np.ndarray]:
         while pos < len(data) and not data[pos:pos + 1].isspace():
             pos += 1
         token = data[start:pos]
-        if not token.isdigit():
+        # no valid size has 19 digits, and int() refuses very long strings
+        if not token.isdigit() or len(token) > 18:
             raise FrameFormatError(f"{path}: malformed header token {token!r}")
         fields.append(int(token))
     width, height, maxval = fields
@@ -194,11 +195,14 @@ def run_scene_detection(frames: FrameSequence, epsilon: float = DEFAULT_EPSILON,
             f"({frames.dim})")
     start = detector.t
     per_chunk = max(1, SCAN_CHUNK_BYTES // (8 * frames.dim))
+    buf = np.empty((min(per_chunk, len(frames)), frames.dim))
     records = []
     for lo in range(0, len(frames), per_chunk):
-        # the same arithmetic as frame_to_vector, a bounded chunk at a time
+        # the same arithmetic as frame_to_vector, a bounded chunk at a time,
+        # into one reused buffer
         chunk = frames.frames[lo:lo + per_chunk]
-        block = chunk.reshape(len(chunk), -1).astype(np.float64) / 255.0
+        block = np.divide(chunk.reshape(len(chunk), -1), 255.0,
+                          out=buf[:len(chunk)])
         outcomes = detector.scan(block)
         records += map(FrameRecord,
                        range(start + lo, start + lo + len(outcomes)),

@@ -74,6 +74,10 @@ def read_vectors(path) -> np.ndarray:
             raise StreamFormatError(f"{path}: unsupported version {version}")
         if n < 1:
             raise StreamFormatError(f"{path}: dimension must be positive")
+        if t < 1:
+            # with no payload nothing bounds n, and a detector over the
+            # stream allocates a center of n entries
+            raise StreamFormatError(f"{path}: empty stream file")
         size = os.fstat(fh.fileno()).st_size
         expected = header + 8 * n * t
         if size != expected:
@@ -90,8 +94,14 @@ def read_vectors(path) -> np.ndarray:
 def _read_csv(path: Path) -> np.ndarray:
     rows = []
     width = None
-    with open(path, "r", encoding="ascii") as fh:
+    # latin-1 maps each byte to one character, so a non-ASCII byte is
+    # reported on its own line rather than failing the whole read.
+    with open(path, "r", encoding="latin-1") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                byte = next(ord(ch) for ch in line if ord(ch) > 127)
+                raise StreamFormatError(
+                    f"{path}:{lineno}: non-ASCII byte {byte:#04x}")
             line = line.strip()
             if not line:
                 continue

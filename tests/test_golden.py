@@ -5,16 +5,22 @@ helper were consolidated; any refactor of ``fado.experiments`` or
 ``fado.streams`` must reproduce them exactly.  ``margin`` exits 1 at this
 reduced size (its log-log slope check fails) but still writes its CSV.
 The ``fado run`` and ``fado scene`` digests were recorded with the
-row-by-row step loop, before the block scan replaced it.
+row-by-row step loop, before the block scan replaced it.  Frames wider than
+the kernel's 8192-element slice must give the same bytes whatever the
+number of BLAS threads.
 """
 
 import hashlib
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import fado
 from fado.cli import main
+from fado.scene import gen_synthetic_clips, write_frames_packed
 
 SWEEP_DIGESTS = {
     "margin": ("af35afd34ebd09af003e89e59e80d8077e7366772ec2744a01e67098cfbbdf90", 1),
@@ -109,3 +115,31 @@ def test_cli_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_wide_scene_outputs_do_not_depend_on_blas_threads(tmp_path):
+    """128 x 128 frames (n = 16384): a single BLAS dot product of that
+    length is split across OpenBLAS threads, which changes its bits."""
+    frames, _ = gen_synthetic_clips(128, 128, 3, 8, 10, seed=4)
+    pack = tmp_path / "frames.pack"
+    write_frames_packed(frames, pack)
+    src = str(Path(fado.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run(
+            [sys.executable, "-m", "fado.cli", "scene", "--packed", str(pack),
+             "--epsilon", "10", "--gamma", "30",
+             "--timeline", str(out / "timeline.csv"),
+             "--snapshot", str(out / "memory.pgm"),
+             "--checkpoint-out", str(out / "state.ckpt")],
+            env=env, capture_output=True, check=True)
+        outputs.append({name: (out / name).read_bytes()
+                        for name in ("timeline.csv", "memory.pgm",
+                                     "state.ckpt")})
+    assert b"\n10,0," in outputs[0]["timeline.csv"]  # a quiet frame
+    assert outputs[0] == outputs[1]

@@ -141,6 +141,30 @@ def test_circle_stream_near_boundary_defaults():
             _assert_same(mode, 1.0, _circle(3, 4000, center))
 
 
+# two full 8192-element dot slices and a short last one
+WIDE = 2 * 8192 + 3
+
+
+@pytest.mark.parametrize("cap_rows", [2, None])
+@pytest.mark.parametrize("mode, epsilon", [("fixed", 1.0), ("adaptive", None),
+                                           ("constant", 2.0)])
+def test_wide_rows_span_three_dot_slices(mode, epsilon, cap_rows):
+    """Rows that take three dot slices, in chunks of 2 and 7 rows."""
+    rows = _mixture(9, 40, WIDE)
+    cap = None if cap_rows is None else 8 * WIDE * cap_rows
+    alarms = _assert_same(mode, epsilon, rows, cap)
+    assert 0 < alarms.sum() < len(rows)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8191, 8192])
+def test_dot_is_one_vecdot_up_to_the_slice_width(n):
+    assert detector_module._DOT_WIDTH == 8192
+    a, b = np.random.default_rng(n).normal(size=(2, 5, n))
+    for x, y in ((a, b), (a[2], b[2])):
+        assert detector_module._dot(x, y).tobytes() == \
+            np.vecdot(x, y).tobytes()
+
+
 class TestValidation:
     def test_non_finite_names_first_bad_item_and_keeps_state(self):
         det = _new("fixed", 1.0, 2)

@@ -76,6 +76,14 @@ def test_empty_csv_rejected(tmp_path):
         read_vectors(path)
 
 
+def test_csv_non_ascii_byte_names_file_and_line(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_bytes(b"1.0,2.0\n3.0,\xff4\n")
+    with pytest.raises(StreamFormatError,
+                       match=r"s\.csv:2: non-ASCII byte 0xff"):
+        read_vectors(path)
+
+
 def test_header_claiming_more_rows_than_the_file_holds(tmp_path):
     """The header is checked against the file size before any allocation."""
     path = tmp_path / "s.bin"

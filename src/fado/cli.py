@@ -52,15 +52,23 @@ from .scene import (
     write_memory_snapshot,
 )
 from .streams import Design, StreamSpec, generate
-from .streamio import read_vectors, write_vectors
+from .streamio import read_vectors, write_outcome_rows, write_vectors
+
+# Flags of the synthetic clip source, in gen_synthetic_clips order.
+_SYNTHETIC = {"width": 40, "height": 40, "clips": 16, "frames_per_clip": 50,
+              "noise": 10, "seed": 0xFAD0}
 
 
-# Outcome rows formatted per write, which bounds the text held at once.
-_CSV_ROWS = 8192
+def _reject(parser, args, names, reason: str) -> None:
+    """Exit 2 naming each flag among ``names`` that was given.
 
-
-class _Default(float):
-    """A flag's default, told apart from the same value given explicitly."""
+    Flags of run, scene and gen default to None, so an absent flag is told
+    apart from its default; defaults are applied where values are used.
+    """
+    given = [f"--{name.replace('_', '-')}" for name in names
+             if getattr(args, name) is not None]
+    if given:
+        parser.error(f"{', '.join(given)} {reason}")
 
 
 def _log(message: str) -> None:
@@ -120,21 +128,16 @@ def _build_parser() -> argparse.ArgumentParser:
     scene_p.add_argument("--synthetic", action="store_true",
                          help="generate the synthetic clip sequence")
     scene_p.add_argument("--epsilon", type=float,
-                         default=_Default(DEFAULT_EPSILON),
-                         help="radius of a fresh detector")
+                         help="radius of a fresh detector (default 100)")
     scene_p.add_argument("--gamma", type=float,
-                         default=_Default(DEFAULT_GAMMA),
-                         help="constant gain of a fresh detector")
+                         help="constant gain of a fresh detector (default 1)")
     scene_p.add_argument("--timeline", help="timeline CSV output")
     scene_p.add_argument("--snapshot", help="final memory snapshot PGM")
     scene_p.add_argument("--checkpoint-in")
     scene_p.add_argument("--checkpoint-out")
-    scene_p.add_argument("--width", type=int, default=40)
-    scene_p.add_argument("--height", type=int, default=40)
-    scene_p.add_argument("--clips", type=int, default=16)
-    scene_p.add_argument("--frames-per-clip", type=int, default=50)
-    scene_p.add_argument("--noise", type=int, default=10)
-    scene_p.add_argument("--seed", type=int, default=0xFAD0)
+    for name, default in _SYNTHETIC.items():
+        scene_p.add_argument("--" + name.replace("_", "-"), type=int,
+                             help=f"synthetic source only (default {default})")
 
     bounds_p = sub.add_parser("bounds", help="print the closed-form bounds")
     bounds_p.add_argument("--wnorm", type=float, required=True,
@@ -152,14 +155,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen_p = sub.add_parser("gen", help="generate a synthetic stream file")
     gen_p.add_argument("--design", choices=["ball", "circle", "mixture"],
-                       default="ball")
+                       help="sample design (default ball)")
     gen_p.add_argument("--dim", type=int, required=True)
     gen_p.add_argument("--count", type=int, required=True)
     gen_p.add_argument("--center", required=True,
                        help="comma-separated center, or one value for c*ones")
     gen_p.add_argument("--epsilon", type=float, required=True)
-    gen_p.add_argument("--mu", type=float, default=0.0)
-    gen_p.add_argument("--fraction", type=float, default=0.0,
+    gen_p.add_argument("--mu", type=float, help="margin (default 0)")
+    gen_p.add_argument("--fraction", type=float,
                        help="contamination fraction (mixture design)")
     gen_p.add_argument("--radius-max", type=float,
                        help="outlier shell radius (mixture design)")
@@ -172,27 +175,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args, parser) -> int:
-    given = [flag for flag, value in (
-        ("--mode", args.mode), ("--epsilon", args.epsilon),
-        ("--gamma0", args.gamma0), ("--tau", args.tau),
-        ("--gamma", args.gamma)) if value is not None]
-    if args.checkpoint_in and given:
-        parser.error(f"{', '.join(given)} conflict with --checkpoint-in, "
-                     "which fixes the detector")
+    if args.checkpoint_in:
+        _reject(parser, args, ("mode", "epsilon", "gamma0", "tau", "gamma"),
+                "conflict with --checkpoint-in, which fixes the detector")
+    elif args.mode is None:
+        parser.error("--mode is required unless --checkpoint-in is given")
+    elif args.mode == "adaptive":
+        _reject(parser, args, ("epsilon",), "conflicts with the adaptive mode")
+    elif args.epsilon is None:
+        parser.error(f"--epsilon is required for mode {args.mode}")
     samples = read_vectors(args.input)
     if args.checkpoint_in:
         detector = checkpoint_decode(Path(args.checkpoint_in).read_bytes())
     else:
-        if args.mode is None:
-            parser.error("--mode is required unless --checkpoint-in is given")
-        if args.mode in ("fixed", "constant-gain"):
-            if args.epsilon is None:
-                parser.error(f"--epsilon is required for mode {args.mode}")
-            mode = FixedRadius(args.epsilon)
-        else:
-            if args.epsilon is not None:
-                parser.error("--epsilon conflicts with the adaptive mode")
-            mode = AdaptiveRadius()
+        mode = (AdaptiveRadius() if args.mode == "adaptive"
+                else FixedRadius(args.epsilon))
         if args.mode == "constant-gain":
             schedule = Constant(1.0 if args.gamma is None else args.gamma)
         else:
@@ -204,15 +201,9 @@ def _cmd_run(args, parser) -> int:
     outcomes = detector.scan(samples)
     with (open(args.output, "w", encoding="ascii") if args.output
           else contextlib.nullcontext(sys.stdout)) as fh:
-        fh.write("t,alarm,distance,threshold,gain_applied\n")
-        for lo in range(0, len(outcomes), _CSV_ROWS):
-            hi = min(lo + _CSV_ROWS, len(outcomes))
-            rows = zip(map(str, range(start + lo, start + hi)),
-                       map("01".__getitem__, outcomes.alarm[lo:hi].tolist()),
-                       map(repr, outcomes.distance[lo:hi].tolist()),
-                       map(repr, outcomes.threshold[lo:hi].tolist()),
-                       map(repr, outcomes.gain_applied[lo:hi].tolist()))
-            fh.write("\n".join(map(",".join, rows)) + "\n")
+        write_outcome_rows(fh, "t,alarm,distance,threshold,gain_applied",
+                           start, [outcomes.alarm, outcomes.distance,
+                                   outcomes.threshold, outcomes.gain_applied])
     if args.checkpoint_out:
         Path(args.checkpoint_out).write_bytes(checkpoint_encode(detector))
     _log(f"processed {len(outcomes)} transactions, "
@@ -220,7 +211,7 @@ def _cmd_run(args, parser) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args, parser) -> int:
     kwargs = {"n_seeds": args.seeds, "count": args.count,
               "base_seed": args.base_seed}
     runners = {
@@ -248,27 +239,27 @@ def _cmd_scene(args, parser) -> int:
     sources = sum([bool(args.frames), bool(args.packed), args.synthetic])
     if sources != 1:
         parser.error("give exactly one of: PGM frames, --packed, --synthetic")
-    if args.checkpoint_in and not (isinstance(args.epsilon, _Default)
-                                   and isinstance(args.gamma, _Default)):
-        parser.error("--epsilon and --gamma conflict with --checkpoint-in, "
-                     "which fixes the detector")
+    if args.checkpoint_in:
+        _reject(parser, args, ("epsilon", "gamma"),
+                "conflict with --checkpoint-in, which fixes the detector")
     transitions = None
     if args.synthetic:
-        frames, transitions = gen_synthetic_clips(
-            args.width, args.height, args.clips, args.frames_per_clip,
-            args.noise, args.seed)
-    elif args.packed:
-        frames = read_frames_packed(args.packed)
+        frames, transitions = gen_synthetic_clips(*(
+            default if getattr(args, name) is None else getattr(args, name)
+            for name, default in _SYNTHETIC.items()))
     else:
-        frames = load_pgm_sequence(args.frames)
+        _reject(parser, args, _SYNTHETIC, "apply only to --synthetic")
+        frames = (read_frames_packed(args.packed) if args.packed
+                  else load_pgm_sequence(args.frames))
     detector = None
     if args.checkpoint_in:
         detector = checkpoint_decode(Path(args.checkpoint_in).read_bytes())
         if transitions is not None:
             # the timeline continues the checkpoint's global frame index
             transitions = [t + detector.t for t in transitions]
-    timeline, detector = run_scene_detection(frames, args.epsilon, args.gamma,
-                                             detector=detector)
+    timeline, detector = run_scene_detection(
+        frames, DEFAULT_EPSILON if args.epsilon is None else args.epsilon,
+        DEFAULT_GAMMA if args.gamma is None else args.gamma, detector)
     if args.timeline:
         timeline_to_csv(timeline, transitions, args.timeline)
     if args.snapshot:
@@ -281,7 +272,7 @@ def _cmd_scene(args, parser) -> int:
     return 0
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args, parser) -> int:
     zeta = riemann_zeta(1.0 + 2.0 * args.tau)
     a = args.gamma0 ** 2 * zeta
     bound = mistake_bound_realizable(args.wnorm, args.mu, args.tau,
@@ -311,24 +302,26 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_gen(args, parser) -> int:
+    design = Design(args.design or "ball")
+    if design is Design.MIXTURE:
+        if args.radius_max is None:
+            parser.error("--radius-max is required for the mixture design")
+    else:
+        _reject(parser, args, ("labels_out", "fraction", "radius_max"),
+                "apply only to the mixture design")
     center = _parse_center(args.center, args.dim)
-    truth = GroundTruth(center, args.epsilon, args.mu)
-    design = Design(args.design)
-    if design is Design.MIXTURE and args.radius_max is None:
-        parser.error("--radius-max is required for the mixture design")
+    truth = GroundTruth(center, args.epsilon,
+                        0.0 if args.mu is None else args.mu)
     spec = StreamSpec(dim=args.dim, count=args.count, truth=truth,
                       seed=args.seed, design=design,
-                      contamination_fraction=args.fraction,
+                      contamination_fraction=(
+                          0.0 if args.fraction is None else args.fraction),
                       outlier_radius_max=args.radius_max)
-    generated = generate(spec)
-    samples = generated[0]
+    samples, labels = generate(spec)  # labels: mixture design only
     write_vectors(samples, args.out)
-    if design is Design.MIXTURE and args.labels_out:
-        labels = generated[1]
-        Path(args.labels_out).write_text(
-            "index,is_outlier\n" + "".join(
-                f"{i},{int(flag)}\n" for i, flag in enumerate(labels)),
-            encoding="ascii")
+    if args.labels_out:
+        with open(args.labels_out, "w", encoding="ascii") as fh:
+            write_outcome_rows(fh, "index,is_outlier", 0, [labels])
     _log(f"wrote {samples.shape[0]} x {samples.shape[1]} stream to {args.out}")
     return 0
 
@@ -336,22 +329,13 @@ def _cmd_gen(args, parser) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    commands = {"run": _cmd_run, "sweep": _cmd_sweep, "scene": _cmd_scene,
+                "bounds": _cmd_bounds, "gen": _cmd_gen}
     try:
-        if args.command == "run":
-            return _cmd_run(args, parser)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "scene":
-            return _cmd_scene(args, parser)
-        if args.command == "bounds":
-            return _cmd_bounds(args)
-        if args.command == "gen":
-            return _cmd_gen(args, parser)
-        parser.error(f"unknown command {args.command!r}")
+        return commands[args.command](args, parser)
     except (ValueError, OSError) as exc:
         _log(f"error: {exc}")
         return 1
-    return 0
 
 
 if __name__ == "__main__":

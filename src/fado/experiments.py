@@ -183,16 +183,12 @@ class SweepResult:
     def passed(self) -> bool:
         return all(c.get("passed", False) for c in self.checks.values())
 
-    def records_at(self, value: float, variant: str = "") -> List[SweepRecord]:
-        return [r for r in self.records
+    def median(self, value: float, name: str = "m_T",
+               variant: str = "") -> float:
+        """Median of field ``name`` over the records at ``value`` and
+        ``variant``, skipping unset (None) entries."""
+        vals = [getattr(r, name) for r in self.records
                 if r.value == value and r.variant == variant]
-
-    def median_m(self, value: float, variant: str = "") -> float:
-        return float(np.median([r.m_T for r in self.records_at(value, variant)]))
-
-    def median_field(self, value: float, name: str,
-                     variant: str = "") -> float:
-        vals = [getattr(r, name) for r in self.records_at(value, variant)]
         return float(np.median([v for v in vals if v is not None]))
 
     def __eq__(self, other):
@@ -271,7 +267,7 @@ def _run_grid(parameter: str, seeds: Sequence[int], points: Sequence[_Point],
 
 def _monotone(result: SweepResult, nonincreasing: bool) -> dict:
     """Per-point median m_T with at most one adjacent inversion."""
-    medians = [result.median_m(value) for value in result.grid]
+    medians = [result.median(value) for value in result.grid]
     inversions = sum(right > left if nonincreasing else right < left
                      for left, right in zip(medians, medians[1:]))
     return {"passed": inversions <= 1, "inversions": inversions,
@@ -386,7 +382,7 @@ def sweep_epsilon(num_points: int = 20, n_seeds: int = 5,
         "epsilon", seeds, points,
         {"design": "ball", "count": count, "tau": tau, "gamma0": "epsilon",
          "seeds": seeds, "points": point_params})
-    medians = [result.median_m(eps) for eps in grid]
+    medians = [result.median(eps) for eps in grid]
     rho = spearman_rho(grid, medians)
     result.checks["no_trend"] = {"passed": abs(rho) <= 0.3, "spearman": rho,
                                  "medians": medians}
@@ -426,8 +422,8 @@ def sweep_contamination(fractions: Sequence[float] = (0.0, 0.1, 0.2, 0.3, 0.4, 0
         {"design": "mixture", "dim": dim, "mu": mu, "epsilon": epsilon,
          "radius_max": outlier_radius_max, "count": count, "tau": tau,
          "gamma0": gamma0, "seeds": seeds})
-    xs = [result.median_field(f, "p_realized") for f in fractions]
-    ys = [result.median_m(f) for f in fractions]
+    xs = [result.median(f, "p_realized") for f in fractions]
+    ys = [result.median(f) for f in fractions]
     if len(set(xs)) < 2:
         fit = {"passed": True, "slope": math.nan, "r2": math.nan,
                "note": "needs >= 2 distinct points"}
@@ -472,9 +468,8 @@ def compare_adaptive(mus: Sequence[float] = (0.01, 0.05, 0.1),
         {"design": "ball", "dim": dim, "c": c, "epsilon": epsilon,
          "count": count, "tau": tau, "gamma0": gamma0, "seeds": seeds},
         audits=False, heldout_radius_max=heldout_radius_max)
-    fixed_power = [result.median_field(mu, "power", "fixed") for mu in mus]
-    adaptive_power = [result.median_field(mu, "power", "adaptive")
-                      for mu in mus]
+    fixed_power = [result.median(mu, "power", "fixed") for mu in mus]
+    adaptive_power = [result.median(mu, "power", "adaptive") for mu in mus]
     result.checks["fixed_power"] = {
         "passed": all(p == 1.0 for p in fixed_power), "medians": fixed_power}
     result.checks["adaptive_power"] = {
@@ -528,16 +523,10 @@ def parse_results(path) -> SweepResult:
     """Inverse of :func:`emit_results`; format chosen by extension."""
     path = Path(path)
     if path.suffix.lower() == ".json":
+        # emit_results writes the dataclass fields under their own names
         doc = json.loads(path.read_text(encoding="ascii"))
-        records = [SweepRecord(
-            value=r["value"], seed=r["seed"], m_T=r["m_T"],
-            power=r["power"], final_w_error=r["final_w_error"],
-            bound=r["bound"], p_realized=r["p_realized"],
-            variant=r["variant"], wall_time=r.get("wall_time"))
-            for r in doc["records"]]
-        return SweepResult(parameter=doc["parameter"], grid=doc["grid"],
-                           records=records, checks=doc["checks"],
-                           metadata=doc["metadata"])
+        records = [SweepRecord(**r) for r in doc.pop("records")]
+        return SweepResult(records=records, **doc)
     lines = path.read_text(encoding="ascii").splitlines()
     if not lines or lines[0] != _CSV_HEADER:
         raise ValueError(f"{path}: missing sweep CSV header")

@@ -22,13 +22,19 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .detector import SCAN_CHUNK_BYTES, Constant, Detector, FixedRadius
+from .detector import (
+    SCAN_CHUNK_BYTES,
+    Constant,
+    Detector,
+    FixedRadius,
+    ScanOutcomes,
+)
+from .streamio import write_outcome_rows
 from .streams import SplitMix64
 
 __all__ = [
     "FrameFormatError",
     "FrameSequence",
-    "FrameRecord",
     "DetectionTimeline",
     "read_pgm",
     "write_pgm",
@@ -78,7 +84,8 @@ class FrameSequence:
 
 
 def read_pgm(path) -> Tuple[int, int, np.ndarray]:
-    """Decode one binary (P5) PGM with maxval <= 255."""
+    """Decode one binary (P5) PGM with maxval <= 255, rescaling pixels to
+    [0, 255] (rounded half up; the identity at maxval 255)."""
     data = Path(path).read_bytes()
     if not data.startswith(b"P5"):
         raise FrameFormatError(f"{path}: not a binary PGM (missing P5)")
@@ -114,7 +121,11 @@ def read_pgm(path) -> Tuple[int, int, np.ndarray]:
     if len(raster) != width * height:
         raise FrameFormatError(f"{path}: truncated raster")
     pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
-    return width, height, pixels.copy()
+    if pixels.max() > maxval:
+        raise FrameFormatError(
+            f"{path}: pixel value {pixels.max()} exceeds maxval {maxval}")
+    scaled = (pixels.astype(np.uint16) * 255 + maxval // 2) // maxval
+    return width, height, scaled.astype(np.uint8)
 
 
 def write_pgm(pixels: np.ndarray, path) -> None:
@@ -158,19 +169,21 @@ def frame_to_vector(frame: np.ndarray) -> np.ndarray:
     return frame.reshape(-1).astype(np.float64) / 255.0
 
 
-@dataclass(frozen=True)
-class FrameRecord:
-    index: int
-    alarm: bool
-    distance: float
-    radius: float
-
-
 @dataclass
 class DetectionTimeline:
-    records: List[FrameRecord]
-    alarms: int
-    alarm_rate: float
+    """Per-frame scan outcomes; row i is global frame ``start + i``, and the
+    ``threshold`` column holds the radius each frame was judged against."""
+
+    outcomes: ScanOutcomes
+    start: int = 0
+
+    @property
+    def alarms(self) -> int:
+        return int(np.count_nonzero(self.outcomes.alarm))
+
+    @property
+    def alarm_rate(self) -> float:
+        return self.alarms / len(self.outcomes)
 
 
 def run_scene_detection(frames: FrameSequence, epsilon: float = DEFAULT_EPSILON,
@@ -196,22 +209,17 @@ def run_scene_detection(frames: FrameSequence, epsilon: float = DEFAULT_EPSILON,
     start = detector.t
     per_chunk = max(1, SCAN_CHUNK_BYTES // (8 * frames.dim))
     buf = np.empty((min(per_chunk, len(frames)), frames.dim))
-    records = []
+    parts = []
     for lo in range(0, len(frames), per_chunk):
         # the same arithmetic as frame_to_vector, a bounded chunk at a time,
         # into one reused buffer
         chunk = frames.frames[lo:lo + per_chunk]
-        block = np.divide(chunk.reshape(len(chunk), -1), 255.0,
-                          out=buf[:len(chunk)])
-        outcomes = detector.scan(block)
-        records += map(FrameRecord,
-                       range(start + lo, start + lo + len(outcomes)),
-                       outcomes.alarm.tolist(), outcomes.distance.tolist(),
-                       outcomes.threshold.tolist())
-    alarms = sum(1 for r in records if r.alarm)
-    timeline = DetectionTimeline(records=records, alarms=alarms,
-                                 alarm_rate=alarms / len(records))
-    return timeline, detector
+        parts.append(detector.scan(np.divide(chunk.reshape(len(chunk), -1),
+                                             255.0, out=buf[:len(chunk)])))
+    columns = zip(*((p.alarm, p.distance, p.threshold, p.gain_applied)
+                    for p in parts))
+    outcomes = ScanOutcomes(*map(np.concatenate, columns))
+    return DetectionTimeline(outcomes, start), detector
 
 
 def gen_synthetic_clips(width: int, height: int, num_clips: int,
@@ -269,31 +277,29 @@ def write_memory_snapshot(state: Detector, width: int, height: int,
 def detection_latencies(timeline: DetectionTimeline,
                         transitions: Sequence[int]) -> List[Optional[int]]:
     """Frames from each true transition to its first alarm (None if never)."""
-    alarm_indices = [r.index for r in timeline.records if r.alarm]
-    latencies: List[Optional[int]] = []
-    for t in transitions:
-        after = [a for a in alarm_indices if a >= t]
-        latencies.append(after[0] - t if after else None)
-    return latencies
+    alarms = timeline.start + np.flatnonzero(timeline.outcomes.alarm)
+    first = np.searchsorted(alarms, transitions).tolist()
+    return [int(alarms[i]) - t if i < len(alarms) else None
+            for i, t in zip(first, transitions)]
 
 
 def timeline_to_csv(timeline: DetectionTimeline,
                     transitions: Optional[Sequence[int]], path) -> None:
     """Write the per-frame timeline plus a commented summary footer."""
-    truth = set(transitions) if transitions is not None else set()
-    lines = ["frame,alarm,distance,radius,is_true_transition"]
-    for r in timeline.records:
-        lines.append(",".join([
-            str(r.index), str(int(r.alarm)), repr(r.distance),
-            repr(r.radius), str(int(r.index in truth))]))
-    lines.append(f"# alarms,{timeline.alarms}")
-    lines.append(f"# alarm_rate,{timeline.alarm_rate!r}")
-    if transitions is not None:
-        for t, lat in zip(transitions, detection_latencies(timeline,
-                                                           transitions)):
-            lines.append(f"# transition_latency,{t},"
-                         f"{-1 if lat is None else lat}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    out, start = timeline.outcomes, timeline.start
+    truth = np.isin(np.arange(start, start + len(out)),
+                    [] if transitions is None else list(transitions))
+    with open(path, "w", encoding="ascii") as fh:
+        write_outcome_rows(fh, "frame,alarm,distance,radius,is_true_transition",
+                           start, [out.alarm, out.distance, out.threshold,
+                                   truth])
+        fh.write(f"# alarms,{timeline.alarms}\n"
+                 f"# alarm_rate,{timeline.alarm_rate!r}\n")
+        if transitions is not None:
+            for t, lat in zip(transitions,
+                              detection_latencies(timeline, transitions)):
+                fh.write(f"# transition_latency,{t},"
+                         f"{-1 if lat is None else lat}\n")
 
 
 def write_frames_packed(frames: FrameSequence, path) -> None:

@@ -21,10 +21,14 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["StreamFormatError", "write_vectors", "read_vectors"]
+__all__ = ["StreamFormatError", "write_vectors", "read_vectors",
+           "write_outcome_rows"]
 
 MAGIC = b"FADOVECS"
 VERSION = 1
+
+# Outcome rows formatted per write, which bounds the text held at once.
+_CSV_ROWS = 8192
 
 
 class StreamFormatError(ValueError):
@@ -55,6 +59,19 @@ def write_vectors(samples, path) -> None:
         fh.write(MAGIC)
         fh.write(struct.pack("<IQQ", VERSION, n, t))
         fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+
+
+def write_outcome_rows(fh, header: str, start: int, columns) -> None:
+    """Write ``header``, then row i as ``start + i`` and each column's entry:
+    bools as 0/1, floats in shortest round-trip form, 8192 rows per write."""
+    fh.write(header + "\n")
+    count = len(columns[0])
+    for lo in range(0, count, _CSV_ROWS):
+        hi = min(lo + _CSV_ROWS, count)
+        cells = [map(str, range(start + lo, start + hi))]
+        cells += [map("01".__getitem__ if col.dtype == bool else repr,
+                      col[lo:hi].tolist()) for col in columns]
+        fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def read_vectors(path) -> np.ndarray:

@@ -309,8 +309,8 @@ def test_criterion_10_scene_pipeline(tmp_path):
     latencies = detection_latencies(timeline, transitions)
     assert all(lat is not None and lat <= 5 for lat in latencies)
     half = len(frames) // 2
-    first = sum(r.alarm for r in timeline.records[:half])
-    second = sum(r.alarm for r in timeline.records[half:])
+    first = int(timeline.outcomes.alarm[:half].sum())
+    second = int(timeline.outcomes.alarm[half:].sum())
     assert second < first
     assert blobs[0] == blobs[1]
     elapsed = time.perf_counter() - started

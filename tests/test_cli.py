@@ -248,6 +248,23 @@ class TestGen:
                           "--out", str(tmp_path / "m.bin"))
         assert code == 2
 
+    @pytest.mark.parametrize("design,extra", [
+        ("ball", ["--labels-out", "labels.csv"]),
+        ("ball", ["--fraction", "0.3"]),
+        ("ball", ["--radius-max", "5"]),
+        ("circle", ["--labels-out", "labels.csv"]),
+    ])
+    def test_mixture_flags_rejected_for_other_designs(self, tmp_path, capsys,
+                                                      design, extra):
+        out = tmp_path / "s.bin"
+        code, _ = run_cli("gen", "--design", design, "--dim", "2",
+                          "--count", "10", "--center", "2,2",
+                          "--epsilon", "1", "--mu", "0.1", "--seed", "3",
+                          "--out", str(out), *extra)
+        assert code == 2
+        assert extra[0] in capsys.readouterr().err
+        assert not out.exists()
+
     def test_center_length_mismatch_exits_one(self, tmp_path):
         code, _ = run_cli("gen", "--design", "ball", "--dim", "3",
                           "--count", "10", "--center", "1,2",
@@ -335,15 +352,46 @@ class TestScene:
         assert any(ln.startswith("# transition_latency,15,")
                    for ln in lines)
 
+    @pytest.mark.parametrize("flag", ["--width", "--height", "--clips",
+                                      "--frames-per-clip", "--noise",
+                                      "--seed"])
+    def test_synthetic_flags_rejected_for_packed_frames(self, tmp_path,
+                                                        capsys, flag):
+        from fado.scene import gen_synthetic_clips, write_frames_packed
+        frames, _ = gen_synthetic_clips(4, 4, 1, 3, 2, seed=1)
+        pack = tmp_path / "p.pack"
+        write_frames_packed(frames, pack)
+        timeline = tmp_path / "t.csv"
+        code, _ = run_cli("scene", "--packed", str(pack), flag, "5",
+                          "--timeline", str(timeline))
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1].startswith("fado: error: ") and flag in err[-1]
+        assert not timeline.exists()
+
+    def test_synthetic_flags_rejected_for_pgm_frames(self, tmp_path):
+        from fado.scene import write_pgm
+        path = tmp_path / "0.pgm"
+        write_pgm(np.zeros((4, 4), dtype=np.uint8), path)
+        assert run_cli("scene", str(path), "--seed", "3")[0] == 2
+        assert run_cli("scene", str(path), "--epsilon", "1")[0] == 0
+
     def test_requires_exactly_one_source(self):
         code, _ = run_cli("scene")
         assert code == 2
 
-    def test_defaults_are_case_study_values(self):
-        from fado.cli import _build_parser
-        parser = _build_parser()
-        args = parser.parse_args(["scene", "--synthetic"])
-        assert args.epsilon == 100.0 and args.gamma == 1.0
+    def test_defaults_are_case_study_values(self, tmp_path):
+        """A fresh detector judges against radius 100 with unit gain."""
+        from fado.checkpoint import checkpoint_decode
+        timeline, ckpt = tmp_path / "t.csv", tmp_path / "s.ckpt"
+        assert run_cli("scene", "--synthetic", "--clips", "2",
+                       "--frames-per-clip", "2", "--timeline", str(timeline),
+                       "--checkpoint-out", str(ckpt))[0] == 0
+        rows = [ln.split(",") for ln in timeline.read_text().splitlines()[1:]
+                if not ln.startswith("#")]
+        assert len(rows) == 4 and {r[3] for r in rows} == {"100.0"}
+        state = checkpoint_decode(ckpt.read_bytes())
+        assert state.schedule.gamma == 1.0
 
 
 class TestSweep:

@@ -7,7 +7,9 @@ reduced size (its log-log slope check fails) but still writes its CSV.
 The ``fado run`` and ``fado scene`` digests were recorded with the
 row-by-row step loop, before the block scan replaced it.  Frames wider than
 the kernel's 8192-element slice must give the same bytes whatever the
-number of BLAS threads.
+number of BLAS threads.  The long 2x2 timeline (17000 frames) spans two
+8192-row boundaries of the outcome-CSV writer; it was recorded when the
+timeline was one joined string.
 """
 
 import hashlib
@@ -65,6 +67,9 @@ SCENE_DIGESTS = {
     "state.ckpt": "a42ed18f2f7cf44fd2b7e5b6e583db0e4fd0587c869f598f6262f317e0c0339f",
 }
 
+LONG_TIMELINE_DIGEST = \
+    "a6f00ef7bae59c78eca865506e85b1fe17246854e8ae445ed972f783937c3cbf"
+
 
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -106,6 +111,14 @@ def test_scene_outputs_are_pinned(tmp_path):
                  "--snapshot", str(paths["memory.pgm"]),
                  "--checkpoint-out", str(paths["state.ckpt"])]) == 0
     assert {name: _sha256(p) for name, p in paths.items()} == SCENE_DIGESTS
+
+
+def test_long_scene_timeline_is_pinned(tmp_path):
+    timeline = tmp_path / "timeline.csv"
+    assert main(["scene", "--synthetic", "--width", "2", "--height", "2",
+                 "--clips", "17", "--frames-per-clip", "1000",
+                 "--epsilon", "0.5", "--timeline", str(timeline)]) == 0
+    assert _sha256(timeline) == LONG_TIMELINE_DIGEST
 
 
 def test_cli_import_loads_no_scipy():

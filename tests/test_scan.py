@@ -206,7 +206,9 @@ def test_scene_detection_matches_per_frame_steps():
         with mock.patch.object(detector_module, "SCAN_CHUNK_BYTES",
                                8 * frames.dim * cap_frames):
             timeline, det = run_scene_detection(frames, 2.0, 1.0)
-        assert [(r.alarm, r.distance, r.radius) for r in timeline.records] \
+        out = timeline.outcomes
+        assert list(zip(out.alarm.tolist(), out.distance.tolist(),
+                        out.threshold.tolist())) \
             == [(o.alarm, o.distance, o.threshold) for o in expect]
         assert det.w.tobytes() == ref.w.tobytes()
 

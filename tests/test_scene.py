@@ -52,6 +52,28 @@ class TestPgmIO:
         with pytest.raises(FrameFormatError, match="truncated"):
             read_pgm(path)
 
+    @pytest.mark.parametrize("maxval,pixels,expected", [
+        (15, [0, 15], [0, 255]),
+        (15, [7, 8], [119, 136]),
+        (1, [1, 0], [255, 0]),
+        (255, [3, 254], [3, 254]),
+    ])
+    def test_pixels_rescale_to_maxval_255(self, tmp_path, maxval, pixels,
+                                          expected):
+        path = tmp_path / "f.pgm"
+        path.write_bytes(f"P5\n2 1\n{maxval}\n".encode() + bytes(pixels))
+        _, _, decoded = read_pgm(path)
+        assert decoded.dtype == np.uint8
+        np.testing.assert_array_equal(decoded, [expected])
+        if pixels[0] == maxval:
+            assert frame_to_vector(decoded)[0] == 1.0
+
+    def test_pixel_above_maxval_rejected(self, tmp_path):
+        path = tmp_path / "f.pgm"
+        path.write_bytes(b"P5\n2 1\n15\n" + bytes([15, 16]))
+        with pytest.raises(FrameFormatError, match="exceeds maxval 15"):
+            read_pgm(path)
+
     def test_write_read_roundtrip(self, tmp_path):
         path = tmp_path / "f.pgm"
         pixels = np.arange(12, dtype=np.uint8).reshape(3, 4)
@@ -110,11 +132,10 @@ class TestSceneDetection:
             width=40, height=40,
             frames=np.full((10, 40, 40), 128, dtype=np.uint8))
         timeline, det = run_scene_detection(frames, epsilon=19.5, gamma=1.0)
-        assert [r.alarm for r in timeline.records] == \
-            [True] + [False] * 9
-        assert timeline.records[0].distance == pytest.approx(
+        assert timeline.outcomes.alarm.tolist() == [True] + [False] * 9
+        assert timeline.outcomes.distance[0] == pytest.approx(
             40.0 * 128.0 / 255.0, abs=1e-12)
-        assert timeline.records[1].distance == pytest.approx(
+        assert timeline.outcomes.distance[1] == pytest.approx(
             40.0 * 128.0 / 255.0 - 1.0, abs=1e-9)
         assert timeline.alarms == 1 and det.m == 1
 
@@ -139,9 +160,8 @@ class TestSceneDetection:
         tl1, det = run_scene_detection(first, epsilon=2.0, gamma=1.0)
         resumed = checkpoint_decode(checkpoint_encode(det))
         tl2, _ = run_scene_detection(second, detector=resumed)
-        alarms = [r.alarm for r in tl1.records] + \
-            [r.alarm for r in tl2.records]
-        assert alarms == [r.alarm for r in full_tl.records]
+        alarms = tl1.outcomes.alarm.tolist() + tl2.outcomes.alarm.tolist()
+        assert alarms == full_tl.outcomes.alarm.tolist()
 
 
 class TestSyntheticClips:
@@ -179,9 +199,72 @@ class TestSyntheticClips:
         frames, _ = gen_synthetic_clips(40, 40, 16, 50, 10, seed=1)
         timeline, _ = run_scene_detection(frames, epsilon=5.0, gamma=1.0)
         half = len(frames) // 2
-        first = sum(r.alarm for r in timeline.records[:half])
-        second = sum(r.alarm for r in timeline.records[half:])
+        first = int(timeline.outcomes.alarm[:half].sum())
+        second = int(timeline.outcomes.alarm[half:].sum())
         assert second < first
+
+
+def _pulse_frames(*lit):
+    """2x2 frames, black except the listed indices, which are white."""
+    stack = np.zeros((max(lit) + 3, 2, 2), dtype=np.uint8)
+    stack[list(lit)] = 255
+    return FrameSequence(width=2, height=2, frames=stack)
+
+
+class TestLatencies:
+    """A white 2x2 frame is 2 away from a black memory, so with radius 1.5
+    it alarms; the unit step leaves the memory 1 from black, inside."""
+
+    def test_transition_on_and_after_the_last_alarm(self, tmp_path):
+        frames = _pulse_frames(2)
+        timeline, _ = run_scene_detection(frames, epsilon=1.5, gamma=1.0)
+        assert detection_latencies(timeline, [1, 2, 3]) == [1, 0, None]
+        path = tmp_path / "t.csv"
+        timeline_to_csv(timeline, [2, 3], path)
+        footer = [ln for ln in path.read_text().splitlines()
+                  if ln.startswith("#")]
+        assert footer == ["# alarms,1", "# alarm_rate,0.2",
+                          "# transition_latency,2,0",
+                          "# transition_latency,3,-1"]
+
+    def test_matches_a_scan_of_the_alarm_indices(self):
+        from fado.detector import ScanOutcomes
+        from fado.scene import DetectionTimeline
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            count, start = int(rng.integers(1, 40)), int(rng.integers(0, 9))
+            alarm = rng.random(count) < rng.choice([0.0, 0.1, 0.5])
+            zeros = np.zeros(count)
+            timeline = DetectionTimeline(
+                ScanOutcomes(alarm, zeros, zeros, zeros), start)
+            transitions = rng.integers(0, start + count + 3, 4).tolist()
+            alarm_frames = [start + i for i in range(count) if alarm[i]]
+            expected = [next((a - t for a in alarm_frames if a >= t), None)
+                        for t in transitions]
+            assert detection_latencies(timeline, transitions) == expected
+            assert timeline.alarms == len(alarm_frames)
+
+    def test_no_transitions_and_no_alarms(self):
+        frames = FrameSequence(2, 2, np.zeros((4, 2, 2), np.uint8))
+        timeline, _ = run_scene_detection(frames, epsilon=1.5, gamma=1.0)
+        assert detection_latencies(timeline, []) == []
+        assert detection_latencies(timeline, [0, 3]) == [None, None]
+
+    def test_resumed_timeline_reports_global_indices(self, tmp_path):
+        from fado.checkpoint import checkpoint_decode, checkpoint_encode
+        quiet = FrameSequence(2, 2, np.zeros((3, 2, 2), np.uint8))
+        _, det = run_scene_detection(quiet, epsilon=1.5, gamma=1.0)
+        resumed = checkpoint_decode(checkpoint_encode(det))
+        timeline, _ = run_scene_detection(_pulse_frames(1), detector=resumed)
+        assert detection_latencies(timeline, [3, 4, 5]) == [1, 0, None]
+        path = tmp_path / "t.csv"
+        timeline_to_csv(timeline, [4], path)
+        rows = [ln.split(",") for ln in path.read_text().splitlines()[1:]
+                if not ln.startswith("#")]
+        assert [(r[0], r[1], r[4]) for r in rows] == [
+            ("3", "0", "0"), ("4", "1", "1"), ("5", "0", "0"),
+            ("6", "0", "0")]
+        assert "# transition_latency,4,0" in path.read_text()
 
 
 class TestMemorySnapshot:

@@ -68,11 +68,14 @@ def riemann_zeta(s: float) -> float:
     return total + n_cut ** (1.0 - s) / (s - 1.0)
 
 
+def _check_positive(name: str, value: float) -> None:
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be a positive finite number")
+
+
 def _check_ac_args(a: float, c: float) -> None:
-    if not (a > 0 and math.isfinite(a)):
-        raise ValueError("a must be a positive finite number")
-    if not (c > 0 and math.isfinite(c)):
-        raise ValueError("c must be a positive finite number")
+    _check_positive("a", a)
+    _check_positive("c", c)
 
 
 def ac_y_bound(a: float, c: float) -> float:
@@ -99,8 +102,7 @@ def ac_x_bound(a: float, c: float) -> float:
 def _check_schedule_args(tau: float, gamma0: float) -> None:
     if not (0.0 < tau < 0.5):
         raise ValueError("tau must lie strictly between 0 and 1/2")
-    if not (gamma0 > 0 and math.isfinite(gamma0)):
-        raise ValueError("gamma0 must be a positive finite number")
+    _check_positive("gamma0", gamma0)
 
 
 def gamma_sum_lower_bound(m: int, tau: float, gamma0: float = 1.0) -> float:
@@ -118,34 +120,29 @@ def gamma_sum_lower_bound(m: int, tau: float, gamma0: float = 1.0) -> float:
     return gamma0 * ((float(m) + 1.0) ** q - 1.0) / q
 
 
-def _gamma_mass_lb(m: int, tau: float, gamma0: float) -> float:
-    # Same integral bound, extended to m = 0 for the bisections below.
-    if m < 1:
-        return 0.0
-    return gamma_sum_lower_bound(m, tau, gamma0)
+_SEARCH_LIMIT = 2 ** 400
 
 
-def _largest_m_with_mass_below(rhs: float, mu: float, tau: float,
-                               gamma0: float) -> int:
-    """Largest m with mu * mass_lower_bound(m) <= rhs (monotone bisection).
+def _least_m(holds) -> int:
+    """Smallest m >= 1 at which the monotone predicate ``holds`` is true.
 
-    Ties resolve to the larger m, the conservative side.
+    Doubles m until ``holds`` turns true, then bisects the last doubling.
+    Raises OverflowError when no m up to 2**400 qualifies, a parameter
+    pathology (a vanishing margin, an overflowing cap).
     """
-    if rhs < 0:
-        return 0
     hi = 1
-    while mu * _gamma_mass_lb(hi, tau, gamma0) <= rhs:
+    while not holds(hi):
         hi *= 2
-        if hi > 2 ** 400:  # pragma: no cover - parameter pathology guard
+        if hi > _SEARCH_LIMIT:
             raise OverflowError("mistake bound search diverged")
-    lo = hi // 2  # mu*lb(lo) <= rhs < mu*lb(hi)
+    lo = hi // 2  # holds(hi); not holds(lo), or lo == 0
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if mu * _gamma_mass_lb(mid, tau, gamma0) <= rhs:
-            lo = mid
-        else:
+        if holds(mid):
             hi = mid
-    return lo
+        else:
+            lo = mid
+    return hi
 
 
 def mistake_bound_realizable(norm_w_bar: float, mu: float, tau: float = 0.25,
@@ -158,14 +155,7 @@ def mistake_bound_realizable(norm_w_bar: float, mu: float, tau: float = 0.25,
     epsilon - mu of a fixed center of that norm makes at most this many
     mistakes, at every prefix.
     """
-    if not (norm_w_bar > 0 and math.isfinite(norm_w_bar)):
-        raise ValueError("norm_w_bar must be a positive finite number")
-    if not (mu > 0 and math.isfinite(mu)):
-        raise ValueError("mu must be a positive finite number")
-    _check_schedule_args(tau, gamma0)
-    a = gamma0 * gamma0 * riemann_zeta(1.0 + 2.0 * tau)
-    x_max = ac_x_bound(a, norm_w_bar)
-    return _largest_m_with_mass_below(x_max, mu, tau, gamma0)
+    return mistake_bound_agnostic(norm_w_bar, mu, tau, gamma0, 0.0)
 
 
 def power_delta_bound(norm_w_bar: float, m_T: int, tau: float = 0.25,
@@ -180,8 +170,7 @@ def power_delta_bound(norm_w_bar: float, m_T: int, tau: float = 0.25,
     turns back upward, which is exactly where the chain's a = O(c^2)
     premise stops holding.
     """
-    if not (norm_w_bar > 0 and math.isfinite(norm_w_bar)):
-        raise ValueError("norm_w_bar must be a positive finite number")
+    _check_positive("norm_w_bar", norm_w_bar)
     if m_T < 1:
         raise ValueError("m_T must be at least 1")
     _check_schedule_args(tau, gamma0)
@@ -198,23 +187,23 @@ def mistake_bound_agnostic(norm_w_bar: float, mu: float, tau: float,
     (the Cauchy-Schwarz coupling of gain energy and fault sizes); with
     sigma_T = 0 this reduces to :func:`mistake_bound_realizable`.
     """
-    if not (norm_w_bar > 0 and math.isfinite(norm_w_bar)):
-        raise ValueError("norm_w_bar must be a positive finite number")
-    if not (mu > 0 and math.isfinite(mu)):
-        raise ValueError("mu must be a positive finite number")
+    _check_positive("norm_w_bar", norm_w_bar)
+    _check_positive("mu", mu)
     if not (sigma_T >= 0 and math.isfinite(sigma_T)):
         raise ValueError("sigma_T must be a nonnegative finite number")
     _check_schedule_args(tau, gamma0)
     zeta_energy = gamma0 * gamma0 * riemann_zeta(1.0 + 2.0 * tau)
     x_max = ac_x_bound(zeta_energy, norm_w_bar)
     rhs = x_max + math.sqrt(zeta_energy * sigma_T)
-    return _largest_m_with_mass_below(rhs, mu, tau, gamma0)
+    # the largest m with mu * gamma_sum_lower_bound(m) <= rhs; a tie keeps
+    # m, the conservative side
+    return _least_m(
+        lambda m: mu * gamma_sum_lower_bound(m, tau, gamma0) > rhs) - 1
 
 
 def sigma_admissibility_ratio(norm_w_bar: float, sigma_T: float) -> float:
     """sigma_T / norm_w_bar**8, reported (not enforced) for the agnostic cap."""
-    if not (norm_w_bar > 0 and math.isfinite(norm_w_bar)):
-        raise ValueError("norm_w_bar must be a positive finite number")
+    _check_positive("norm_w_bar", norm_w_bar)
     return sigma_T / norm_w_bar ** 8
 
 
@@ -262,35 +251,16 @@ def adaptive_mistake_bound(norm_w_bar: float, epsilon: float,
     counts below the first such root escape the argument and are admitted
     into the cap unchallenged.
     """
-    if not (norm_w_bar > 0 and math.isfinite(norm_w_bar)):
-        raise ValueError("norm_w_bar must be a positive finite number")
-    if not (epsilon > 0 and math.isfinite(epsilon)):
-        raise ValueError("epsilon must be a positive finite number")
+    _check_positive("norm_w_bar", norm_w_bar)
+    _check_positive("epsilon", epsilon)
     _check_schedule_args(tau, gamma0)
     p = 0.5 + tau
     scale = 2.0 * epsilon * gamma0
     a = gamma0 * gamma0 * riemann_zeta(1.0 + 2.0 * tau)
     ac_cap = 2.0 * ac_x_bound(a, norm_w_bar)
 
-    def solvable(m: int) -> bool:
-        return _split_equation_min(float(m), p) <= m / scale
-
-    hi = 1
-    while not solvable(hi):
-        hi *= 2
-        if hi > 2 ** 200:  # pragma: no cover - parameter pathology guard
-            raise OverflowError("split-equation search diverged")
-    if hi == 1:
-        first = 1
-    else:
-        lo = hi // 2  # unsolvable at lo, solvable at hi
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if solvable(mid):
-                hi = mid
-            else:
-                lo = mid
-        first = hi
+    first = _least_m(
+        lambda m: _split_equation_min(float(m), p) <= m / scale)
     bound = max(int(math.floor(ac_cap)), first - 1)
     return AdaptiveBoundReport(bound=bound, ac_component=ac_cap,
                                first_solvable_m=first)
@@ -307,14 +277,13 @@ class GroundTruth:
 
     def __post_init__(self):
         self.w_bar = as_vector(self.w_bar, name="w_bar")
-        if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
-            raise ValueError("epsilon must be a positive finite number")
+        _check_positive("epsilon", self.epsilon)
         if not (self.mu >= 0 and math.isfinite(self.mu)):
             raise ValueError("mu must be a nonnegative finite number")
         if self.mu > 0 and self.mu >= self.epsilon:
             raise ValueError("mu must be smaller than epsilon (empty ball otherwise)")
-        if self.R is not None and not (self.R > 0 and math.isfinite(self.R)):
-            raise ValueError("R must be a positive finite number when given")
+        if self.R is not None:
+            _check_positive("R", self.R)
 
     @property
     def dim(self) -> int:

@@ -180,10 +180,14 @@ def _cmd_run(args, parser) -> int:
                 "conflict with --checkpoint-in, which fixes the detector")
     elif args.mode is None:
         parser.error("--mode is required unless --checkpoint-in is given")
-    elif args.mode == "adaptive":
-        _reject(parser, args, ("epsilon",), "conflicts with the adaptive mode")
-    elif args.epsilon is None:
-        parser.error(f"--epsilon is required for mode {args.mode}")
+    else:
+        _reject(parser, args, ("gamma0", "tau") if args.mode == "constant-gain"
+                else ("gamma",), f"not used by mode {args.mode}")
+        if args.mode == "adaptive":
+            _reject(parser, args, ("epsilon",),
+                    "conflicts with the adaptive mode")
+        elif args.epsilon is None:
+            parser.error(f"--epsilon is required for mode {args.mode}")
     samples = read_vectors(args.input)
     if args.checkpoint_in:
         detector = checkpoint_decode(Path(args.checkpoint_in).read_bytes())
@@ -333,7 +337,7 @@ def main(argv=None) -> int:
                 "bounds": _cmd_bounds, "gen": _cmd_gen}
     try:
         return commands[args.command](args, parser)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         _log(f"error: {exc}")
         return 1
 

@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from fado import bounds
 from fado.bounds import (
     ContaminationReport,
     GroundTruth,
@@ -22,6 +23,21 @@ from fado.bounds import (
 from fado.detector import FixedRadius, PowerDecay, new_detector
 
 SQRT8 = 2.8284271247461903
+
+
+def _search_grid(tau_lo, tau_hi, n=24):
+    """Seeded (norm_w_bar, mu, tau, gamma0, sigma_T); every third sigma 0."""
+    rng = np.random.default_rng(20250101)
+    grid = []
+    for k in range(n):
+        w, mu, gamma0, sigma = (float(10 ** rng.uniform(lo, hi)) for lo, hi
+                                in ((-1, 2), (-3, 0), (-1, 1), (-2, 4)))
+        tau = float(rng.uniform(tau_lo, tau_hi))
+        grid.append((w, mu, tau, gamma0, 0.0 if k % 3 == 0 else sigma))
+    return grid
+
+
+SEARCH_GRID = _search_grid(0.2, 0.45)
 
 
 class TestRiemannZeta:
@@ -165,6 +181,18 @@ class TestMistakeBoundRealizable:
         cap = ac_x_bound(riemann_zeta(1.5), SQRT8)
         assert 0.1 * gamma_sum_lower_bound(b, 0.25, 1.0) <= cap
         assert 0.1 * gamma_sum_lower_bound(b + 1, 0.25, 1.0) > cap
+
+    @pytest.mark.parametrize("w,mu,tau,gamma0,sigma", SEARCH_GRID)
+    def test_search_brackets_the_cap_on_a_seeded_grid(self, w, mu, tau,
+                                                      gamma0, sigma):
+        energy = gamma0 * gamma0 * riemann_zeta(1.0 + 2.0 * tau)
+        rhs = ac_x_bound(energy, w) + math.sqrt(energy * sigma)
+        m = mistake_bound_agnostic(w, mu, tau, gamma0, sigma)
+        if m > 0:
+            assert mu * gamma_sum_lower_bound(m, tau, gamma0) <= rhs
+        assert mu * gamma_sum_lower_bound(m + 1, tau, gamma0) > rhs
+        assert mistake_bound_realizable(w, mu, tau, gamma0) == \
+            mistake_bound_agnostic(w, mu, tau, gamma0, 0.0)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -318,6 +346,20 @@ class TestAdaptiveDiagnosticBound:
             det = new_detector(2, AdaptiveRadius(), PowerDecay(1.0, 0.25))
             det.run_stream(samples)
             assert det.m <= report.bound
+
+    @pytest.mark.parametrize("w,epsilon,tau,gamma0", [
+        (w, 10 ** (k % 5 - 2), tau, gamma0)
+        for k, (w, _, tau, gamma0, _) in enumerate(SEARCH_GRID)])
+    def test_first_solvable_m_is_the_first(self, w, epsilon, tau, gamma0):
+        p, scale = 0.5 + tau, 2.0 * epsilon * gamma0
+
+        def solvable(m):
+            return bounds._split_equation_min(float(m), p) <= m / scale
+
+        first = adaptive_mistake_bound(w, epsilon, tau,
+                                       gamma0).first_solvable_m
+        assert solvable(first)
+        assert first == 1 or not solvable(first - 1)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

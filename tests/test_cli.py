@@ -49,6 +49,24 @@ class TestBounds:
         code, _ = run_cli("bounds", "--wnorm", "-1.0", "--mu", "0.1")
         assert code == 1
 
+    @pytest.mark.parametrize("flags", [
+        ["--wnorm", "1", "--mu", "1e-300"],
+        ["--wnorm", "1e200", "--mu", "0.1"],
+        ["--wnorm", "1", "--mu", "0.1", "--epsilon", "1e80"],
+    ])
+    def test_diverging_search_is_a_one_line_error(self, flags, capsys):
+        code, out = run_cli("bounds", *flags)
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == \
+            "error: mistake bound search diverged\n"
+
+    def test_search_limit_reaches_two_to_the_400(self):
+        # the split equation first solves near m = 2**315 at epsilon 1e40
+        code, out = run_cli("bounds", "--wnorm", "1", "--mu", "0.1",
+                            "--epsilon", "1e40")
+        assert code == 0
+        assert 2 ** 300 < json.loads(out)["adaptive_bound"] < 2 ** 400
+
 
 class TestUsageErrors:
     def test_unknown_flag_exits_two(self):
@@ -432,6 +450,28 @@ def test_console_entrypoint_runs():
         [sys.executable, "-m", "fado.cli", "--version"],
         capture_output=True, text=True)
     assert proc.returncode == 0
+
+
+class TestRunGainFlags:
+    """A fresh ``fado run`` rejects the gain flags of the other schedule."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--mode", "fixed", "--epsilon", "1", "--gamma", "5"],
+        ["--mode", "adaptive", "--gamma", "5"],
+        ["--mode", "constant-gain", "--epsilon", "1", "--gamma0", "3"],
+        ["--mode", "constant-gain", "--epsilon", "1", "--tau", "0.4"],
+        ["--mode", "constant-gain", "--epsilon", "1", "--gamma0", "3",
+         "--tau", "0.4"],
+    ])
+    def test_other_schedules_flags_exit_two(self, tmp_path, argv, capsys):
+        stream = tmp_path / "s.csv"
+        write_vectors(np.ones((3, 2)), stream)
+        out = tmp_path / "o.csv"
+        code, _ = run_cli("run", *argv, "--input", str(stream),
+                          "--output", str(out))
+        assert code == 2
+        assert "not used by mode" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRunResume:

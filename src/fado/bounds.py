@@ -8,6 +8,10 @@ link with explicit constants, the bound compositions built from them, and
 auditors that check the unconditional inequalities against a detector's
 diagnostics trace.
 
+zeta(1+2*tau) is an Euler-Maclaurin sum of 18 terms, exact to a few ulps,
+and each integer cap comes from one search, :func:`_least_m`, over a
+monotone closed form.
+
 All functions are pure; everything is safe for unrestricted parallel use.
 """
 
@@ -15,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -40,32 +43,31 @@ __all__ = [
     "audit_trace",
 ]
 
-_ZETA_TOL = 1e-10
-_CHUNK = 10_000_000
+# B_2j / (2j)! for j = 1..7, the Euler-Maclaurin correction coefficients.
+_BERNOULLI = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
+              -691 / 1307674368000, 1 / 74724249600)
 
 
-@lru_cache(maxsize=256)
 def riemann_zeta(s: float) -> float:
-    """zeta(s) for s > 1, to absolute error <= 1e-10.
+    """zeta(s) for s > 1, to within a few ulps (DLMF 25.2.9).
 
-    Direct summation of k**-s up to a cutoff N plus the integral tail
-    N**(1-s)/(s-1); the approximation error is below N**-s, and N is chosen
-    so that bound is under tolerance.  The required N blows up as s -> 1+,
-    so calls are cached and the summation is chunked; the practical domain
-    here is s = 1 + 2*tau with tau in (0, 1/2).
+    Euler-Maclaurin summation at N = 10: the terms k**-s for k < N, the
+    tail N**(1-s)/(s-1) + N**-s/2, and seven Bernoulli corrections
+    B_2j/(2j)! * s(s+1)...(s+2j-2) * N**(1-s-2j).  The first omitted
+    correction is below 1e-16 relative for every s > 1, and a call takes
+    microseconds at any s, as s -> 1+ too.
     """
     s = float(s)
     if not (s > 1.0 and math.isfinite(s)):
         raise ValueError("zeta is summed only for s > 1")
-    n_cut = int(math.ceil((2.0 / _ZETA_TOL) ** (1.0 / s)))
-    total = 0.0
-    lo = 1
-    while lo <= n_cut:
-        hi = min(lo + _CHUNK - 1, n_cut)
-        k = np.arange(lo, hi + 1, dtype=np.float64)
-        total += float(np.sum(k ** -s))
-        lo = hi + 1
-    return total + n_cut ** (1.0 - s) / (s - 1.0)
+    n = 10.0
+    terms = [k ** -s for k in range(1, 10)]
+    terms += [n ** (1.0 - s) / (s - 1.0), 0.5 * n ** -s]
+    rising = s * n ** (-s - 1.0)  # s(s+1)...(s+2j-2) * N**(1-s-2j)
+    for j, coeff in enumerate(_BERNOULLI, start=1):
+        terms.append(coeff * rising)
+        rising = rising * (s + 2 * j - 1) / n * (s + 2 * j) / n
+    return math.fsum(terms)
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -120,9 +122,6 @@ def gamma_sum_lower_bound(m: int, tau: float, gamma0: float = 1.0) -> float:
     return gamma0 * ((float(m) + 1.0) ** q - 1.0) / q
 
 
-_SEARCH_LIMIT = 2 ** 400
-
-
 def _least_m(holds) -> int:
     """Smallest m >= 1 at which the monotone predicate ``holds`` is true.
 
@@ -133,7 +132,7 @@ def _least_m(holds) -> int:
     hi = 1
     while not holds(hi):
         hi *= 2
-        if hi > _SEARCH_LIMIT:
+        if hi > 2 ** 400:
             raise OverflowError("mistake bound search diverged")
     lo = hi // 2  # holds(hi); not holds(lo), or lo == 0
     while hi - lo > 1:

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -34,6 +35,14 @@ class TestBounds:
         assert doc["zeta"] == pytest.approx(riemann_zeta(1.5), abs=1e-12)
         assert doc["mistake_bound"] == mistake_bound_realizable(
             2.828, 0.1, 0.25, 1.0)
+
+    def test_zeta_near_the_pole_is_exact(self):
+        code, out = run_cli("bounds", "--wnorm", "1", "--mu", "0.1",
+                            "--tau", "0.005")
+        assert code == 0
+        oracle = float(mpmath.zeta(mpmath.mpf(1.01)))
+        assert json.loads(out)["zeta"] == pytest.approx(oracle, rel=1e-14,
+                                                        abs=0)
 
     def test_agnostic_and_adaptive_extras(self):
         code, out = run_cli("bounds", "--wnorm", "2.0", "--mu", "0.1",

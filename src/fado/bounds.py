@@ -194,6 +194,11 @@ def mistake_bound_agnostic(norm_w_bar: float, mu: float, tau: float,
     zeta_energy = gamma0 * gamma0 * riemann_zeta(1.0 + 2.0 * tau)
     x_max = ac_x_bound(zeta_energy, norm_w_bar)
     rhs = x_max + math.sqrt(zeta_energy * sigma_T)
+    if not math.isfinite(rhs):
+        name, value = (("norm_w_bar", norm_w_bar) if math.isinf(x_max)
+                       else ("sigma_T", sigma_T))
+        raise ValueError(f"mistake cap overflows float range at "
+                         f"{name} = {value!r}")
     # the largest m with mu * gamma_sum_lower_bound(m) <= rhs; a tie keeps
     # m, the conservative side
     return _least_m(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -31,7 +32,15 @@ from .bounds import (
     sigma_admissibility_ratio,
 )
 from .checkpoint import checkpoint_decode, checkpoint_encode
-from .detector import AdaptiveRadius, Constant, Detector, FixedRadius, PowerDecay
+from .detector import (
+    SCAN_CHUNK_BYTES,
+    AdaptiveRadius,
+    Constant,
+    Detector,
+    FixedRadius,
+    PowerDecay,
+    _as_block,
+)
 from .experiments import (
     compare_adaptive,
     emit_results,
@@ -44,15 +53,15 @@ from .experiments import (
 from .scene import (
     DEFAULT_EPSILON,
     DEFAULT_GAMMA,
+    _open_frames_packed,
+    _open_pgm_sequence,
     gen_synthetic_clips,
-    load_pgm_sequence,
-    read_frames_packed,
     run_scene_detection,
     timeline_to_csv,
     write_memory_snapshot,
 )
 from .streams import Design, StreamSpec, generate
-from .streamio import read_vectors, write_outcome_rows, write_vectors
+from .streamio import _vector_blocks, write_outcome_rows, write_vectors
 
 # Flags of the synthetic clip source, in gen_synthetic_clips order.
 _SYNTHETIC = {"width": 40, "height": 40, "clips": 16, "frames_per_clip": 50,
@@ -188,7 +197,8 @@ def _cmd_run(args, parser) -> int:
                     "conflicts with the adaptive mode")
         elif args.epsilon is None:
             parser.error(f"--epsilon is required for mode {args.mode}")
-    samples = read_vectors(args.input)
+    blocks = _vector_blocks(args.input, SCAN_CHUNK_BYTES)
+    block = next(blocks)  # the header is checked before the checkpoint
     if args.checkpoint_in:
         detector = checkpoint_decode(Path(args.checkpoint_in).read_bytes())
     else:
@@ -200,18 +210,24 @@ def _cmd_run(args, parser) -> int:
             schedule = PowerDecay(
                 gamma0=1.0 if args.gamma0 is None else args.gamma0,
                 tau=0.25 if args.tau is None else args.tau)
-        detector = Detector(samples.shape[1], mode, schedule)
+        detector = Detector(block.shape[1], mode, schedule)
     start = detector.t + 1
-    outcomes = detector.scan(samples)
+    count = alarms = 0
+    header = "t,alarm,distance,threshold,gain_applied"
     with (open(args.output, "w", encoding="ascii") if args.output
           else contextlib.nullcontext(sys.stdout)) as fh:
-        write_outcome_rows(fh, "t,alarm,distance,threshold,gain_applied",
-                           start, [outcomes.alarm, outcomes.distance,
-                                   outcomes.threshold, outcomes.gain_applied])
+        for block in itertools.chain([block], blocks):
+            # a bad row is named by its index in the whole stream
+            outcomes = detector._scan(_as_block(block, detector.dim, count))
+            write_outcome_rows(fh, header, start + count,
+                               [outcomes.alarm, outcomes.distance,
+                                outcomes.threshold, outcomes.gain_applied])
+            header = None
+            count += len(outcomes)
+            alarms += int(outcomes.alarm.sum())
     if args.checkpoint_out:
         Path(args.checkpoint_out).write_bytes(checkpoint_encode(detector))
-    _log(f"processed {len(outcomes)} transactions, "
-         f"{int(outcomes.alarm.sum())} alarms")
+    _log(f"processed {count} transactions, {alarms} alarms")
     return 0
 
 
@@ -253,8 +269,8 @@ def _cmd_scene(args, parser) -> int:
             for name, default in _SYNTHETIC.items()))
     else:
         _reject(parser, args, _SYNTHETIC, "apply only to --synthetic")
-        frames = (read_frames_packed(args.packed) if args.packed
-                  else load_pgm_sequence(args.frames))
+        frames = (_open_frames_packed(args.packed) if args.packed
+                  else _open_pgm_sequence(args.frames))
     detector = None
     if args.checkpoint_in:
         detector = checkpoint_decode(Path(args.checkpoint_in).read_bytes())

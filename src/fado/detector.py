@@ -194,10 +194,11 @@ class ScanOutcomes:
         return len(self.alarm)
 
 
-def _as_block(rows, dim: int) -> np.ndarray:
+def _as_block(rows, dim: int, first: int = 0) -> np.ndarray:
     """Validate a block of transactions as a finite (T, dim) float64 array.
 
-    Errors name the first offending row as ``stream item i``.
+    Errors name the first offending row as ``stream item i``, counting
+    from ``first``: the block's offset in a stream read block by block.
     """
     if not isinstance(rows, np.ndarray):
         rows = list(rows)
@@ -214,7 +215,7 @@ def _as_block(rows, dim: int) -> np.ndarray:
         try:
             as_vector(y, dim=dim, name="transaction")
         except ValueError as exc:
-            raise ValueError(f"stream item {i}: {exc}") from exc
+            raise ValueError(f"stream item {first + i}: {exc}") from exc
     raise ValueError(f"transactions must form a (T, {dim}) block")
 
 
@@ -326,7 +327,12 @@ class Detector:
         chunk doubles while no alarm occurs and halves after one, up to
         :data:`SCAN_CHUNK_BYTES` of rows.
         """
-        block = _as_block(rows, self.dim)
+        return self._scan(_as_block(rows, self.dim))
+
+    def _scan(self, block: np.ndarray) -> ScanOutcomes:
+        """The body of :meth:`scan`, over a block known to be a finite
+        (T, dim) float64 array (frames converted from uint8, or a block
+        :func:`_as_block` has checked)."""
         count = len(block)
         alarm = np.zeros(count, dtype=bool)
         distance = np.empty(count)

@@ -18,7 +18,7 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -82,6 +82,50 @@ class FrameSequence:
     def dim(self) -> int:
         return self.width * self.height
 
+    def _blocks(self, size: int) -> Iterator[np.ndarray]:
+        """Consecutive slices of at most ``size`` frames."""
+        for lo in range(0, len(self), size):
+            yield self.frames[lo:lo + size]
+
+
+class _FrameReader:
+    """Frames of a pack or a PGM list, decoded from the files on demand.
+
+    It has the ``width``, ``height``, ``dim`` and length of a
+    :class:`FrameSequence`.  ``fill(lo, block)`` decodes frames ``lo``,
+    ``lo + 1``, ... into a (k, height, width) uint8 block.  (A plain class:
+    a dataclass costs every ``fado`` start a quarter millisecond.)
+    """
+
+    def __init__(self, width: int, height: int, count: int,
+                 fill: Callable[[int, np.ndarray], None], source: str):
+        self.width, self.height, self.count = width, height, count
+        self.fill, self.source = fill, source
+
+    def __len__(self) -> int:
+        return self.count
+
+    @property
+    def dim(self) -> int:
+        return self.width * self.height
+
+    def _blocks(self, size: int) -> Iterator[np.ndarray]:
+        """Blocks of at most ``size`` frames, decoded into one reused
+        buffer: each is valid until the next is read."""
+        buf = np.empty((min(size, self.count), self.height, self.width),
+                       dtype=np.uint8)
+        for lo in range(0, self.count, size):
+            block = buf[:min(size, self.count - lo)]
+            self.fill(lo, block)
+            yield block
+
+    def _collect(self) -> FrameSequence:
+        """Every frame, decoded into one array."""
+        frames = np.empty((self.count, self.height, self.width),
+                          dtype=np.uint8)
+        self.fill(0, frames)
+        return FrameSequence(self.width, self.height, frames, self.source)
+
 
 def read_pgm(path) -> Tuple[int, int, np.ndarray]:
     """Decode one binary (P5) PGM with maxval <= 255, rescaling pixels to
@@ -141,26 +185,36 @@ def write_pgm(pixels: np.ndarray, path) -> None:
 
 def load_pgm_sequence(paths: Sequence) -> FrameSequence:
     """Decode an ordered list of PGM files into one frame stack."""
+    return _open_pgm_sequence(paths)._collect()
+
+
+def _open_pgm_sequence(paths: Sequence) -> _FrameReader:
+    """Take the frame size from the first file; decode each file when
+    its frame is read."""
     paths = list(paths)
     if not paths:
         raise FrameFormatError("no frame files given")
-    frames = []
-    width = height = None
-    for index, path in enumerate(paths):
+
+    def decode(index):
         try:
-            w, h, pixels = read_pgm(path)
+            return read_pgm(paths[index])
         except FrameFormatError as exc:
             raise FrameFormatError(f"frame {index}: {exc}") from exc
-        if width is None:
-            width, height = w, h
-        elif (w, h) != (width, height):
-            raise FrameFormatError(
-                f"frame {index}: size {w}x{h} does not match first frame "
-                f"{width}x{height}")
-        frames.append(pixels)
-    return FrameSequence(width=width, height=height,
-                         frames=np.stack(frames),
-                         source=";".join(str(p) for p in paths))
+
+    first = decode(0)
+    width, height, _ = first
+
+    def fill(lo, block):
+        for index in range(lo, lo + len(block)):
+            w, h, pixels = first if index == 0 else decode(index)
+            if (w, h) != (width, height):
+                raise FrameFormatError(
+                    f"frame {index}: size {w}x{h} does not match first "
+                    f"frame {width}x{height}")
+            block[index - lo] = pixels
+
+    return _FrameReader(width, height, len(paths), fill,
+                        ";".join(str(p) for p in paths))
 
 
 def frame_to_vector(frame: np.ndarray) -> np.ndarray:
@@ -192,9 +246,12 @@ def run_scene_detection(frames: FrameSequence, epsilon: float = DEFAULT_EPSILON,
                         ) -> Tuple[DetectionTimeline, Detector]:
     """Constant-gain fixed-radius detection over a frame sequence.
 
-    Pass a decoded checkpoint as ``detector`` to resume a stream; the
-    dimension must match the frames, and the checkpoint's own radius and
-    gain are used (``epsilon``/``gamma`` apply only to fresh detectors).
+    The frames are taken a block of at most :data:`SCAN_CHUNK_BYTES` (as
+    float64) at a time, so frames read from files on demand are never all
+    held at once.  Pass a decoded checkpoint as ``detector`` to resume a
+    stream; the dimension must match the frames, and the checkpoint's own
+    radius and gain are used (``epsilon``/``gamma`` apply only to fresh
+    detectors).
     Frame indices continue from the detector's step count, so a resumed
     timeline carries the same global indices as an uninterrupted one.
     """
@@ -210,12 +267,12 @@ def run_scene_detection(frames: FrameSequence, epsilon: float = DEFAULT_EPSILON,
     per_chunk = max(1, SCAN_CHUNK_BYTES // (8 * frames.dim))
     buf = np.empty((min(per_chunk, len(frames)), frames.dim))
     parts = []
-    for lo in range(0, len(frames), per_chunk):
+    for chunk in frames._blocks(per_chunk):
         # the same arithmetic as frame_to_vector, a bounded chunk at a time,
-        # into one reused buffer
-        chunk = frames.frames[lo:lo + per_chunk]
-        parts.append(detector.scan(np.divide(chunk.reshape(len(chunk), -1),
-                                             255.0, out=buf[:len(chunk)])))
+        # into one reused buffer; values from uint8 are finite, so the scan
+        # body takes them without the check
+        parts.append(detector._scan(np.divide(
+            chunk.reshape(len(chunk), -1), 255.0, out=buf[:len(chunk)])))
     columns = zip(*((p.alarm, p.distance, p.threshold, p.gain_applied)
                     for p in parts))
     outcomes = ScanOutcomes(*map(np.concatenate, columns))
@@ -314,6 +371,12 @@ def write_frames_packed(frames: FrameSequence, path) -> None:
 
 def read_frames_packed(path) -> FrameSequence:
     """Read the packed raw frame container."""
+    return _open_frames_packed(path)._collect()
+
+
+def _open_frames_packed(path) -> _FrameReader:
+    """Check a frame pack's header against the file size; read its frames
+    on demand, each block by one ``seek`` and one ``readinto``."""
     header = len(FRAMES_MAGIC) + struct.calcsize("<III") + struct.calcsize("<Q")
     with open(path, "rb") as fh:
         head = fh.read(header)
@@ -333,9 +396,11 @@ def read_frames_packed(path) -> FrameSequence:
             raise FrameFormatError(
                 f"{path}: payload length {size} does not match header "
                 f"(expected {expected})")
-        # one buffer, filled in place: no second copy of the payload
-        pixels = np.empty((count, height, width), dtype=np.uint8)
-        if fh.readinto(pixels) != pixels.nbytes:
-            raise FrameFormatError(f"{path}: truncated payload")
-    return FrameSequence(width=width, height=height, frames=pixels,
-                         source=str(path))
+
+    def fill(lo, block):
+        with open(path, "rb") as fh:
+            fh.seek(header + lo * width * height)
+            if fh.readinto(block) != block.nbytes:
+                raise FrameFormatError(f"{path}: truncated payload")
+
+    return _FrameReader(width, height, count, fill, str(path))

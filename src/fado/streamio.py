@@ -10,7 +10,9 @@ Binary layout (little-endian):
 
 CSV holds one vector per line with shortest round-trip decimal formatting,
 so parse(write(x)) reproduces the binary64 payload exactly.  Readers and
-the CLI pick the format from the file extension (.csv means CSV).
+the CLI pick the format from the file extension (.csv means CSV).  The
+readers check the header, then take the rows in bounded blocks, so
+``fado run`` holds one block of the stream at a time.
 """
 
 from __future__ import annotations
@@ -18,8 +20,11 @@ from __future__ import annotations
 import os
 import struct
 from pathlib import Path
+from typing import Iterator, Optional
 
 import numpy as np
+
+from .detector import SCAN_CHUNK_BYTES
 
 __all__ = ["StreamFormatError", "write_vectors", "read_vectors",
            "write_outcome_rows"]
@@ -61,10 +66,13 @@ def write_vectors(samples, path) -> None:
         fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def write_outcome_rows(fh, header: str, start: int, columns) -> None:
+def write_outcome_rows(fh, header: Optional[str], start: int,
+                       columns) -> None:
     """Write ``header``, then row i as ``start + i`` and each column's entry:
-    bools as 0/1, floats in shortest round-trip form, 8192 rows per write."""
-    fh.write(header + "\n")
+    bools as 0/1, floats in shortest round-trip form, 8192 rows per write.
+    A ``header`` of None continues a file block by block."""
+    if header is not None:
+        fh.write(header + "\n")
     count = len(columns[0])
     for lo in range(0, count, _CSV_ROWS):
         hi = min(lo + _CSV_ROWS, count)
@@ -76,9 +84,25 @@ def write_outcome_rows(fh, header: str, start: int, columns) -> None:
 
 def read_vectors(path) -> np.ndarray:
     """Read a stream file back into a (T, n) float64 matrix."""
+    # a binary file comes as one block, so its payload is held once
+    blocks = list(_vector_blocks(path, None))
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+
+def _vector_blocks(path, block_bytes: Optional[int]) -> Iterator[np.ndarray]:
+    """Yield a stream file's rows in order, as (k, n) float64 blocks.
+
+    The header is checked against the file size before the first block.
+    A binary block holds at most ``block_bytes`` of values and at least
+    one row (``None``: the whole stream); it is read into one reused
+    buffer, so it is valid only until the next is read.  A CSV file is
+    parsed into fresh blocks whose token strings take about
+    ``block_bytes`` (:data:`SCAN_CHUNK_BYTES` when ``None``).
+    """
     path = Path(path)
     if path.suffix.lower() == ".csv":
-        return _read_csv(path)
+        yield from _csv_blocks(path, block_bytes or SCAN_CHUNK_BYTES)
+        return
     header = len(MAGIC) + struct.calcsize("<IQQ")
     with open(path, "rb") as fh:
         head = fh.read(header)
@@ -101,37 +125,67 @@ def read_vectors(path) -> np.ndarray:
             raise StreamFormatError(
                 f"{path}: payload length {size} does not match header "
                 f"(expected {expected})")
-        # one buffer, filled in place: no second copy of the payload
-        rows = np.empty((t, n), dtype="<f8")
-        if fh.readinto(rows) != rows.nbytes:
-            raise StreamFormatError(f"{path}: truncated payload")
-    return rows.astype(np.float64, copy=False)
+        rows = t if block_bytes is None else \
+            min(t, max(1, block_bytes // (8 * n)))
+        buf = np.empty((rows, n), dtype="<f8")
+        for lo in range(0, t, rows):
+            block = buf[:min(rows, t - lo)]
+            if fh.readinto(block) != block.nbytes:
+                raise StreamFormatError(f"{path}: truncated payload")
+            yield block.astype(np.float64, copy=False)
 
 
-def _read_csv(path: Path) -> np.ndarray:
-    rows = []
-    width = None
+def _csv_blocks(path: Path, block_bytes: int) -> Iterator[np.ndarray]:
+    """Parse a CSV stream a batch of lines at a time.
+
+    A faulty line is reported as ``path:lineno``, and a bad value before
+    it first: the lines before a fault are parsed before it is raised.
+    """
+    width = rows = None
+    tokens, linenos = [], []
     # latin-1 maps each byte to one character, so a non-ASCII byte is
     # reported on its own line rather than failing the whole read.
     with open(path, "r", encoding="latin-1") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.isascii():
                 byte = next(ord(ch) for ch in line if ord(ch) > 127)
-                raise StreamFormatError(
-                    f"{path}:{lineno}: non-ASCII byte {byte:#04x}")
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = [float(tok) for tok in line.split(",")]
-            except ValueError as exc:
-                raise StreamFormatError(f"{path}:{lineno}: {exc}") from exc
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise StreamFormatError(
-                    f"{path}:{lineno}: expected {width} values, found {len(row)}")
-            rows.append(row)
-    if not rows:
+                fault = f"non-ASCII byte {byte:#04x}"
+            else:
+                line = line.strip()
+                if not line:
+                    continue
+                row = line.split(",")
+                if width is None:
+                    width = len(row)
+                    # a token string costs about eight times its float64
+                    rows = max(1, block_bytes // (64 * width))
+                fault = (None if len(row) == width else
+                         f"expected {width} values, found {len(row)}")
+            if fault:
+                if linenos:
+                    _parse_csv(path, tokens, linenos, width)
+                raise StreamFormatError(f"{path}:{lineno}: {fault}")
+            tokens += row
+            linenos.append(lineno)
+            if len(linenos) == rows:
+                yield _parse_csv(path, tokens, linenos, width)
+                tokens, linenos = [], []
+    if linenos:
+        yield _parse_csv(path, tokens, linenos, width)
+    elif width is None:
         raise StreamFormatError(f"{path}: empty stream file")
-    return np.asarray(rows, dtype=np.float64)
+
+
+def _parse_csv(path: Path, tokens, linenos, width: int) -> np.ndarray:
+    """The (len(linenos), width) block of a batch's row-major tokens."""
+    try:
+        values = np.fromiter(map(float, tokens), np.float64, len(tokens))
+    except ValueError:
+        for i, token in enumerate(tokens):
+            try:
+                float(token)
+            except ValueError as exc:
+                raise StreamFormatError(
+                    f"{path}:{linenos[i // width]}: {exc}") from exc
+        raise
+    return values.reshape(len(linenos), width)

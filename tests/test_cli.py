@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from fado.bounds import mistake_bound_realizable, riemann_zeta
+from fado.checkpoint import checkpoint_encode
 from fado.cli import main
+from fado.detector import SCAN_CHUNK_BYTES, Detector, FixedRadius, PowerDecay
 from fado.streamio import read_vectors, write_vectors
 
 
@@ -60,7 +62,6 @@ class TestBounds:
 
     @pytest.mark.parametrize("flags", [
         ["--wnorm", "1", "--mu", "1e-300"],
-        ["--wnorm", "1e200", "--mu", "0.1"],
         ["--wnorm", "1", "--mu", "0.1", "--epsilon", "1e80"],
     ])
     def test_diverging_search_is_a_one_line_error(self, flags, capsys):
@@ -68,6 +69,18 @@ class TestBounds:
         assert (code, out) == (1, "")
         assert capsys.readouterr().err == \
             "error: mistake bound search diverged\n"
+
+    @pytest.mark.parametrize("flags, culprit", [
+        (["--wnorm", "1e200", "--mu", "0.1"], "norm_w_bar = 1e+200"),
+        (["--wnorm", "1", "--mu", "0.1", "--sigma", "1e308"],
+         "sigma_T = 1e+308"),
+    ], ids=["wnorm", "sigma"])
+    def test_overflowing_cap_names_the_input(self, flags, culprit, capsys):
+        """An infinite right-hand side is reported before any search."""
+        code, out = run_cli("bounds", *flags)
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == \
+            f"error: mistake cap overflows float range at {culprit}\n"
 
     def test_search_limit_reaches_two_to_the_400(self):
         # the split equation first solves near m = 2**315 at epsilon 1e40
@@ -204,6 +217,47 @@ class TestRun:
             assert parts == full.read_text().splitlines()[1:], mode
             assert ckpt_k.read_bytes() == ckpt.read_bytes(), mode
 
+    @pytest.mark.parametrize("suffix", [".bin", ".csv"])
+    def test_bad_row_in_a_later_block_is_named_globally(self, tmp_path,
+                                                         capsys, suffix):
+        """A non-finite last row of a stream read in several blocks is
+        named by its index in the whole stream; no checkpoint is written."""
+        rows = np.random.default_rng(4).integers(-3, 4, size=(40_000, 10))
+        rows = rows.astype(np.float64)
+        assert rows.nbytes > 2 * SCAN_CHUNK_BYTES  # several blocks
+        rows[-1, 3] = np.nan
+        stream, ckpt = tmp_path / f"s{suffix}", tmp_path / "out.ckpt"
+        write_vectors(rows, stream)
+        code, _ = run_cli("run", "--mode", "fixed", "--epsilon", "1",
+                          "--input", str(stream),
+                          "--output", str(tmp_path / "out.csv"),
+                          "--checkpoint-out", str(ckpt))
+        assert code == 1
+        assert capsys.readouterr().err == ("error: stream item 39999: "
+                                           "transaction contains non-finite "
+                                           "entries\n")
+        assert not ckpt.exists()
+
+    def test_blocks_give_the_whole_stream_scan(self, tmp_path):
+        """A stream read in several blocks writes the rows and checkpoint
+        of one scan over all of it."""
+        rows = np.random.default_rng(6).normal(size=(40_000, 10)) * 2.0
+        assert rows.nbytes > 2 * SCAN_CHUNK_BYTES
+        stream = tmp_path / "s.bin"
+        write_vectors(rows, stream)
+        out, ckpt = tmp_path / "out.csv", tmp_path / "out.ckpt"
+        assert run_cli("run", "--mode", "fixed", "--epsilon", "3",
+                       "--input", str(stream), "--output", str(out),
+                       "--checkpoint-out", str(ckpt))[0] == 0
+        det = Detector(10, FixedRadius(3.0), PowerDecay())
+        whole = det.scan(rows)
+        lines = out.read_text().splitlines()[1:]
+        assert [ln.split(",")[0] for ln in lines] == \
+            [str(t) for t in range(1, 40_001)]
+        assert [float(ln.split(",")[2]) for ln in lines] == \
+            whole.distance.tolist()
+        assert ckpt.read_bytes() == checkpoint_encode(det)
+
     def test_adaptive_mode_outcomes(self, tmp_path):
         stream = tmp_path / "s.csv"
         write_vectors(np.array([[3.0, 0.0], [3.0, 0.0]]), stream)
@@ -329,6 +383,23 @@ class TestScene:
         code, _ = run_cli("scene", *paths, "--epsilon", "0.5",
                           "--timeline", str(tmp_path / "t.csv"))
         assert code == 0
+
+    def test_late_pgm_of_another_size_exits_one(self, tmp_path, capsys):
+        """PGM frames are decoded as they are judged: a bad last file is
+        still a one-line error, and no output is written."""
+        from fado.scene import write_pgm
+        paths = []
+        for i in range(30):
+            p = tmp_path / f"{i:02d}.pgm"
+            write_pgm(np.full((4, 3 if i == 29 else 4), i, np.uint8), p)
+            paths.append(str(p))
+        timeline = tmp_path / "t.csv"
+        code, _ = run_cli("scene", *paths, "--epsilon", "0.5",
+                          "--timeline", str(timeline))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: frame 29: size 3x4 does not match first frame 4x4\n")
+        assert not timeline.exists()
 
     def test_resume_keeps_global_frame_index(self, tmp_path):
         """A 20-frame pack split 10 + 10 gives the uninterrupted timeline

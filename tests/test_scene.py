@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from fado.detector import Constant, FixedRadius, new_detector
+from fado.detector import SCAN_CHUNK_BYTES, Constant, FixedRadius, new_detector
 from fado.scene import (
     FrameFormatError,
     FrameSequence,
+    _open_frames_packed,
+    _open_pgm_sequence,
     detection_latencies,
     frame_to_vector,
     gen_synthetic_clips,
@@ -350,6 +352,25 @@ class TestPackedFrames:
         back = read_frames_packed(path)
         assert (back.width, back.height) == (6, 5)
         assert back.frames.tobytes() == frames.frames.tobytes()
+
+    def test_frames_read_on_demand_decide_as_in_memory(self, tmp_path):
+        """A pack and a PGM list, read a block at a time, give the timeline
+        and center of the same frames held in memory."""
+        frames, _ = gen_synthetic_clips(40, 40, 5, 40, 10, seed=12)
+        assert 8 * frames.dim * len(frames) > 2 * SCAN_CHUNK_BYTES
+        pack = tmp_path / "frames.ffr"
+        write_frames_packed(frames, pack)
+        pgms = [tmp_path / f"{i:03d}.pgm" for i in range(len(frames))]
+        for frame, path in zip(frames.frames, pgms):
+            write_pgm(frame, path)
+        want, det = run_scene_detection(frames, 5.0, 1.0)
+        for source in (_open_frames_packed(pack), _open_pgm_sequence(pgms)):
+            assert (source.width, source.height, len(source)) == (40, 40, 200)
+            got, other = run_scene_detection(source, 5.0, 1.0)
+            for name in ("alarm", "distance", "threshold", "gain_applied"):
+                assert getattr(got.outcomes, name).tobytes() == \
+                    getattr(want.outcomes, name).tobytes()
+            assert other.w.tobytes() == det.w.tobytes()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "frames.ffr"

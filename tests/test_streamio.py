@@ -84,6 +84,41 @@ def test_csv_non_ascii_byte_names_file_and_line(tmp_path):
         read_vectors(path)
 
 
+def test_csv_and_binary_copies_read_bit_identical(tmp_path):
+    """Both readers over many CSV batches and binary blocks."""
+    rng = np.random.default_rng(23)
+    rows = rng.normal(size=(20_000, 7)) * np.logspace(-300, 300, 7)
+    rows[::97, 2] = -0.0
+    write_vectors(rows, tmp_path / "s.csv")
+    write_vectors(rows, tmp_path / "s.bin")
+    from_csv = read_vectors(tmp_path / "s.csv")
+    assert from_csv.shape == rows.shape
+    assert from_csv.tobytes() == read_vectors(tmp_path / "s.bin").tobytes()
+    assert from_csv.tobytes() == rows.tobytes()
+
+
+def test_csv_fault_in_a_later_batch_names_its_line(tmp_path):
+    path = tmp_path / "s.csv"
+    lines = ["1.0,2.0"] * 30_000
+    lines[29_000] = "1.0,fish"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(StreamFormatError, match=r"s\.csv:29001: .*'fish'"):
+        read_vectors(path)
+
+
+def test_csv_bad_value_is_reported_before_a_later_bad_line(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("1.0,2.0\n3.0,fish\n4.0\n")
+    with pytest.raises(StreamFormatError, match=r"s\.csv:2: .*'fish'"):
+        read_vectors(path)
+
+
+def test_csv_blank_lines_are_skipped(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("\n1.0,2.0\n\n  \n3.0, 4.0\n\n")
+    assert read_vectors(path).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
 def test_header_claiming_more_rows_than_the_file_holds(tmp_path):
     """The header is checked against the file size before any allocation."""
     path = tmp_path / "s.bin"

@@ -62,6 +62,8 @@ class TestBounds:
 
     @pytest.mark.parametrize("flags", [
         ["--wnorm", "1", "--mu", "1e-300"],
+        # a finite cap too large for the search; 1e200 overflows the cap
+        ["--wnorm", "1e100", "--mu", "0.1"],
         ["--wnorm", "1", "--mu", "0.1", "--epsilon", "1e80"],
     ])
     def test_diverging_search_is_a_one_line_error(self, flags, capsys):

@@ -107,6 +107,16 @@ def _check_schedule_args(tau: float, gamma0: float) -> None:
     _check_positive("gamma0", gamma0)
 
 
+def _gain_energy(tau: float, gamma0: float) -> float:
+    """gamma0**2 * zeta(1+2*tau), the cap on a power-decay run's gain energy."""
+    _check_schedule_args(tau, gamma0)
+    energy = gamma0 * gamma0 * riemann_zeta(1.0 + 2.0 * tau)
+    if not math.isfinite(energy):
+        raise ValueError(f"gain energy overflows float range at "
+                         f"gamma0 = {gamma0!r}")
+    return energy
+
+
 def gamma_sum_lower_bound(m: int, tau: float, gamma0: float = 1.0) -> float:
     """Integral lower bound on the accumulated gain after m mistakes.
 
@@ -172,9 +182,9 @@ def power_delta_bound(norm_w_bar: float, m_T: int, tau: float = 0.25,
     _check_positive("norm_w_bar", norm_w_bar)
     if m_T < 1:
         raise ValueError("m_T must be at least 1")
-    _check_schedule_args(tau, gamma0)
+    energy = _gain_energy(tau, gamma0)
     c_prime = float(m_T) ** ((1.0 - 2.0 * tau) / 4.0)
-    a = gamma0 * gamma0 * riemann_zeta(1.0 + 2.0 * tau) + c_prime * c_prime
+    a = energy + c_prime * c_prime
     return ac_x_bound(a, norm_w_bar) / c_prime
 
 
@@ -190,8 +200,7 @@ def mistake_bound_agnostic(norm_w_bar: float, mu: float, tau: float,
     _check_positive("mu", mu)
     if not (sigma_T >= 0 and math.isfinite(sigma_T)):
         raise ValueError("sigma_T must be a nonnegative finite number")
-    _check_schedule_args(tau, gamma0)
-    zeta_energy = gamma0 * gamma0 * riemann_zeta(1.0 + 2.0 * tau)
+    zeta_energy = _gain_energy(tau, gamma0)
     x_max = ac_x_bound(zeta_energy, norm_w_bar)
     rhs = x_max + math.sqrt(zeta_energy * sigma_T)
     if not math.isfinite(rhs):
@@ -257,10 +266,9 @@ def adaptive_mistake_bound(norm_w_bar: float, epsilon: float,
     """
     _check_positive("norm_w_bar", norm_w_bar)
     _check_positive("epsilon", epsilon)
-    _check_schedule_args(tau, gamma0)
+    a = _gain_energy(tau, gamma0)
     p = 0.5 + tau
     scale = 2.0 * epsilon * gamma0
-    a = gamma0 * gamma0 * riemann_zeta(1.0 + 2.0 * tau)
     ac_cap = 2.0 * ac_x_bound(a, norm_w_bar)
 
     first = _least_m(
@@ -363,7 +371,7 @@ def audit_trace(trace: DiagnosticsTrace, tau: float,
     (iii) the telescoped center norm matches the accumulated sums to 1e-9
     relative.  Margins are signed (nonnegative = satisfied with room).
     """
-    _check_schedule_args(tau, gamma0)
+    energy_cap = _gain_energy(tau, gamma0)
     gg = trace.sum_d_gamma_sq
     gvw = trace.sum_d_gamma_vw
     wn = trace.w_norm_sq
@@ -371,7 +379,6 @@ def audit_trace(trace: DiagnosticsTrace, tau: float,
     inner_margin = gvw + 0.5 * gg
     inner_ok = inner_margin >= -_AUDIT_RTOL * max(1.0, gg)
 
-    energy_cap = gamma0 * gamma0 * riemann_zeta(1.0 + 2.0 * tau)
     energy_margin = energy_cap - gg
     energy_ok = energy_margin >= -_AUDIT_RTOL * max(1.0, energy_cap)
 

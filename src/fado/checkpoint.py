@@ -68,27 +68,6 @@ def checkpoint_encode(state: Detector) -> bytes:
     return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, fmt: str):
-        size = struct.calcsize(fmt)
-        if self.pos + size > len(self.data):
-            raise CheckpointError("truncated checkpoint")
-        out = struct.unpack_from(fmt, self.data, self.pos)
-        self.pos += size
-        return out
-
-    def take_bytes(self, size: int) -> bytes:
-        if self.pos + size > len(self.data):
-            raise CheckpointError("truncated checkpoint")
-        out = self.data[self.pos:self.pos + size]
-        self.pos += size
-        return out
-
-
 def checkpoint_decode(data: bytes) -> Detector:
     """Reconstruct a detector state from checkpoint bytes."""
     if len(data) < len(MAGIC) + 8:
@@ -96,45 +75,57 @@ def checkpoint_decode(data: bytes) -> Detector:
     if data[:len(MAGIC)] != MAGIC:
         raise CheckpointError("bad magic, not a checkpoint")
     (stored_crc,) = struct.unpack("<I", data[-4:])
-    actual_crc = zlib.crc32(data[:-4]) & 0xFFFFFFFF
+    body = data[:-4]
+    actual_crc = zlib.crc32(body) & 0xFFFFFFFF
     if stored_crc != actual_crc:
         raise CheckpointError(
             f"CRC mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}"
         )
 
-    r = _Reader(data[:-4])
-    r.take_bytes(len(MAGIC))
-    (version,) = r.take("<I")
+    pos = len(MAGIC)
+
+    def take(fmt: str):
+        nonlocal pos
+        try:
+            out = struct.unpack_from(fmt, body, pos)
+        except struct.error:
+            raise CheckpointError("truncated checkpoint") from None
+        pos += struct.calcsize(fmt)
+        return out
+
+    (version,) = take("<I")
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
 
-    (mode_tag,) = r.take("<B")
+    (mode_tag,) = take("<B")
     if mode_tag == _MODE_FIXED:
-        mode = _configure(FixedRadius, *r.take("<d"))
+        mode = _configure(FixedRadius, *take("<d"))
     elif mode_tag == _MODE_ADAPTIVE:
         mode = AdaptiveRadius()
     else:
         raise CheckpointError(f"unknown mode tag {mode_tag}")
 
-    (sched_tag,) = r.take("<B")
+    (sched_tag,) = take("<B")
     if sched_tag == _SCHED_POWER:
-        schedule = _configure(PowerDecay, *r.take("<dd"))
+        schedule = _configure(PowerDecay, *take("<dd"))
     elif sched_tag == _SCHED_CONSTANT:
-        schedule = _configure(Constant, *r.take("<d"))
+        schedule = _configure(Constant, *take("<d"))
     else:
         raise CheckpointError(f"unknown schedule tag {sched_tag}")
 
-    n, t, m = r.take("<QQQ")
+    n, t, m = take("<QQQ")
     if n < 1:
         raise CheckpointError("dimension must be positive")
     if m > t:
         raise CheckpointError(f"mistake count {m} exceeds step count {t}")
-    trace_vals = r.take("<4d")
-    for val in trace_vals:
-        _require_finite(val, "trace sum")
-    w = np.frombuffer(r.take_bytes(8 * n), dtype="<f8").astype(np.float64)
-    if r.pos != len(r.data):
+    trace_vals = take("<4d")
+    if not np.isfinite(trace_vals).all():
+        raise CheckpointError("non-finite trace sum in checkpoint")
+    if len(body) - pos < 8 * n:
+        raise CheckpointError("truncated checkpoint")
+    if len(body) - pos > 8 * n:
         raise CheckpointError("trailing bytes after center payload")
+    w = np.frombuffer(body, dtype="<f8", offset=pos).astype(np.float64)
     if not np.isfinite(w).all():
         raise CheckpointError("non-finite center payload")
 
@@ -152,8 +143,3 @@ def _configure(cls, *args):
         return cls(*args)
     except ValueError as exc:
         raise CheckpointError(f"invalid configuration payload: {exc}") from exc
-
-
-def _require_finite(value: float, name: str) -> None:
-    if not np.isfinite(value):
-        raise CheckpointError(f"non-finite {name} in checkpoint")

@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__
 from .bounds import (
     GroundTruth,
+    _gain_energy,
     ac_x_bound,
     ac_y_bound,
     adaptive_mistake_bound,
@@ -293,8 +294,8 @@ def _cmd_scene(args, parser) -> int:
 
 
 def _cmd_bounds(args, parser) -> int:
+    a = _gain_energy(args.tau, args.gamma0)
     zeta = riemann_zeta(1.0 + 2.0 * args.tau)
-    a = args.gamma0 ** 2 * zeta
     bound = mistake_bound_realizable(args.wnorm, args.mu, args.tau,
                                      args.gamma0)
     m_t = args.m_t if args.m_t is not None else max(bound, 1)

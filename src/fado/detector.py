@@ -298,22 +298,13 @@ class Detector:
         self.trace.record_alarm(gain, vw)
         return gain
 
-    def _judge(self, y: np.ndarray, radius: float):
-        """Decide one validated row against ``radius``; learn on an alarm.
-
-        Returns ``(distance, alarm, gain)``.  It does not advance ``t``.
-        """
-        diff = y - self.w
-        distance = math.sqrt(float(_sq_norms(diff)))
-        if distance >= radius:
-            return distance, True, self._learn(diff, distance)
-        return distance, False, 0.0
-
     def step(self, y) -> StepOutcome:
         """Judge one transaction and learn from it if it is flagged."""
-        y = as_vector(y, dim=self.dim, name="transaction")
+        diff = as_vector(y, dim=self.dim, name="transaction") - self.w
         threshold = self.current_radius()
-        distance, alarm, gain = self._judge(y, threshold)
+        distance = math.sqrt(float(_sq_norms(diff)))
+        alarm = distance >= threshold
+        gain = self._learn(diff, distance) if alarm else 0.0
         self.t += 1
         return StepOutcome(alarm=alarm, distance=distance,
                            threshold=threshold, gain_applied=gain)
@@ -345,16 +336,6 @@ class Detector:
         # Rows past a chunk's first alarm are written but rewritten by the
         # chunk that later covers them, so each row keeps its final verdict.
         while i < count:
-            if size == 1:
-                # One row, as step() takes it: no chunk arrays to set up.
-                distance[i], alarm[i], gain[i] = self._judge(block[i], radius)
-                threshold[i] = radius
-                if alarm[i]:
-                    radius = self.current_radius()
-                else:
-                    size = min(2, cap)
-                i += 1
-                continue
             stop = min(count, i + size)
             diff = block[i:stop] - self.w
             dist = distance[i:stop]

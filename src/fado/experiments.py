@@ -167,8 +167,7 @@ class SweepRecord:
 
     def data_tuple(self):
         """Row content minus wall time (excluded from reproducible output)."""
-        return (self.value, self.seed, self.m_T, self.power,
-                self.final_w_error, self.bound, self.p_realized, self.variant)
+        return tuple(getattr(self, name) for name in _COLUMNS)
 
 
 @dataclass
@@ -478,39 +477,39 @@ def compare_adaptive(mus: Sequence[float] = (0.01, 0.05, 0.1),
     return result
 
 
-_CSV_HEADER = ("parameter,value,variant,seed,m_T,power,final_w_error,"
-               "bound,p_realized")
+def _optional(parse):
+    return lambda text: parse(text) if text else None
+
+
+# The sweep-record columns in file order, each with its CSV cell parser;
+# the CSV prefixes the sweep parameter and the JSON appends the wall time.
+_COLUMNS = {"value": float, "variant": str, "seed": int, "m_T": int,
+            "power": _optional(float), "final_w_error": _optional(float),
+            "bound": _optional(int), "p_realized": _optional(int)}
+_CSV_HEADER = ",".join(["parameter", *_COLUMNS])
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    # str of a float is its shortest round-trip repr
+    return "" if value is None else str(value)
 
 
 def emit_results(result: SweepResult, fmt: str, path) -> None:
     """Write a sweep result; CSV carries the data rows, JSON adds the rest."""
     path = Path(path)
     if fmt == "csv":
-        lines = [_CSV_HEADER]
-        for r in result.records:
-            lines.append(",".join([
-                result.parameter, _fmt(r.value), r.variant, _fmt(r.seed),
-                _fmt(r.m_T), _fmt(r.power), _fmt(r.final_w_error),
-                _fmt(r.bound), _fmt(r.p_realized)]))
+        lines = [_CSV_HEADER] + [
+            ",".join([result.parameter,
+                      *(_fmt(getattr(r, name)) for name in _COLUMNS)])
+            for r in result.records]
         path.write_text("\n".join(lines) + "\n", encoding="ascii")
     elif fmt == "json":
         doc = {
             "parameter": result.parameter,
             "grid": result.grid,
-            "records": [{
-                "value": r.value, "variant": r.variant, "seed": r.seed,
-                "m_T": r.m_T, "power": r.power,
-                "final_w_error": r.final_w_error, "bound": r.bound,
-                "p_realized": r.p_realized, "wall_time": r.wall_time,
-            } for r in result.records],
+            "records": [{name: getattr(r, name)
+                         for name in (*_COLUMNS, "wall_time")}
+                        for r in result.records],
             "checks": result.checks,
             "metadata": result.metadata,
         }
@@ -536,15 +535,9 @@ def parse_results(path) -> SweepResult:
     for line in lines[1:]:
         if not line:
             continue
-        (parameter, value, variant, seed, m_t, power, w_err, bound,
-         p_real) = line.split(",")
-        rec = SweepRecord(
-            value=float(value), seed=int(seed), m_T=int(m_t),
-            power=float(power) if power else None,
-            final_w_error=float(w_err) if w_err else None,
-            bound=int(bound) if bound else None,
-            p_realized=int(p_real) if p_real else None,
-            variant=variant)
+        parameter, *cells = line.split(",")
+        rec = SweepRecord(**{name: parse(cell) for (name, parse), cell
+                             in zip(_COLUMNS.items(), cells, strict=True)})
         records.append(rec)
         if rec.value not in grid:
             grid.append(rec.value)

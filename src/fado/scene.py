@@ -67,7 +67,6 @@ class FrameSequence:
     width: int
     height: int
     frames: np.ndarray  # (T, height, width) uint8
-    source: str = ""
 
     def __post_init__(self):
         self.frames = np.asarray(self.frames, dtype=np.uint8)
@@ -98,9 +97,9 @@ class _FrameReader:
     """
 
     def __init__(self, width: int, height: int, count: int,
-                 fill: Callable[[int, np.ndarray], None], source: str):
+                 fill: Callable[[int, np.ndarray], None]):
         self.width, self.height, self.count = width, height, count
-        self.fill, self.source = fill, source
+        self.fill = fill
 
     def __len__(self) -> int:
         return self.count
@@ -124,7 +123,7 @@ class _FrameReader:
         frames = np.empty((self.count, self.height, self.width),
                           dtype=np.uint8)
         self.fill(0, frames)
-        return FrameSequence(self.width, self.height, frames, self.source)
+        return FrameSequence(self.width, self.height, frames)
 
 
 def read_pgm(path) -> Tuple[int, int, np.ndarray]:
@@ -213,8 +212,7 @@ def _open_pgm_sequence(paths: Sequence) -> _FrameReader:
                     f"frame {width}x{height}")
             block[index - lo] = pixels
 
-    return _FrameReader(width, height, len(paths), fill,
-                        ";".join(str(p) for p in paths))
+    return _FrameReader(width, height, len(paths), fill)
 
 
 def frame_to_vector(frame: np.ndarray) -> np.ndarray:
@@ -313,8 +311,8 @@ def gen_synthetic_clips(width: int, height: int, num_clips: int,
             frames[clip * frames_per_clip + j] = \
                 pixels.reshape(height, width).astype(np.uint8)
     transitions = [clip * frames_per_clip for clip in range(1, num_clips)]
-    return FrameSequence(width=width, height=height, frames=frames,
-                         source="synthetic"), transitions
+    return FrameSequence(width=width, height=height,
+                         frames=frames), transitions
 
 
 def write_memory_snapshot(state: Detector, width: int, height: int,
@@ -403,4 +401,4 @@ def _open_frames_packed(path) -> _FrameReader:
             if fh.readinto(block) != block.nbytes:
                 raise FrameFormatError(f"{path}: truncated payload")
 
-    return _FrameReader(width, height, count, fill, str(path))
+    return _FrameReader(width, height, count, fill)

@@ -101,40 +101,22 @@ def _box_muller(u: np.ndarray, cols: int) -> np.ndarray:
     return g[:, :cols]
 
 
-def _normal_block(rng: SplitMix64, rows: int, cols: int) -> np.ndarray:
-    """(rows, cols) standard normals; each row consumes 2*ceil(cols/2) doubles."""
-    width = 2 * ((cols + 1) // 2)
-    u = rng.next_double_block(rows * width).reshape(rows, width)
-    return _box_muller(u, cols)
-
-
 def _ball_block(rng: SplitMix64, count: int, dim: int, center: np.ndarray,
                 radius: float) -> np.ndarray:
     """Uniform samples from the closed ball; row consumption is fixed.
 
     Each sample consumes 2*ceil(dim/2) doubles for the direction plus one
     for the radial factor U**(1/dim).  Points that land an ulp outside the
-    ball after the center addition are projected back in (no extra draws);
-    an all-zero Gaussian row (measure zero) is redrawn.
+    ball after the center addition are projected back in (no extra draws).
+    A Gaussian row is never all zero: u1 <= 1 - 2**-53 keeps its radius
+    positive, and no double angle has a zero cosine.
     """
-    npairs = (dim + 1) // 2
-    per_row = 2 * npairs + 1
+    per_row = 2 * ((dim + 1) // 2) + 1
     u = rng.next_double_block(count * per_row).reshape(count, per_row)
-    out = np.empty((count, dim), dtype=np.float64)
-    rows = np.arange(count)
-    while rows.size:
-        ublock = u[rows]
-        g = _box_muller(ublock[:, :2 * npairs], dim)
-        norms = np.sqrt(np.einsum("ij,ij->i", g, g))
-        bad = norms == 0.0
-        scale = radius * ublock[:, -1] ** (1.0 / dim)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out[rows] = center + g * (scale / norms)[:, None]
-        rows = rows[bad]
-        if rows.size:
-            u = np.empty((count, per_row))
-            u[rows] = rng.next_double_block(rows.size * per_row).reshape(
-                rows.size, per_row)
+    g = _box_muller(u[:, :-1], dim)
+    norms = np.sqrt(np.einsum("ij,ij->i", g, g))
+    scale = radius * u[:, -1] ** (1.0 / dim)
+    out = center + g * (scale / norms)[:, None]
     _project_into_ball(out, center, radius)
     return out
 

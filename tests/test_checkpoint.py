@@ -96,6 +96,32 @@ def test_truncation_rejected():
             checkpoint_decode(blob[:cut])
 
 
+def _seal(body: bytes) -> bytes:
+    import zlib
+    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
+@pytest.mark.parametrize("mode,schedule", [
+    (FixedRadius(1.0), PowerDecay(1.0, 0.25)),
+    (FixedRadius(1.0), Constant(0.5)),
+    (AdaptiveRadius(), PowerDecay(0.5, 0.1)),
+    (AdaptiveRadius(), Constant(2.0)),
+])
+def test_resealed_prefixes_and_trailing_byte_rejected(mode, schedule):
+    """A valid CRC does not make a cut or padded checkpoint decodable:
+    every strict prefix is truncated, one extra byte is trailing."""
+    state = new_detector(3, mode, schedule)
+    state.run_stream(np.random.default_rng(2).normal(size=(50, 3)) * 3.0)
+    body = checkpoint_encode(state)[:-4]
+    for cut in range(len(body)):
+        with pytest.raises(CheckpointError, match="^truncated checkpoint$"):
+            checkpoint_decode(_seal(body[:cut]))
+    with pytest.raises(CheckpointError,
+                       match="^trailing bytes after center payload$"):
+        checkpoint_decode(_seal(body + b"\x00"))
+    assert _states_equal(checkpoint_decode(_seal(body)), state)
+
+
 def test_non_finite_payload_rejected():
     state = new_detector(2, FixedRadius(1.0), PowerDecay(1.0, 0.25))
     blob = bytearray(checkpoint_encode(state))

@@ -84,6 +84,18 @@ class TestBounds:
         assert capsys.readouterr().err == \
             f"error: mistake cap overflows float range at {culprit}\n"
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--gamma0", "1e160"],
+         "gain energy overflows float range at gamma0 = 1e+160"),
+        (["--gamma0", "1.3e154"],
+         "gain energy overflows float range at gamma0 = 1.3e+154"),
+        (["--tau", "0"], "tau must lie strictly between 0 and 1/2"),
+    ], ids=["gamma0-squared", "gamma0-times-zeta", "tau"])
+    def test_bad_gain_schedule_names_the_flag(self, flags, message, capsys):
+        code, out = run_cli("bounds", "--wnorm", "1", "--mu", "0.1", *flags)
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_search_limit_reaches_two_to_the_400(self):
         # the split equation first solves near m = 2**315 at epsilon 1e40
         code, out = run_cli("bounds", "--wnorm", "1", "--mu", "0.1",

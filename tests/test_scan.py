@@ -135,6 +135,19 @@ def test_every_row_alarms(cap_rows):
     assert alarms.all()
 
 
+@pytest.mark.parametrize("cap_rows", [1, 2, None])
+def test_a_row_on_the_radius_alarms(cap_rows):
+    """distance == radius is an alarm in a chunk of any size.  Unit steps
+    between integer points keep every distance exact; the row equal to
+    the center at epsilon = 0 alarms with no update."""
+    rows = [[0.5, 0.0], [1.0, 0.0], [1.0, 1.0], [1.0, 1.5], [2.0, 1.0],
+            [2.0, 1.0]]
+    cap = None if cap_rows is None else 16 * cap_rows
+    alarms = _assert_same("constant", 1.0, rows, cap)
+    assert alarms.tolist() == [False, True, True, False, True, False]
+    assert _assert_same("constant", 0.0, np.zeros((3, 2)), cap).all()
+
+
 def test_circle_stream_near_boundary_defaults():
     for center in ((0.0, 0.0), (2.0, 2.0)):
         for mode in MODES:

@@ -53,7 +53,7 @@ class TestGaussianConstruction:
     def test_box_muller_formulation_pinned(self):
         """The normal pair is exactly sqrt(-2 ln u1) * (cos, sin)(2 pi u2)
         over consecutive uniforms, with u1 clamped at 2**-53."""
-        from fado.streams import _normal_block
+        from fado.streams import _box_muller
 
         seed = 314159
         u = SplitMix64(seed).next_double_block(2)
@@ -61,8 +61,29 @@ class TestGaussianConstruction:
         r = math.sqrt(-2.0 * math.log(u1))
         expected = [r * math.cos(2.0 * math.pi * u[1]),
                     r * math.sin(2.0 * math.pi * u[1])]
-        block = _normal_block(SplitMix64(seed), 1, 2)[0]
+        block = _box_muller(u.reshape(1, 2), 2)[0]
         assert block.tolist() == expected
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_gaussian_row_is_never_zero(self, dim):
+        """The ball sampler divides by the row norm without a redraw: the
+        clamped u1 keeps the radius positive, and no double angle has a
+        zero cosine, at the extreme u1 and at angles next to the zeros of
+        cos and sin."""
+        from fado.streams import _box_muller
+
+        quarters = (0.0, 0.25, 0.5, 0.75)
+        u2s = {np.nextafter(q, d) for q in quarters for d in (-1.0, 1.0)}
+        u2s = sorted(u2s.union(quarters) - {-5e-324})  # 0 has no lower one
+        assert len(u2s) == 11
+        width = 2 * ((dim + 1) // 2)
+        for u1 in (0.0, 2.0 ** -53, 1.0 - 2.0 ** -53):
+            for u2 in u2s:
+                u = np.full((1, width), u1)
+                u[:, 1::2] = u2
+                g = _box_muller(u, dim)
+                assert g.shape == (1, dim) and np.isfinite(g).all()
+                assert np.einsum("ij,ij->i", g, g)[0] > 0.0, (u1, u2)
 
     def test_row_consumption_is_fixed(self):
         """Each ball sample consumes 2*ceil(dim/2)+1 doubles, so drawing

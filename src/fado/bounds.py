@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -280,12 +279,11 @@ def adaptive_mistake_bound(norm_w_bar: float, epsilon: float,
 
 @dataclass(eq=False)
 class GroundTruth:
-    """Generator-side truth: center, radius, margin, optional norm cap."""
+    """Generator-side truth: center, radius and margin."""
 
     w_bar: np.ndarray
     epsilon: float
     mu: float = 0.0
-    R: Optional[float] = None
 
     def __post_init__(self):
         self.w_bar = as_vector(self.w_bar, name="w_bar")
@@ -294,8 +292,6 @@ class GroundTruth:
             raise ValueError("mu must be a nonnegative finite number")
         if self.mu > 0 and self.mu >= self.epsilon:
             raise ValueError("mu must be smaller than epsilon (empty ball otherwise)")
-        if self.R is not None:
-            _check_positive("R", self.R)
 
     @property
     def dim(self) -> int:

@@ -34,22 +34,12 @@ from .bounds import (
 )
 from .checkpoint import checkpoint_decode, checkpoint_encode
 from .detector import (
-    SCAN_CHUNK_BYTES,
     AdaptiveRadius,
     Constant,
     Detector,
     FixedRadius,
     PowerDecay,
     _as_block,
-)
-from .experiments import (
-    compare_adaptive,
-    emit_results,
-    sweep_center_scale,
-    sweep_contamination,
-    sweep_dimension,
-    sweep_epsilon,
-    sweep_margin,
 )
 from .scene import (
     DEFAULT_EPSILON,
@@ -198,7 +188,7 @@ def _cmd_run(args, parser) -> int:
                     "conflicts with the adaptive mode")
         elif args.epsilon is None:
             parser.error(f"--epsilon is required for mode {args.mode}")
-    blocks = _vector_blocks(args.input, SCAN_CHUNK_BYTES)
+    blocks = _vector_blocks(args.input)
     block = next(blocks)  # the header is checked before the checkpoint
     if args.checkpoint_in:
         detector = checkpoint_decode(Path(args.checkpoint_in).read_bytes())
@@ -233,6 +223,10 @@ def _cmd_run(args, parser) -> int:
 
 
 def _cmd_sweep(args, parser) -> int:
+    # only sweep uses the experiments module, so other commands skip it
+    from .experiments import (compare_adaptive, emit_results,
+                              sweep_center_scale, sweep_contamination,
+                              sweep_dimension, sweep_epsilon, sweep_margin)
     kwargs = {"n_seeds": args.seeds, "count": args.count,
               "base_seed": args.base_seed}
     runners = {

@@ -57,6 +57,13 @@ __all__ = [
 # same-sized difference block it computes from them).
 SCAN_CHUNK_BYTES = 1 << 20
 
+
+def _block_rows(dim: int) -> int:
+    """Rows of ``dim`` float64 values in one block: as many as
+    :data:`SCAN_CHUNK_BYTES` holds, and at least one."""
+    return max(1, SCAN_CHUNK_BYTES // (8 * dim))
+
+
 # Longest slice one ``vecdot`` call sums.  OpenBLAS runs a dot product of
 # up to 10000 elements on one thread and splits a longer one across its
 # threads, which changes the summation order and so the bits; slices of a
@@ -323,35 +330,44 @@ class Detector:
     def _scan(self, block: np.ndarray) -> ScanOutcomes:
         """The body of :meth:`scan`, over a block known to be a finite
         (T, dim) float64 array (frames converted from uint8, or a block
-        :func:`_as_block` has checked)."""
+        :func:`_as_block` has checked).
+
+        Raises :class:`OverflowError` when a gain too large drives a trace
+        sum out of float range, a state no checkpoint can hold.
+        """
         count = len(block)
         alarm = np.zeros(count, dtype=bool)
         distance = np.empty(count)
         threshold = np.empty(count)
         gain = np.zeros(count)
-        cap = max(1, SCAN_CHUNK_BYTES // (8 * self.dim))
+        cap = _block_rows(self.dim)
         size = 1
         radius = self.current_radius()
         i = 0
         # Rows past a chunk's first alarm are written but rewritten by the
         # chunk that later covers them, so each row keeps its final verdict.
-        while i < count:
-            stop = min(count, i + size)
-            diff = block[i:stop] - self.w
-            dist = distance[i:stop]
-            np.sqrt(_sq_norms(diff), out=dist)
-            threshold[i:stop] = radius
-            hit = np.greater_equal(dist, radius, out=alarm[i:stop])
-            k = int(hit.argmax())
-            if not hit[k]:
-                i = stop
-                size = min(2 * size, cap)
-                continue
-            gain[i + k] = self._learn(diff[k], float(dist[k]))
-            radius = self.current_radius()
-            i += k + 1
-            size = max(1, size // 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            while i < count:
+                stop = min(count, i + size)
+                diff = block[i:stop] - self.w
+                dist = distance[i:stop]
+                np.sqrt(_sq_norms(diff), out=dist)
+                threshold[i:stop] = radius
+                hit = np.greater_equal(dist, radius, out=alarm[i:stop])
+                k = int(hit.argmax())
+                if not hit[k]:
+                    i = stop
+                    size = min(2 * size, cap)
+                    continue
+                gain[i + k] = self._learn(diff[k], float(dist[k]))
+                radius = self.current_radius()
+                i += k + 1
+                size = max(1, size // 2)
         self.t += count
+        if not all(map(math.isfinite, self.trace.as_tuple())):
+            raise OverflowError(
+                f"detector state overflows float range by step {self.t} "
+                f"under {self.schedule!r}")
         return ScanOutcomes(alarm=alarm, distance=distance,
                             threshold=threshold, gain_applied=gain)
 

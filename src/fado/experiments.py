@@ -102,16 +102,13 @@ class ExperimentRecord:
 
 
 def run_detection_experiment(spec: StreamSpec, mode: DetectorMode,
-                             schedule: GainSchedule,
-                             heldout_outliers: int = DEFAULT_HELDOUT,
-                             power_delta: float = DEFAULT_POWER_DELTA,
-                             outlier_radius_max: Optional[float] = None,
-                             ) -> ExperimentRecord:
+                             schedule: GainSchedule) -> ExperimentRecord:
     """Train on the stream described by ``spec``, then measure held-out power.
 
-    Power is the fraction of fresh shell outliers (distance at least
-    epsilon + power_delta from the true center) whose distance to the final
-    center reaches the detector's current radius.
+    Power is the fraction of :data:`DEFAULT_HELDOUT` fresh shell outliers
+    (distance at least epsilon + :data:`DEFAULT_POWER_DELTA` from the true
+    center, and at most ten times that) whose distance to the final center
+    reaches the detector's current radius.
     """
     started = time.perf_counter()
     samples = generate(spec)[0]
@@ -119,14 +116,13 @@ def run_detection_experiment(spec: StreamSpec, mode: DetectorMode,
     detector = Detector(spec.dim, mode, schedule)
     detector.scan(samples)
 
-    if outlier_radius_max is None:
-        outlier_radius_max = 10.0 * (spec.truth.epsilon + power_delta)
-    heldout = gen_outliers(spec.dim, spec.truth, heldout_outliers,
-                           power_delta, outlier_radius_max,
-                           _heldout_rng(spec.seed))
+    heldout = gen_outliers(
+        spec.dim, spec.truth, DEFAULT_HELDOUT, DEFAULT_POWER_DELTA,
+        10.0 * (spec.truth.epsilon + DEFAULT_POWER_DELTA),
+        _heldout_rng(spec.seed))
     radius = detector.current_radius()
     dists = np.linalg.norm(heldout - detector.w, axis=1)
-    power = float(np.mean(dists >= radius)) if heldout_outliers else math.nan
+    power = float(np.mean(dists >= radius))
 
     audit_passed = None
     if isinstance(schedule, PowerDecay):
@@ -233,8 +229,7 @@ def _ball_point(value: float, dim: int, c: float, epsilon: float, mu: float,
 
 
 def _run_grid(parameter: str, seeds: Sequence[int], points: Sequence[_Point],
-              metadata: Dict[str, object], audits: bool = True,
-              heldout_radius_max: Optional[float] = None) -> SweepResult:
+              metadata: Dict[str, object], audits: bool = True) -> SweepResult:
     """One record per (point, seed, variant), in that order, plus the
     per-run checks: bound dominance and, with ``audits``, trace audits."""
     records: List[SweepRecord] = []
@@ -243,9 +238,7 @@ def _run_grid(parameter: str, seeds: Sequence[int], points: Sequence[_Point],
         for seed in seeds:
             spec = point.spec(seed=seed)
             for variant, mode, bound in point.variants:
-                rec = run_detection_experiment(
-                    spec, mode, point.schedule,
-                    outlier_radius_max=heldout_radius_max)
+                rec = run_detection_experiment(spec, mode, point.schedule)
                 audits_ok &= bool(rec.audit_passed)
                 records.append(SweepRecord(
                     value=point.value, seed=seed, m_T=rec.m_T,
@@ -442,7 +435,6 @@ def compare_adaptive(mus: Sequence[float] = (0.01, 0.05, 0.1),
                      n_seeds: int = 5, dim: int = 2, c: float = 1.0,
                      epsilon: float = 1.0, count: int = DEFAULT_COUNT,
                      tau: float = 0.25, gamma0: float = 1.0,
-                     heldout_radius_max: Optional[float] = None,
                      base_seed: int = DEFAULT_SEED) -> SweepResult:
     """Fixed-radius versus adaptive-radius detectors on identical streams.
 
@@ -466,7 +458,7 @@ def compare_adaptive(mus: Sequence[float] = (0.01, 0.05, 0.1),
         "mu", seeds, points,
         {"design": "ball", "dim": dim, "c": c, "epsilon": epsilon,
          "count": count, "tau": tau, "gamma0": gamma0, "seeds": seeds},
-        audits=False, heldout_radius_max=heldout_radius_max)
+        audits=False)
     fixed_power = [result.median(mu, "power", "fixed") for mu in mus]
     adaptive_power = [result.median(mu, "power", "adaptive") for mu in mus]
     result.checks["fixed_power"] = {

@@ -14,22 +14,25 @@ transient concentrates in the early clips the way it does on real video.
 
 from __future__ import annotations
 
-import os
-import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .detector import (
-    SCAN_CHUNK_BYTES,
     Constant,
     Detector,
     FixedRadius,
     ScanOutcomes,
+    _block_rows,
 )
-from .streamio import write_outcome_rows
+from .streamio import (
+    _filled_blocks,
+    _open_packed,
+    _write_packed,
+    write_outcome_rows,
+)
 from .streams import SplitMix64
 
 __all__ = [
@@ -50,7 +53,6 @@ __all__ = [
 ]
 
 FRAMES_MAGIC = b"FADOFRMS"
-FRAMES_VERSION = 1
 
 DEFAULT_EPSILON = 100.0
 DEFAULT_GAMMA = 1.0
@@ -81,10 +83,9 @@ class FrameSequence:
     def dim(self) -> int:
         return self.width * self.height
 
-    def _blocks(self, size: int) -> Iterator[np.ndarray]:
-        """Consecutive slices of at most ``size`` frames."""
-        for lo in range(0, len(self), size):
-            yield self.frames[lo:lo + size]
+    def fill(self, lo: int, block: np.ndarray) -> None:
+        """Copy frames ``lo``, ``lo + 1``, ... into ``block``."""
+        block[...] = self.frames[lo:lo + len(block)]
 
 
 class _FrameReader:
@@ -107,16 +108,6 @@ class _FrameReader:
     @property
     def dim(self) -> int:
         return self.width * self.height
-
-    def _blocks(self, size: int) -> Iterator[np.ndarray]:
-        """Blocks of at most ``size`` frames, decoded into one reused
-        buffer: each is valid until the next is read."""
-        buf = np.empty((min(size, self.count), self.height, self.width),
-                       dtype=np.uint8)
-        for lo in range(0, self.count, size):
-            block = buf[:min(size, self.count - lo)]
-            self.fill(lo, block)
-            yield block
 
     def _collect(self) -> FrameSequence:
         """Every frame, decoded into one array."""
@@ -262,10 +253,11 @@ def run_scene_detection(frames: FrameSequence, epsilon: float = DEFAULT_EPSILON,
             f"checkpoint dimension {detector.dim} does not match frames "
             f"({frames.dim})")
     start = detector.t
-    per_chunk = max(1, SCAN_CHUNK_BYTES // (8 * frames.dim))
-    buf = np.empty((min(per_chunk, len(frames)), frames.dim))
+    rows = _block_rows(frames.dim)
+    buf = np.empty((min(rows, len(frames)), frames.dim))
     parts = []
-    for chunk in frames._blocks(per_chunk):
+    for chunk in _filled_blocks(frames.fill, len(frames), rows,
+                                (frames.height, frames.width), np.uint8):
         # the same arithmetic as frame_to_vector, a bounded chunk at a time,
         # into one reused buffer; values from uint8 are finite, so the scan
         # body takes them without the check
@@ -359,12 +351,8 @@ def timeline_to_csv(timeline: DetectionTimeline,
 
 def write_frames_packed(frames: FrameSequence, path) -> None:
     """Write the packed raw frame container."""
-    with open(path, "wb") as fh:
-        fh.write(FRAMES_MAGIC)
-        fh.write(struct.pack("<III", FRAMES_VERSION, frames.width,
-                             frames.height))
-        fh.write(struct.pack("<Q", len(frames)))
-        fh.write(frames.frames.tobytes())
+    _write_packed(path, FRAMES_MAGIC, "II", (frames.width, frames.height),
+                  frames.frames)
 
 
 def read_frames_packed(path) -> FrameSequence:
@@ -374,31 +362,7 @@ def read_frames_packed(path) -> FrameSequence:
 
 def _open_frames_packed(path) -> _FrameReader:
     """Check a frame pack's header against the file size; read its frames
-    on demand, each block by one ``seek`` and one ``readinto``."""
-    header = len(FRAMES_MAGIC) + struct.calcsize("<III") + struct.calcsize("<Q")
-    with open(path, "rb") as fh:
-        head = fh.read(header)
-        if len(head) < header:
-            raise FrameFormatError(f"{path}: truncated header")
-        if head[:len(FRAMES_MAGIC)] != FRAMES_MAGIC:
-            raise FrameFormatError(f"{path}: bad magic, not a frame pack")
-        version, width, height, count = struct.unpack_from(
-            "<IIIQ", head, len(FRAMES_MAGIC))
-        if version != FRAMES_VERSION:
-            raise FrameFormatError(f"{path}: unsupported version {version}")
-        if width < 1 or height < 1:
-            raise FrameFormatError(f"{path}: degenerate frame size")
-        size = os.fstat(fh.fileno()).st_size
-        expected = header + count * width * height
-        if size != expected:
-            raise FrameFormatError(
-                f"{path}: payload length {size} does not match header "
-                f"(expected {expected})")
-
-    def fill(lo, block):
-        with open(path, "rb") as fh:
-            fh.seek(header + lo * width * height)
-            if fh.readinto(block) != block.nbytes:
-                raise FrameFormatError(f"{path}: truncated payload")
-
+    on demand."""
+    (width, height), count, fill = _open_packed(
+        path, FRAMES_MAGIC, "II", 1, FrameFormatError, "frame pack")
     return _FrameReader(width, height, count, fill)

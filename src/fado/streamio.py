@@ -1,43 +1,117 @@
-"""Vector-stream file formats: packed binary and round-trip CSV.
+"""Stream and frame files: one packed container, and round-trip CSV.
 
-Binary layout (little-endian):
+Both binary formats are one container (little-endian):
 
-    magic   8 bytes  b"FADOVECS"
-    version u32      1
-    n       u64      dimension
-    T       u64      number of vectors
-    data    f64[T*n] row-major samples
+    magic   8 bytes     b"FADOVECS" (vectors) or b"FADOFRMS" (frames)
+    version u32         1
+    shape   row shape   vectors: u64 n; frames: u32 width, u32 height
+    count   u64         number of rows
+    data    rows        row-major: f64[n] per vector, u8[height*width]
+                        per frame
+
+A reader checks the header against the file size, then reads the rows in
+bounded blocks into one reused buffer, so ``fado run`` and ``fado scene``
+hold one block of their input at a time.
 
 CSV holds one vector per line with shortest round-trip decimal formatting,
 so parse(write(x)) reproduces the binary64 payload exactly.  Readers and
-the CLI pick the format from the file extension (.csv means CSV).  The
-readers check the header, then take the rows in bounded blocks, so
-``fado run`` holds one block of the stream at a time.
+the CLI pick the format from the file extension (.csv means CSV).
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .detector import SCAN_CHUNK_BYTES
+from .detector import _block_rows
 
 __all__ = ["StreamFormatError", "write_vectors", "read_vectors",
            "write_outcome_rows"]
 
 MAGIC = b"FADOVECS"
-VERSION = 1
 
-# Outcome rows formatted per write, which bounds the text held at once.
+# Rows formatted per write, which bounds the text held at once.
 _CSV_ROWS = 8192
 
 
 class StreamFormatError(ValueError):
     """Malformed or truncated vector-stream file."""
+
+
+def _write_packed(path, magic: bytes, shape_fmt: str, shape,
+                  rows: np.ndarray) -> None:
+    """Write ``rows`` as a container of row shape ``shape``."""
+    with open(path, "wb") as fh:
+        fh.write(magic)
+        fh.write(struct.pack(f"<I{shape_fmt}Q", 1, *shape, len(rows)))
+        fh.write(np.ascontiguousarray(rows))
+
+
+def _open_packed(path, magic: bytes, shape_fmt: str, itemsize: int,
+                 error, what: str):
+    """Check a container's header against the file size.
+
+    Returns the header's row shape, the row count, and ``fill(lo, block)``,
+    which reads rows ``lo``, ``lo + 1``, ... into ``block`` by one ``seek``
+    and one ``readinto``.  Faults raise ``error`` naming ``path``.
+    """
+    fmt = f"<I{shape_fmt}Q"
+    header = len(magic) + struct.calcsize(fmt)
+    with open(path, "rb") as fh:
+        head = fh.read(header)
+        size = os.fstat(fh.fileno()).st_size
+    if len(head) < header:
+        raise error(f"{path}: truncated header")
+    if head[:len(magic)] != magic:
+        raise error(f"{path}: bad magic, not a {what}")
+    version, *shape, count = struct.unpack_from(fmt, head, len(magic))
+    if version != 1:
+        raise error(f"{path}: unsupported version {version}")
+    if min(shape) < 1:
+        raise error(f"{path}: degenerate row shape {tuple(shape)}")
+    if count < 1:
+        # with no payload nothing bounds the row shape, and a detector over
+        # the stream allocates a center of that many entries
+        raise error(f"{path}: empty {what}")
+    row_bytes = itemsize * math.prod(shape)
+    if size != header + count * row_bytes:
+        raise error(f"{path}: payload length {size} does not match header "
+                    f"(expected {header + count * row_bytes})")
+
+    def fill(lo, block):
+        with open(path, "rb") as fh:
+            fh.seek(header + lo * row_bytes)
+            if fh.readinto(block) != block.nbytes:
+                raise error(f"{path}: truncated payload")
+
+    return shape, count, fill
+
+
+def _filled_blocks(fill: Callable[[int, np.ndarray], None], count: int,
+                   rows: int, shape, dtype) -> Iterator[np.ndarray]:
+    """Rows ``0 .. count - 1`` in blocks of at most ``rows``, each written
+    by ``fill(lo, block)`` into one reused buffer: a block is valid only
+    until the next is read."""
+    buf = np.empty((min(rows, count), *shape), dtype=dtype)
+    for lo in range(0, count, rows):
+        block = buf[:min(rows, count - lo)]
+        fill(lo, block)
+        yield block
+
+
+def _write_rows(fh, columns) -> None:
+    """Write row i as each column's entry i, comma-separated: bools as 0/1,
+    integers and floats by ``repr`` (shortest round trip)."""
+    count = len(columns[0])
+    for lo in range(0, count, _CSV_ROWS):
+        cells = [map("01".__getitem__ if col.dtype == bool else repr,
+                     col[lo:lo + _CSV_ROWS].tolist()) for col in columns]
+        fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _as_matrix(samples) -> np.ndarray:
@@ -52,90 +126,49 @@ def _as_matrix(samples) -> np.ndarray:
 def write_vectors(samples, path) -> None:
     """Write a (T, n) sample block; CSV when the suffix is .csv, else binary."""
     arr = _as_matrix(samples)
-    path = Path(path)
-    if path.suffix.lower() == ".csv":
+    if Path(path).suffix.lower() == ".csv":
         with open(path, "w", encoding="ascii") as fh:
-            for row in arr:
-                fh.write(",".join(repr(float(x)) for x in row))
-                fh.write("\n")
+            _write_rows(fh, arr.T)
         return
-    t, n = arr.shape
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<IQQ", VERSION, n, t))
-        fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    _write_packed(path, MAGIC, "Q", arr.shape[1:],
+                  arr.astype("<f8", copy=False))
 
 
 def write_outcome_rows(fh, header: Optional[str], start: int,
                        columns) -> None:
-    """Write ``header``, then row i as ``start + i`` and each column's entry:
-    bools as 0/1, floats in shortest round-trip form, 8192 rows per write.
+    """Write ``header``, then row i as ``start + i`` and each column's entry.
     A ``header`` of None continues a file block by block."""
     if header is not None:
         fh.write(header + "\n")
-    count = len(columns[0])
-    for lo in range(0, count, _CSV_ROWS):
-        hi = min(lo + _CSV_ROWS, count)
-        cells = [map(str, range(start + lo, start + hi))]
-        cells += [map("01".__getitem__ if col.dtype == bool else repr,
-                      col[lo:hi].tolist()) for col in columns]
-        fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+    _write_rows(fh, [np.arange(start, start + len(columns[0])), *columns])
 
 
 def read_vectors(path) -> np.ndarray:
     """Read a stream file back into a (T, n) float64 matrix."""
     # a binary file comes as one block, so its payload is held once
-    blocks = list(_vector_blocks(path, None))
+    blocks = list(_vector_blocks(path, whole=True))
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
-def _vector_blocks(path, block_bytes: Optional[int]) -> Iterator[np.ndarray]:
+def _vector_blocks(path, whole: bool = False) -> Iterator[np.ndarray]:
     """Yield a stream file's rows in order, as (k, n) float64 blocks.
 
-    The header is checked against the file size before the first block.
-    A binary block holds at most ``block_bytes`` of values and at least
-    one row (``None``: the whole stream); it is read into one reused
-    buffer, so it is valid only until the next is read.  A CSV file is
-    parsed into fresh blocks whose token strings take about
-    ``block_bytes`` (:data:`SCAN_CHUNK_BYTES` when ``None``).
+    A binary file's header is checked against its size before the first
+    block; its blocks hold :func:`_block_rows` rows (``whole``: every
+    row), read into one reused buffer.  A CSV file is parsed into fresh
+    blocks whose token strings take about as much memory.
     """
     path = Path(path)
     if path.suffix.lower() == ".csv":
-        yield from _csv_blocks(path, block_bytes or SCAN_CHUNK_BYTES)
+        yield from _csv_blocks(path)
         return
-    header = len(MAGIC) + struct.calcsize("<IQQ")
-    with open(path, "rb") as fh:
-        head = fh.read(header)
-        if len(head) < header:
-            raise StreamFormatError(f"{path}: truncated header")
-        if head[:len(MAGIC)] != MAGIC:
-            raise StreamFormatError(f"{path}: bad magic, not a vector stream")
-        version, n, t = struct.unpack_from("<IQQ", head, len(MAGIC))
-        if version != VERSION:
-            raise StreamFormatError(f"{path}: unsupported version {version}")
-        if n < 1:
-            raise StreamFormatError(f"{path}: dimension must be positive")
-        if t < 1:
-            # with no payload nothing bounds n, and a detector over the
-            # stream allocates a center of n entries
-            raise StreamFormatError(f"{path}: empty stream file")
-        size = os.fstat(fh.fileno()).st_size
-        expected = header + 8 * n * t
-        if size != expected:
-            raise StreamFormatError(
-                f"{path}: payload length {size} does not match header "
-                f"(expected {expected})")
-        rows = t if block_bytes is None else \
-            min(t, max(1, block_bytes // (8 * n)))
-        buf = np.empty((rows, n), dtype="<f8")
-        for lo in range(0, t, rows):
-            block = buf[:min(rows, t - lo)]
-            if fh.readinto(block) != block.nbytes:
-                raise StreamFormatError(f"{path}: truncated payload")
-            yield block.astype(np.float64, copy=False)
+    (n,), t, fill = _open_packed(path, MAGIC, "Q", 8, StreamFormatError,
+                                 "stream")
+    yield from _filled_blocks(fill, t, t if whole else _block_rows(n), (n,),
+                              "<f8")
 
 
-def _csv_blocks(path: Path, block_bytes: int) -> Iterator[np.ndarray]:
+def _csv_blocks(path: Path) -> Iterator[np.ndarray]:
     """Parse a CSV stream a batch of lines at a time.
 
     A faulty line is reported as ``path:lineno``, and a bad value before
@@ -158,7 +191,7 @@ def _csv_blocks(path: Path, block_bytes: int) -> Iterator[np.ndarray]:
                 if width is None:
                     width = len(row)
                     # a token string costs about eight times its float64
-                    rows = max(1, block_bytes // (64 * width))
+                    rows = _block_rows(8 * width)
                 fault = (None if len(row) == width else
                          f"expected {width} values, found {len(row)}")
             if fault:

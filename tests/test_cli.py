@@ -526,14 +526,15 @@ class TestSweep:
         assert all(c["passed"] for c in doc["checks"].values())
 
     def test_failed_assertions_exit_one(self, monkeypatch, tmp_path):
-        import fado.cli as cli_mod
+        import fado.experiments as experiments
         from fado.experiments import SweepResult
 
         def failing_sweep(**kwargs):
             return SweepResult(parameter="mu", grid=[], records=[],
                                checks={"bound_dominance": {"passed": False}})
 
-        monkeypatch.setattr(cli_mod, "sweep_margin", failing_sweep)
+        # fado.cli imports the sweeps when the command runs
+        monkeypatch.setattr(experiments, "sweep_margin", failing_sweep)
         code, _ = run_cli("sweep", "margin", "--out",
                           str(tmp_path / "m.csv"))
         assert code == 1
@@ -620,3 +621,36 @@ class TestRunResume:
                            "--checkpoint-out", str(ckpt))[0] == 0
             blobs.append(ckpt.read_bytes())
         assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("argv, gain", [
+    (["run", "--mode", "fixed", "--epsilon", "1", "--gamma0", "1e160"],
+     "gamma0=1e+160"),
+    (["scene", "--synthetic", "--epsilon", "1", "--gamma", "1e200"],
+     "gamma=1e+200"),
+], ids=["run", "scene"])
+def test_overflowing_gain_exits_one_without_checkpoint(tmp_path, argv, gain):
+    """A gain whose square overflows leaves trace sums a checkpoint refuses:
+    one ``error:`` line naming the gain, exit 1, no checkpoint written."""
+    import os
+    from pathlib import Path
+
+    import fado
+
+    ckpt = tmp_path / "state.ckpt"
+    argv = [*argv, "--checkpoint-out", str(ckpt)]
+    if argv[0] == "run":
+        stream = tmp_path / "s.csv"
+        write_vectors(np.random.default_rng(3).normal(size=(3000, 10)) + 2.0,
+                      stream)
+        argv += ["--input", str(stream), "--output", str(tmp_path / "o.csv")]
+    src = str(Path(fado.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "fado.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    lines = proc.stderr.splitlines()
+    assert proc.returncode == 1, proc.stderr
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    assert "overflows" in lines[0] and gain in lines[0]
+    assert not ckpt.exists()

@@ -50,6 +50,15 @@ GEN_DIGESTS = {
                 "fb9de267208a03497404a6cfc5a1ec830264d0238bfd29e80093c0734a2bb9d2"),
 }
 
+# ``fado gen`` to .csv, and the mixture's --labels-out, recorded with the
+# per-row CSV writer that the columnar row writer replaced.
+GEN_CSV_DIGESTS = {
+    "ball": "ccb9976eb95633bf955de200b5af73d67913aecc503ec7ee0a878f9fbb0465b0",
+    "circle": "5bca18e52ad03949891c516bc706926e4420feea0182e40ebf19662d298e39d3",
+    "mixture": "a740a938ba01caad5736d361a0348e9085591f71b997b7e3a43c3f3aaab1de39",
+}
+GEN_LABELS_DIGEST = \
+    "2f482cabbcd13516923a9c60679d86c09713e0cd9bb64a54fdf079b6c728561b"
 
 RUN_DIGESTS = {
     "fixed": (["--mode", "fixed", "--epsilon", "1"],
@@ -95,6 +104,18 @@ def test_generated_stream_bytes_are_pinned(design, tmp_path):
     assert _sha256(out) == digest
 
 
+@pytest.mark.parametrize("design", sorted(GEN_CSV_DIGESTS))
+def test_generated_csv_bytes_are_pinned(design, tmp_path):
+    args, _ = GEN_DIGESTS[design]
+    out, labels = tmp_path / f"{design}.csv", tmp_path / "labels.csv"
+    if design == "mixture":
+        args = [*args, "--labels-out", str(labels)]
+    assert main(["gen", "--design", design, *args, "--out", str(out)]) == 0
+    assert _sha256(out) == GEN_CSV_DIGESTS[design]
+    if design == "mixture":
+        assert _sha256(labels) == GEN_LABELS_DIGEST
+
+
 @pytest.mark.parametrize("mode", sorted(RUN_DIGESTS))
 def test_run_outcome_and_checkpoint_bytes_are_pinned(mode, tmp_path):
     args, csv_digest, ckpt_digest = RUN_DIGESTS[mode]
@@ -125,9 +146,11 @@ def test_long_scene_timeline_is_pinned(tmp_path):
 
 
 def test_cli_import_loads_no_scipy():
+    """Nor the sweeps, which only ``fado sweep`` imports."""
     code = ("import sys, fado.cli; "
             "print(sorted(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.')))")
+            "if m in ('scipy', 'fado.experiments') "
+            "or m.startswith('scipy.')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
     assert proc.stdout.strip() == "[]"

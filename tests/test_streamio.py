@@ -3,7 +3,38 @@ import struct
 import numpy as np
 import pytest
 
+from fado.scene import (
+    FRAMES_MAGIC,
+    FrameFormatError,
+    gen_synthetic_clips,
+    read_frames_packed,
+    write_frames_packed,
+)
 from fado.streamio import MAGIC, StreamFormatError, read_vectors, write_vectors
+
+# Both packed containers: reader, format error, magic, header layout, and
+# a wide row shape (vectors: n; frames: width, height).
+CONTAINERS = {
+    "vectors": (read_vectors, StreamFormatError, MAGIC, "<IQQ", (1 << 20,)),
+    "frames": (read_frames_packed, FrameFormatError, FRAMES_MAGIC, "<IIIQ",
+               (1 << 10, 1 << 10)),
+}
+
+
+def _header(kind, shape, count):
+    _, _, magic, layout, _ = CONTAINERS[kind]
+    return magic + struct.pack(layout, 1, *shape, count)
+
+
+def _container(kind, path):
+    """Write a valid four-row container of ``kind``; return its reader and
+    format error."""
+    if kind == "vectors":
+        write_vectors(np.ones((4, 2)), path)
+    else:
+        write_frames_packed(gen_synthetic_clips(6, 5, 2, 2, 3, seed=8)[0],
+                            path)
+    return CONTAINERS[kind][:2]
 
 
 @pytest.fixture
@@ -39,20 +70,41 @@ def test_binary_layout(tmp_path):
     assert struct.unpack_from("<dd", blob, 28) == (1.0, 2.0)
 
 
-def test_bad_magic(tmp_path):
+@pytest.mark.parametrize("kind", sorted(CONTAINERS))
+def test_bad_magic(tmp_path, kind):
     path = tmp_path / "s.bin"
-    path.write_bytes(b"NOTMAGIC" + b"\x00" * 40)
-    with pytest.raises(StreamFormatError, match="magic"):
-        read_vectors(path)
+    reader, error = _container(kind, path)
+    path.write_bytes(b"NOTMAGIC" + path.read_bytes()[8:])
+    with pytest.raises(error, match="magic"):
+        reader(path)
 
 
-def test_truncated_payload(tmp_path):
+@pytest.mark.parametrize("kind", sorted(CONTAINERS))
+def test_truncated_payload(tmp_path, kind):
     path = tmp_path / "s.bin"
-    write_vectors(np.ones((4, 2)), path)
-    blob = path.read_bytes()
-    path.write_bytes(blob[:-5])
-    with pytest.raises(StreamFormatError, match="length"):
-        read_vectors(path)
+    reader, error = _container(kind, path)
+    path.write_bytes(path.read_bytes()[:-5])
+    with pytest.raises(error, match="length"):
+        reader(path)
+
+
+@pytest.mark.parametrize("kind", sorted(CONTAINERS))
+def test_truncated_header(tmp_path, kind):
+    path = tmp_path / "s.bin"
+    reader, error = _container(kind, path)
+    path.write_bytes(path.read_bytes()[:20])
+    with pytest.raises(error, match="truncated header"):
+        reader(path)
+
+
+@pytest.mark.parametrize("kind", sorted(CONTAINERS))
+def test_empty_container_is_rejected(tmp_path, kind):
+    """With no rows nothing bounds the header's row shape."""
+    reader, error, _, _, wide = CONTAINERS[kind]
+    path = tmp_path / "s.bin"
+    path.write_bytes(_header(kind, wide, 0))
+    with pytest.raises(error, match="empty"):
+        reader(path)
 
 
 def test_csv_ragged_rows_rejected(tmp_path):
@@ -119,12 +171,14 @@ def test_csv_blank_lines_are_skipped(tmp_path):
     assert read_vectors(path).tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
-def test_header_claiming_more_rows_than_the_file_holds(tmp_path):
+@pytest.mark.parametrize("kind", sorted(CONTAINERS))
+def test_header_claiming_more_rows_than_the_file_holds(tmp_path, kind):
     """The header is checked against the file size before any allocation."""
+    reader, error, _, _, wide = CONTAINERS[kind]
     path = tmp_path / "s.bin"
-    path.write_bytes(MAGIC + struct.pack("<IQQ", 1, 1 << 20, 1 << 40))
-    with pytest.raises(StreamFormatError, match="length"):
-        read_vectors(path)
+    path.write_bytes(_header(kind, wide, 1 << 40))
+    with pytest.raises(error, match="length"):
+        reader(path)
 
 
 _PEAK_RSS_PROBE = """
@@ -148,15 +202,13 @@ def test_binary_readers_hold_one_copy_of_the_payload(tmp_path, kind):
     from pathlib import Path
 
     import fado
-    from fado.scene import FRAMES_MAGIC
 
     payload = 32 * 2 ** 20
     path = tmp_path / f"{kind}.bin"
     if kind == "vectors":
-        header = MAGIC + struct.pack("<IQQ", 1, 16, payload // 128)
+        header = _header(kind, (16,), payload // 128)
     else:
-        header = FRAMES_MAGIC + struct.pack("<IIIQ", 1, 512, 256,
-                                            payload // (512 * 256))
+        header = _header(kind, (512, 256), payload // (512 * 256))
     with open(path, "wb") as fh:
         fh.write(header)
         fh.truncate(len(header) + payload)  # zeros, without writing them

@@ -4,83 +4,47 @@ Detectors with fixed or adaptive radii and decaying or constant gains,
 executable mistake/power bounds with explicit constants, seeded synthetic
 stream generators, figure-style experiment sweeps, and a frame-sequence
 scene-change pipeline.
+
+The public names load with their home module on first use (PEP 562), so
+``import fado`` itself imports no numpy; ``fado.cli`` relies on this to
+set the BLAS thread count before numpy loads.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .bounds import (
-    ContaminationReport,
-    GroundTruth,
-    TraceAudit,
-    ac_x_bound,
-    ac_y_bound,
-    adaptive_mistake_bound,
-    audit_trace,
-    gamma_sum_lower_bound,
-    mistake_bound_agnostic,
-    mistake_bound_realizable,
-    power_delta_bound,
-    riemann_zeta,
-    sigma_size,
-)
-from .checkpoint import CheckpointError, checkpoint_decode, checkpoint_encode
-from .detector import (
-    AdaptiveRadius,
-    Constant,
-    Detector,
-    DiagnosticsTrace,
-    FixedRadius,
-    PowerDecay,
-    ScanOutcomes,
-    StepOutcome,
-    gain_value,
-    new_detector,
-)
-from .streams import (
-    Design,
-    SplitMix64,
-    StreamSpec,
-    gen_circle_stream,
-    gen_contaminated_stream,
-    gen_outliers,
-    gen_realizable_stream,
-    sample_ball_uniform,
-)
+# home module -> the public names it defines
+_EXPORTS = {
+    "bounds": ("ContaminationReport", "GroundTruth", "TraceAudit",
+               "ac_x_bound", "ac_y_bound", "adaptive_mistake_bound",
+               "audit_trace", "gamma_sum_lower_bound",
+               "mistake_bound_agnostic", "mistake_bound_realizable",
+               "power_delta_bound", "riemann_zeta", "sigma_size"),
+    "checkpoint": ("CheckpointError", "checkpoint_decode",
+                   "checkpoint_encode"),
+    "detector": ("AdaptiveRadius", "Constant", "Detector",
+                 "DiagnosticsTrace", "FixedRadius", "PowerDecay",
+                 "ScanOutcomes", "StepOutcome", "gain_value",
+                 "new_detector"),
+    "streams": ("Design", "SplitMix64", "StreamSpec", "gen_circle_stream",
+                "gen_contaminated_stream", "gen_outliers",
+                "gen_realizable_stream", "sample_ball_uniform"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items()
+         for name in names}
 
-__all__ = [
-    "__version__",
-    "AdaptiveRadius",
-    "Constant",
-    "ContaminationReport",
-    "CheckpointError",
-    "Design",
-    "Detector",
-    "DiagnosticsTrace",
-    "FixedRadius",
-    "GroundTruth",
-    "PowerDecay",
-    "ScanOutcomes",
-    "SplitMix64",
-    "StepOutcome",
-    "StreamSpec",
-    "TraceAudit",
-    "ac_x_bound",
-    "ac_y_bound",
-    "adaptive_mistake_bound",
-    "audit_trace",
-    "checkpoint_decode",
-    "checkpoint_encode",
-    "gain_value",
-    "gamma_sum_lower_bound",
-    "gen_circle_stream",
-    "gen_contaminated_stream",
-    "gen_outliers",
-    "gen_realizable_stream",
-    "mistake_bound_agnostic",
-    "mistake_bound_realizable",
-    "new_detector",
-    "power_delta_bound",
-    "riemann_zeta",
-    "sample_ball_uniform",
-    "sigma_size",
-]
+__all__ = ["__version__", *sorted(_HOME)]
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__),
+                    name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted([*globals(), *_HOME])

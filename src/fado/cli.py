@@ -3,9 +3,17 @@
 Exit codes are a stable contract: 0 on success, 1 on runtime or format
 failures (one-line diagnostic on stderr), 2 on usage errors.  Data goes to
 the requested files or stdout; logging stays on stderr so outputs pipe
-cleanly.  All configuration is by flag - no environment variables - and
-defaults follow the values used throughout the experiments (scene detection
-defaults to epsilon=100 with unit constant gain; tau defaults to 0.25).
+cleanly.  All configuration is by flag - fado reads no environment variable
+of its own - and defaults follow the values used throughout the experiments
+(scene detection defaults to epsilon=100 with unit constant gain; tau
+defaults to 0.25).
+
+``main`` defaults OpenBLAS to one thread for its own process, unless the
+caller set ``OPENBLAS_NUM_THREADS`` or numpy is already loaded: no fado dot
+product is long enough for OpenBLAS to split (``detector._dot`` passes at
+most 8192 elements), so a thread pool would only cost start-up time and
+spin idle.  Each command imports only the modules it uses, and ``import
+fado.cli`` imports no numpy and changes no environment variable.
 """
 
 from __future__ import annotations
@@ -14,45 +22,11 @@ import argparse
 import contextlib
 import itertools
 import json
+import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .bounds import (
-    GroundTruth,
-    _gain_energy,
-    ac_x_bound,
-    ac_y_bound,
-    adaptive_mistake_bound,
-    mistake_bound_agnostic,
-    mistake_bound_realizable,
-    power_delta_bound,
-    riemann_zeta,
-    sigma_admissibility_ratio,
-)
-from .checkpoint import checkpoint_decode, checkpoint_encode
-from .detector import (
-    AdaptiveRadius,
-    Constant,
-    Detector,
-    FixedRadius,
-    PowerDecay,
-    _as_block,
-)
-from .scene import (
-    DEFAULT_EPSILON,
-    DEFAULT_GAMMA,
-    _open_frames_packed,
-    _open_pgm_sequence,
-    gen_synthetic_clips,
-    run_scene_detection,
-    timeline_to_csv,
-    write_memory_snapshot,
-)
-from .streams import Design, StreamSpec, generate
-from .streamio import _vector_blocks, write_outcome_rows, write_vectors
 
 # Flags of the synthetic clip source, in gen_synthetic_clips order.
 _SYNTHETIC = {"width": 40, "height": 40, "clips": 16, "frames_per_clip": 50,
@@ -75,15 +49,14 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _parse_center(text: str, dim: int) -> np.ndarray:
-    if "," in text:
-        center = np.asarray([float(tok) for tok in text.split(",")],
-                            dtype=np.float64)
-        if center.size != dim:
-            raise ValueError(
-                f"--center has {center.size} entries but --dim is {dim}")
-        return center
-    return np.full(dim, float(text), dtype=np.float64)
+def _parse_center(text: str, dim: int) -> list:
+    if "," not in text:
+        return [float(text)] * dim
+    center = [float(tok) for tok in text.split(",")]
+    if len(center) != dim:
+        raise ValueError(
+            f"--center has {len(center)} entries but --dim is {dim}")
+    return center
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -175,6 +148,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args, parser) -> int:
+    from .checkpoint import checkpoint_decode, checkpoint_encode
+    from .detector import (AdaptiveRadius, Constant, Detector, FixedRadius,
+                           PowerDecay, _as_block)
+    from .streamio import _vector_blocks, write_outcome_rows
     if args.checkpoint_in:
         _reject(parser, args, ("mode", "epsilon", "gamma0", "tau", "gamma"),
                 "conflict with --checkpoint-in, which fixes the detector")
@@ -223,7 +200,10 @@ def _cmd_run(args, parser) -> int:
 
 
 def _cmd_sweep(args, parser) -> int:
-    # only sweep uses the experiments module, so other commands skip it
+    bad = [f"--{name}" for name in ("seeds", "count")
+           if getattr(args, name) < 1]
+    if bad:
+        parser.error(f"{' and '.join(bad)} must be at least 1")
     from .experiments import (compare_adaptive, emit_results,
                               sweep_center_scale, sweep_contamination,
                               sweep_dimension, sweep_epsilon, sweep_margin)
@@ -251,6 +231,11 @@ def _cmd_sweep(args, parser) -> int:
 
 
 def _cmd_scene(args, parser) -> int:
+    from .checkpoint import checkpoint_decode, checkpoint_encode
+    from .scene import (DEFAULT_EPSILON, DEFAULT_GAMMA, _open_frames_packed,
+                        _open_pgm_sequence, gen_synthetic_clips,
+                        run_scene_detection, timeline_to_csv,
+                        write_memory_snapshot)
     sources = sum([bool(args.frames), bool(args.packed), args.synthetic])
     if sources != 1:
         parser.error("give exactly one of: PGM frames, --packed, --synthetic")
@@ -288,6 +273,10 @@ def _cmd_scene(args, parser) -> int:
 
 
 def _cmd_bounds(args, parser) -> int:
+    from .bounds import (_gain_energy, ac_x_bound, ac_y_bound,
+                         adaptive_mistake_bound, mistake_bound_agnostic,
+                         mistake_bound_realizable, power_delta_bound,
+                         riemann_zeta, sigma_admissibility_ratio)
     a = _gain_energy(args.tau, args.gamma0)
     zeta = riemann_zeta(1.0 + 2.0 * args.tau)
     bound = mistake_bound_realizable(args.wnorm, args.mu, args.tau,
@@ -317,6 +306,11 @@ def _cmd_bounds(args, parser) -> int:
 
 
 def _cmd_gen(args, parser) -> int:
+    if args.count < 1:
+        parser.error("--count must be at least 1")
+    from .bounds import GroundTruth
+    from .streamio import write_outcome_rows, write_vectors
+    from .streams import Design, StreamSpec, generate
     design = Design(args.design or "ball")
     if design is Design.MIXTURE:
         if args.radius_max is None:
@@ -342,6 +336,8 @@ def _cmd_gen(args, parser) -> int:
 
 
 def main(argv=None) -> int:
+    if "numpy" not in sys.modules:  # OpenBLAS reads this when numpy loads
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = _build_parser()
     args = parser.parse_args(argv)
     commands = {"run": _cmd_run, "sweep": _cmd_sweep, "scene": _cmd_scene,

@@ -1,7 +1,53 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fado
 from fado.detector import Detector
+
+# /proc/self/task lists the threads of the process reading it (Linux only).
+HAVE_TASKS = os.path.isdir("/proc/self/task")
+
+# Runs fado.cli.main on sys.argv[1:] in a fresh interpreter and prints its
+# exit code, its thread count after the command and which of fado's
+# modules, numpy and scipy it loaded, as one JSON line.
+_MAIN_PROBE = """
+import json, os, sys
+from fado.cli import main
+code = main(sys.argv[1:])
+tasks = os.listdir("/proc/self/task") if os.path.isdir("/proc/self/task") else ()
+print(json.dumps({"code": code, "tasks": len(tasks), "modules": sorted(
+    m for m in sys.modules
+    if m in ("numpy", "scipy") or m.split(".")[0] == "fado")}))
+"""
+
+
+def child_env(**variables):
+    """os.environ plus ``variables``, with this checkout's fado importable;
+    a variable given as None is removed."""
+    src = str(Path(fado.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for name, value in variables.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
+    return env
+
+
+def main_in_child(argv, **variables):
+    """Run ``fado.cli.main(argv)`` in a child process; see _MAIN_PROBE."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _MAIN_PROBE, *map(str, argv)],
+        env=child_env(**variables), capture_output=True, text=True,
+        check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def run_with_norm_audit(detector: Detector, samples):

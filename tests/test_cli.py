@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -6,11 +7,14 @@ import mpmath
 import numpy as np
 import pytest
 
+import fado
 from fado.bounds import mistake_bound_realizable, riemann_zeta
 from fado.checkpoint import checkpoint_encode
 from fado.cli import main
 from fado.detector import SCAN_CHUNK_BYTES, Detector, FixedRadius, PowerDecay
 from fado.streamio import read_vectors, write_vectors
+
+from conftest import HAVE_TASKS, child_env, main_in_child
 
 
 def run_cli(*argv):
@@ -360,6 +364,19 @@ class TestGen:
         assert extra[0] in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("suffix", [".bin", ".csv"])
+    def test_zero_count_exits_two(self, tmp_path, capsys, suffix):
+        """``fado run`` refuses an empty stream, so gen must not write one."""
+        out = tmp_path / f"s{suffix}"
+        code, _ = run_cli("gen", "--dim", "3", "--count", "0", "--center",
+                          "1", "--epsilon", "1", "--seed", "1",
+                          "--out", str(out))
+        assert code == 2
+        usage, error = capsys.readouterr().err.splitlines()
+        assert usage.startswith("usage: ")
+        assert error.endswith("error: --count must be at least 1")
+        assert not out.exists()
+
     def test_center_length_mismatch_exits_one(self, tmp_path):
         code, _ = run_cli("gen", "--design", "ball", "--dim", "3",
                           "--count", "10", "--center", "1,2",
@@ -525,6 +542,22 @@ class TestSweep:
         assert doc["parameter"] == "mu"
         assert all(c["passed"] for c in doc["checks"].values())
 
+    @pytest.mark.parametrize("flags,named", [
+        (["--seeds", "0"], "--seeds"),
+        (["--seeds", "-1"], "--seeds"),
+        (["--count", "0"], "--count"),
+        (["--seeds", "0", "--count", "0"], "--seeds and --count"),
+    ])
+    def test_empty_sweep_exits_two(self, tmp_path, capsys, flags, named):
+        """A bad flag value is a usage error, not a failed paper check."""
+        out = tmp_path / "margin.csv"
+        code, _ = run_cli("sweep", "margin", *flags, "--out", str(out))
+        assert code == 2
+        usage, error = capsys.readouterr().err.splitlines()
+        assert usage.startswith("usage: ")
+        assert error.endswith(f"error: {named} must be at least 1")
+        assert not out.exists()
+
     def test_failed_assertions_exit_one(self, monkeypatch, tmp_path):
         import fado.experiments as experiments
         from fado.experiments import SweepResult
@@ -632,11 +665,6 @@ class TestRunResume:
 def test_overflowing_gain_exits_one_without_checkpoint(tmp_path, argv, gain):
     """A gain whose square overflows leaves trace sums a checkpoint refuses:
     one ``error:`` line naming the gain, exit 1, no checkpoint written."""
-    import os
-    from pathlib import Path
-
-    import fado
-
     ckpt = tmp_path / "state.ckpt"
     argv = [*argv, "--checkpoint-out", str(ckpt)]
     if argv[0] == "run":
@@ -644,13 +672,73 @@ def test_overflowing_gain_exits_one_without_checkpoint(tmp_path, argv, gain):
         write_vectors(np.random.default_rng(3).normal(size=(3000, 10)) + 2.0,
                       stream)
         argv += ["--input", str(stream), "--output", str(tmp_path / "o.csv")]
-    src = str(Path(fado.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "fado.cli", *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=child_env())
     lines = proc.stderr.splitlines()
     assert proc.returncode == 1, proc.stderr
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
     assert "overflows" in lines[0] and gain in lines[0]
     assert not ckpt.exists()
+
+
+class TestBlasThreads:
+    """``main`` runs OpenBLAS on one thread unless the caller chose a count
+    or numpy was loaded before it; importing fado sets nothing."""
+
+    @pytest.fixture
+    def run_argv(self, tmp_path):
+        stream = tmp_path / "s.csv"
+        write_vectors(np.random.default_rng(1).normal(size=(50, 3)), stream)
+        return ["run", "--mode", "fixed", "--epsilon", "1", "--input",
+                str(stream), "--output", str(tmp_path / "o.csv")]
+
+    @pytest.mark.skipif(not HAVE_TASKS, reason="needs /proc/self/task")
+    def test_unset_count_runs_one_thread(self, run_argv):
+        probe = main_in_child(run_argv, OPENBLAS_NUM_THREADS=None)
+        assert probe["code"] == 0
+        assert probe["tasks"] == 1
+
+    @pytest.mark.skipif(not HAVE_TASKS or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs /proc/self/task and two CPUs")
+    def test_explicit_count_is_honoured(self, run_argv):
+        probe = main_in_child(run_argv, OPENBLAS_NUM_THREADS="2")
+        assert probe["code"] == 0
+        assert probe["tasks"] == 2
+
+    def test_imports_load_no_numpy_and_set_nothing(self):
+        code = ("import os, sys, fado, fado.cli; "
+                "print('numpy' in sys.modules, "
+                "os.environ.get('OPENBLAS_NUM_THREADS'))")
+        proc = subprocess.run([sys.executable, "-c", code], text=True,
+                              env=child_env(OPENBLAS_NUM_THREADS=None),
+                              capture_output=True, check=True)
+        assert proc.stdout.split() == ["False", "None"]
+
+    def test_main_after_numpy_leaves_environment_alone(self, run_argv,
+                                                       monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        assert run_cli(*run_argv)[0] == 0
+        assert "OPENBLAS_NUM_THREADS" not in os.environ
+
+
+class TestPackageExports:
+    """``fado`` loads its public names from their modules on first use."""
+
+    def test_every_export_is_its_home_modules_object(self):
+        import importlib
+        for name in fado.__all__:
+            value = getattr(fado, name)
+            if name != "__version__":
+                home = importlib.import_module(value.__module__)
+                assert getattr(home, name) is value, name
+
+    def test_star_import_binds_all(self):
+        namespace = {}
+        exec("from fado import *", namespace)
+        assert set(fado.__all__) <= set(namespace)
+
+    def test_unknown_name_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            fado.no_such_name
+        with pytest.raises(ImportError):
+            exec("from fado import no_such_name", {})

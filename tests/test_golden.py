@@ -19,13 +19,13 @@ import hashlib
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import fado
 from fado.cli import main
 from fado.scene import gen_synthetic_clips, write_frames_packed
+
+from conftest import HAVE_TASKS, main_in_child
 
 SWEEP_DIGESTS = {
     "margin": ("eebdc58ddaef761ad1478e01c24f6e853a544a229b82aba0ce3be608696a16b8", 1),
@@ -145,8 +145,9 @@ def test_long_scene_timeline_is_pinned(tmp_path):
     assert _sha256(timeline) == LONG_TIMELINE_DIGEST
 
 
-def test_cli_import_loads_no_scipy():
-    """Nor the sweeps, which only ``fado sweep`` imports."""
+def test_cli_import_loads_no_scipy(tmp_path):
+    """Nor the sweeps, which only ``fado sweep`` imports; a ``fado run``
+    loads only the detector, the checkpoint codec and the stream I/O."""
     code = ("import sys, fado.cli; "
             "print(sorted(m for m in sys.modules "
             "if m in ('scipy', 'fado.experiments') "
@@ -154,29 +155,40 @@ def test_cli_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
     assert proc.stdout.strip() == "[]"
+    stream = tmp_path / "s.csv"
+    assert main(["gen", "--dim", "2", "--count", "50", "--center", "1",
+                 "--epsilon", "1", "--seed", "1", "--out", str(stream)]) == 0
+    probe = main_in_child(["run", "--mode", "fixed", "--epsilon", "1",
+                           "--input", stream,
+                           "--output", tmp_path / "o.csv"])
+    assert probe["code"] == 0
+    assert probe["modules"] == ["fado", "fado.checkpoint", "fado.cli",
+                                "fado.detector", "fado.streamio", "numpy"]
 
 
 def test_wide_scene_outputs_do_not_depend_on_blas_threads(tmp_path):
     """128 x 128 frames (n = 16384): a single BLAS dot product of that
-    length is split across OpenBLAS threads, which changes its bits."""
+    length is split across OpenBLAS threads, which changes its bits.  The
+    child given two threads must run two (OpenBLAS caps the count at the
+    CPUs the process may use), so that the comparison is not between two
+    one-thread runs."""
     frames, _ = gen_synthetic_clips(128, 128, 3, 8, 10, seed=4)
     pack = tmp_path / "frames.pack"
     write_frames_packed(frames, pack)
-    src = str(Path(fado.__file__).resolve().parents[1])
     outputs = []
     for threads in ("1", "2"):
         out = tmp_path / threads
         out.mkdir()
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, [src, os.environ.get("PYTHONPATH")])))
-        subprocess.run(
-            [sys.executable, "-m", "fado.cli", "scene", "--packed", str(pack),
-             "--epsilon", "10", "--gamma", "30",
-             "--timeline", str(out / "timeline.csv"),
-             "--snapshot", str(out / "memory.pgm"),
-             "--checkpoint-out", str(out / "state.ckpt")],
-            env=env, capture_output=True, check=True)
+        probe = main_in_child(
+            ["scene", "--packed", pack, "--epsilon", "10", "--gamma", "30",
+             "--timeline", out / "timeline.csv",
+             "--snapshot", out / "memory.pgm",
+             "--checkpoint-out", out / "state.ckpt"],
+            OPENBLAS_NUM_THREADS=threads)
+        assert probe["code"] == 0
+        if HAVE_TASKS:
+            assert probe["tasks"] == min(int(threads),
+                                         len(os.sched_getaffinity(0)))
         outputs.append({name: (out / name).read_bytes()
                         for name in ("timeline.csv", "memory.pgm",
                                      "state.ckpt")})

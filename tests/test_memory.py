@@ -11,14 +11,14 @@ whole input raise it by about as much as the input grows, 12 to 16 MB.
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import fado
 from fado.scene import FrameSequence, write_frames_packed
 from fado.streamio import write_vectors
+
+from conftest import child_env
 
 # Allowed growth of peak RSS, in MiB, when the input grows 4x.
 _MARGIN_MIB = 4.0
@@ -36,13 +36,10 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 
 
 def _peak_rss_mib(argv) -> float:
-    src = str(Path(fado.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-c", _SPAWNER, sys.executable, "-m", "fado.cli",
          *map(str, argv)],
-        env=env, capture_output=True, text=True, check=True)
+        env=child_env(), capture_output=True, text=True, check=True)
     code, max_rss = map(int, proc.stdout.split())
     assert code == 0, argv
     return max_rss / 1024  # KiB on Linux

@@ -196,12 +196,10 @@ print(after - before)
 @pytest.mark.parametrize("kind", ["vectors", "frames"])
 def test_binary_readers_hold_one_copy_of_the_payload(tmp_path, kind):
     """Reading a 32 MB file raises peak RSS by about 32 MB, not twice that."""
-    import os
     import subprocess
     import sys
-    from pathlib import Path
 
-    import fado
+    from conftest import child_env
 
     payload = 32 * 2 ** 20
     path = tmp_path / f"{kind}.bin"
@@ -212,11 +210,8 @@ def test_binary_readers_hold_one_copy_of_the_payload(tmp_path, kind):
     with open(path, "wb") as fh:
         fh.write(header)
         fh.truncate(len(header) + payload)  # zeros, without writing them
-    src = str(Path(fado.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_PROBE, kind,
                            str(path)], capture_output=True, text=True,
-                          env=env, check=True)
+                          env=child_env(), check=True)
     grown_kib = int(proc.stdout)
     assert grown_kib * 1024 < 1.5 * payload

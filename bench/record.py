@@ -8,10 +8,11 @@ Run from the root of a fado checkout:
 
 For each workload of ``BENCHMARK.json`` and each of ``--seeds`` seeds
 (1, 2, ...), every checkout runs ``perfbench/run.py --workload W --seed S
---seconds T`` in its own directory.  The checkouts take turns, and the one
-that goes first alternates from run to run, so that drift of the host
-falls on both sides alike.  Then each checkout makes one ``--trace 1`` run
-for the per-layer metrics (skip it with ``--no-layers``).
+--seconds T`` in its own directory, T being ``BENCHMARK.json``'s
+``run_seconds``.  The checkouts take turns, and the one that goes first
+alternates from run to run, so that drift of the host falls on both sides
+alike.  Then each checkout makes one ``--trace 1`` run for the per-layer
+metrics.
 
 perfbench prints the run's environment on its second-to-last stdout line
 and its result on the last; the BENCH file keeps, per checkout (one
@@ -19,11 +20,10 @@ section per label) and workload, the median, quartiles and IQR of each
 end-to-end metric, every run's value, ``correct``, ``attempted``,
 ``failed``, the environment and ``src_lines``.
 
-After recording, or alone when no ``--checkout`` is given, the script
-prints each end-to-end metric's change from the first section of ``--out``
-to its last, and with ``--compare OTHER.json`` from the last section of
-OTHER to the last of ``--out``, next to the bound that ``BENCHMARK.json``
-allows.  This is a report: the exit status says only whether recording
+After recording, the script prints each end-to-end metric's change from
+the first section of ``--out`` to its last, and with ``--compare
+OTHER.json`` from the last section of OTHER to the last of ``--out``, next
+to the bound that ``BENCHMARK.json`` allows.  This is a report: the exit status says only whether recording
 worked and every output was correct.
 
 Standard library only; perfbench itself needs numpy.
@@ -42,6 +42,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 BOUNDS = {m["name"]: m for m in SPEC["end_to_end"]}
 WORKLOADS = [w["name"] for w in SPEC["workloads"]]
+SECONDS = SPEC["run_seconds"]
 
 
 def perfbench(checkout: Path, *args) -> tuple[dict, dict]:
@@ -71,26 +72,25 @@ def summary(values: list) -> dict:
             "values": values}
 
 
-def record(checkouts: dict, workloads, seeds: int, seconds: float,
-           layers: bool) -> dict:
+def record(checkouts: dict, seeds: int) -> dict:
     labels = list(checkouts)
-    results = {label: {w: [] for w in workloads} for label in labels}
+    results = {label: {w: [] for w in WORKLOADS} for label in labels}
     envs = {}
     turn = 0
-    for workload in workloads:
+    for workload in WORKLOADS:
         for seed in range(1, seeds + 1):
             order = labels[turn % len(labels):] + labels[:turn % len(labels)]
             turn += 1
             for label in order:
                 env, result = perfbench(
                     checkouts[label], "--workload", workload, "--seed", seed,
-                    "--seconds", seconds)
+                    "--seconds", SECONDS)
                 envs.setdefault(label, env)
                 results[label][workload].append(result)
                 print(f"{label} {workload} seed {seed}: " + ", ".join(
                     f"{k}={v['value']:.4g}"
                     for k, v in result["metrics"].items()), file=sys.stderr)
-    doc = {"seconds": seconds, "seeds": seeds}
+    doc = {"seconds": SECONDS, "seeds": seeds}
     for label in labels:
         env = {k: v for k, v in envs[label].items()
                if k not in ("workload", "seed", "trace")}
@@ -107,12 +107,10 @@ def record(checkouts: dict, workloads, seeds: int, seconds: float,
                                    **summary([r["metrics"][name]["value"]
                                               for r in runs])}
                             for name in runs[0]["metrics"]}}
-        if layers:
-            _, result = perfbench(checkouts[label], "--workload",
-                                  workloads[0], "--seed", 1, "--seconds",
-                                  seconds, "--trace", 1)
-            section["layers"] = {"correct": result["correct"],
-                                 "metrics": result["metrics"]}
+        _, result = perfbench(checkouts[label], "--workload", WORKLOADS[0],
+                              "--seed", 1, "--seconds", SECONDS, "--trace", 1)
+        section["layers"] = {"correct": result["correct"],
+                             "metrics": result["metrics"]}
         doc[label] = section
     return doc
 
@@ -151,19 +149,13 @@ def compare(old: dict, new: dict, title: str) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--out", required=True, type=Path,
-                        help="BENCH file to write, or to read if no "
-                             "--checkout is given")
-    parser.add_argument("--checkout", action="append", default=[],
+                        help="BENCH file to write")
+    parser.add_argument("--checkout", action="append", required=True,
                         metavar="LABEL=DIR",
-                        help="a fado checkout to record, under LABEL")
+                        help="a fado checkout to record, under LABEL "
+                             "(repeatable)")
     parser.add_argument("--seeds", type=int, default=3,
                         help="seeds per workload (default 3)")
-    parser.add_argument("--seconds", type=float,
-                        default=SPEC.get("run_seconds", 30))
-    parser.add_argument("--workload", action="append", choices=WORKLOADS,
-                        help="record only this workload (repeatable)")
-    parser.add_argument("--no-layers", action="store_true",
-                        help="skip the --trace 1 run of each checkout")
     parser.add_argument("--compare", type=Path, metavar="OTHER.json",
                         help="also report against this BENCH file")
     args = parser.parse_args(argv)
@@ -176,12 +168,8 @@ def main(argv=None) -> int:
             parser.error(f"--checkout {item}: want LABEL=DIR, DIR holding "
                          f"perfbench/")
         checkouts[label] = Path(path).resolve()
-    if checkouts:
-        doc = record(checkouts, args.workload or WORKLOADS, args.seeds,
-                     args.seconds, not args.no_layers)
-        args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    else:
-        doc = json.loads(args.out.read_text())
+    doc = record(checkouts, args.seeds)
+    args.out.write_text(json.dumps(doc, indent=1) + "\n")
     labels = sections(doc)
     if len(labels) > 1:
         compare(doc[labels[0]], doc[labels[-1]],

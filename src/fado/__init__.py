@@ -5,9 +5,10 @@ executable mistake/power bounds with explicit constants, seeded synthetic
 stream generators, figure-style experiment sweeps, and a frame-sequence
 scene-change pipeline.
 
-The public names load with their home module on first use (PEP 562), so
-``import fado`` itself imports no numpy; ``fado.cli`` relies on this to
-set the BLAS thread count before numpy loads.
+The public names, and their home modules ``fado.bounds``,
+``fado.checkpoint``, ``fado.detector`` and ``fado.streams``, load on first
+use (PEP 562), so ``import fado`` itself imports no numpy; ``fado.cli``
+relies on this to set the BLAS thread count before numpy loads.
 """
 
 import importlib
@@ -38,6 +39,8 @@ __all__ = ["__version__", *sorted(_HOME)]
 
 
 def __getattr__(name):
+    if name in _EXPORTS:  # a home module, as after an eager import
+        return importlib.import_module(f".{name}", __name__)
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = getattr(importlib.import_module(f".{_HOME[name]}", __name__),
@@ -47,4 +50,4 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted([*globals(), *_HOME])
+    return sorted([*globals(), *_EXPORTS, *_HOME])

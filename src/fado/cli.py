@@ -8,12 +8,15 @@ of its own - and defaults follow the values used throughout the experiments
 (scene detection defaults to epsilon=100 with unit constant gain; tau
 defaults to 0.25).
 
-``main`` defaults OpenBLAS to one thread for its own process, unless the
-caller set ``OPENBLAS_NUM_THREADS`` or numpy is already loaded: no fado dot
-product is long enough for OpenBLAS to split (``detector._dot`` passes at
-most 8192 elements), so a thread pool would only cost start-up time and
-spin idle.  Each command imports only the modules it uses, and ``import
-fado.cli`` imports no numpy and changes no environment variable.
+When numpy is not yet loaded and the caller has not set
+``OPENBLAS_NUM_THREADS``, ``main`` sets it to 1 while its command runs and
+removes it on return: OpenBLAS reads it once, when numpy loads, so the
+process keeps one BLAS thread and ``os.environ`` is left as it was.  No
+fado dot product is long enough for OpenBLAS to split (``detector._dot``
+passes at most 8192 elements), so a thread pool would only cost start-up
+time and spin idle.  An explicit value wins, and after numpy has loaded
+``main`` sets nothing.  Each command imports only the modules it uses, and
+``import fado.cli`` imports no numpy and changes no environment variable.
 """
 
 from __future__ import annotations
@@ -336,17 +339,22 @@ def _cmd_gen(args, parser) -> int:
 
 
 def main(argv=None) -> int:
-    if "numpy" not in sys.modules:  # OpenBLAS reads this when numpy loads
-        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    pin = ("numpy" not in sys.modules
+           and "OPENBLAS_NUM_THREADS" not in os.environ)
+    if pin:  # read once, when numpy loads; see the module docstring
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     parser = _build_parser()
-    args = parser.parse_args(argv)
     commands = {"run": _cmd_run, "sweep": _cmd_sweep, "scene": _cmd_scene,
                 "bounds": _cmd_bounds, "gen": _cmd_gen}
     try:
+        args = parser.parse_args(argv)
         return commands[args.command](args, parser)
     except (ValueError, OverflowError, OSError) as exc:
         _log(f"error: {exc}")
         return 1
+    finally:
+        if pin:
+            os.environ.pop("OPENBLAS_NUM_THREADS", None)
 
 
 if __name__ == "__main__":

@@ -14,14 +14,15 @@ from fado.detector import Detector
 HAVE_TASKS = os.path.isdir("/proc/self/task")
 
 # Runs fado.cli.main on sys.argv[1:] in a fresh interpreter and prints its
-# exit code, its thread count after the command and which of fado's
-# modules, numpy and scipy it loaded, as one JSON line.
+# exit code, its thread count and OPENBLAS_NUM_THREADS after the command,
+# and which of fado's modules, numpy and scipy it loaded, as one JSON line.
 _MAIN_PROBE = """
 import json, os, sys
 from fado.cli import main
 code = main(sys.argv[1:])
 tasks = os.listdir("/proc/self/task") if os.path.isdir("/proc/self/task") else ()
-print(json.dumps({"code": code, "tasks": len(tasks), "modules": sorted(
+print(json.dumps({"code": code, "tasks": len(tasks),
+    "blas_env": os.environ.get("OPENBLAS_NUM_THREADS"), "modules": sorted(
     m for m in sys.modules
     if m in ("numpy", "scipy") or m.split(".")[0] == "fado")}))
 """

@@ -683,7 +683,8 @@ def test_overflowing_gain_exits_one_without_checkpoint(tmp_path, argv, gain):
 
 class TestBlasThreads:
     """``main`` runs OpenBLAS on one thread unless the caller chose a count
-    or numpy was loaded before it; importing fado sets nothing."""
+    or numpy was loaded before it; neither ``main`` nor importing fado
+    leaves an environment variable changed."""
 
     @pytest.fixture
     def run_argv(self, tmp_path):
@@ -697,6 +698,7 @@ class TestBlasThreads:
         probe = main_in_child(run_argv, OPENBLAS_NUM_THREADS=None)
         assert probe["code"] == 0
         assert probe["tasks"] == 1
+        assert probe["blas_env"] is None
 
     @pytest.mark.skipif(not HAVE_TASKS or len(os.sched_getaffinity(0)) < 2,
                         reason="needs /proc/self/task and two CPUs")
@@ -704,6 +706,7 @@ class TestBlasThreads:
         probe = main_in_child(run_argv, OPENBLAS_NUM_THREADS="2")
         assert probe["code"] == 0
         assert probe["tasks"] == 2
+        assert probe["blas_env"] == "2"
 
     def test_imports_load_no_numpy_and_set_nothing(self):
         code = ("import os, sys, fado, fado.cli; "
@@ -742,3 +745,14 @@ class TestPackageExports:
             fado.no_such_name
         with pytest.raises(ImportError):
             exec("from fado import no_such_name", {})
+
+    @pytest.mark.parametrize("module",
+                             ["bounds", "checkpoint", "detector", "streams"])
+    def test_home_module_is_an_attribute_before_any_name(self, module):
+        # A fresh interpreter, so no earlier test has imported the module.
+        code = (f"import fado, sys; m = fado.{module}; "
+                f"print(m is sys.modules['fado.{module}'])")
+        proc = subprocess.run([sys.executable, "-c", code], text=True,
+                              env=child_env(), capture_output=True,
+                              check=True)
+        assert proc.stdout.split() == ["True"]

@@ -18,7 +18,10 @@ perfbench prints the run's environment on its second-to-last stdout line
 and its result on the last; the BENCH file keeps, per checkout (one
 section per label) and workload, the median, quartiles and IQR of each
 end-to-end metric, every run's value, ``correct``, ``attempted``,
-``failed``, the environment and ``src_lines``.
+``failed``, the environment and ``src_lines``.  perfbench's
+``openblas_threads`` is the thread count of its own driver process, not of
+the ``fado`` processes it times, so the BENCH file names it
+``driver_openblas_threads``.
 
 After recording, the script prints each end-to-end metric's change from
 the first section of ``--out`` to its last, and with ``--compare
@@ -92,7 +95,8 @@ def record(checkouts: dict, seeds: int) -> dict:
                     for k, v in result["metrics"].items()), file=sys.stderr)
     doc = {"seconds": SECONDS, "seeds": seeds}
     for label in labels:
-        env = {k: v for k, v in envs[label].items()
+        env = {("driver_" + k if k == "openblas_threads" else k): v
+               for k, v in envs[label].items()
                if k not in ("workload", "seed", "trace")}
         section = {"revision": revision(checkouts[label]),
                    "src_lines": env["src_lines"], "env": env,

@@ -1,9 +1,9 @@
 """Command-line harness: run, sweep, scene, bounds, and gen subcommands.
 
-Exit codes are a stable contract: 0 on success, 1 on runtime or format
-failures (one-line diagnostic on stderr), 2 on usage errors.  Data goes to
-the requested files or stdout; logging stays on stderr so outputs pipe
-cleanly.  All configuration is by flag - fado reads no environment variable
+Exit codes are a stable contract: 0 on success, 1 on runtime, format or
+out-of-memory failures (one-line diagnostic on stderr), 2 on usage errors.
+Data goes to the requested files or stdout; logging stays on stderr so
+outputs pipe cleanly.  All configuration is by flag - fado reads no environment variable
 of its own - and defaults follow the values used throughout the experiments
 (scene detection defaults to epsilon=100 with unit constant gain; tau
 defaults to 0.25).
@@ -46,6 +46,15 @@ def _reject(parser, args, names, reason: str) -> None:
              if getattr(args, name) is not None]
     if given:
         parser.error(f"{', '.join(given)} {reason}")
+
+
+def _at_least(parser, args, names, least: int) -> None:
+    """Exit 2 naming each flag among ``names`` given a value below
+    ``least``."""
+    bad = [f"--{name.replace('_', '-')}" for name in names
+           if getattr(args, name) is not None and getattr(args, name) < least]
+    if bad:
+        parser.error(f"{' and '.join(bad)} must be at least {least}")
 
 
 def _log(message: str) -> None:
@@ -203,10 +212,7 @@ def _cmd_run(args, parser) -> int:
 
 
 def _cmd_sweep(args, parser) -> int:
-    bad = [f"--{name}" for name in ("seeds", "count")
-           if getattr(args, name) < 1]
-    if bad:
-        parser.error(f"{' and '.join(bad)} must be at least 1")
+    _at_least(parser, args, ("seeds", "count"), 1)
     from .experiments import (compare_adaptive, emit_results,
                               sweep_center_scale, sweep_contamination,
                               sweep_dimension, sweep_epsilon, sweep_margin)
@@ -247,6 +253,9 @@ def _cmd_scene(args, parser) -> int:
                 "conflict with --checkpoint-in, which fixes the detector")
     transitions = None
     if args.synthetic:
+        _at_least(parser, args, ("width", "height", "clips",
+                                 "frames_per_clip"), 1)
+        _at_least(parser, args, ("noise",), 0)
         frames, transitions = gen_synthetic_clips(*(
             default if getattr(args, name) is None else getattr(args, name)
             for name, default in _SYNTHETIC.items()))
@@ -309,8 +318,7 @@ def _cmd_bounds(args, parser) -> int:
 
 
 def _cmd_gen(args, parser) -> int:
-    if args.count < 1:
-        parser.error("--count must be at least 1")
+    _at_least(parser, args, ("dim", "count"), 1)
     from .bounds import GroundTruth
     from .streamio import write_outcome_rows, write_vectors
     from .streams import Design, StreamSpec, generate
@@ -349,8 +357,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return commands[args.command](args, parser)
-    except (ValueError, OverflowError, OSError) as exc:
-        _log(f"error: {exc}")
+    except (ValueError, OverflowError, OSError, MemoryError) as exc:
+        _log(f"error: {str(exc) or type(exc).__name__}")
         return 1
     finally:
         if pin:

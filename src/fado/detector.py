@@ -20,6 +20,9 @@ jumps there, applies the scalar update, and resumes on the following row,
 so its decisions, center and trace are bit-identical to a ``step`` loop.
 The kernel hands BLAS at most 8192 elements per call, which OpenBLAS sums
 on one thread, so wide rows give the same bits whatever its thread count.
+The scan works through wide rows in column tiles of four slices, each
+converted, subtracted and summed while it is in cache; every partial sum
+continues the running total left to right, so tiling changes no bit.
 
 The per-step bookkeeping needed by the invariant auditors (gain energy,
 gain mass, and the gain-weighted inner products with the pre-update center)
@@ -53,15 +56,15 @@ __all__ = [
     "SCAN_CHUNK_BYTES",
 ]
 
-# Upper bound on the float64 rows one scan pass holds at once (and on the
-# same-sized difference block it computes from them).
+# Upper bound on the input rows read as one block (float64 rows, or uint8
+# frames) and on the float64 difference rows one scan pass holds at once.
 SCAN_CHUNK_BYTES = 1 << 20
 
 
-def _block_rows(dim: int) -> int:
-    """Rows of ``dim`` float64 values in one block: as many as
-    :data:`SCAN_CHUNK_BYTES` holds, and at least one."""
-    return max(1, SCAN_CHUNK_BYTES // (8 * dim))
+def _block_rows(dim: int, itemsize: int = 8) -> int:
+    """Rows of ``dim`` values (float64 by default) in one block: as many
+    as :data:`SCAN_CHUNK_BYTES` holds, and at least one."""
+    return max(1, SCAN_CHUNK_BYTES // (itemsize * dim))
 
 
 # Longest slice one ``vecdot`` call sums.  OpenBLAS runs a dot product of
@@ -72,25 +75,28 @@ def _block_rows(dim: int) -> int:
 _DOT_WIDTH = 8192
 
 
-def _dot(a: np.ndarray, b: np.ndarray):
+def _dot(a: np.ndarray, b: np.ndarray, total=None):
     """Inner product along the last axis, summed slice by slice.
 
     The one dot kernel: ``vecdot`` over consecutive column slices of at
     most :data:`_DOT_WIDTH` elements, added left to right.  A row of up to
     that width is a single ``vecdot`` call.  ``vecdot`` gives the same bits
     for a single row and for that row inside a block, which is what makes
-    the block scan and the step path decide identically.
+    the block scan and the step path decide identically.  ``total``, the
+    sum of the slices left of ``a`` and ``b``, is continued: tiles of whole
+    slices then sum to the bits of the whole row (their own sums would not).
     """
-    total = np.vecdot(a[..., :_DOT_WIDTH], b[..., :_DOT_WIDTH])
-    for lo in range(_DOT_WIDTH, a.shape[-1], _DOT_WIDTH):
-        total += np.vecdot(a[..., lo:lo + _DOT_WIDTH],
-                           b[..., lo:lo + _DOT_WIDTH])
-    return total
+    if a.shape[-1] > _DOT_WIDTH:
+        for lo in range(0, a.shape[-1], _DOT_WIDTH):
+            total = _dot(a[..., lo:lo + _DOT_WIDTH],
+                         b[..., lo:lo + _DOT_WIDTH], total)
+        return total
+    return np.vecdot(a, b) if total is None else total + np.vecdot(a, b)
 
 
-def _sq_norms(diff: np.ndarray):
-    """Squared Euclidean norm along the last axis."""
-    return _dot(diff, diff)
+# Columns of a scan tile: whole dot slices, few enough that the input, the
+# center and the difference of a tile fit a core's L2 cache together.
+_TILE = 4 * _DOT_WIDTH
 
 
 def as_vector(values, dim: int | None = None, name: str = "vector") -> np.ndarray:
@@ -283,13 +289,17 @@ class Detector:
             return self.mode.epsilon
         return 1.0 / gain_value(self.schedule, self.m + 1)
 
-    def _learn(self, diff: np.ndarray, distance: float) -> float:
-        """Count an alarm at ``diff = y - w`` and move the center; return the gain.
+    def _learn(self, distance: float, tiles) -> float:
+        """Count an alarm at ``distance`` from the center and move the
+        center; return the gain.
 
-        ``diff`` is overwritten: it becomes the unit step ``v`` and then
-        ``gain * v``, so an alarm allocates nothing.  The adaptive
-        detector's pre-decision gain uses m+1, which equals the
-        fixed-radius gain at the incremented count, so one line serves both.
+        ``tiles`` yields ``(diff, w)`` column tiles, left to right, of the
+        difference ``y - w`` and the center.  ``diff`` is overwritten: it
+        becomes the unit step ``v`` and then ``gain * v`` (a unit gain
+        skips the multiply, as ``x * 1.0 == x``), so an alarm allocates
+        nothing.  The adaptive detector's pre-decision gain uses m+1, which
+        equals the fixed-radius gain at the incremented count, so one line
+        serves both.
         """
         self.m += 1
         if distance == 0.0:
@@ -297,21 +307,23 @@ class Detector:
             # but the update direction is undefined, so none is applied.
             return 0.0
         gain = gain_value(self.schedule, self.m)
-        v = diff
-        v /= distance
-        vw = float(_dot(v, self.w))
-        v *= gain
-        self.w += v
-        self.trace.record_alarm(gain, vw)
+        vw = None
+        for v, w in tiles:
+            v /= distance
+            vw = _dot(v, w, vw)
+            if gain != 1.0:
+                v *= gain
+            w += v
+        self.trace.record_alarm(gain, float(vw))
         return gain
 
     def step(self, y) -> StepOutcome:
         """Judge one transaction and learn from it if it is flagged."""
         diff = as_vector(y, dim=self.dim, name="transaction") - self.w
         threshold = self.current_radius()
-        distance = math.sqrt(float(_sq_norms(diff)))
+        distance = math.sqrt(float(_dot(diff, diff)))
         alarm = distance >= threshold
-        gain = self._learn(diff, distance) if alarm else 0.0
+        gain = self._learn(distance, [(diff, self.w)]) if alarm else 0.0
         self.t += 1
         return StepOutcome(alarm=alarm, distance=distance,
                            threshold=threshold, gain_applied=gain)
@@ -327,10 +339,17 @@ class Detector:
         """
         return self._scan(_as_block(rows, self.dim))
 
-    def _scan(self, block: np.ndarray) -> ScanOutcomes:
-        """The body of :meth:`scan`, over a block known to be a finite
-        (T, dim) float64 array (frames converted from uint8, or a block
-        :func:`_as_block` has checked).
+    def _scan(self, block: np.ndarray, scale=None) -> ScanOutcomes:
+        """The body of :meth:`scan`, over a finite (T, dim) block: float64
+        rows :func:`_as_block` has checked, or with ``scale`` rows such as
+        uint8 frames that are read as ``block / scale``.
+
+        A chunk goes in column tiles of :data:`_TILE`: each is converted
+        into one reused difference buffer, has the center subtracted and
+        its dot slices added on to the running distances while in cache; an
+        alarm moves the center tile by tile from the buffer's row.  Sums
+        run left to right as in one whole-row :func:`_dot`, so the bits do
+        not depend on the tiling.  Tile views are made once per call.
 
         Raises :class:`OverflowError` when a gain too large drives a trace
         sum out of float range, a state no checkpoint can hold.
@@ -341,6 +360,9 @@ class Detector:
         threshold = np.empty(count)
         gain = np.zeros(count)
         cap = _block_rows(self.dim)
+        buf = np.empty((min(cap, count), self.dim))
+        tiles = [(block[:, lo:lo + _TILE], self.w[lo:lo + _TILE],
+                  buf[:, lo:lo + _TILE]) for lo in range(0, self.dim, _TILE)]
         size = 1
         radius = self.current_radius()
         i = 0
@@ -349,9 +371,15 @@ class Detector:
         with np.errstate(over="ignore", invalid="ignore"):
             while i < count:
                 stop = min(count, i + size)
-                diff = block[i:stop] - self.w
+                total = None
+                for y, w, d in tiles:
+                    y, d = y[i:stop], d[:stop - i]
+                    if scale is not None:
+                        y = np.divide(y, scale, out=d)
+                    np.subtract(y, w, out=d)
+                    total = _dot(d, d, total)
                 dist = distance[i:stop]
-                np.sqrt(_sq_norms(diff), out=dist)
+                np.sqrt(total, out=dist)
                 threshold[i:stop] = radius
                 hit = np.greater_equal(dist, radius, out=alarm[i:stop])
                 k = int(hit.argmax())
@@ -359,7 +387,8 @@ class Detector:
                     i = stop
                     size = min(2 * size, cap)
                     continue
-                gain[i + k] = self._learn(diff[k], float(dist[k]))
+                gain[i + k] = self._learn(float(dist[k]),
+                                          [(d[k], w) for _, w, d in tiles])
                 radius = self.current_radius()
                 i += k + 1
                 size = max(1, size // 2)

@@ -235,8 +235,8 @@ def run_scene_detection(frames: FrameSequence, epsilon: float = DEFAULT_EPSILON,
                         ) -> Tuple[DetectionTimeline, Detector]:
     """Constant-gain fixed-radius detection over a frame sequence.
 
-    The frames are taken a block of at most :data:`SCAN_CHUNK_BYTES` (as
-    float64) at a time, so frames read from files on demand are never all
+    The frames are taken a uint8 block of at most :data:`SCAN_CHUNK_BYTES`
+    at a time, so frames read from files on demand are never all
     held at once.  Pass a decoded checkpoint as ``detector`` to resume a
     stream; the dimension must match the frames, and the checkpoint's own
     radius and gain are used (``epsilon``/``gamma`` apply only to fresh
@@ -253,16 +253,13 @@ def run_scene_detection(frames: FrameSequence, epsilon: float = DEFAULT_EPSILON,
             f"checkpoint dimension {detector.dim} does not match frames "
             f"({frames.dim})")
     start = detector.t
-    rows = _block_rows(frames.dim)
-    buf = np.empty((min(rows, len(frames)), frames.dim))
     parts = []
-    for chunk in _filled_blocks(frames.fill, len(frames), rows,
+    for chunk in _filled_blocks(frames.fill, len(frames),
+                                _block_rows(frames.dim, 1),
                                 (frames.height, frames.width), np.uint8):
-        # the same arithmetic as frame_to_vector, a bounded chunk at a time,
-        # into one reused buffer; values from uint8 are finite, so the scan
-        # body takes them without the check
-        parts.append(detector._scan(np.divide(
-            chunk.reshape(len(chunk), -1), 255.0, out=buf[:len(chunk)])))
+        # the scan divides each tile by 255 as frame_to_vector does; values
+        # from uint8 are finite, so it takes them without the check
+        parts.append(detector._scan(chunk.reshape(len(chunk), -1), 255.0))
     columns = zip(*((p.alarm, p.distance, p.threshold, p.gain_applied)
                     for p in parts))
     outcomes = ScanOutcomes(*map(np.concatenate, columns))

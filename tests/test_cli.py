@@ -681,6 +681,49 @@ def test_overflowing_gain_exits_one_without_checkpoint(tmp_path, argv, gain):
     assert not ckpt.exists()
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["scene", "--synthetic", "--width", "0"], "--width must be at least 1"),
+    (["scene", "--synthetic", "--height", "-2"],
+     "--height must be at least 1"),
+    (["scene", "--synthetic", "--clips", "0"], "--clips must be at least 1"),
+    (["scene", "--synthetic", "--frames-per-clip", "0", "--clips", "-1"],
+     "--clips and --frames-per-clip must be at least 1"),
+    (["scene", "--synthetic", "--noise", "-1"], "--noise must be at least 0"),
+    (["gen", "--dim", "0", "--count", "5", "--center", "1", "--epsilon", "1",
+      "--seed", "1"], "--dim must be at least 1"),
+], ids=["width", "height", "clips", "frames-per-clip", "noise", "dim"])
+def test_size_flag_out_of_range_exits_two(tmp_path, capsys, argv, error):
+    """A size flag out of range is a usage error naming the flag, not a
+    runtime error naming a function parameter."""
+    out = tmp_path / "out.csv"
+    code, _ = run_cli(*argv, "--out" if argv[0] == "gen" else "--timeline",
+                      str(out))
+    assert code == 2
+    usage, line = capsys.readouterr().err.splitlines()
+    assert usage.startswith("usage: ")
+    assert line.endswith(f"error: {error}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["scene", "--synthetic", "--width", "10000000", "--height", "10000000",
+     "--clips", "1", "--frames-per-clip", "1"],
+    ["gen", "--dim", "1000000", "--count", "100000000", "--center", "0",
+     "--epsilon", "1", "--seed", "1"],
+], ids=["scene", "gen"])
+def test_out_of_memory_exits_one(tmp_path, capsys, argv):
+    """Sizes whose arrays exceed the 47-bit address space fail their first
+    allocation at once, whatever the overcommit policy: one ``error:``
+    line and exit 1, not a traceback."""
+    out = tmp_path / "out.csv"
+    code, _ = run_cli(*argv, "--out" if argv[0] == "gen" else "--timeline",
+                      str(out))
+    assert code == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: Unable to allocate ")
+    assert not out.exists()
+
+
 class TestBlasThreads:
     """``main`` runs OpenBLAS on one thread unless the caller chose a count
     or numpy was loaded before it; neither ``main`` nor importing fado

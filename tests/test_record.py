@@ -36,7 +36,8 @@ def calls(monkeypatch, checkouts):
         opts = dict(zip(args[::2], args[1::2]))
         log.append((checkout.name, opts))
         env = {"python": "3", "src_lines": 100 if checkout.name == "parent"
-               else 90, "workload": opts["--workload"], "seed": opts["--seed"]}
+               else 90, "workload": opts["--workload"], "seed": opts["--seed"],
+               "openblas_threads": {"libopenblas.so": 2}}
         if "--trace" in opts:
             return env, {"correct": True,
                          "metrics": {"cli.import_s": {"unit": "s",
@@ -83,6 +84,9 @@ def test_bench_file_holds_one_section_per_checkout(tmp_path, checkouts,
     assert head["revision"] == "head"
     assert head["src_lines"] == 90
     assert "workload" not in head["env"] and "seed" not in head["env"]
+    # perfbench's count is of its driver process, and is labelled so
+    assert head["env"]["driver_openblas_threads"] == {"libopenblas.so": 2}
+    assert "openblas_threads" not in head["env"]
     assert head["layers"]["metrics"]["cli.import_s"]["value"] == 0.1
     assert set(head["workloads"]) == set(record.WORKLOADS)
     row = head["workloads"][record.WORKLOADS[0]]

@@ -5,6 +5,7 @@ as calling ``Detector.step`` row by row, bit for bit: alarms, distances,
 thresholds, gains, center, counts, trace sums and checkpoint bytes.
 """
 
+import itertools
 import math
 from unittest import mock
 
@@ -41,15 +42,19 @@ def _step_loop(det, rows):
             np.array([o.gain_applied for o in outs]))
 
 
-def _assert_same(mode, epsilon, rows, cap_bytes=None, split=None):
-    """Step loop and scan (optionally in two pieces) agree bit for bit."""
+def _assert_same(mode, epsilon, rows, cap_bytes=None, split=None,
+                 tile=None):
+    """Step loop and scan (optionally in two pieces, or in column tiles of
+    ``tile``) agree bit for bit."""
     rows = np.asarray(rows, dtype=np.float64)
     dim = rows.shape[1]
     ref = _new(mode, epsilon, dim)
     expect = _step_loop(ref, rows)
     det = _new(mode, epsilon, dim)
     cap = detector_module.SCAN_CHUNK_BYTES if cap_bytes is None else cap_bytes
-    with mock.patch.object(detector_module, "SCAN_CHUNK_BYTES", cap):
+    tile = detector_module._TILE if tile is None else tile
+    with mock.patch.object(detector_module, "SCAN_CHUNK_BYTES", cap), \
+            mock.patch.object(detector_module, "_TILE", tile):
         pieces = [rows] if split is None else [rows[:split], rows[split:]]
         results = [det.scan(piece) for piece in pieces]
     got = [np.concatenate([getattr(r, name) for r in results])
@@ -169,6 +174,17 @@ def test_wide_rows_span_three_dot_slices(mode, epsilon, cap_rows):
     assert 0 < alarms.sum() < len(rows)
 
 
+@pytest.mark.parametrize("mode, epsilon", [("fixed", 1.0), ("adaptive", None),
+                                           ("constant", 2.0)])
+def test_wide_rows_span_three_tiles(mode, epsilon):
+    """Slices of 4096 make WIDE five slices, in tiles of two, two and one:
+    the second tile's slices must be added on to the first tile's sum."""
+    rows = _mixture(9, 40, WIDE)
+    with mock.patch.object(detector_module, "_DOT_WIDTH", 4096):
+        alarms = _assert_same(mode, epsilon, rows, 8 * WIDE * 2, tile=8192)
+    assert 0 < alarms.sum() < len(rows)
+
+
 @pytest.mark.parametrize("n", [1, 7, 8191, 8192])
 def test_dot_is_one_vecdot_up_to_the_slice_width(n):
     assert detector_module._DOT_WIDTH == 8192
@@ -176,6 +192,55 @@ def test_dot_is_one_vecdot_up_to_the_slice_width(n):
     for x, y in ((a, b), (a[2], b[2])):
         assert detector_module._dot(x, y).tobytes() == \
             np.vecdot(x, y).tobytes()
+
+
+@pytest.mark.parametrize("n", [8193, 2 * 8192 + 3, 5 * 8192 + 1])
+def test_dot_continues_a_running_total_over_tiles(n):
+    """Tiles of one and of two slices, each added on to the total so far,
+    give the bits of one left-to-right sum over every 8192-column slice;
+    at five slices, adding each tile's own sum would not."""
+    a, b = np.random.default_rng(n).normal(size=(2, 6, n))
+    slices = range(0, n, 8192)
+    for x, y in ((a, b), (a[4], b[4])):
+        expect = np.vecdot(x[..., :8192], y[..., :8192])
+        for lo in slices[1:]:
+            expect = expect + np.vecdot(x[..., lo:lo + 8192],
+                                        y[..., lo:lo + 8192])
+        assert detector_module._dot(x, y).tobytes() == expect.tobytes()
+        for width in (8192, 2 * 8192):
+            total = None
+            for lo in range(0, n, width):
+                total = detector_module._dot(x[..., lo:lo + width],
+                                             y[..., lo:lo + width], total)
+            assert total.tobytes() == expect.tobytes(), width
+    if n == 5 * 8192 + 1:
+        per_tile = sum(detector_module._dot(a[..., lo:lo + 2 * 8192],
+                                            b[..., lo:lo + 2 * 8192])
+                       for lo in range(0, n, 2 * 8192))
+        assert per_tile.tobytes() != expect.tobytes()
+
+
+@pytest.mark.parametrize("gamma", [1.0, 2.0])
+def test_alarm_update_over_tiles_matches_one_row(gamma):
+    """An alarm moving the center two slices at a time gives the center and
+    trace of one whole-row update.  The trace starts at zero, so it holds
+    v . w exactly, where a scan's longer sums could absorb its last bit."""
+    n = 5 * 8192 + 1
+    rng = np.random.default_rng(11)
+    w, diff = rng.normal(size=(2, n))
+    dets = [Detector(n, FixedRadius(1.0), Constant(gamma)) for _ in range(2)]
+    for det in dets:
+        det.w[:] = w
+    dets[0]._learn(3.0, [(diff.copy(), dets[0].w)])
+    tiles = range(0, n, 2 * 8192)
+    dets[1]._learn(3.0, [(diff[lo:lo + 2 * 8192], dets[1].w[lo:lo + 2 * 8192])
+                         for lo in tiles])
+    assert dets[1].w.tobytes() == dets[0].w.tobytes()
+    assert dets[1].trace.as_tuple() == dets[0].trace.as_tuple()
+    v = diff / 3.0
+    per_tile = sum(detector_module._dot(v[lo:lo + 2 * 8192],
+                                        w[lo:lo + 2 * 8192]) for lo in tiles)
+    assert dets[0].trace.sum_d_gamma_vw != gamma * per_tile
 
 
 class TestValidation:
@@ -211,19 +276,25 @@ class TestValidation:
 
 
 def test_scene_detection_matches_per_frame_steps():
-    """Frames converted a chunk at a time decide as frame_to_vector + step."""
-    frames, _ = gen_synthetic_clips(8, 6, 4, 6, 10, seed=3)
-    ref = Detector(frames.dim, FixedRadius(2.0), Constant(1.0))
-    expect = [ref.step(frame_to_vector(f)) for f in frames.frames]
-    for cap_frames in (1, 5):
+    """uint8 frames converted a chunk and a tile at a time decide as
+    frame_to_vector + step.  200 x 205 frames are five dot slices, in
+    tiles of two, two and one; gamma 1 skips the gain multiply."""
+    for (width, height, epsilon), gamma, cap_frames in itertools.product(
+            [(8, 6, 2.0), (200, 205, 105.0)], [1.0, 2.0], [1, 5]):
+        frames, _ = gen_synthetic_clips(width, height, 4, 6, 10, seed=3)
+        ref = Detector(frames.dim, FixedRadius(epsilon), Constant(gamma))
+        expect = [tuple(ref.step(frame_to_vector(f))) for f in frames.frames]
+        assert 0 < ref.m < len(expect)
         with mock.patch.object(detector_module, "SCAN_CHUNK_BYTES",
-                               8 * frames.dim * cap_frames):
-            timeline, det = run_scene_detection(frames, 2.0, 1.0)
+                               8 * frames.dim * cap_frames), \
+                mock.patch.object(detector_module, "_TILE", 2 * 8192):
+            timeline, det = run_scene_detection(frames, epsilon, gamma)
         out = timeline.outcomes
         assert list(zip(out.alarm.tolist(), out.distance.tolist(),
-                        out.threshold.tolist())) \
-            == [(o.alarm, o.distance, o.threshold) for o in expect]
+                        out.threshold.tolist(),
+                        out.gain_applied.tolist())) == expect
         assert det.w.tobytes() == ref.w.tobytes()
+        assert det.trace.as_tuple() == ref.trace.as_tuple()
 
 
 class TestScaleEquivariance:

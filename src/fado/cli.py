@@ -3,10 +3,10 @@
 Exit codes are a stable contract: 0 on success, 1 on runtime, format or
 out-of-memory failures (one-line diagnostic on stderr), 2 on usage errors.
 Data goes to the requested files or stdout; logging stays on stderr so
-outputs pipe cleanly.  All configuration is by flag - fado reads no environment variable
-of its own - and defaults follow the values used throughout the experiments
-(scene detection defaults to epsilon=100 with unit constant gain; tau
-defaults to 0.25).
+outputs pipe cleanly.  All configuration is by flag - fado reads no
+environment variable of its own - and defaults follow the values used
+throughout the experiments (scene detection defaults to epsilon=100 with
+unit constant gain; tau defaults to 0.25).
 
 When numpy is not yet loaded and the caller has not set
 ``OPENBLAS_NUM_THREADS``, ``main`` sets it to 1 while its command runs and

@@ -26,8 +26,7 @@ _EXPORTS = {
                    "checkpoint_encode"),
     "detector": ("AdaptiveRadius", "Constant", "Detector",
                  "DiagnosticsTrace", "FixedRadius", "PowerDecay",
-                 "ScanOutcomes", "StepOutcome", "gain_value",
-                 "new_detector"),
+                 "ScanOutcomes", "StepOutcome", "gain_value"),
     "streams": ("Design", "SplitMix64", "StreamSpec", "gen_circle_stream",
                 "gen_contaminated_stream", "gen_outliers",
                 "gen_realizable_stream", "sample_ball_uniform"),

@@ -35,12 +35,18 @@ from . import __version__
 _SYNTHETIC = {"width": 40, "height": 40, "clips": 16, "frames_per_clip": 50,
               "noise": 10, "seed": 0xFAD0}
 
+# sweep kind -> the fado.experiments function that runs it
+_SWEEPS = {"margin": "sweep_margin", "center": "sweep_center_scale",
+           "dim": "sweep_dimension", "epsilon": "sweep_epsilon",
+           "contamination": "sweep_contamination",
+           "adaptive": "compare_adaptive"}
+
 
 def _reject(parser, args, names, reason: str) -> None:
     """Exit 2 naming each flag among ``names`` that was given.
 
-    Flags of run, scene and gen default to None, so an absent flag is told
-    apart from its default; defaults are applied where values are used.
+    The flags it checks default to None, so an absent flag is told apart
+    from its default; defaults are applied where values are used.
     """
     given = [f"--{name.replace('_', '-')}" for name in names
              if getattr(args, name) is not None]
@@ -62,9 +68,12 @@ def _log(message: str) -> None:
 
 
 def _parse_center(text: str, dim: int) -> list:
+    try:
+        center = [float(tok) for tok in text.split(",")]
+    except ValueError as exc:
+        raise ValueError(f"--center: {exc}") from None
     if "," not in text:
-        return [float(text)] * dim
-    center = [float(tok) for tok in text.split(",")]
+        return center * dim
     if len(center) != dim:
         raise ValueError(
             f"--center has {len(center)} entries but --dim is {dim}")
@@ -77,8 +86,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Mistake-driven online fault detection toolkit")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # main calls each command's handler with the command's own parser, so
+    # a usage error that the handler finds shows that command's usage
 
     run_p = sub.add_parser("run", help="run a detector over a stream file")
+    run_p.set_defaults(handler=lambda args: _cmd_run(args, run_p))
     run_p.add_argument("--mode", choices=["fixed", "adaptive", "constant-gain"],
                        help="detector variant (omit when resuming a checkpoint)")
     run_p.add_argument("--epsilon", type=float,
@@ -98,8 +110,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--checkpoint-out", help="write final state here")
 
     sweep_p = sub.add_parser("sweep", help="run a figure-style sweep")
-    sweep_p.add_argument("kind", choices=["margin", "center", "dim", "epsilon",
-                                          "contamination", "adaptive"])
+    sweep_p.set_defaults(handler=lambda args: _cmd_sweep(args, sweep_p))
+    sweep_p.add_argument("kind", choices=_SWEEPS)
     sweep_p.add_argument("--seeds", type=int, default=5)
     sweep_p.add_argument("--count", type=int, default=10_000,
                          help="stream length per run")
@@ -107,6 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--out", help="results file (.csv or .json)")
 
     scene_p = sub.add_parser("scene", help="scene-change detection over frames")
+    scene_p.set_defaults(handler=lambda args: _cmd_scene(args, scene_p))
     scene_p.add_argument("frames", nargs="*",
                          help="ordered binary PGM files")
     scene_p.add_argument("--packed", help="packed raw frame file")
@@ -125,6 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
                              help=f"synthetic source only (default {default})")
 
     bounds_p = sub.add_parser("bounds", help="print the closed-form bounds")
+    bounds_p.set_defaults(handler=lambda args: _cmd_bounds(args, bounds_p))
     bounds_p.add_argument("--wnorm", type=float, required=True,
                           help="norm of the realizable center")
     bounds_p.add_argument("--mu", type=float, required=True)
@@ -139,14 +153,16 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="radius for the adaptive diagnostic bound")
 
     gen_p = sub.add_parser("gen", help="generate a synthetic stream file")
+    gen_p.set_defaults(handler=lambda args: _cmd_gen(args, gen_p))
     gen_p.add_argument("--design", choices=["ball", "circle", "mixture"],
-                       help="sample design (default ball)")
+                       default="ball", help="sample design (default ball)")
     gen_p.add_argument("--dim", type=int, required=True)
     gen_p.add_argument("--count", type=int, required=True)
     gen_p.add_argument("--center", required=True,
                        help="comma-separated center, or one value for c*ones")
     gen_p.add_argument("--epsilon", type=float, required=True)
-    gen_p.add_argument("--mu", type=float, help="margin (default 0)")
+    gen_p.add_argument("--mu", type=float, default=0.0,
+                       help="margin (default 0)")
     gen_p.add_argument("--fraction", type=float,
                        help="contamination fraction (mixture design)")
     gen_p.add_argument("--radius-max", type=float,
@@ -213,23 +229,12 @@ def _cmd_run(args, parser) -> int:
 
 def _cmd_sweep(args, parser) -> int:
     _at_least(parser, args, ("seeds", "count"), 1)
-    from .experiments import (compare_adaptive, emit_results,
-                              sweep_center_scale, sweep_contamination,
-                              sweep_dimension, sweep_epsilon, sweep_margin)
-    kwargs = {"n_seeds": args.seeds, "count": args.count,
-              "base_seed": args.base_seed}
-    runners = {
-        "margin": sweep_margin,
-        "center": sweep_center_scale,
-        "dim": sweep_dimension,
-        "epsilon": sweep_epsilon,
-        "contamination": sweep_contamination,
-        "adaptive": compare_adaptive,
-    }
-    result = runners[args.kind](**kwargs)
+    from . import experiments
+    result = getattr(experiments, _SWEEPS[args.kind])(
+        n_seeds=args.seeds, count=args.count, base_seed=args.base_seed)
     if args.out:
         fmt = "json" if Path(args.out).suffix.lower() == ".json" else "csv"
-        emit_results(result, fmt, args.out)
+        experiments.emit_results(result, fmt, args.out)
     for name, check in result.checks.items():
         status = "ok" if check.get("passed") else "FAIL"
         _log(f"check {name}: {status}")
@@ -285,6 +290,7 @@ def _cmd_scene(args, parser) -> int:
 
 
 def _cmd_bounds(args, parser) -> int:
+    _at_least(parser, args, ("m_t",), 1)
     from .bounds import (_gain_energy, ac_x_bound, ac_y_bound,
                          adaptive_mistake_bound, mistake_bound_agnostic,
                          mistake_bound_realizable, power_delta_bound,
@@ -322,7 +328,7 @@ def _cmd_gen(args, parser) -> int:
     from .bounds import GroundTruth
     from .streamio import write_outcome_rows, write_vectors
     from .streams import Design, StreamSpec, generate
-    design = Design(args.design or "ball")
+    design = Design(args.design)
     if design is Design.MIXTURE:
         if args.radius_max is None:
             parser.error("--radius-max is required for the mixture design")
@@ -330,14 +336,13 @@ def _cmd_gen(args, parser) -> int:
         _reject(parser, args, ("labels_out", "fraction", "radius_max"),
                 "apply only to the mixture design")
     center = _parse_center(args.center, args.dim)
-    truth = GroundTruth(center, args.epsilon,
-                        0.0 if args.mu is None else args.mu)
+    truth = GroundTruth(center, args.epsilon, args.mu)
     spec = StreamSpec(dim=args.dim, count=args.count, truth=truth,
                       seed=args.seed, design=design,
                       contamination_fraction=(
                           0.0 if args.fraction is None else args.fraction),
                       outlier_radius_max=args.radius_max)
-    samples, labels = generate(spec)  # labels: mixture design only
+    samples, labels = generate(spec)
     write_vectors(samples, args.out)
     if args.labels_out:
         with open(args.labels_out, "w", encoding="ascii") as fh:
@@ -351,12 +356,9 @@ def main(argv=None) -> int:
            and "OPENBLAS_NUM_THREADS" not in os.environ)
     if pin:  # read once, when numpy loads; see the module docstring
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    parser = _build_parser()
-    commands = {"run": _cmd_run, "sweep": _cmd_sweep, "scene": _cmd_scene,
-                "bounds": _cmd_bounds, "gen": _cmd_gen}
     try:
-        args = parser.parse_args(argv)
-        return commands[args.command](args, parser)
+        args = _build_parser().parse_args(argv)
+        return args.handler(args)
     except (ValueError, OverflowError, OSError, MemoryError) as exc:
         _log(f"error: {str(exc) or type(exc).__name__}")
         return 1

@@ -50,7 +50,6 @@ __all__ = [
     "ScanOutcomes",
     "DiagnosticsTrace",
     "Detector",
-    "new_detector",
     "gain_value",
     "as_vector",
     "SCAN_CHUNK_BYTES",
@@ -407,19 +406,6 @@ class Detector:
             out.alarm.tolist(), out.distance.tolist(),
             out.threshold.tolist(), out.gain_applied.tolist())))
 
-    def copy(self) -> "Detector":
-        dup = Detector(self.dim, self.mode, self.schedule)
-        dup.w = self.w.copy()
-        dup.m = self.m
-        dup.t = self.t
-        dup.trace = DiagnosticsTrace(*self.trace.as_tuple())
-        return dup
-
     def __repr__(self):
         return (f"Detector(dim={self.dim}, mode={self.mode!r}, "
                 f"schedule={self.schedule!r}, m={self.m}, t={self.t})")
-
-
-def new_detector(dim: int, mode: DetectorMode, schedule: GainSchedule) -> Detector:
-    """Fresh detector with zero center, zero counts, and a zeroed trace."""
-    return Detector(dim, mode, schedule)

@@ -149,7 +149,7 @@ def run_detection_experiment(spec: StreamSpec, mode: DetectorMode,
 
 @dataclass
 class SweepRecord:
-    """One (grid point, seed) row of a sweep."""
+    """One (grid point, seed) row of a sweep; wall time is not compared."""
 
     value: float
     seed: int
@@ -159,20 +159,18 @@ class SweepRecord:
     bound: Optional[int] = None
     p_realized: Optional[int] = None
     variant: str = ""
-    wall_time: Optional[float] = None
-
-    def data_tuple(self):
-        """Row content minus wall time (excluded from reproducible output)."""
-        return tuple(getattr(self, name) for name in _COLUMNS)
+    wall_time: Optional[float] = field(default=None, compare=False)
 
 
 @dataclass
 class SweepResult:
+    """A sweep's rows; equality compares the data, as the CSV carries it."""
+
     parameter: str
     grid: List[float]
     records: List[SweepRecord]
-    checks: Dict[str, dict] = field(default_factory=dict)
-    metadata: Dict[str, object] = field(default_factory=dict)
+    checks: Dict[str, dict] = field(default_factory=dict, compare=False)
+    metadata: Dict[str, object] = field(default_factory=dict, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -185,14 +183,6 @@ class SweepResult:
         vals = [getattr(r, name) for r in self.records
                 if r.value == value and r.variant == variant]
         return float(np.median([v for v in vals if v is not None]))
-
-    def __eq__(self, other):
-        if not isinstance(other, SweepResult):
-            return NotImplemented
-        return (self.parameter == other.parameter
-                and self.grid == other.grid
-                and [r.data_tuple() for r in self.records]
-                == [r.data_tuple() for r in other.records])
 
 
 def _stream_seeds(base_seed: int, n_seeds: int) -> List[int]:

@@ -93,8 +93,7 @@ class _FrameReader:
 
     It has the ``width``, ``height``, ``dim`` and length of a
     :class:`FrameSequence`.  ``fill(lo, block)`` decodes frames ``lo``,
-    ``lo + 1``, ... into a (k, height, width) uint8 block.  (A plain class:
-    a dataclass costs every ``fado`` start a quarter millisecond.)
+    ``lo + 1``, ... into a (k, height, width) uint8 block.
     """
 
     def __init__(self, width: int, height: int, count: int,

@@ -278,9 +278,10 @@ def gen_contaminated_stream(spec: StreamSpec) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def generate(spec: StreamSpec):
-    """Dispatch a spec to its generator; mixtures return (samples, labels)."""
+    """Dispatch a spec to its generator: (samples, labels), where labels
+    is None except for the mixture design."""
+    if spec.design is Design.MIXTURE:
+        return gen_contaminated_stream(spec)
     if spec.design is Design.BALL:
-        return gen_realizable_stream(spec)
-    if spec.design is Design.CIRCLE:
-        return gen_circle_stream(spec)
-    return gen_contaminated_stream(spec)
+        return gen_realizable_stream(spec)[0], None
+    return gen_circle_stream(spec)[0], None

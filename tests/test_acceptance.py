@@ -20,9 +20,9 @@ from fado.bounds import (
 )
 from fado.detector import (
     AdaptiveRadius,
+    Detector,
     FixedRadius,
     PowerDecay,
-    new_detector,
 )
 from fado.experiments import (
     compare_adaptive,
@@ -107,7 +107,7 @@ def invariant_runs():
     for kind, dim, mu, fraction, seed, mode_name in recipes:
         samples = _materialize(kind, dim, mu, fraction, seed)
         mode = FixedRadius(EPS) if mode_name == "fixed" else AdaptiveRadius()
-        det = new_detector(dim, mode, PowerDecay(GAMMA0, TAU))
+        det = Detector(dim, mode, PowerDecay(GAMMA0, TAU))
         for row in samples:
             det.step(row)
             wn = float(det.w @ det.w)
@@ -345,7 +345,7 @@ def test_criterion_11_performance():
     truth = GroundTruth(_center(100, "ones"), EPS, 0.01)
     spec = StreamSpec(dim=100, count=T, truth=truth, seed=1)
     samples = generate(spec)[0]
-    det = new_detector(100, FixedRadius(EPS), PowerDecay(GAMMA0, TAU))
+    det = Detector(100, FixedRadius(EPS), PowerDecay(GAMMA0, TAU))
     started = time.perf_counter()
     for row in samples:
         det.step(row)

@@ -20,7 +20,7 @@ from fado.bounds import (
     sigma_admissibility_ratio,
     sigma_size,
 )
-from fado.detector import FixedRadius, PowerDecay, new_detector
+from fado.detector import Detector, FixedRadius, PowerDecay
 
 SQRT8 = 2.8284271247461903
 
@@ -209,7 +209,7 @@ class TestMistakeBoundRealizable:
         for seed in range(100):
             spec = StreamSpec(dim=2, count=2000, truth=truth, seed=seed)
             samples, _ = gen_realizable_stream(spec)
-            det = new_detector(2, FixedRadius(1.0), PowerDecay(1.0, 0.25))
+            det = Detector(2, FixedRadius(1.0), PowerDecay(1.0, 0.25))
             det.run_stream(samples)
             assert det.m <= cap
 
@@ -236,7 +236,7 @@ class TestPowerDeltaBound:
         truth = GroundTruth(np.array([2.0, 2.0]), 1.0, 0.1)
         spec = StreamSpec(dim=2, count=2000, truth=truth, seed=3)
         samples, _ = gen_realizable_stream(spec)
-        det = new_detector(2, FixedRadius(1.0), PowerDecay(1.0, 0.25))
+        det = Detector(2, FixedRadius(1.0), PowerDecay(1.0, 0.25))
         det.run_stream(samples)
         delta = power_delta_bound(truth.norm, det.m, 0.25, 1.0)
         rng = SplitMix64(99)
@@ -296,7 +296,7 @@ class TestMistakeBoundAgnostic:
 
 class TestAuditTrace:
     def test_fresh_trace_passes_with_zero_margins(self):
-        det = new_detector(2, FixedRadius(1.0), PowerDecay(1.0, 0.25))
+        det = Detector(2, FixedRadius(1.0), PowerDecay(1.0, 0.25))
         audit = audit_trace(det.trace, 0.25, 1.0)
         assert audit.passed
         assert audit.inner_margin == 0.0
@@ -304,7 +304,7 @@ class TestAuditTrace:
 
     def test_random_run_passes(self):
         rng = np.random.default_rng(8)
-        det = new_detector(4, FixedRadius(1.0), PowerDecay(1.0, 0.25))
+        det = Detector(4, FixedRadius(1.0), PowerDecay(1.0, 0.25))
         det.run_stream(rng.normal(size=(3000, 4)) * 4.0)
         assert det.m > 0
         audit = audit_trace(det.trace, 0.25, 1.0)
@@ -316,7 +316,7 @@ class TestAuditTrace:
         normals = rng.normal(size=(500, 3)) * 0.05 + 2.0
         outliers = rng.normal(size=(100, 3)) * 10.0
         stream = np.vstack([outliers, normals])
-        det = new_detector(3, FixedRadius(1.0), PowerDecay(1.0, 0.25))
+        det = Detector(3, FixedRadius(1.0), PowerDecay(1.0, 0.25))
         det.run_stream(stream)
         audit = audit_trace(det.trace, 0.25, 1.0)
         assert audit.inner_ok and audit.telescoping_ok and audit.energy_ok
@@ -345,7 +345,7 @@ class TestAdaptiveDiagnosticBound:
         for seed in (1, 2, 3):
             spec = StreamSpec(dim=2, count=3000, truth=truth, seed=seed)
             samples, _ = gen_realizable_stream(spec)
-            det = new_detector(2, AdaptiveRadius(), PowerDecay(1.0, 0.25))
+            det = Detector(2, AdaptiveRadius(), PowerDecay(1.0, 0.25))
             det.run_stream(samples)
             assert det.m <= report.bound
 

@@ -1,3 +1,4 @@
+import itertools
 import struct
 
 import numpy as np
@@ -13,9 +14,9 @@ from fado.checkpoint import (
 from fado.detector import (
     AdaptiveRadius,
     Constant,
+    Detector,
     FixedRadius,
     PowerDecay,
-    new_detector,
 )
 from fado.streams import Design, StreamSpec, generate
 
@@ -34,14 +35,14 @@ def _states_equal(a, b):
     (AdaptiveRadius(), Constant(2.0)),
 ])
 def test_fresh_state_roundtrip(mode, schedule):
-    state = new_detector(7, mode, schedule)
+    state = Detector(7, mode, schedule)
     decoded = checkpoint_decode(checkpoint_encode(state))
     assert _states_equal(state, decoded)
 
 
 def test_roundtrip_after_thousand_steps_bit_exact():
     rng = np.random.default_rng(5)
-    state = new_detector(6, FixedRadius(1.0), PowerDecay(1.0, 0.25))
+    state = Detector(6, FixedRadius(1.0), PowerDecay(1.0, 0.25))
     state.run_stream(rng.normal(size=(1000, 6)) * 3.0)
     blob = checkpoint_encode(state)
     decoded = checkpoint_decode(blob)
@@ -62,10 +63,10 @@ def test_decoded_state_resumes_stream():
     for mode, schedule in [(FixedRadius(1.0), PowerDecay(1.0, 0.25)),
                            (AdaptiveRadius(), PowerDecay(1.0, 0.25)),
                            (FixedRadius(1.0), Constant(0.5))]:
-        full = new_detector(10, mode, schedule)
+        full = Detector(10, mode, schedule)
         full.run_stream(stream)
 
-        half = new_detector(10, mode, schedule)
+        half = Detector(10, mode, schedule)
         half.run_stream(stream[:2000])
         resumed = checkpoint_decode(checkpoint_encode(half))
         resumed.run_stream(stream[2000:])
@@ -74,7 +75,7 @@ def test_decoded_state_resumes_stream():
 
 def test_corrupted_magic_rejected():
     blob = bytearray(checkpoint_encode(
-        new_detector(2, FixedRadius(1.0), PowerDecay(1.0, 0.25))))
+        Detector(2, FixedRadius(1.0), PowerDecay(1.0, 0.25))))
     blob[0] ^= 0xFF
     with pytest.raises(CheckpointError, match="magic"):
         checkpoint_decode(bytes(blob))
@@ -82,7 +83,7 @@ def test_corrupted_magic_rejected():
 
 def test_payload_corruption_caught_by_crc():
     blob = bytearray(checkpoint_encode(
-        new_detector(2, FixedRadius(1.0), PowerDecay(1.0, 0.25))))
+        Detector(2, FixedRadius(1.0), PowerDecay(1.0, 0.25))))
     blob[-8] ^= 0x01  # inside the center payload
     with pytest.raises(CheckpointError, match="CRC"):
         checkpoint_decode(bytes(blob))
@@ -90,7 +91,7 @@ def test_payload_corruption_caught_by_crc():
 
 def test_truncation_rejected():
     blob = checkpoint_encode(
-        new_detector(4, FixedRadius(1.0), PowerDecay(1.0, 0.25)))
+        Detector(4, FixedRadius(1.0), PowerDecay(1.0, 0.25)))
     for cut in (4, len(blob) // 2, len(blob) - 1):
         with pytest.raises(CheckpointError):
             checkpoint_decode(blob[:cut])
@@ -110,7 +111,7 @@ def _seal(body: bytes) -> bytes:
 def test_resealed_prefixes_and_trailing_byte_rejected(mode, schedule):
     """A valid CRC does not make a cut or padded checkpoint decodable:
     every strict prefix is truncated, one extra byte is trailing."""
-    state = new_detector(3, mode, schedule)
+    state = Detector(3, mode, schedule)
     state.run_stream(np.random.default_rng(2).normal(size=(50, 3)) * 3.0)
     body = checkpoint_encode(state)[:-4]
     for cut in range(len(body)):
@@ -123,7 +124,7 @@ def test_resealed_prefixes_and_trailing_byte_rejected(mode, schedule):
 
 
 def test_non_finite_payload_rejected():
-    state = new_detector(2, FixedRadius(1.0), PowerDecay(1.0, 0.25))
+    state = Detector(2, FixedRadius(1.0), PowerDecay(1.0, 0.25))
     blob = bytearray(checkpoint_encode(state))
     # Overwrite the first center float with +inf and refresh the CRC.
     w_offset = len(blob) - 4 - 16
@@ -135,7 +136,7 @@ def test_non_finite_payload_rejected():
 
 
 def test_unknown_version_rejected():
-    state = new_detector(2, FixedRadius(1.0), PowerDecay(1.0, 0.25))
+    state = Detector(2, FixedRadius(1.0), PowerDecay(1.0, 0.25))
     blob = bytearray(checkpoint_encode(state))
     blob[len(MAGIC):len(MAGIC) + 4] = struct.pack("<I", 99)
     import zlib
@@ -144,26 +145,39 @@ def test_unknown_version_rejected():
         checkpoint_decode(bytes(blob))
 
 
+@pytest.mark.parametrize("offset, what", [(12, "mode"), (21, "schedule")])
+def test_unknown_tag_rejected(offset, what):
+    """A tag byte of 2, under a valid CRC, names the unknown field."""
+    body = bytearray(checkpoint_encode(
+        Detector(2, FixedRadius(1.0), PowerDecay(1.0, 0.25)))[:-4])
+    assert body[offset] == 0
+    body[offset] = 2
+    with pytest.raises(CheckpointError, match=f"^unknown {what} tag 2$"):
+        checkpoint_decode(_seal(bytes(body)))
+
+
 def test_wire_layout_is_pinned():
-    """The byte layout is an external contract; spot-check the fields."""
-    state = new_detector(2, FixedRadius(1.5), Constant(2.0))
-    state.w[:] = [0.25, -1.0]
-    state.t = 3
-    blob = checkpoint_encode(state)
-    assert blob[:8] == b"FADOCKPT"
-    pos = 8
-    assert struct.unpack_from("<I", blob, pos)[0] == 1  # version
-    pos += 4
-    assert blob[pos] == 0  # fixed mode
-    pos += 1
-    assert struct.unpack_from("<d", blob, pos)[0] == 1.5
-    pos += 8
-    assert blob[pos] == 1  # constant schedule
-    pos += 1
-    assert struct.unpack_from("<d", blob, pos)[0] == 2.0
-    pos += 8
-    n, t, m = struct.unpack_from("<QQQ", blob, pos)
-    assert (n, t, m) == (2, 3, 0)
-    pos += 24 + 32  # counts + trace sums
-    assert struct.unpack_from("<dd", blob, pos) == (0.25, -1.0)
-    assert len(blob) == pos + 16 + 4
+    """The byte layout is an external contract: every field, under each
+    (mode, schedule) pair's tag bytes and parameters."""
+    modes = [(FixedRadius(1.5), "<Bd", (0, 1.5)),
+             (AdaptiveRadius(), "<B", (1,))]
+    schedules = [(PowerDecay(0.5, 0.1), "<Bdd", (0, 0.5, 0.1)),
+                 (Constant(2.0), "<Bd", (1, 2.0))]
+    for (mode, mode_fmt, mode_fields), (schedule, sched_fmt, sched_fields) \
+            in itertools.product(modes, schedules):
+        state = Detector(2, mode, schedule)
+        state.w[:] = [0.25, -1.0]
+        state.t = 3
+        blob = checkpoint_encode(state)
+        assert blob[:12] == b"FADOCKPT" + struct.pack("<I", 1)  # version 1
+        pos = 12
+        for fmt, fields in ((mode_fmt, mode_fields),
+                            (sched_fmt, sched_fields)):
+            assert struct.unpack_from(fmt, blob, pos) == fields, state
+            pos += struct.calcsize(fmt)
+        assert struct.unpack_from("<QQQ", blob, pos) == (2, 3, 0)  # n, t, m
+        pos += 24
+        assert struct.unpack_from("<4d", blob, pos) == (0.0,) * 4  # trace
+        pos += 32
+        assert struct.unpack_from("<dd", blob, pos) == (0.25, -1.0)
+        assert len(blob) == pos + 16 + 4

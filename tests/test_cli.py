@@ -160,6 +160,29 @@ class TestUsageErrors:
             code, _ = run_cli(*scene, "--checkpoint-in", str(ckpt), *extra)
             assert code == 2, extra
 
+    @pytest.mark.parametrize("argv, error", [
+        (["run", "--mode", "fixed", "--epsilon", "1", "--gamma", "2",
+          "--input", "s.csv"], "--gamma not used by mode fixed"),
+        (["sweep", "margin", "--seeds", "0"], "--seeds must be at least 1"),
+        (["scene", "--synthetic", "--packed", "p.pack"],
+         "give exactly one of: PGM frames, --packed, --synthetic"),
+        (["gen", "--design", "mixture", "--dim", "2", "--count", "10",
+          "--center", "2", "--epsilon", "1", "--mu", "0.1", "--seed", "1",
+          "--out", "s.bin"], "--radius-max is required for the mixture "
+                             "design"),
+        (["bounds", "--wnorm", "1", "--mu", "0.1", "--m-t", "0"],
+         "--m-t must be at least 1"),
+    ], ids=["run", "sweep", "scene", "gen", "bounds"])
+    def test_handler_error_shows_the_command_usage(self, argv, error,
+                                                   capsys):
+        """A usage error found by a command's handler prints that
+        command's usage, not the top-level one."""
+        code, out = run_cli(*argv)
+        assert (code, out) == (2, "")
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith(f"usage: fado {argv[0]} ")
+        assert err[-1] == f"fado {argv[0]}: error: {error}"
+
     def test_help_exits_zero(self):
         code, out = run_cli("--help")
         assert code == 0
@@ -372,10 +395,19 @@ class TestGen:
                           "1", "--epsilon", "1", "--seed", "1",
                           "--out", str(out))
         assert code == 2
-        usage, error = capsys.readouterr().err.splitlines()
-        assert usage.startswith("usage: ")
-        assert error.endswith("error: --count must be at least 1")
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("usage: fado gen ")
+        assert err[-1] == "fado gen: error: --count must be at least 1"
         assert not out.exists()
+
+    def test_center_that_is_not_a_number_names_the_flag(self, tmp_path,
+                                                        capsys):
+        code, _ = run_cli("gen", "--dim", "2", "--count", "10", "--center",
+                          "abc", "--epsilon", "1", "--seed", "1",
+                          "--out", str(tmp_path / "s.bin"))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: --center: could not convert string to float: 'abc'\n")
 
     def test_center_length_mismatch_exits_one(self, tmp_path):
         code, _ = run_cli("gen", "--design", "ball", "--dim", "3",
@@ -495,7 +527,7 @@ class TestScene:
                           "--timeline", str(timeline))
         assert code == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert err[-1].startswith("fado: error: ") and flag in err[-1]
+        assert err[-1].startswith("fado scene: error: ") and flag in err[-1]
         assert not timeline.exists()
 
     def test_synthetic_flags_rejected_for_pgm_frames(self, tmp_path):
@@ -553,9 +585,9 @@ class TestSweep:
         out = tmp_path / "margin.csv"
         code, _ = run_cli("sweep", "margin", *flags, "--out", str(out))
         assert code == 2
-        usage, error = capsys.readouterr().err.splitlines()
-        assert usage.startswith("usage: ")
-        assert error.endswith(f"error: {named} must be at least 1")
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("usage: fado sweep ")
+        assert err[-1] == f"fado sweep: error: {named} must be at least 1"
         assert not out.exists()
 
     def test_failed_assertions_exit_one(self, monkeypatch, tmp_path):
@@ -699,9 +731,9 @@ def test_size_flag_out_of_range_exits_two(tmp_path, capsys, argv, error):
     code, _ = run_cli(*argv, "--out" if argv[0] == "gen" else "--timeline",
                       str(out))
     assert code == 2
-    usage, line = capsys.readouterr().err.splitlines()
-    assert usage.startswith("usage: ")
-    assert line.endswith(f"error: {error}")
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith(f"usage: fado {argv[0]} ")
+    assert err[-1] == f"fado {argv[0]}: error: {error}"
     assert not out.exists()
 
 

@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 from fado.detector import (
     AdaptiveRadius,
     Constant,
+    Detector,
     FixedRadius,
     PowerDecay,
     gain_value,
-    new_detector,
 )
 
 from conftest import run_with_norm_audit
@@ -21,19 +21,19 @@ INV_SQRT2 = 0.7071067811865475
 
 class TestConstruction:
     def test_fresh_state(self):
-        det = new_detector(2, FixedRadius(1.0), PowerDecay(1.0, 0.25))
+        det = Detector(2, FixedRadius(1.0), PowerDecay(1.0, 0.25))
         assert det.m == 0 and det.t == 0
         assert np.array_equal(det.w, np.zeros(2))
         assert det.trace.as_tuple() == (0.0, 0.0, 0.0, 0.0)
 
     def test_case_study_scale_configuration(self):
-        det = new_detector(160_000, FixedRadius(100.0), Constant(1.0))
+        det = Detector(160_000, FixedRadius(100.0), Constant(1.0))
         assert det.dim == 160_000
         assert det.current_radius() == 100.0
 
     def test_zero_dim_rejected(self):
         with pytest.raises(ValueError):
-            new_detector(0, FixedRadius(1.0), PowerDecay(1.0, 0.25))
+            Detector(0, FixedRadius(1.0), PowerDecay(1.0, 0.25))
 
     @pytest.mark.parametrize("schedule", [
         lambda: PowerDecay(gamma0=0.0, tau=0.25),
@@ -77,7 +77,7 @@ class TestGainValue:
 
 class TestStep:
     def test_alarm_update_hand_computed(self):
-        det = new_detector(2, FixedRadius(1.0), PowerDecay(1.0, 0.25))
+        det = Detector(2, FixedRadius(1.0), PowerDecay(1.0, 0.25))
         out = det.step([2.0, 2.0])
         assert out.alarm
         assert out.distance == pytest.approx(SQRT8, abs=1e-12)
@@ -86,7 +86,7 @@ class TestStep:
         np.testing.assert_allclose(det.w, [INV_SQRT2, INV_SQRT2], atol=1e-12)
 
     def test_inside_ball_no_alarm(self):
-        det = new_detector(2, FixedRadius(1.0), PowerDecay(1.0, 0.25))
+        det = Detector(2, FixedRadius(1.0), PowerDecay(1.0, 0.25))
         det.w[:] = [2.0, 2.0]
         out = det.step([2.3, 2.4])
         assert not out.alarm
@@ -95,13 +95,13 @@ class TestStep:
         assert det.m == 0 and det.t == 1
 
     def test_boundary_counts_as_alarm(self):
-        det = new_detector(2, FixedRadius(1.0), PowerDecay(1.0, 0.25))
+        det = Detector(2, FixedRadius(1.0), PowerDecay(1.0, 0.25))
         out = det.step([0.6, 0.8])
         assert out.alarm and out.distance == 1.0
         np.testing.assert_allclose(det.w, [0.6, 0.8], atol=1e-15)
 
     def test_adaptive_first_step(self):
-        det = new_detector(2, AdaptiveRadius(), PowerDecay(0.5, 0.25))
+        det = Detector(2, AdaptiveRadius(), PowerDecay(0.5, 0.25))
         assert det.current_radius() == pytest.approx(2.0, rel=1e-15)
         out = det.step([3.0, 0.0])
         assert out.alarm
@@ -110,26 +110,26 @@ class TestStep:
         np.testing.assert_allclose(det.w, [0.5, 0.0], atol=1e-15)
 
     def test_adaptive_radius_grows_with_mistakes(self):
-        det = new_detector(2, AdaptiveRadius(), PowerDecay(1.0, 0.25))
+        det = Detector(2, AdaptiveRadius(), PowerDecay(1.0, 0.25))
         assert det.current_radius() == pytest.approx(1.0)
         det.m = 3
         assert det.current_radius() == pytest.approx(2.8284271247461903,
                                                      abs=1e-10)
 
     def test_dimension_mismatch(self):
-        det = new_detector(2, FixedRadius(1.0), PowerDecay(1.0, 0.25))
+        det = Detector(2, FixedRadius(1.0), PowerDecay(1.0, 0.25))
         with pytest.raises(ValueError):
             det.step([1.0, 2.0, 3.0])
 
     def test_non_finite_rejected(self):
-        det = new_detector(2, FixedRadius(1.0), PowerDecay(1.0, 0.25))
+        det = Detector(2, FixedRadius(1.0), PowerDecay(1.0, 0.25))
         with pytest.raises(ValueError):
             det.step([1.0, math.nan])
         with pytest.raises(ValueError):
             det.step([math.inf, 0.0])
 
     def test_epsilon_zero_distance_zero_alarm_without_update(self):
-        det = new_detector(2, FixedRadius(0.0), PowerDecay(1.0, 0.25))
+        det = Detector(2, FixedRadius(0.0), PowerDecay(1.0, 0.25))
         out = det.step([0.0, 0.0])
         assert out.alarm
         assert out.gain_applied == 0.0
@@ -140,25 +140,25 @@ class TestStep:
 
 class TestRunStream:
     def test_empty_stream(self):
-        det = new_detector(3, FixedRadius(1.0), PowerDecay(1.0, 0.25))
+        det = Detector(3, FixedRadius(1.0), PowerDecay(1.0, 0.25))
         assert det.run_stream([]) == []
         assert det.t == 0 and det.m == 0
 
     def test_copies_of_origin_never_alarm(self):
-        det = new_detector(3, FixedRadius(0.5), PowerDecay(1.0, 0.25))
+        det = Detector(3, FixedRadius(0.5), PowerDecay(1.0, 0.25))
         outcomes = det.run_stream([np.zeros(3)] * 3)
         assert not any(o.alarm for o in outcomes)
         assert det.m == 0 and det.t == 3
 
     def test_mistake_count_equals_alarms(self):
         rng = np.random.default_rng(7)
-        det = new_detector(4, FixedRadius(1.0), PowerDecay(1.0, 0.25))
+        det = Detector(4, FixedRadius(1.0), PowerDecay(1.0, 0.25))
         outcomes = det.run_stream(rng.normal(size=(200, 4)) * 3.0)
         assert det.m == sum(o.alarm for o in outcomes)
         assert det.t == 200
 
     def test_error_reports_offending_index(self):
-        det = new_detector(2, FixedRadius(1.0), PowerDecay(1.0, 0.25))
+        det = Detector(2, FixedRadius(1.0), PowerDecay(1.0, 0.25))
         stream = [np.ones(2), np.array([1.0, math.nan])]
         with pytest.raises(ValueError, match="stream item 1"):
             det.run_stream(stream)
@@ -174,14 +174,14 @@ class TestInvariants:
     @pytest.mark.parametrize("mode", [FixedRadius(1.0), AdaptiveRadius()])
     @pytest.mark.parametrize("seed,scale", [(0, 1.0), (1, 50.0), (2, 1e-3)])
     def test_telescoping_and_inner_bound(self, mode, seed, scale):
-        det = new_detector(5, mode, PowerDecay(1.0, 0.25))
+        det = Detector(5, mode, PowerDecay(1.0, 0.25))
         samples = self._random_stream(seed, 5, 2000, scale)
         _, worst, inner_min = run_with_norm_audit(det, samples)
         assert worst <= 1e-9
         assert inner_min >= -1e-9
 
     def test_unit_update_directions(self):
-        det = new_detector(3, FixedRadius(0.5), PowerDecay(1.0, 0.25))
+        det = Detector(3, FixedRadius(0.5), PowerDecay(1.0, 0.25))
         rng = np.random.default_rng(3)
         for row in rng.normal(size=(500, 3)):
             w_before = det.w.copy()
@@ -191,7 +191,7 @@ class TestInvariants:
                 assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
 
     def test_no_alarm_leaves_state_untouched(self):
-        det = new_detector(2, FixedRadius(10.0), PowerDecay(1.0, 0.25))
+        det = Detector(2, FixedRadius(10.0), PowerDecay(1.0, 0.25))
         rng = np.random.default_rng(4)
         det.step(rng.normal(size=2) * 20)  # one alarm to make state nontrivial
         snapshot = (det.w.copy(), det.m, det.trace.as_tuple())
@@ -206,7 +206,7 @@ class TestInvariants:
         samples = self._random_stream(9, 4, 300, 5.0)
         runs = []
         for _ in range(2):
-            det = new_detector(4, FixedRadius(1.0), PowerDecay(1.0, 0.25))
+            det = Detector(4, FixedRadius(1.0), PowerDecay(1.0, 0.25))
             outcomes = det.run_stream(samples)
             runs.append((det.w.tobytes(), det.trace.as_tuple(),
                          [(o.alarm, o.distance, o.gain_applied)
@@ -218,8 +218,8 @@ class TestInvariants:
         """Scaling inputs, epsilon, and the gain scale by a power of two
         scales the center exactly and preserves the alarm sequence."""
         samples = self._random_stream(11, 3, 400, 2.0)
-        base = new_detector(3, FixedRadius(1.0), PowerDecay(1.0, 0.25))
-        scaled = new_detector(3, FixedRadius(lam), PowerDecay(lam, 0.25))
+        base = Detector(3, FixedRadius(1.0), PowerDecay(1.0, 0.25))
+        scaled = Detector(3, FixedRadius(lam), PowerDecay(lam, 0.25))
         base_out = base.run_stream(samples)
         scaled_out = scaled.run_stream(samples * lam)
         assert [o.alarm for o in base_out] == [o.alarm for o in scaled_out]
@@ -228,33 +228,19 @@ class TestInvariants:
     def test_scale_free_generic_lambda_alarm_sequence(self):
         lam = 3.0
         samples = self._random_stream(12, 2, 400, 2.0)
-        base = new_detector(2, FixedRadius(1.0), PowerDecay(1.0, 0.25))
-        scaled = new_detector(2, FixedRadius(lam), PowerDecay(lam, 0.25))
+        base = Detector(2, FixedRadius(1.0), PowerDecay(1.0, 0.25))
+        scaled = Detector(2, FixedRadius(lam), PowerDecay(lam, 0.25))
         base_out = base.run_stream(samples)
         scaled_out = scaled.run_stream(samples * lam)
         assert [o.alarm for o in base_out] == [o.alarm for o in scaled_out]
         np.testing.assert_allclose(scaled.w, base.w * lam, rtol=1e-12)
 
     def test_alarm_iff_distance_reaches_threshold(self):
-        det = new_detector(2, AdaptiveRadius(), PowerDecay(1.0, 0.25))
+        det = Detector(2, AdaptiveRadius(), PowerDecay(1.0, 0.25))
         rng = np.random.default_rng(13)
         for row in rng.normal(size=(300, 2)) * 4:
             out = det.step(row)
             assert out.alarm == (out.distance >= out.threshold)
-
-    def test_copy_is_independent(self):
-        rng = np.random.default_rng(14)
-        stream = rng.normal(size=(100, 2)) * 3
-        det = new_detector(2, FixedRadius(1.0), PowerDecay(1.0, 0.25))
-        det.run_stream(stream[:50])
-        frozen = det.copy()
-        snapshot = (frozen.w.copy(), frozen.m, frozen.t,
-                    frozen.trace.as_tuple())
-        det.run_stream(stream[50:])
-        assert np.array_equal(frozen.w, snapshot[0])
-        assert (frozen.m, frozen.t) == snapshot[1:3]
-        assert frozen.trace.as_tuple() == snapshot[3]
-        assert det.t == 100 and det.t != frozen.t
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -271,7 +257,7 @@ def test_property_trace_inequalities(data, tau, gamma0, epsilon):
     """The inner-product lower bound and the telescoping identity hold for any
     stream, any admissible schedule, fixed or adaptive radius."""
     for mode in (FixedRadius(epsilon), AdaptiveRadius()):
-        det = new_detector(3, mode, PowerDecay(gamma0, tau))
+        det = Detector(3, mode, PowerDecay(gamma0, tau))
         _, worst, inner_min = run_with_norm_audit(det, np.asarray(data))
         assert worst <= 1e-9
         assert inner_min >= -1e-9

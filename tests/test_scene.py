@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fado.detector import SCAN_CHUNK_BYTES, Constant, FixedRadius, new_detector
+from fado.detector import SCAN_CHUNK_BYTES, Constant, Detector, FixedRadius
 from fado.scene import (
     FrameFormatError,
     FrameSequence,
@@ -271,14 +271,14 @@ class TestLatencies:
 
 class TestMemorySnapshot:
     def test_zero_state_black(self, tmp_path):
-        det = new_detector(4, FixedRadius(1.0), Constant(1.0))
+        det = Detector(4, FixedRadius(1.0), Constant(1.0))
         path = tmp_path / "w.pgm"
         write_memory_snapshot(det, 2, 2, path)
         _, _, pixels = read_pgm(path)
         assert (pixels == 0).all()
 
     def test_ones_white_and_clamping(self, tmp_path):
-        det = new_detector(4, FixedRadius(1.0), Constant(1.0))
+        det = Detector(4, FixedRadius(1.0), Constant(1.0))
         det.w[:] = [1.0, 2.5, -0.5, 0.5]
         path = tmp_path / "w.pgm"
         write_memory_snapshot(det, 2, 2, path)
@@ -286,7 +286,7 @@ class TestMemorySnapshot:
         np.testing.assert_array_equal(pixels.ravel(), [255, 255, 0, 128])
 
     def test_round_half_up(self, tmp_path):
-        det = new_detector(1, FixedRadius(1.0), Constant(1.0))
+        det = Detector(1, FixedRadius(1.0), Constant(1.0))
         det.w[:] = [0.5 / 255.0]  # scales to exactly 0.5
         path = tmp_path / "w.pgm"
         write_memory_snapshot(det, 1, 1, path)
@@ -295,7 +295,7 @@ class TestMemorySnapshot:
 
     def test_snapshot_roundtrip_equals_quantized_memory(self, tmp_path):
         rng = np.random.default_rng(6)
-        det = new_detector(64, FixedRadius(1.0), Constant(1.0))
+        det = Detector(64, FixedRadius(1.0), Constant(1.0))
         det.w[:] = rng.uniform(-0.2, 1.2, size=64)
         path = tmp_path / "w.pgm"
         write_memory_snapshot(det, 8, 8, path)
@@ -305,7 +305,7 @@ class TestMemorySnapshot:
         np.testing.assert_array_equal(pixels, expected)
 
     def test_dimension_mismatch(self, tmp_path):
-        det = new_detector(5, FixedRadius(1.0), Constant(1.0))
+        det = Detector(5, FixedRadius(1.0), Constant(1.0))
         with pytest.raises(ValueError, match="dimension"):
             write_memory_snapshot(det, 2, 2, tmp_path / "w.pgm")
 

@@ -275,3 +275,21 @@ class TestGenerateDispatch:
         circle, _ = generate(StreamSpec(dim=2, count=100, truth=truth,
                                         seed=1, design=Design.CIRCLE))
         assert circle.shape == (100, 2)
+
+    def test_second_slot_is_labels_or_none(self):
+        """Ball and circle streams have no labels; a mixture's second slot
+        is its outlier labels."""
+        ball, labels = generate(_ball_spec())
+        assert labels is None
+        assert ball.tobytes() == gen_realizable_stream(
+            _ball_spec())[0].tobytes()
+        truth = GroundTruth(np.array([2.0, 2.0]), 1.0, 0.001)
+        assert generate(StreamSpec(dim=2, count=10, truth=truth, seed=1,
+                                   design=Design.CIRCLE))[1] is None
+        mixture = StreamSpec(dim=2, count=200, truth=truth, seed=1,
+                             design=Design.MIXTURE,
+                             contamination_fraction=0.3,
+                             outlier_radius_max=5.0)
+        _, labels = generate(mixture)
+        assert labels.dtype == bool and labels.shape == (200,)
+        assert np.array_equal(labels, gen_contaminated_stream(mixture)[1])

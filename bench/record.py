@@ -26,8 +26,9 @@ the ``fado`` processes it times, so the BENCH file names it
 After recording, the script prints each end-to-end metric's change from
 the first section of ``--out`` to its last, and with ``--compare
 OTHER.json`` from the last section of OTHER to the last of ``--out``, next
-to the bound that ``BENCHMARK.json`` allows.  This is a report: the exit status says only whether recording
-worked and every output was correct.
+to the bound that ``BENCHMARK.json`` allows, after the change in
+``src_lines``.  This is a report: the exit status says only whether
+recording worked and every output was correct.
 
 Standard library only; perfbench itself needs numpy.
 """
@@ -125,8 +126,12 @@ def sections(doc: dict) -> list:
 
 
 def compare(old: dict, new: dict, title: str) -> None:
-    """Print each end-to-end metric's median change beside its bound."""
+    """Print the change in ``src_lines``, when both sections hold it, and
+    each end-to-end metric's median change beside its bound."""
     print(title)
+    if "src_lines" in old and "src_lines" in new:
+        a, b = old["src_lines"], new["src_lines"]
+        print(f"  src_lines {a} -> {b} ({b - a:+d})")
     for workload, after in new["workloads"].items():
         before = old["workloads"].get(workload)
         if before is None:

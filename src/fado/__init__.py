@@ -27,9 +27,8 @@ _EXPORTS = {
     "detector": ("AdaptiveRadius", "Constant", "Detector",
                  "DiagnosticsTrace", "FixedRadius", "PowerDecay",
                  "ScanOutcomes", "StepOutcome", "gain_value"),
-    "streams": ("Design", "SplitMix64", "StreamSpec", "gen_circle_stream",
-                "gen_contaminated_stream", "gen_outliers",
-                "gen_realizable_stream", "sample_ball_uniform"),
+    "streams": ("Design", "SplitMix64", "StreamSpec", "gen_outliers",
+                "generate"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items()
          for name in names}

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import DiagnosticsTrace, as_vector
+from .detector import DiagnosticsTrace, PowerDecay, as_vector
 
 __all__ = [
     "riemann_zeta",
@@ -100,15 +100,9 @@ def ac_x_bound(a: float, c: float) -> float:
     return max(branch1, branch2)
 
 
-def _check_schedule_args(tau: float, gamma0: float) -> None:
-    if not (0.0 < tau < 0.5):
-        raise ValueError("tau must lie strictly between 0 and 1/2")
-    _check_positive("gamma0", gamma0)
-
-
 def _gain_energy(tau: float, gamma0: float) -> float:
     """gamma0**2 * zeta(1+2*tau), the cap on a power-decay run's gain energy."""
-    _check_schedule_args(tau, gamma0)
+    PowerDecay(gamma0, tau)  # raises on an inadmissible schedule
     energy = gamma0 * gamma0 * riemann_zeta(1.0 + 2.0 * tau)
     if not math.isfinite(energy):
         raise ValueError(f"gain energy overflows float range at "
@@ -124,7 +118,7 @@ def gamma_sum_lower_bound(m: int, tau: float, gamma0: float = 1.0) -> float:
     gamma0.  This is the explicit stand-in for the otherwise unnamed
     universal constant in the gain-mass growth statement.
     """
-    _check_schedule_args(tau, gamma0)
+    PowerDecay(gamma0, tau)  # raises on an inadmissible schedule
     if m < 1:
         raise ValueError("m must be at least 1")
     q = 0.5 - tau
@@ -277,7 +271,7 @@ def adaptive_mistake_bound(norm_w_bar: float, epsilon: float,
                                first_solvable_m=first)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class GroundTruth:
     """Generator-side truth: center, radius and margin."""
 
@@ -286,7 +280,11 @@ class GroundTruth:
     mu: float = 0.0
 
     def __post_init__(self):
-        self.w_bar = as_vector(self.w_bar, name="w_bar")
+        # a read-only copy: no alias of the caller's array can make the
+        # checked center non-finite later
+        w_bar = as_vector(self.w_bar, name="w_bar").copy()
+        w_bar.flags.writeable = False
+        object.__setattr__(self, "w_bar", w_bar)
         _check_positive("epsilon", self.epsilon)
         if not (self.mu >= 0 and math.isfinite(self.mu)):
             raise ValueError("mu must be a nonnegative finite number")

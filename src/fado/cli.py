@@ -329,19 +329,28 @@ def _cmd_gen(args, parser) -> int:
     from .streamio import write_outcome_rows, write_vectors
     from .streams import Design, StreamSpec, generate
     design = Design(args.design)
-    if design is Design.MIXTURE:
-        if args.radius_max is None:
-            parser.error("--radius-max is required for the mixture design")
-    else:
+    if design is not Design.MIXTURE:
         _reject(parser, args, ("labels_out", "fraction", "radius_max"),
                 "apply only to the mixture design")
     center = _parse_center(args.center, args.dim)
-    truth = GroundTruth(center, args.epsilon, args.mu)
-    spec = StreamSpec(dim=args.dim, count=args.count, truth=truth,
-                      seed=args.seed, design=design,
-                      contamination_fraction=(
-                          0.0 if args.fraction is None else args.fraction),
-                      outlier_radius_max=args.radius_max)
+    # the spec types state each rule once; a message that starts with a
+    # field is a usage error, reported under the field's flag
+    flags = {"w_bar": "--center", "epsilon": "--epsilon", "mu": "--mu",
+             "dim": "--dim", "contamination_fraction": "--fraction",
+             "outlier_radius_max": "--radius-max"}
+    try:
+        truth = GroundTruth(center, args.epsilon, args.mu)
+        spec = StreamSpec(dim=args.dim, count=args.count, truth=truth,
+                          seed=args.seed, design=design,
+                          contamination_fraction=(
+                              0.0 if args.fraction is None
+                              else args.fraction),
+                          outlier_radius_max=args.radius_max)
+    except ValueError as exc:
+        field, _, rest = str(exc).partition(" ")
+        if field not in flags:
+            raise
+        parser.error(f"{flags[field]} {rest}")
     samples, labels = generate(spec)
     write_vectors(samples, args.out)
     if args.labels_out:

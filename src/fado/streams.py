@@ -3,18 +3,22 @@
 Every design used by the experiment sweeps lives here: uniform-ball
 "normal" streams realizable with a margin, near-boundary circle streams,
 uniform-shell outlier clouds, and Bernoulli-position contaminated mixtures.
-All randomness flows through a counter-based splitmix64 generator so that a
-(spec, seed) pair reproduces streams bit-identically on any platform; the
+A frozen :class:`StreamSpec` states the recipe and every rule on it, and
+:func:`generate` draws the stream it describes.  All randomness flows
+through a counter-based splitmix64 generator, so a (spec, seed) pair
+reproduces a stream bit for bit under a given numpy build and CPU dispatch
+level: numpy's AVX512 ``log`` and ``pow`` kernels give other bits than its
+AVX2 and baseline ones, so the bytes can differ between hosts.  The
 Gaussian construction is pinned to the classic Box-Muller pair
 
     z0 = sqrt(-2 ln u1) cos(2 pi u2),   z1 = sqrt(-2 ln u1) sin(2 pi u2)
 
 with u1 clamped away from zero at 2**-53.
 
-Seed discipline: each generator spawns three child streams from the user
+Seed discipline: every stream spawns three child generators from the user
 seed (labels, normal samples, outlier samples, in that order), so a mixture
-with contamination fraction 0 emits byte-identical samples to the
-realizable generator under the same seed.
+with contamination fraction 0 emits byte-identical samples to the ball
+design under the same seed.
 """
 
 from __future__ import annotations
@@ -32,11 +36,7 @@ __all__ = [
     "SplitMix64",
     "Design",
     "StreamSpec",
-    "sample_ball_uniform",
-    "gen_realizable_stream",
-    "gen_circle_stream",
     "gen_outliers",
-    "gen_contaminated_stream",
     "generate",
 ]
 
@@ -136,26 +136,13 @@ def _project_into_ball(samples: np.ndarray, center: np.ndarray,
         over[idx] = d[idx] > radius
 
 
-def sample_ball_uniform(dim: int, center, radius: float,
-                        rng: SplitMix64) -> np.ndarray:
-    """One point uniform over the closed ball of the given radius."""
-    if dim < 1:
-        raise ValueError("dim must be a positive integer")
-    if not (radius > 0 and math.isfinite(radius)):
-        raise ValueError("radius must be a positive finite number")
-    center = np.asarray(center, dtype=np.float64)
-    if center.shape != (dim,):
-        raise ValueError(f"center must have shape ({dim},)")
-    return _ball_block(rng, 1, dim, center, radius)[0]
-
-
 class Design(enum.Enum):
     BALL = "ball"
     CIRCLE = "circle"
     MIXTURE = "mixture"
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class StreamSpec:
     """Full recipe for one synthetic stream."""
 
@@ -177,52 +164,24 @@ class StreamSpec:
                 f"truth dimension {self.truth.dim} does not match dim {self.dim}")
         if not (0.0 <= self.contamination_fraction < 1.0):
             raise ValueError("contamination_fraction must lie in [0, 1)")
-        if self.design is Design.CIRCLE and self.dim != 2:
-            raise ValueError("circle design requires dim = 2")
         if self.design is Design.MIXTURE:
             if self.truth.mu <= 0.0:
-                raise ValueError(
-                    "mixture design requires a positive margin so labels are unambiguous")
+                raise ValueError("mu must be positive in the mixture design "
+                                 "(a zero margin makes labels ambiguous)")
             if self.outlier_radius_max is None:
-                raise ValueError("mixture design requires outlier_radius_max")
-        if self.outlier_radius_max is not None and \
-                self.outlier_radius_max <= self.truth.epsilon:
-            raise ValueError("outlier_radius_max must exceed epsilon")
-
-
-def _spawn_children(seed: int):
-    root = SplitMix64(seed)
-    return root.spawn(), root.spawn(), root.spawn()  # labels, normals, outliers
-
-
-def gen_realizable_stream(spec: StreamSpec) -> Tuple[np.ndarray, GroundTruth]:
-    """T samples uniform in the (epsilon - mu)-ball around the true center."""
-    if spec.design is not Design.BALL:
-        raise ValueError("realizable generator requires the ball design")
-    if spec.contamination_fraction != 0.0:
-        raise ValueError("realizable generator requires zero contamination")
-    radius = spec.truth.inner_radius
-    if radius <= 0.0:
-        raise ValueError("margin leaves an empty ball (mu >= epsilon)")
-    _, normals_rng, _ = _spawn_children(spec.seed)
-    samples = _ball_block(normals_rng, spec.count, spec.dim,
-                          spec.truth.w_bar, radius)
-    return samples, spec.truth
-
-
-def gen_circle_stream(spec: StreamSpec) -> Tuple[np.ndarray, GroundTruth]:
-    """T points at exact radius epsilon - mu from the center (dim 2 only)."""
-    if spec.design is not Design.CIRCLE:
-        raise ValueError("circle generator requires the circle design")
-    radius = spec.truth.inner_radius
-    if radius <= 0.0:
-        raise ValueError("margin leaves an empty circle (mu >= epsilon)")
-    _, normals_rng, _ = _spawn_children(spec.seed)
-    theta = (2.0 * math.pi) * normals_rng.next_double_block(spec.count)
-    samples = np.empty((spec.count, 2), dtype=np.float64)
-    samples[:, 0] = spec.truth.w_bar[0] + radius * np.cos(theta)
-    samples[:, 1] = spec.truth.w_bar[1] + radius * np.sin(theta)
-    return samples, spec.truth
+                raise ValueError(
+                    "outlier_radius_max is required for the mixture design")
+            if self.outlier_radius_max <= self.truth.epsilon:
+                raise ValueError("outlier_radius_max must exceed epsilon")
+            return
+        if self.contamination_fraction != 0.0:
+            raise ValueError("contamination_fraction must be 0 outside the "
+                             "mixture design")
+        if self.outlier_radius_max is not None:
+            raise ValueError("outlier_radius_max applies only to the mixture "
+                             "design")
+        if self.design is Design.CIRCLE and self.dim != 2:
+            raise ValueError("dim must be 2 in the circle design (dim = 2)")
 
 
 def gen_outliers(dim: int, truth: GroundTruth, count: int,
@@ -254,34 +213,35 @@ def gen_outliers(dim: int, truth: GroundTruth, count: int,
     return out
 
 
-def gen_contaminated_stream(spec: StreamSpec) -> Tuple[np.ndarray, np.ndarray]:
-    """Mixture stream: each position is an outlier independently.
+def generate(spec: StreamSpec) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Draw the stream a spec describes: (samples, labels).
 
-    Returns the samples and the boolean outlier labels; the realized
-    violation count is ``labels.sum()`` and matches the analytic count from
-    the contamination report exactly, because normals stay strictly inside
-    the margin ball and outliers start at the detection radius.
+    Ball: samples uniform in the (epsilon - mu)-ball around the center.
+    Circle: points at exact radius epsilon - mu from the center.
+    Mixture: each position is an outlier independently, and labels holds
+    the boolean outlier labels (None for the other designs); the realized
+    violation count ``labels.sum()`` matches the analytic count from the
+    contamination report exactly, because normals stay inside the margin
+    ball and outliers start at the detection radius.
     """
-    if spec.design is not Design.MIXTURE:
-        raise ValueError("contaminated generator requires the mixture design")
-    labels_rng, normals_rng, outliers_rng = _spawn_children(spec.seed)
-    labels = labels_rng.next_double_block(spec.count) < spec.contamination_fraction
+    root = SplitMix64(spec.seed)
+    labels_rng, normals_rng, outliers_rng = (root.spawn(), root.spawn(),
+                                             root.spawn())
+    center, radius = spec.truth.w_bar, spec.truth.inner_radius
+    if spec.design is Design.BALL:
+        return _ball_block(normals_rng, spec.count, spec.dim, center,
+                           radius), None
+    if spec.design is Design.CIRCLE:
+        theta = (2.0 * math.pi) * normals_rng.next_double_block(spec.count)
+        return center + radius * np.column_stack((np.cos(theta),
+                                                  np.sin(theta))), None
+    labels = (labels_rng.next_double_block(spec.count)
+              < spec.contamination_fraction)
     n_out = int(np.count_nonzero(labels))
     samples = np.empty((spec.count, spec.dim), dtype=np.float64)
-    normals = _ball_block(normals_rng, spec.count - n_out, spec.dim,
-                          spec.truth.w_bar, spec.truth.inner_radius)
-    samples[~labels] = normals
+    samples[~labels] = _ball_block(normals_rng, spec.count - n_out, spec.dim,
+                                   center, radius)
     if n_out:
         samples[labels] = gen_outliers(spec.dim, spec.truth, n_out, 0.0,
                                        spec.outlier_radius_max, outliers_rng)
     return samples, labels
-
-
-def generate(spec: StreamSpec):
-    """Dispatch a spec to its generator: (samples, labels), where labels
-    is None except for the mixture design."""
-    if spec.design is Design.MIXTURE:
-        return gen_contaminated_stream(spec)
-    if spec.design is Design.BALL:
-        return gen_realizable_stream(spec)[0], None
-    return gen_circle_stream(spec)[0], None

@@ -39,7 +39,7 @@ from fado.scene import (
     run_scene_detection,
     timeline_to_csv,
 )
-from fado.streams import Design, StreamSpec, gen_contaminated_stream, generate
+from fado.streams import Design, StreamSpec, generate
 
 EPS = 1.0
 TAU = 0.25
@@ -88,7 +88,7 @@ def _materialize(kind, dim, mu, fraction, seed):
     spec = StreamSpec(dim=dim, count=T, truth=truth, seed=seed,
                       design=Design.MIXTURE, contamination_fraction=fraction,
                       outlier_radius_max=5.0)
-    samples, labels = gen_contaminated_stream(spec)
+    samples, labels = generate(spec)
     if kind == "adversarial":
         samples = np.concatenate([samples[labels], samples[~labels]])
     return samples

@@ -203,12 +203,12 @@ class TestMistakeBoundRealizable:
             mistake_bound_realizable(1.0, 0.0, 0.25, 1.0)
 
     def test_hundred_seeded_realizable_streams_respect_cap(self):
-        from fado.streams import StreamSpec, gen_realizable_stream
+        from fado.streams import StreamSpec, generate
         truth = GroundTruth(np.array([2.0, 2.0]), 1.0, 0.1)
         cap = mistake_bound_realizable(truth.norm, 0.1, 0.25, 1.0)
         for seed in range(100):
             spec = StreamSpec(dim=2, count=2000, truth=truth, seed=seed)
-            samples, _ = gen_realizable_stream(spec)
+            samples, _ = generate(spec)
             det = Detector(2, FixedRadius(1.0), PowerDecay(1.0, 0.25))
             det.run_stream(samples)
             assert det.m <= cap
@@ -232,10 +232,10 @@ class TestPowerDeltaBound:
         """Outliers at distance epsilon + delta* from the true center are
         always flagged after a realizable run."""
         from fado.streams import SplitMix64, StreamSpec, gen_outliers, \
-            gen_realizable_stream
+            generate
         truth = GroundTruth(np.array([2.0, 2.0]), 1.0, 0.1)
         spec = StreamSpec(dim=2, count=2000, truth=truth, seed=3)
-        samples, _ = gen_realizable_stream(spec)
+        samples, _ = generate(spec)
         det = Detector(2, FixedRadius(1.0), PowerDecay(1.0, 0.25))
         det.run_stream(samples)
         delta = power_delta_bound(truth.norm, det.m, 0.25, 1.0)
@@ -339,12 +339,12 @@ class TestAdaptiveDiagnosticBound:
 
     def test_caps_adaptive_runs(self):
         from fado.detector import AdaptiveRadius
-        from fado.streams import StreamSpec, gen_realizable_stream
+        from fado.streams import StreamSpec, generate
         truth = GroundTruth(np.array([1.0, 1.0]), 1.0, 0.05)
         report = adaptive_mistake_bound(truth.norm, 1.0, 0.25, 1.0)
         for seed in (1, 2, 3):
             spec = StreamSpec(dim=2, count=3000, truth=truth, seed=seed)
-            samples, _ = gen_realizable_stream(spec)
+            samples, _ = generate(spec)
             det = Detector(2, AdaptiveRadius(), PowerDecay(1.0, 0.25))
             det.run_stream(samples)
             assert det.m <= report.bound
@@ -374,6 +374,18 @@ class TestGroundTruth:
     def test_margin_must_leave_room(self):
         with pytest.raises(ValueError):
             GroundTruth(np.ones(2), 1.0, 1.0)
+
+    def test_radius_must_be_positive(self):
+        with pytest.raises(ValueError, match="^epsilon "):
+            GroundTruth(np.zeros(2), 0.0)
+
+    def test_center_is_a_read_only_copy(self):
+        center = np.array([2.0, 2.0])
+        truth = GroundTruth(center, 1.0, 0.1)
+        center[0] = np.nan
+        assert truth.w_bar.tolist() == [2.0, 2.0]
+        with pytest.raises(ValueError, match="read-only"):
+            truth.w_bar[0] = np.nan
 
     def test_mu_zero_allowed(self):
         truth = GroundTruth(np.ones(2), 1.0, 0.0)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -398,6 +399,36 @@ class TestGen:
         err = capsys.readouterr().err.splitlines()
         assert err[0].startswith("usage: fado gen ")
         assert err[-1] == "fado gen: error: --count must be at least 1"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra, error", [
+        (["--design", "mixture", "--fraction", "2", "--radius-max", "5"],
+         "--fraction must lie in [0, 1)"),
+        (["--design", "mixture", "--radius-max", "0.5", "--mu", "0.1"],
+         "--radius-max must exceed epsilon"),
+        (["--mu", "2", "--epsilon", "1"],
+         "--mu must be smaller than epsilon (empty ball otherwise)"),
+        (["--design", "mixture", "--mu", "0", "--radius-max", "5"],
+         "--mu must be positive in the mixture design (a zero margin makes "
+         "labels ambiguous)"),
+        (["--design", "circle", "--dim", "3"],
+         "--dim must be 2 in the circle design (dim = 2)"),
+        (["--center", "nan"], "--center contains non-finite entries"),
+    ], ids=["fraction", "radius-max", "mu", "mixture-mu", "circle-dim",
+            "center"])
+    def test_value_the_spec_rejects_names_its_flag(self, tmp_path, capsys,
+                                                   extra, error):
+        """A value that GroundTruth or StreamSpec rejects is a usage error
+        under its flag, not a runtime error naming a dataclass field."""
+        out = tmp_path / "s.bin"
+        argv = {"--dim": "2", "--count": "10", "--center": "2",
+                "--epsilon": "1", "--seed": "1", "--out": str(out)}
+        argv.update(zip(extra[::2], extra[1::2]))
+        code, _ = run_cli("gen", *[x for kv in argv.items() for x in kv])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("usage: fado gen ")
+        assert err[-1] == f"fado gen: error: {error}"
         assert not out.exists()
 
     def test_center_that_is_not_a_number_names_the_flag(self, tmp_path,
@@ -814,6 +845,16 @@ class TestPackageExports:
         namespace = {}
         exec("from fado import *", namespace)
         assert set(fado.__all__) <= set(namespace)
+
+    def test_readme_quick_start_runs(self, capsys):
+        """The README's library example uses only public names that
+        exist, so removing one cannot leave the README stale."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md"
+                  ).read_text(encoding="utf-8")
+        section = readme.split("\n## Library quick start\n", 1)[1]
+        code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+        exec(compile(code, "README.md", "exec"), {})
+        assert capsys.readouterr().out
 
     def test_unknown_name_raises(self):
         with pytest.raises(AttributeError, match="no_such_name"):

@@ -110,6 +110,10 @@ def test_report_compares_last_section_with_first_and_other(
     assert "BENCH.json: parent -> head" in out
     assert "OTHER.json -> " in out and "base -> head" in out
     lines = out.splitlines()
+    # src_lines is reported once, for the two sections that both hold it
+    assert [line for line in lines if "src_lines" in line] == [
+        "  src_lines 100 -> 90 (-10)"]
+    assert lines[1] == "  src_lines 100 -> 90 (-10)"
     halved = [line for line in lines if " wall_s " in line]
     assert len(halved) == len(record.WORKLOADS)
     assert all("-50.0%" in line and "better" in line for line in halved)

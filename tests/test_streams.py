@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -8,12 +9,9 @@ from fado.streams import (
     Design,
     SplitMix64,
     StreamSpec,
-    gen_circle_stream,
-    gen_contaminated_stream,
+    _ball_block,
     gen_outliers,
-    gen_realizable_stream,
     generate,
-    sample_ball_uniform,
 )
 
 
@@ -89,19 +87,17 @@ class TestGaussianConstruction:
         """Each ball sample consumes 2*ceil(dim/2)+1 doubles, so drawing
         one at a time reproduces a batch row for row."""
         truth_center = np.array([1.0, -2.0, 0.5])
-        batch_rng = SplitMix64(777)
-        from fado.streams import _ball_block
-        batch = _ball_block(batch_rng, 4, 3, truth_center, 2.0)
+        batch = _ball_block(SplitMix64(777), 4, 3, truth_center, 2.0)
         single_rng = SplitMix64(777)
-        singles = [sample_ball_uniform(3, truth_center, 2.0, single_rng)
+        singles = [_ball_block(single_rng, 1, 3, truth_center, 2.0)
                    for _ in range(4)]
-        assert np.array_equal(batch, np.stack(singles))
+        assert np.array_equal(batch, np.concatenate(singles))
 
 
 class TestBallSampler:
     def test_1d_uniform_statistics(self):
         rng = SplitMix64(11)
-        xs = np.array([sample_ball_uniform(1, np.zeros(1), 1.0, rng)[0]
+        xs = np.array([_ball_block(rng, 1, 1, np.zeros(1), 1.0)[0, 0]
                        for _ in range(20_000)])
         assert (np.abs(xs) <= 1.0).all()
         # mean of U[-1, 1] over 2e4 draws: 3 sigma = 3/sqrt(3 * 2e4)
@@ -111,24 +107,17 @@ class TestBallSampler:
         rng = SplitMix64(12)
         center = np.array([5.0, -3.0, 2.0])
         for _ in range(2_000):
-            y = sample_ball_uniform(3, center, 2.5, rng)
+            y = _ball_block(rng, 1, 3, center, 2.5)[0]
             assert np.linalg.norm(y - center) <= 2.5
 
     def test_2d_area_ratio(self):
         rng = SplitMix64(13)
-        pts = np.array([sample_ball_uniform(2, np.zeros(2), 1.0, rng)
+        pts = np.array([_ball_block(rng, 1, 2, np.zeros(2), 1.0)[0]
                         for _ in range(20_000)])
         inside = np.mean(np.linalg.norm(pts, axis=1) <= 1.0 / math.sqrt(2))
         # area ratio 1/2; 3 sigma binomial band
         assert abs(inside - 0.5) <= 3.0 * 0.5 / math.sqrt(pts.shape[0])
 
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            sample_ball_uniform(0, np.zeros(1), 1.0, SplitMix64(1))
-        with pytest.raises(ValueError):
-            sample_ball_uniform(2, np.zeros(2), 0.0, SplitMix64(1))
-        with pytest.raises(ValueError):
-            sample_ball_uniform(2, np.zeros(3), 1.0, SplitMix64(1))
 
 
 def _ball_spec(seed=1, mu=0.1, count=500, dim=2, center=(2.0, 2.0)):
@@ -138,31 +127,57 @@ def _ball_spec(seed=1, mu=0.1, count=500, dim=2, center=(2.0, 2.0)):
 
 class TestRealizableStream:
     def test_every_sample_inside_margin_ball(self):
-        samples, truth = gen_realizable_stream(_ball_spec(count=5_000))
-        dists = np.linalg.norm(samples - truth.w_bar, axis=1)
-        assert (dists <= truth.inner_radius).all()
+        spec = _ball_spec(count=5_000)
+        samples, _ = generate(spec)
+        dists = np.linalg.norm(samples - spec.truth.w_bar, axis=1)
+        assert (dists <= spec.truth.inner_radius).all()
 
     def test_margin_check_via_contamination_report(self):
-        samples, truth = gen_realizable_stream(_ball_spec(count=2_000))
-        rep = sigma_size(samples, truth)
+        spec = _ball_spec(count=2_000)
+        rep = sigma_size(generate(spec)[0], spec.truth)
         assert rep.p_T == 0 and rep.sigma_T == 0.0
 
     def test_bit_identical_under_fixed_seed(self):
-        a, _ = gen_realizable_stream(_ball_spec(seed=42))
-        b, _ = gen_realizable_stream(_ball_spec(seed=42))
+        a, _ = generate(_ball_spec(seed=42))
+        b, _ = generate(_ball_spec(seed=42))
         assert a.tobytes() == b.tobytes()
 
     def test_different_seeds_differ(self):
-        a, _ = gen_realizable_stream(_ball_spec(seed=1))
-        b, _ = gen_realizable_stream(_ball_spec(seed=2))
+        a, _ = generate(_ball_spec(seed=1))
+        b, _ = generate(_ball_spec(seed=2))
         assert a.tobytes() != b.tobytes()
 
-    def test_empty_ball_rejected(self):
-        truth = GroundTruth(np.ones(2), 1.0, 0.0)
-        spec = StreamSpec(dim=2, count=10, truth=truth, seed=1)
-        spec.truth.mu = 1.0  # bypass GroundTruth validation deliberately
-        with pytest.raises(ValueError, match="empty ball"):
-            gen_realizable_stream(spec)
+
+class TestSpecRules:
+    """The spec types state every stream rule, and being frozen, what they
+    checked at construction still holds when the stream is drawn."""
+
+    def test_truth_and_spec_are_frozen(self):
+        spec = _ball_spec()
+        with pytest.raises(FrozenInstanceError):
+            spec.truth.mu = 1.0
+        with pytest.raises(FrozenInstanceError):
+            spec.count = 10
+
+    @pytest.mark.parametrize("design", [Design.BALL, Design.CIRCLE])
+    @pytest.mark.parametrize("field, value", [
+        ("contamination_fraction", 0.3), ("outlier_radius_max", 5.0)])
+    def test_mixture_fields_rejected_for_other_designs(self, design, field,
+                                                       value):
+        truth = GroundTruth(np.array([2.0, 2.0]), 1.0, 0.1)
+        with pytest.raises(ValueError, match=f"^{field} "):
+            StreamSpec(dim=2, count=10, truth=truth, seed=1, design=design,
+                       **{field: value})
+
+    def test_dim_must_be_positive(self):
+        truth = GroundTruth(np.ones(1), 1.0, 0.1)
+        with pytest.raises(ValueError, match="^dim "):
+            StreamSpec(dim=0, count=10, truth=truth, seed=1)
+
+    def test_center_shape_must_match_dim(self):
+        truth = GroundTruth(np.zeros(3), 1.0, 0.1)
+        with pytest.raises(ValueError, match="does not match dim 2"):
+            StreamSpec(dim=2, count=10, truth=truth, seed=1)
 
 
 class TestCircleStream:
@@ -173,9 +188,10 @@ class TestCircleStream:
 
     @pytest.mark.parametrize("mu", [0.001, 0.1])
     def test_exact_radius(self, mu):
-        samples, truth = gen_circle_stream(self._spec(mu))
-        dists = np.linalg.norm(samples - truth.w_bar, axis=1)
-        assert np.abs(dists - truth.inner_radius).max() <= 1e-12
+        spec = self._spec(mu)
+        samples, _ = generate(spec)
+        dists = np.linalg.norm(samples - spec.truth.w_bar, axis=1)
+        assert np.abs(dists - spec.truth.inner_radius).max() <= 1e-12
 
     def test_dim_must_be_two(self):
         truth = GroundTruth(np.ones(3), 1.0, 0.1)
@@ -184,8 +200,8 @@ class TestCircleStream:
                        design=Design.CIRCLE)
 
     def test_deterministic(self):
-        a, _ = gen_circle_stream(self._spec(0.001, seed=5))
-        b, _ = gen_circle_stream(self._spec(0.001, seed=5))
+        a, _ = generate(self._spec(0.001, seed=5))
+        b, _ = generate(self._spec(0.001, seed=5))
         assert a.tobytes() == b.tobytes()
 
 
@@ -229,28 +245,27 @@ class TestContaminatedStream:
                           outlier_radius_max=5.0)
 
     def test_fraction_zero_reduces_to_realizable(self):
-        mixture, labels = gen_contaminated_stream(self._spec(0.0))
-        ball, _ = gen_realizable_stream(
-            _ball_spec(seed=1, count=4_000))
+        mixture, labels = generate(self._spec(0.0))
+        ball, _ = generate(_ball_spec(seed=1, count=4_000))
         assert labels.sum() == 0
         assert mixture.tobytes() == ball.tobytes()
 
     def test_realized_fraction_within_binomial_band(self):
         spec = self._spec(0.5, count=10_000)
-        _, labels = gen_contaminated_stream(spec)
+        _, labels = generate(spec)
         p_hat = labels.mean()
         assert abs(p_hat - 0.5) <= 3.0 * 0.5 / math.sqrt(10_000)
 
     def test_labels_agree_with_analytic_report(self):
         for fraction in (0.1, 0.3):
             spec = self._spec(fraction)
-            samples, labels = gen_contaminated_stream(spec)
+            samples, labels = generate(spec)
             rep = sigma_size(samples, spec.truth)
             assert rep.p_T == int(labels.sum())
 
     def test_ten_dimensional_variant(self):
         spec = self._spec(0.2, dim=10)
-        samples, labels = gen_contaminated_stream(spec)
+        samples, labels = generate(spec)
         assert samples.shape == (4_000, 10)
         rep = sigma_size(samples, spec.truth)
         assert rep.p_T == int(labels.sum())
@@ -278,11 +293,16 @@ class TestGenerateDispatch:
 
     def test_second_slot_is_labels_or_none(self):
         """Ball and circle streams have no labels; a mixture's second slot
-        is its outlier labels."""
-        ball, labels = generate(_ball_spec())
+        is its outlier labels.  The labels come from the seed's first
+        child and the normal samples from its second."""
+        root = SplitMix64(1)
+        labels_rng, normals_rng = root.spawn(), root.spawn()
+        spec = _ball_spec()
+        ball, labels = generate(spec)
         assert labels is None
-        assert ball.tobytes() == gen_realizable_stream(
-            _ball_spec())[0].tobytes()
+        assert ball.tobytes() == _ball_block(
+            normals_rng, 500, 2, spec.truth.w_bar,
+            spec.truth.inner_radius).tobytes()
         truth = GroundTruth(np.array([2.0, 2.0]), 1.0, 0.001)
         assert generate(StreamSpec(dim=2, count=10, truth=truth, seed=1,
                                    design=Design.CIRCLE))[1] is None
@@ -292,4 +312,5 @@ class TestGenerateDispatch:
                              outlier_radius_max=5.0)
         _, labels = generate(mixture)
         assert labels.dtype == bool and labels.shape == (200,)
-        assert np.array_equal(labels, gen_contaminated_stream(mixture)[1])
+        assert np.array_equal(labels,
+                              labels_rng.next_double_block(200) < 0.3)

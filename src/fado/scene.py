@@ -33,7 +33,6 @@ from .streamio import (
     _write_packed,
     write_outcome_rows,
 )
-from .streams import SplitMix64
 
 __all__ = [
     "FrameFormatError",
@@ -274,7 +273,13 @@ def gen_synthetic_clips(width: int, height: int, num_clips: int,
     offset spanning half the pixel range; every frame adds independent
     uniform noise of the given amplitude and clips to [0, 255].  Returns
     the frames and the indices where a new clip starts.
+
+    A clip's noise is drawn for a block of frames at a time (at most
+    :data:`SCAN_CHUNK_BYTES` of doubles, and at least one frame) into one
+    reused buffer.  The noise generator's draws are consecutive, so the
+    bytes do not depend on the block size.
     """
+    from .streams import SplitMix64
     if min(width, height, num_clips, frames_per_clip) < 1:
         raise ValueError("width, height, num_clips, frames_per_clip must be positive")
     if noise_amplitude < 0:
@@ -285,19 +290,27 @@ def gen_synthetic_clips(width: int, height: int, num_clips: int,
     background = np.floor(bg_rng.next_double_block(n) * 256.0)
     total = num_clips * frames_per_clip
     frames = np.empty((total, height, width), dtype=np.uint8)
+    rows = frames.reshape(total, n)
     span = 2 * noise_amplitude + 1
+    per_block = min(frames_per_clip, _block_rows(n))
+    noise = np.empty(per_block * n)
     for clip in range(num_clips):
         delta = np.floor(base_rng.next_double_block(n) * 129.0) - 64.0
         base = np.clip(background + delta, 0.0, 255.0)
-        for j in range(frames_per_clip):
-            if noise_amplitude:
-                noise = np.floor(noise_rng.next_double_block(n) * span) \
-                    - noise_amplitude
-            else:
-                noise = 0.0
-            pixels = np.clip(base + noise, 0.0, 255.0)
-            frames[clip * frames_per_clip + j] = \
-                pixels.reshape(height, width).astype(np.uint8)
+        first = clip * frames_per_clip
+        if not noise_amplitude:
+            rows[first:first + frames_per_clip] = base
+            continue
+        for lo in range(0, frames_per_clip, per_block):
+            k = min(per_block, frames_per_clip - lo)
+            block = noise_rng.next_double_block(k * n, out=noise[:k * n])
+            block *= span
+            np.floor(block, out=block)
+            block -= noise_amplitude
+            pixels = block.reshape(k, n)
+            pixels += base
+            np.clip(pixels, 0.0, 255.0, out=pixels)
+            rows[first + lo:first + lo + k] = pixels
     transitions = [clip * frames_per_clip for clip in range(1, num_clips)]
     return FrameSequence(width=width, height=height,
                          frames=frames), transitions

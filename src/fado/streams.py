@@ -5,10 +5,12 @@ Every design used by the experiment sweeps lives here: uniform-ball
 uniform-shell outlier clouds, and Bernoulli-position contaminated mixtures.
 A frozen :class:`StreamSpec` states the recipe and every rule on it, and
 :func:`generate` draws the stream it describes.  All randomness flows
-through a counter-based splitmix64 generator, so a (spec, seed) pair
-reproduces a stream bit for bit under a given numpy build and CPU dispatch
-level: numpy's AVX512 ``log`` and ``pow`` kernels give other bits than its
-AVX2 and baseline ones, so the bytes can differ between hosts.  The
+through a counter-based splitmix64 generator, which mixes a block of draws
+in place, one cache-sized tile at a time, into the same bits as drawing
+them one at a time.  So a (spec, seed) pair reproduces a stream bit for bit
+under a given numpy build and CPU dispatch level: numpy's AVX512 ``log``
+and ``pow`` kernels give other bits than its AVX2 and baseline ones, so the
+bytes can differ between hosts.  The
 Gaussian construction is pinned to the classic Box-Muller pair
 
     z0 = sqrt(-2 ln u1) cos(2 pi u2),   z1 = sqrt(-2 ln u1) sin(2 pi u2)
@@ -24,13 +26,16 @@ design under the same seed.
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .bounds import GroundTruth
+from .detector import _TILE
 
 __all__ = [
     "SplitMix64",
@@ -47,12 +52,29 @@ _MASK = 0xFFFFFFFFFFFFFFFF
 _U53 = 2.0 ** -53
 
 
+@functools.cache
+def _steps() -> np.ndarray:
+    """(1..TILE) * golden mod 2**64, read-only; built on first use."""
+    steps = np.arange(1, _TILE + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+    steps.flags.writeable = False
+    return steps
+
+
+def _count(count) -> int:
+    count = operator.index(count)
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    return count
+
+
 class SplitMix64:
     """splitmix64 with vectorized, counter-based block generation.
 
     The state advances by a fixed odd constant per draw, so a block of k
-    draws is the mix function applied to an arithmetic progression; block
-    and one-at-a-time generation produce identical sequences.
+    draws is the mix function applied to an arithmetic progression.  A
+    block is mixed in place, one tile of at most ``_TILE`` draws at a time,
+    through one scratch tile, so block and one-at-a-time generation produce
+    identical bits.
     """
 
     __slots__ = ("_state",)
@@ -60,25 +82,53 @@ class SplitMix64:
     def __init__(self, seed: int):
         self._state = int(seed) & _MASK
 
+    def _mix(self, lo: int, z: np.ndarray, t: np.ndarray) -> None:
+        """Draws ``lo + 1 .. lo + len(z)`` after the current state, mixed
+        in place into ``z``; ``t`` is scratch of the same length."""
+        np.add(_steps()[:len(z)],
+               np.uint64((self._state + lo * _GOLDEN) & _MASK), out=z)
+        for shift, mult in ((30, _MIX1), (27, _MIX2)):
+            np.right_shift(z, shift, out=t)
+            z ^= t
+            z *= np.uint64(mult)
+        np.right_shift(z, 31, out=t)
+        z ^= t
+
     def next_u64_block(self, count: int) -> np.ndarray:
-        if count < 0:
-            raise ValueError("count must be nonnegative")
-        idx = np.arange(1, count + 1, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            z = np.uint64(self._state) + idx * np.uint64(_GOLDEN)
-            z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-            z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-            z = z ^ (z >> np.uint64(31))
+        count = _count(count)
+        out = np.empty(count, dtype=np.uint64)
+        t = np.empty(min(count, _TILE), dtype=np.uint64)
+        for lo in range(0, count, _TILE):
+            z = out[lo:lo + _TILE]
+            self._mix(lo, z, t[:len(z)])
         self._state = (self._state + count * _GOLDEN) & _MASK
-        return z
+        return out
 
     def next_u64(self) -> int:
         return int(self.next_u64_block(1)[0])
 
-    def next_double_block(self, count: int) -> np.ndarray:
-        """Uniform doubles in [0, 1): top 53 bits scaled by 2**-53."""
-        return (self.next_u64_block(count) >> np.uint64(11)).astype(
-            np.float64) * _U53
+    def next_double_block(self, count: int,
+                          out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Uniform doubles in [0, 1): top 53 bits scaled by 2**-53.
+
+        With ``out`` (a float64 array of shape ``(count,)``) the doubles
+        are written into it, tile by tile, and it is returned.
+        """
+        count = _count(count)
+        if out is None:
+            out = np.empty(count, dtype=np.float64)
+        elif out.shape != (count,) or out.dtype != np.float64:
+            raise ValueError("out must be a float64 array of shape (count,)")
+        z = np.empty(min(count, _TILE), dtype=np.uint64)
+        t = np.empty_like(z)
+        for lo in range(0, count, _TILE):
+            dst = out[lo:lo + _TILE]
+            zk = z[:len(dst)]
+            self._mix(lo, zk, t[:len(dst)])
+            zk >>= 11
+            np.multiply(zk, _U53, out=dst)  # exact: zk < 2**53
+        self._state = (self._state + count * _GOLDEN) & _MASK
+        return out
 
     def next_double(self) -> float:
         return float(self.next_double_block(1)[0])
@@ -155,6 +205,14 @@ class StreamSpec:
     outlier_radius_max: Optional[float] = None
 
     def __post_init__(self):
+        for name in ("dim", "count"):  # stored as Python ints
+            try:
+                object.__setattr__(self, name,
+                                   operator.index(getattr(self, name)))
+            except TypeError:
+                raise TypeError(f"{name} must be an integer, not "
+                                f"{type(getattr(self, name)).__name__}"
+                                ) from None
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
         if self.count < 0:

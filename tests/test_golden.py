@@ -12,7 +12,11 @@ number of BLAS threads.  The long 2x2 timeline (17000 frames) spans two
 timeline was one joined string.  The ``margin``, ``dim``, ``epsilon`` and
 ``contamination`` sweep digests were re-recorded when the summed zeta (good
 to 1e-10) gave way to the Euler-Maclaurin one (good to about an ulp): only
-their ``bound`` column moved, by at most 6.4e-11 relative.
+their ``bound`` column moved, by at most 6.4e-11 relative.  The splitmix64
+block and the synthetic clip digests were recorded before generation was
+mixed in place tile by tile; they span several tiles and frames wider than
+one tile.  They use only integer operations and correctly rounded float
+arithmetic, so unlike the ``gen`` digests they hold on every host.
 """
 
 import hashlib
@@ -24,6 +28,7 @@ import pytest
 
 from fado.cli import main
 from fado.scene import gen_synthetic_clips, write_frames_packed
+from fado.streams import SplitMix64
 
 from conftest import HAVE_TASKS, main_in_child
 
@@ -81,6 +86,20 @@ SCENE_DIGESTS = {
 
 LONG_TIMELINE_DIGEST = \
     "a6f00ef7bae59c78eca865506e85b1fe17246854e8ae445ed972f783937c3cbf"
+
+# SplitMix64(7).next_u64_block(100003) as little-endian bytes, and the state
+# after the call
+U64_BLOCK_DIGEST = (
+    "a8a8e5aa18448273b2c002d9983205f5335b3152156265adc0911b7ab88b7246",
+    0x40c319078574ff66)
+
+# frames of gen_synthetic_clips(*args, seed=4); amplitude 0 draws no noise
+CLIP_DIGESTS = {
+    (400, 400, 2, 3, 10):
+        "879ecada2e0c4ab911587f52bdfc7275cff4ca851627f9b16061bd0c747b9823",
+    (300, 250, 2, 2, 0):
+        "0ee925865bc382bb1c89accdda347943605263a371f7637e95fcdc32ef53e633",
+}
 
 
 def _sha256(path) -> str:
@@ -145,6 +164,19 @@ def test_long_scene_timeline_is_pinned(tmp_path):
     assert _sha256(timeline) == LONG_TIMELINE_DIGEST
 
 
+def test_u64_block_bytes_are_pinned():
+    rng = SplitMix64(7)
+    block = rng.next_u64_block(100_003).astype("<u8").tobytes()
+    assert (hashlib.sha256(block).hexdigest(), rng._state) == U64_BLOCK_DIGEST
+
+
+@pytest.mark.parametrize("args", sorted(CLIP_DIGESTS))
+def test_synthetic_clip_bytes_are_pinned(args):
+    frames, _ = gen_synthetic_clips(*args, seed=4)
+    assert hashlib.sha256(frames.frames.tobytes()).hexdigest() == \
+        CLIP_DIGESTS[args]
+
+
 def test_cli_import_loads_no_scipy(tmp_path):
     """Nor the sweeps, which only ``fado sweep`` imports; a ``fado run``
     loads only the detector, the checkpoint codec and the stream I/O."""
@@ -164,6 +196,19 @@ def test_cli_import_loads_no_scipy(tmp_path):
     assert probe["code"] == 0
     assert probe["modules"] == ["fado", "fado.checkpoint", "fado.cli",
                                 "fado.detector", "fado.streamio", "numpy"]
+
+
+def test_packed_scene_loads_no_generator(tmp_path):
+    """``fado scene --packed`` loads neither the stream generators nor
+    the bounds; only ``--synthetic`` needs them."""
+    pack = tmp_path / "frames.pack"
+    write_frames_packed(gen_synthetic_clips(4, 4, 2, 3, 5, seed=1)[0], pack)
+    probe = main_in_child(["scene", "--packed", pack,
+                           "--timeline", tmp_path / "timeline.csv"])
+    assert probe["code"] == 0
+    assert probe["modules"] == ["fado", "fado.checkpoint", "fado.cli",
+                                "fado.detector", "fado.scene",
+                                "fado.streamio", "numpy"]
 
 
 def test_wide_scene_outputs_do_not_depend_on_blas_threads(tmp_path):

@@ -191,6 +191,26 @@ class TestSyntheticClips:
         b, _ = gen_synthetic_clips(12, 9, 4, 6, 7, seed=42)
         assert a.frames.tobytes() == b.frames.tobytes()
 
+    def test_numpy_integer_sizes(self):
+        a, _ = gen_synthetic_clips(np.int64(40), 3, 2, np.int64(4), 7, seed=1)
+        b, _ = gen_synthetic_clips(40, 3, 2, 4, 7, seed=1)
+        assert a.frames.tobytes() == b.frames.tobytes()
+
+    def test_noise_blocks_span_a_clip(self):
+        """A 2x2 clip of 300000 frames takes its noise in blocks of 32768
+        frames (1 MiB of doubles) and a shorter last one; the bytes equal
+        one draw for the whole clip."""
+        from fado.streams import SplitMix64
+        frames, _ = gen_synthetic_clips(2, 2, 1, 300_000, 3, seed=8)
+        root = SplitMix64(8)
+        bg_rng, base_rng, noise_rng = root.spawn(), root.spawn(), root.spawn()
+        background = np.floor(bg_rng.next_double_block(4) * 256.0)
+        delta = np.floor(base_rng.next_double_block(4) * 129.0) - 64.0
+        base = np.clip(background + delta, 0.0, 255.0)
+        noise = np.floor(noise_rng.next_double_block(4 * 300_000) * 7) - 3
+        expected = np.clip(base + noise.reshape(-1, 4), 0.0, 255.0)
+        assert frames.frames.tobytes() == expected.astype(np.uint8).tobytes()
+
     def test_every_transition_alarmed_promptly(self):
         frames, transitions = gen_synthetic_clips(40, 40, 16, 50, 10, seed=1)
         timeline, _ = run_scene_detection(frames, epsilon=5.0, gamma=1.0)

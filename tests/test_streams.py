@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fado.bounds import GroundTruth, sigma_size
+from fado.detector import _TILE
 from fado.streams import (
     Design,
     SplitMix64,
@@ -45,6 +46,57 @@ class TestSplitMix64:
 
     def test_seed_wraps_to_uint64(self):
         assert SplitMix64(2 ** 64)._state == 0
+
+    def test_tile_boundary_entries_match_the_formula(self):
+        """Draw i (from 0) mixes state + (i + 1) * golden, in Python ints,
+        on either side of the first tile boundary."""
+        def mix(z):
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
+            return z ^ (z >> 31)
+
+        MASK, state = 2 ** 64 - 1, 2 ** 64 - 3
+        block = SplitMix64(state).next_u64_block(_TILE + 2)
+        for i in (_TILE - 1, _TILE, _TILE + 1):
+            assert int(block[i]) == mix(
+                (state + (i + 1) * 0x9E3779B97F4A7C15) & MASK)
+
+    @pytest.mark.parametrize("kind", ["u64", "double"])
+    def test_split_draws_match_one_block(self, kind):
+        def draw(rng, count):
+            return (rng.next_u64_block(count) if kind == "u64"
+                    else rng.next_double_block(count))
+
+        whole, split = SplitMix64(7), SplitMix64(7)
+        expected = draw(whole, 100_003)
+        parts = [draw(split, count)
+                 for count in (_TILE - 1, 2, 100_003 - _TILE - 1)]
+        assert np.concatenate(parts).tobytes() == expected.tobytes()
+        assert split._state == whole._state
+
+    def test_double_block_fills_out(self):
+        buf = np.full(_TILE + 5, np.nan)
+        assert SplitMix64(3).next_double_block(_TILE + 5, out=buf) is buf
+        assert buf.tobytes() == \
+            SplitMix64(3).next_double_block(_TILE + 5).tobytes()
+
+    @pytest.mark.parametrize("out", [np.empty(4), np.empty(5, np.float32),
+                                     np.empty((5, 1))])
+    def test_out_must_be_float64_of_count(self, out):
+        rng = SplitMix64(3)
+        with pytest.raises(ValueError, match="^out "):
+            rng.next_double_block(5, out=out)
+        assert rng._state == 3
+
+    def test_counts_are_integers(self):
+        assert SplitMix64(1).next_double_block(np.int64(5)).tobytes() == \
+            SplitMix64(1).next_double_block(5).tobytes()
+        rng = SplitMix64(1)
+        with pytest.raises(TypeError):
+            rng.next_u64_block(2.5)
+        with pytest.raises(ValueError, match="nonnegative"):
+            rng.next_double_block(-1)
+        assert rng._state == 1
 
 
 class TestGaussianConstruction:
@@ -173,6 +225,21 @@ class TestSpecRules:
         truth = GroundTruth(np.ones(1), 1.0, 0.1)
         with pytest.raises(ValueError, match="^dim "):
             StreamSpec(dim=0, count=10, truth=truth, seed=1)
+
+    def test_integer_fields_are_stored_as_ints(self):
+        truth = GroundTruth(np.ones(2), 1.0, 0.1)
+        spec = StreamSpec(dim=np.int64(2), count=np.int64(100), truth=truth,
+                          seed=1)
+        assert type(spec.dim) is int and type(spec.count) is int
+        assert generate(spec)[0].tobytes() == generate(StreamSpec(
+            dim=2, count=100, truth=truth, seed=1))[0].tobytes()
+
+    @pytest.mark.parametrize("field", ["dim", "count"])
+    def test_integer_fields_reject_floats(self, field):
+        truth = GroundTruth(np.ones(2), 1.0, 0.1)
+        with pytest.raises(TypeError, match=f"^{field} must be an integer"):
+            StreamSpec(**{"dim": 2, "count": 10, field: 2.5}, truth=truth,
+                       seed=1)
 
     def test_center_shape_must_match_dim(self):
         truth = GroundTruth(np.zeros(3), 1.0, 0.1)

@@ -116,7 +116,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--count", type=int, default=10_000,
                          help="stream length per run")
     sweep_p.add_argument("--base-seed", type=int, default=0xFAD0)
-    sweep_p.add_argument("--out", help="results file (.csv or .json)")
+    sweep_p.add_argument("--out", help="results file: JSON when the suffix "
+                                       "is .json, else CSV")
 
     scene_p = sub.add_parser("scene", help="scene-change detection over frames")
     scene_p.set_defaults(handler=lambda args: _cmd_scene(args, scene_p))
@@ -197,6 +198,9 @@ def _cmd_run(args, parser) -> int:
     block = next(blocks)  # the header is checked before the checkpoint
     if args.checkpoint_in:
         detector = checkpoint_decode(Path(args.checkpoint_in).read_bytes())
+        if detector.dim != block.shape[1]:
+            raise ValueError(f"checkpoint dimension {detector.dim} does not "
+                             f"match stream ({block.shape[1]})")
     else:
         mode = (AdaptiveRadius() if args.mode == "adaptive"
                 else FixedRadius(args.epsilon))
@@ -233,8 +237,7 @@ def _cmd_sweep(args, parser) -> int:
     result = getattr(experiments, _SWEEPS[args.kind])(
         n_seeds=args.seeds, count=args.count, base_seed=args.base_seed)
     if args.out:
-        fmt = "json" if Path(args.out).suffix.lower() == ".json" else "csv"
-        experiments.emit_results(result, fmt, args.out)
+        experiments.emit_results(result, args.out)
     for name, check in result.checks.items():
         status = "ok" if check.get("passed") else "FAIL"
         _log(f"check {name}: {status}")

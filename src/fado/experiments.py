@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
@@ -38,10 +38,10 @@ from .detector import (
     GainSchedule,
     PowerDecay,
 )
-from .streams import Design, SplitMix64, StreamSpec, gen_outliers, generate
+from .streams import (Design, SplitMix64, StreamSpec, _children,
+                      gen_outliers, generate)
 
 __all__ = [
-    "ExperimentRecord",
     "SweepRecord",
     "SweepResult",
     "run_detection_experiment",
@@ -77,32 +77,28 @@ def spearman_rho(x: Sequence[float], y: Sequence[float]) -> float:
     return float(np.corrcoef(ranks(x), ranks(y))[0, 1])
 
 
-def _heldout_rng(seed: int) -> SplitMix64:
-    # Children 1-3 of the seed feed the stream generators; the fourth feeds
-    # held-out outlier evaluation so train and test draws never collide.
-    root = SplitMix64(seed)
-    for _ in range(3):
-        root.next_u64()
-    return root.spawn()
-
-
 @dataclass
-class ExperimentRecord:
-    """Single train-and-evaluate run."""
+class SweepRecord:
+    """One run; a sweep sets its grid value, variant and bound.
 
+    Fields from ``wall_time`` on are neither compared nor written to CSV."""
+
+    seed: int
     m_T: int
-    power: float
-    final_w_error: float
-    final_radius: float
-    p_realized: Optional[int]
-    sigma_T: Optional[float]
-    audit_passed: Optional[bool]
-    wall_time: float
-    detector: Detector
+    value: Optional[float] = None
+    power: Optional[float] = None
+    final_w_error: Optional[float] = None
+    bound: Optional[int] = None
+    p_realized: Optional[int] = None
+    variant: str = ""
+    wall_time: Optional[float] = field(default=None, compare=False)
+    final_radius: Optional[float] = field(default=None, compare=False)
+    sigma_T: Optional[float] = field(default=None, compare=False)
+    audit_passed: Optional[bool] = field(default=None, compare=False)
 
 
 def run_detection_experiment(spec: StreamSpec, mode: DetectorMode,
-                             schedule: GainSchedule) -> ExperimentRecord:
+                             schedule: GainSchedule) -> SweepRecord:
     """Train on the stream described by ``spec``, then measure held-out power.
 
     Power is the fraction of :data:`DEFAULT_HELDOUT` fresh shell outliers
@@ -119,7 +115,7 @@ def run_detection_experiment(spec: StreamSpec, mode: DetectorMode,
     heldout = gen_outliers(
         spec.dim, spec.truth, DEFAULT_HELDOUT, DEFAULT_POWER_DELTA,
         10.0 * (spec.truth.epsilon + DEFAULT_POWER_DELTA),
-        _heldout_rng(spec.seed))
+        _children(spec.seed, 4)[3])
     radius = detector.current_radius()
     dists = np.linalg.norm(heldout - detector.w, axis=1)
     power = float(np.mean(dists >= radius))
@@ -134,7 +130,8 @@ def run_detection_experiment(spec: StreamSpec, mode: DetectorMode,
         report = sigma_size(samples, spec.truth)
         p_realized, sigma_t = report.p_T, report.sigma_T
 
-    return ExperimentRecord(
+    return SweepRecord(
+        seed=spec.seed,
         m_T=detector.m,
         power=power,
         final_w_error=float(np.linalg.norm(detector.w - spec.truth.w_bar)),
@@ -143,23 +140,7 @@ def run_detection_experiment(spec: StreamSpec, mode: DetectorMode,
         sigma_T=sigma_t,
         audit_passed=audit_passed,
         wall_time=time.perf_counter() - started,
-        detector=detector,
     )
-
-
-@dataclass
-class SweepRecord:
-    """One (grid point, seed) row of a sweep; wall time is not compared."""
-
-    value: float
-    seed: int
-    m_T: int
-    power: Optional[float] = None
-    final_w_error: Optional[float] = None
-    bound: Optional[int] = None
-    p_realized: Optional[int] = None
-    variant: str = ""
-    wall_time: Optional[float] = field(default=None, compare=False)
 
 
 @dataclass
@@ -194,7 +175,7 @@ class _Point(NamedTuple):
     """A grid value, its ``spec(seed=...)`` factory, schedule and variants.
 
     A variant is (name, mode, bound); the bound is an int or a function of
-    the run's :class:`ExperimentRecord`.
+    the run's :class:`SweepRecord`.
     """
 
     value: float
@@ -219,31 +200,26 @@ def _ball_point(value: float, dim: int, c: float, epsilon: float, mu: float,
 
 
 def _run_grid(parameter: str, seeds: Sequence[int], points: Sequence[_Point],
-              metadata: Dict[str, object], audits: bool = True) -> SweepResult:
+              metadata: Dict[str, object]) -> SweepResult:
     """One record per (point, seed, variant), in that order, plus the
-    per-run checks: bound dominance and, with ``audits``, trace audits."""
+    per-run checks: bound dominance and audits (an unaudited run passes)."""
     records: List[SweepRecord] = []
-    audits_ok = True
     for point in points:
         for seed in seeds:
             spec = point.spec(seed=seed)
             for variant, mode, bound in point.variants:
                 rec = run_detection_experiment(spec, mode, point.schedule)
-                audits_ok &= bool(rec.audit_passed)
-                records.append(SweepRecord(
-                    value=point.value, seed=seed, m_T=rec.m_T,
-                    power=rec.power, final_w_error=rec.final_w_error,
-                    bound=bound(rec) if callable(bound) else bound,
-                    p_realized=rec.p_realized, variant=variant,
-                    wall_time=rec.wall_time))
+                records.append(replace(
+                    rec, value=point.value, variant=variant,
+                    bound=bound(rec) if callable(bound) else bound))
     result = SweepResult(parameter, [point.value for point in points],
                          records, metadata={**metadata, "version": _version})
     violations = sum(r.bound is not None and r.m_T > r.bound for r in records)
     result.checks["bound_dominance"] = {"passed": not violations,
                                         "violations": violations,
                                         "runs": len(records)}
-    if audits:
-        result.checks["audits"] = {"passed": audits_ok}
+    result.checks["audits"] = {
+        "passed": all(r.audit_passed in (None, True) for r in records)}
     return result
 
 
@@ -430,8 +406,8 @@ def compare_adaptive(mus: Sequence[float] = (0.01, 0.05, 0.1),
 
     Variant "fixed" knows epsilon; variant "adaptive" estimates the radius
     as the reciprocal gain.  Checks: fixed median power exactly 1 at every
-    grid point, adaptive median power at least 0.9, and adaptive mistake
-    counts within the loose diagnostic cap.
+    grid point, adaptive median power at least 0.9, adaptive mistake
+    counts within the loose diagnostic cap, and both variants' audits.
     """
     seeds = _stream_seeds(base_seed, n_seeds)
     schedule = PowerDecay(gamma0=gamma0, tau=tau)
@@ -447,8 +423,7 @@ def compare_adaptive(mus: Sequence[float] = (0.01, 0.05, 0.1),
     result = _run_grid(
         "mu", seeds, points,
         {"design": "ball", "dim": dim, "c": c, "epsilon": epsilon,
-         "count": count, "tau": tau, "gamma0": gamma0, "seeds": seeds},
-        audits=False)
+         "count": count, "tau": tau, "gamma0": gamma0, "seeds": seeds})
     fixed_power = [result.median(mu, "power", "fixed") for mu in mus]
     adaptive_power = [result.median(mu, "power", "adaptive") for mu in mus]
     result.checks["fixed_power"] = {
@@ -476,17 +451,16 @@ def _fmt(value) -> str:
     return "" if value is None else str(value)
 
 
-def emit_results(result: SweepResult, fmt: str, path) -> None:
-    """Write a sweep result; CSV carries the data rows, JSON adds the rest."""
+def _is_json(path: Path) -> bool:
+    return path.suffix.lower() == ".json"
+
+
+def emit_results(result: SweepResult, path) -> None:
+    """Write a sweep result: JSON, with checks and metadata, when the
+    suffix of ``path`` is .json in any case, else CSV of the data rows."""
     path = Path(path)
-    if fmt == "csv":
-        lines = [_CSV_HEADER] + [
-            ",".join([result.parameter,
-                      *(_fmt(getattr(r, name)) for name in _COLUMNS)])
-            for r in result.records]
-        path.write_text("\n".join(lines) + "\n", encoding="ascii")
-    elif fmt == "json":
-        doc = {
+    if _is_json(path):
+        text = json.dumps({
             "parameter": result.parameter,
             "grid": result.grid,
             "records": [{name: getattr(r, name)
@@ -494,16 +468,19 @@ def emit_results(result: SweepResult, fmt: str, path) -> None:
                         for r in result.records],
             "checks": result.checks,
             "metadata": result.metadata,
-        }
-        path.write_text(json.dumps(doc, indent=2) + "\n", encoding="ascii")
+        }, indent=2)
     else:
-        raise ValueError(f"unknown result format {fmt!r} (csv or json)")
+        text = "\n".join([_CSV_HEADER] + [
+            ",".join([result.parameter,
+                      *(_fmt(getattr(r, name)) for name in _COLUMNS)])
+            for r in result.records])
+    path.write_text(text + "\n", encoding="ascii")
 
 
 def parse_results(path) -> SweepResult:
-    """Inverse of :func:`emit_results`; format chosen by extension."""
+    """Inverse of :func:`emit_results`, by the same suffix rule."""
     path = Path(path)
-    if path.suffix.lower() == ".json":
+    if _is_json(path):
         # emit_results writes the dataclass fields under their own names
         doc = json.loads(path.read_text(encoding="ascii"))
         records = [SweepRecord(**r) for r in doc.pop("records")]

@@ -17,10 +17,10 @@ Gaussian construction is pinned to the classic Box-Muller pair
 
 with u1 clamped away from zero at 2**-53.
 
-Seed discipline: every stream spawns three child generators from the user
-seed (labels, normal samples, outlier samples, in that order), so a mixture
-with contamination fraction 0 emits byte-identical samples to the ball
-design under the same seed.
+Seed discipline: ``_children`` spawns a seed's child generators in one
+order: labels, normal samples, outlier samples, held-out outliers.  A
+stream takes the first three, so a mixture with contamination fraction 0
+emits byte-identical samples to the ball design under the same seed.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -60,8 +60,17 @@ def _steps() -> np.ndarray:
     return steps
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int; a TypeError names ``name`` first."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, not "
+                        f"{type(value).__name__}") from None
+
+
 def _count(count) -> int:
-    count = operator.index(count)
+    count = _integer("count", count)
     if count < 0:
         raise ValueError("count must be nonnegative")
     return count
@@ -80,7 +89,7 @@ class SplitMix64:
     __slots__ = ("_state",)
 
     def __init__(self, seed: int):
-        self._state = int(seed) & _MASK
+        self._state = _integer("seed", seed) & _MASK
 
     def _mix(self, lo: int, z: np.ndarray, t: np.ndarray) -> None:
         """Draws ``lo + 1 .. lo + len(z)`` after the current state, mixed
@@ -138,6 +147,12 @@ class SplitMix64:
         return SplitMix64(self.next_u64())
 
 
+def _children(seed: int, count: int) -> List[SplitMix64]:
+    """The first ``count`` child generators of ``seed``, in spawn order."""
+    root = SplitMix64(seed)
+    return [root.spawn() for _ in range(count)]
+
+
 def _box_muller(u: np.ndarray, cols: int) -> np.ndarray:
     """Standard normals from rows of interleaved (u1, u2) uniform pairs.
 
@@ -176,9 +191,12 @@ def _project_into_ball(samples: np.ndarray, center: np.ndarray,
     """Deterministically repair ulp-level radius violations in place."""
     d = np.linalg.norm(samples - center, axis=1)
     over = d > radius
-    shrink = 1.0
+    shrink, step = 1.0, 2.0 ** -50
     while np.any(over):
-        shrink *= 1.0 - 2.0 ** -50
+        # the step doubles, so rows end inside where a step below the
+        # center's ulp moves nothing: by round 51 the shrink is 0
+        shrink *= 1.0 - step
+        step *= 2.0
         idx = np.flatnonzero(over)
         samples[idx] = center + (samples[idx] - center) * (
             radius * shrink / d[idx])[:, None]
@@ -205,14 +223,9 @@ class StreamSpec:
     outlier_radius_max: Optional[float] = None
 
     def __post_init__(self):
-        for name in ("dim", "count"):  # stored as Python ints
-            try:
-                object.__setattr__(self, name,
-                                   operator.index(getattr(self, name)))
-            except TypeError:
-                raise TypeError(f"{name} must be an integer, not "
-                                f"{type(getattr(self, name)).__name__}"
-                                ) from None
+        for name in ("dim", "count", "seed"):  # stored as Python ints
+            object.__setattr__(self, name,
+                               _integer(name, getattr(self, name)))
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
         if self.count < 0:
@@ -282,9 +295,7 @@ def generate(spec: StreamSpec) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     contamination report exactly, because normals stay inside the margin
     ball and outliers start at the detection radius.
     """
-    root = SplitMix64(spec.seed)
-    labels_rng, normals_rng, outliers_rng = (root.spawn(), root.spawn(),
-                                             root.spawn())
+    labels_rng, normals_rng, outliers_rng = _children(spec.seed, 3)
     center, radius = spec.truth.w_bar, spec.truth.inner_radius
     if spec.design is Design.BALL:
         return _ball_block(normals_rng, spec.count, spec.dim, center,

@@ -326,6 +326,22 @@ class TestRun:
 
 
 class TestGen:
+    @pytest.mark.parametrize("count, center, epsilon, seed", [
+        (200_000, 1e8, 1e-3, 2), (1000, 1e15, 1.0, 3)])
+    def test_far_center_ends_inside_the_ball(self, tmp_path, count, center,
+                                             epsilon, seed):
+        """Where the center's ulp dwarfs the radius times 2**-50, a row
+        drawn an ulp outside is still brought inside, and gen returns."""
+        out = tmp_path / "far.bin"
+        code, _ = run_cli("gen", "--dim", "2", "--count", str(count),
+                          "--center", repr(center), "--epsilon",
+                          repr(epsilon), "--seed", str(seed),
+                          "--out", str(out))
+        assert code == 0
+        samples = read_vectors(out)
+        assert samples.shape == (count, 2)
+        assert (np.linalg.norm(samples - center, axis=1) <= epsilon).all()
+
     def test_gen_then_run_pipeline(self, tmp_path):
         stream = tmp_path / "ball.bin"
         code, _ = run_cli("gen", "--design", "ball", "--dim", "2",
@@ -467,6 +483,22 @@ class TestScene:
         state = checkpoint_decode(ckpt.read_bytes())
         assert state.t == 40
 
+    def test_checkpoint_dimension_must_match_frames(self, tmp_path, capsys):
+        ckpt, out_ckpt = tmp_path / "c16.ckpt", tmp_path / "out.ckpt"
+        timeline = tmp_path / "t.csv"
+        small = ["scene", "--synthetic", "--clips", "1",
+                 "--frames-per-clip", "2", "--height", "4"]
+        assert run_cli(*small, "--width", "4",
+                       "--checkpoint-out", str(ckpt))[0] == 0
+        capsys.readouterr()
+        code, _ = run_cli(*small, "--width", "5", "--checkpoint-in", str(ckpt),
+                          "--timeline", str(timeline),
+                          "--checkpoint-out", str(out_ckpt))
+        assert code == 1
+        assert capsys.readouterr().err == \
+            "error: checkpoint dimension 16 does not match frames (20)\n"
+        assert not timeline.exists() and not out_ckpt.exists()
+
     def test_pgm_input(self, tmp_path):
         from fado.scene import write_pgm
         paths = []
@@ -603,7 +635,15 @@ class TestSweep:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["parameter"] == "mu"
+        assert doc["checks"]["audits"] == {"passed": True}
         assert all(c["passed"] for c in doc["checks"].values())
+
+    def test_suffix_in_any_case_picks_json(self, tmp_path):
+        out = tmp_path / "adaptive.JSON"
+        code, _ = run_cli("sweep", "adaptive", "--seeds", "2",
+                          "--count", "1500", "--out", str(out))
+        assert code == 0
+        assert json.loads(out.read_text())["parameter"] == "mu"
 
     @pytest.mark.parametrize("flags,named", [
         (["--seeds", "0"], "--seeds"),
@@ -691,6 +731,22 @@ class TestRunResume:
         assert 0 < alarms < len(rows)
         assert capsys.readouterr().err.strip() == \
             f"processed 200 transactions, {alarms} alarms"
+
+    def test_checkpoint_dimension_must_match_stream(self, tmp_path, capsys):
+        """A 3-d checkpoint on a 5-d stream is named before any output is
+        opened: exit 1, no outcome file and no checkpoint written."""
+        _, ckpt = self._segments(tmp_path)
+        stream = tmp_path / "s5.bin"
+        write_vectors(np.random.default_rng(5).normal(size=(50, 5)), stream)
+        out, out_ckpt = tmp_path / "o.csv", tmp_path / "o.ckpt"
+        capsys.readouterr()
+        code, _ = run_cli("run", "--checkpoint-in", str(ckpt), "--input",
+                          str(stream), "--output", str(out),
+                          "--checkpoint-out", str(out_ckpt))
+        assert code == 1
+        assert capsys.readouterr().err == \
+            "error: checkpoint dimension 3 does not match stream (5)\n"
+        assert not out.exists() and not out_ckpt.exists()
 
     @pytest.mark.parametrize("flag", ["--gamma0", "--tau", "--gamma"])
     def test_gain_flags_conflict_with_checkpoint(self, tmp_path, flag):

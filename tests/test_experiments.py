@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,14 @@ class TestRunDetectionExperiment:
         assert rec.final_w_error <= 0.2
         assert rec.power >= 0.95
         assert rec.audit_passed
+
+    def test_returns_a_sweep_record_of_the_spec_seed(self):
+        rec = run_detection_experiment(_standard_ball_spec(seed=5, count=500),
+                                       FixedRadius(1.0),
+                                       PowerDecay(1.0, 0.25))
+        assert isinstance(rec, SweepRecord)
+        assert rec.seed == 5
+        assert rec.value is None and rec.variant == "" and rec.bound is None
 
     def test_circle_low_margin_band(self):
         truth = GroundTruth(np.array([2.0, 2.0]), 1.0, 0.001)
@@ -126,13 +136,26 @@ class TestSweeps:
         assert result.checks["fixed_power"]["passed"]
         assert result.checks["adaptive_power"]["passed"]
         assert result.checks["bound_dominance"]["passed"]
+        assert result.checks["audits"]["passed"]
+        assert all(r.audit_passed for r in result.records)
+
+    def test_unaudited_run_does_not_fail_the_audits(self, monkeypatch):
+        """A run with no audit (audit_passed None) leaves the check
+        passing; a failed audit fails it."""
+        import fado.experiments as experiments
+        real = experiments.run_detection_experiment
+        for verdict, passed in ((None, True), (False, False)):
+            monkeypatch.setattr(
+                experiments, "run_detection_experiment",
+                lambda *a, verdict=verdict: replace(real(*a),
+                                                    audit_passed=verdict))
+            result = sweep_margin(mus=(0.1,), n_seeds=1, count=500)
+            assert result.checks["audits"] == {"passed": passed}
 
     def test_sweep_reproducible_csv_bytes(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit_results(sweep_margin(mus=(0.1,), n_seeds=2, count=1500),
-                     "csv", p1)
-        emit_results(sweep_margin(mus=(0.1,), n_seeds=2, count=1500),
-                     "csv", p2)
+        emit_results(sweep_margin(mus=(0.1,), n_seeds=2, count=1500), p1)
+        emit_results(sweep_margin(mus=(0.1,), n_seeds=2, count=1500), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -153,13 +176,13 @@ class TestEmitParse:
     def test_csv_roundtrip(self, tmp_path):
         result = self._result()
         path = tmp_path / "r.csv"
-        emit_results(result, "csv", path)
+        emit_results(result, path)
         assert parse_results(path) == result
 
     def test_json_roundtrip_with_metadata(self, tmp_path):
         result = self._result()
         path = tmp_path / "r.json"
-        emit_results(result, "json", path)
+        emit_results(result, path)
         back = parse_results(path)
         assert back == result
         assert back.checks == result.checks
@@ -170,7 +193,7 @@ class TestEmitParse:
     def test_empty_sweep_header_only(self, tmp_path):
         result = SweepResult(parameter="mu", grid=[], records=[])
         path = tmp_path / "empty.csv"
-        emit_results(result, "csv", path)
+        emit_results(result, path)
         text = path.read_text()
         assert text.count("\n") == 1 and text.startswith("parameter,")
         back = parse_results(path)
@@ -178,7 +201,7 @@ class TestEmitParse:
         # round-trips its (empty) data and loses only the name
         assert back.grid == [] and back.records == []
         json_path = tmp_path / "empty.json"
-        emit_results(result, "json", json_path)
+        emit_results(result, json_path)
         assert parse_results(json_path) == result
 
     def test_float_formatting_shortest_roundtrip(self, tmp_path):
@@ -187,11 +210,23 @@ class TestEmitParse:
             SweepRecord(value=value, seed=1, m_T=1, power=value,
                         final_w_error=None, bound=None)])
         path = tmp_path / "f.csv"
-        emit_results(result, "csv", path)
+        emit_results(result, path)
         back = parse_results(path)
         assert back.records[0].value == value
         assert back.records[0].power == value
 
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="format"):
-            emit_results(self._result(), "yaml", tmp_path / "r.yaml")
+    @pytest.mark.parametrize("name, is_json", [
+        ("r.JSON", True), ("r.Json", True), ("r.txt", False),
+        ("r", False), ("r.json.csv", False)])
+    def test_suffix_picks_the_format(self, tmp_path, name, is_json):
+        result = self._result()
+        path = tmp_path / name
+        emit_results(result, path)
+        text = path.read_text(encoding="ascii")
+        assert text.startswith("{") is is_json
+        assert text.startswith("parameter,") is not is_json
+        back = parse_results(path)
+        assert back == result
+        # only JSON carries the checks and the metadata
+        assert (back.checks == result.checks) is is_json
+        assert (back.metadata == result.metadata) is is_json

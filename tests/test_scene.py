@@ -173,6 +173,10 @@ class TestSyntheticClips:
         assert transitions == [50 * k for k in range(1, 16)]
         assert frames.frames.dtype == np.uint8
 
+    def test_seed_must_be_an_integer(self):
+        with pytest.raises(TypeError, match="^seed must be an integer"):
+            gen_synthetic_clips(4, 4, 1, 2, 3, seed=1.5)
+
     def test_zero_noise_within_clip_constant(self):
         frames, transitions = gen_synthetic_clips(10, 10, 3, 5, 0, seed=2)
         stack = frames.frames

@@ -47,6 +47,17 @@ class TestSplitMix64:
     def test_seed_wraps_to_uint64(self):
         assert SplitMix64(2 ** 64)._state == 0
 
+    @pytest.mark.parametrize("seed", [2.9, 2.0, "2", None])
+    def test_seed_must_be_an_integer(self, seed):
+        """A float seed is refused, not truncated to another seed."""
+        with pytest.raises(TypeError, match="^seed must be an integer"):
+            SplitMix64(seed)
+
+    @pytest.mark.parametrize("seed", [np.int64(7), np.uint64(7), np.int8(7)])
+    def test_numpy_integer_seed_matches_python_int(self, seed):
+        assert SplitMix64(seed).next_u64_block(5).tobytes() == \
+            SplitMix64(7).next_u64_block(5).tobytes()
+
     def test_tile_boundary_entries_match_the_formula(self):
         """Draw i (from 0) mixes state + (i + 1) * golden, in Python ints,
         on either side of the first tile boundary."""
@@ -171,6 +182,42 @@ class TestBallSampler:
         assert abs(inside - 0.5) <= 3.0 * 0.5 / math.sqrt(pts.shape[0])
 
 
+class TestProjectIntoBall:
+    @pytest.mark.parametrize("offset, radius", [
+        ([1.125], 1.1), ([0.75, 0.75], 1.0)], ids=["1d", "2d"])
+    def test_row_just_outside_a_far_ball_ends_inside(self, offset, radius):
+        """Centred at 1e15 the grid step is 0.125: a row one grid point
+        outside the ball, scaled back to the radius, rounds to itself, so
+        a shrink below the center's ulp moves nothing.  The repair still
+        ends with the row inside."""
+        from fado.streams import _project_into_ball
+
+        center = np.full(len(offset), 1e15)
+        samples = (center + offset)[None, :]
+        _project_into_ball(samples, center, radius)
+        assert np.linalg.norm(samples - center, axis=1)[0] <= radius
+
+    def test_first_round_repair_keeps_its_bytes(self):
+        """A row that one shrink by 1 - 2**-50 repairs is scaled exactly
+        as that one round states."""
+        from fado.streams import _project_into_ball
+
+        center = np.array([0.5, -0.25])
+        row = center + np.array([0.6, 0.8]) * np.nextafter(1.0, 2.0)
+        samples = row[None, :].copy()
+        d = np.linalg.norm(samples - center, axis=1)[0]
+        assert d > 1.0
+        expected = center + (row - center) * (1.0 * (1.0 - 2.0 ** -50) / d)
+        _project_into_ball(samples, center, 1.0)
+        assert samples[0].tobytes() == expected.tobytes()
+
+    def test_far_one_dimensional_stream_is_drawn(self):
+        truth = GroundTruth(np.array([1e8]), 1e-3, 0.0)
+        samples, _ = generate(StreamSpec(dim=1, count=200_000, truth=truth,
+                                         seed=1))
+        assert (np.abs(samples[:, 0] - 1e8) <= 1e-3).all()
+
+
 
 def _ball_spec(seed=1, mu=0.1, count=500, dim=2, center=(2.0, 2.0)):
     truth = GroundTruth(np.asarray(center, dtype=float), 1.0, mu)
@@ -229,17 +276,18 @@ class TestSpecRules:
     def test_integer_fields_are_stored_as_ints(self):
         truth = GroundTruth(np.ones(2), 1.0, 0.1)
         spec = StreamSpec(dim=np.int64(2), count=np.int64(100), truth=truth,
-                          seed=1)
+                          seed=np.uint64(1))
         assert type(spec.dim) is int and type(spec.count) is int
+        assert type(spec.seed) is int
         assert generate(spec)[0].tobytes() == generate(StreamSpec(
             dim=2, count=100, truth=truth, seed=1))[0].tobytes()
 
-    @pytest.mark.parametrize("field", ["dim", "count"])
+    @pytest.mark.parametrize("field", ["dim", "count", "seed"])
     def test_integer_fields_reject_floats(self, field):
         truth = GroundTruth(np.ones(2), 1.0, 0.1)
         with pytest.raises(TypeError, match=f"^{field} must be an integer"):
-            StreamSpec(**{"dim": 2, "count": 10, field: 2.5}, truth=truth,
-                       seed=1)
+            StreamSpec(**{"dim": 2, "count": 10, "seed": 1, field: 2.9},
+                       truth=truth)
 
     def test_center_shape_must_match_dim(self):
         truth = GroundTruth(np.zeros(3), 1.0, 0.1)

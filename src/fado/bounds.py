@@ -10,7 +10,8 @@ diagnostics trace.
 
 zeta(1+2*tau) is an Euler-Maclaurin sum of 18 terms, exact to a few ulps,
 and each integer cap comes from one search, :func:`_least_m`, over a
-monotone closed form.
+monotone closed form; the adaptive cap's split equation is solved in
+closed form too.
 
 All functions are pure; everything is safe for unrestricted parallel use.
 """
@@ -74,17 +75,13 @@ def _check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be a positive finite number")
 
 
-def _check_ac_args(a: float, c: float) -> None:
-    _check_positive("a", a)
-    _check_positive("c", c)
-
-
 def ac_y_bound(a: float, c: float) -> float:
     """Bound on |y| when x + y <= c*sqrt(a + 2y), y >= -a/2, x >= 0.
 
     The second branch is the positive root of y = c*sqrt(a + 2y).
     """
-    _check_ac_args(a, c)
+    _check_positive("a", a)
+    _check_positive("c", c)
     return max(a / 2.0, c * math.sqrt(a + c * c) + c * c)
 
 
@@ -93,7 +90,8 @@ def ac_x_bound(a: float, c: float) -> float:
 
     Evaluates x <= c*sqrt(a + 2|y|) + |y| at both candidate |y| values.
     """
-    _check_ac_args(a, c)
+    _check_positive("a", a)
+    _check_positive("c", c)
     y_star = c * math.sqrt(a + c * c) + c * c
     branch1 = c * math.sqrt(2.0 * a) + a / 2.0
     branch2 = c * math.sqrt(a + 2.0 * y_star) + y_star
@@ -219,7 +217,7 @@ class AdaptiveBoundReport:
 
     ``loose`` is always True: the epsilon-correction step of the chain picks
     an interior split point implicitly, and this executable version solves
-    that split equation numerically, keeping every slack in place.
+    that split equation in closed form, keeping every slack in place.
     """
 
     bound: int
@@ -228,22 +226,17 @@ class AdaptiveBoundReport:
     loose: bool = True
 
 
-def _split_equation_min(m: float, p: float) -> float:
-    """min over x in (0, m] of g(x) = x + (m - x) * x**-p (g is convex)."""
-    def dg(x: float) -> float:
-        return 1.0 - x ** -p - p * (m - x) * x ** (-p - 1.0)
-
-    if dg(m) <= 0.0:
-        return float(m)  # minimum at the right edge: g(m) = m
-    lo, hi = min(1e-9, m / 2), m
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if dg(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    x = 0.5 * (lo + hi)
-    return x + (m - x) * x ** -p
+def _split_threshold(scale: float, p: float) -> float:
+    """Least real m at which x + (m - x) * x**-p <= m / scale has a root
+    x in (0, m]: 1 when scale <= 1 (x = m), else the least over x of
+    scale * x * (u - 1) / (u - scale), u = x**p, reached at the larger root
+    u of u**2 - (1 + scale + p*(scale - 1)) * u + scale = 0.  A threshold
+    beyond float range comes out as inf or nan."""
+    if scale <= 1.0:
+        return 1.0
+    b = 1.0 + scale + p * (scale - 1.0)
+    u = 0.5 * (b + math.sqrt(b * b - 4.0 * scale))
+    return scale * u ** (1.0 / p) * (u - 1.0) / (u - scale)
 
 
 def adaptive_mistake_bound(norm_w_bar: float, epsilon: float,
@@ -259,13 +252,10 @@ def adaptive_mistake_bound(norm_w_bar: float, epsilon: float,
     """
     _check_positive("norm_w_bar", norm_w_bar)
     _check_positive("epsilon", epsilon)
-    a = _gain_energy(tau, gamma0)
-    p = 0.5 + tau
-    scale = 2.0 * epsilon * gamma0
-    ac_cap = 2.0 * ac_x_bound(a, norm_w_bar)
+    ac_cap = 2.0 * ac_x_bound(_gain_energy(tau, gamma0), norm_w_bar)
 
-    first = _least_m(
-        lambda m: _split_equation_min(float(m), p) <= m / scale)
+    threshold = _split_threshold(2.0 * epsilon * gamma0, 0.5 + tau)
+    first = _least_m(lambda m: m >= threshold)
     bound = max(int(math.floor(ac_cap)), first - 1)
     return AdaptiveBoundReport(bound=bound, ac_component=ac_cap,
                                first_solvable_m=first)

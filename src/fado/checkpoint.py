@@ -114,8 +114,6 @@ def checkpoint_decode(data: bytes) -> Detector:
         raise CheckpointError(f"unknown schedule tag {sched_tag}")
 
     n, t, m = take("<QQQ")
-    if n < 1:
-        raise CheckpointError("dimension must be positive")
     if m > t:
         raise CheckpointError(f"mistake count {m} exceeds step count {t}")
     trace_vals = take("<4d")

@@ -237,8 +237,9 @@ class DiagnosticsTrace:
 
     ``sum_d_gamma_sq`` doubles for the squared-decision sum since the
     decisions are binary (d**2 == d).  ``w_norm_sq`` is the incrementally
-    telescoped squared center norm; auditors compare it against both the
-    accumulated sums and the recomputed ``w . w``.
+    telescoped squared center norm; :func:`fado.bounds.audit_trace` checks
+    it against sums of the same per-alarm terms, which a wrong center
+    update passes: only the recomputed ``w . w`` would catch one.
     """
 
     sum_d_gamma_sq: float = 0.0
@@ -299,6 +300,10 @@ class Detector:
         nothing.  The adaptive detector's pre-decision gain uses m+1, which
         equals the fixed-radius gain at the incremented count, so one line
         serves both.
+
+        Raises :class:`OverflowError`, the one guard of :meth:`step` and
+        :meth:`scan`, when a trace sum leaves float range (a state no
+        checkpoint can hold); ``w_norm_sq`` does so before the center can.
         """
         self.m += 1
         if distance == 0.0:
@@ -314,6 +319,10 @@ class Detector:
                 v *= gain
             w += v
         self.trace.record_alarm(gain, float(vw))
+        if not all(map(math.isfinite, self.trace.as_tuple())):
+            raise OverflowError(
+                f"detector state overflows float range by step {self.t} "
+                f"under {self.schedule!r}")
         return gain
 
     def step(self, y) -> StepOutcome:
@@ -322,8 +331,8 @@ class Detector:
         threshold = self.current_radius()
         distance = math.sqrt(float(_dot(diff, diff)))
         alarm = distance >= threshold
-        gain = self._learn(distance, [(diff, self.w)]) if alarm else 0.0
         self.t += 1
+        gain = self._learn(distance, [(diff, self.w)]) if alarm else 0.0
         return StepOutcome(alarm=alarm, distance=distance,
                            threshold=threshold, gain_applied=gain)
 
@@ -349,9 +358,6 @@ class Detector:
         alarm moves the center tile by tile from the buffer's row.  Sums
         run left to right as in one whole-row :func:`_dot`, so the bits do
         not depend on the tiling.  Tile views are made once per call.
-
-        Raises :class:`OverflowError` when a gain too large drives a trace
-        sum out of float range, a state no checkpoint can hold.
         """
         count = len(block)
         alarm = np.zeros(count, dtype=bool)
@@ -365,6 +371,7 @@ class Detector:
         size = 1
         radius = self.current_radius()
         i = 0
+        self.t += count  # so an overflow in _learn names the block's end
         # Rows past a chunk's first alarm are written but rewritten by the
         # chunk that later covers them, so each row keeps its final verdict.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -391,11 +398,6 @@ class Detector:
                 radius = self.current_radius()
                 i += k + 1
                 size = max(1, size // 2)
-        self.t += count
-        if not all(map(math.isfinite, self.trace.as_tuple())):
-            raise OverflowError(
-                f"detector state overflows float range by step {self.t} "
-                f"under {self.schedule!r}")
         return ScanOutcomes(alarm=alarm, distance=distance,
                             threshold=threshold, gain_applied=gain)
 

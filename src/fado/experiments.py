@@ -113,7 +113,7 @@ def run_detection_experiment(spec: StreamSpec, mode: DetectorMode,
     detector.scan(samples)
 
     heldout = gen_outliers(
-        spec.dim, spec.truth, DEFAULT_HELDOUT, DEFAULT_POWER_DELTA,
+        spec.truth, DEFAULT_HELDOUT, DEFAULT_POWER_DELTA,
         10.0 * (spec.truth.epsilon + DEFAULT_POWER_DELTA),
         _children(spec.seed, 4)[3])
     radius = detector.current_radius()

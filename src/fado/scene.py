@@ -298,9 +298,6 @@ def gen_synthetic_clips(width: int, height: int, num_clips: int,
         delta = np.floor(base_rng.next_double_block(n) * 129.0) - 64.0
         base = np.clip(background + delta, 0.0, 255.0)
         first = clip * frames_per_clip
-        if not noise_amplitude:
-            rows[first:first + frames_per_clip] = base
-            continue
         for lo in range(0, frames_per_clip, per_block):
             k = min(per_block, frames_per_clip - lo)
             block = noise_rng.next_double_block(k * n, out=noise[:k * n])

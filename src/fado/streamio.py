@@ -114,18 +114,11 @@ def _write_rows(fh, columns) -> None:
         fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
-def _as_matrix(samples) -> np.ndarray:
-    arr = np.asarray(samples, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    if arr.ndim != 2 or arr.shape[1] < 1:
-        raise ValueError("samples must form a (T, n) matrix with n >= 1")
-    return arr
-
-
 def write_vectors(samples, path) -> None:
     """Write a (T, n) sample block; CSV when the suffix is .csv, else binary."""
-    arr = _as_matrix(samples)
+    arr = np.asarray(samples, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[1] < 1:
+        raise ValueError("samples must form a (T, n) matrix with n >= 1")
     if Path(path).suffix.lower() == ".csv":
         with open(path, "w", encoding="ascii") as fh:
             _write_rows(fh, arr.T)

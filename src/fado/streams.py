@@ -166,7 +166,7 @@ def _box_muller(u: np.ndarray, cols: int) -> np.ndarray:
     return g[:, :cols]
 
 
-def _ball_block(rng: SplitMix64, count: int, dim: int, center: np.ndarray,
+def _ball_block(rng: SplitMix64, count: int, center: np.ndarray,
                 radius: float) -> np.ndarray:
     """Uniform samples from the closed ball; row consumption is fixed.
 
@@ -176,6 +176,7 @@ def _ball_block(rng: SplitMix64, count: int, dim: int, center: np.ndarray,
     A Gaussian row is never all zero: u1 <= 1 - 2**-53 keeps its radius
     positive, and no double angle has a zero cosine.
     """
+    dim = center.size
     per_row = 2 * ((dim + 1) // 2) + 1
     u = rng.next_double_block(count * per_row).reshape(count, per_row)
     g = _box_muller(u[:, :-1], dim)
@@ -255,9 +256,8 @@ class StreamSpec:
             raise ValueError("dim must be 2 in the circle design (dim = 2)")
 
 
-def gen_outliers(dim: int, truth: GroundTruth, count: int,
-                 delta_min: float, radius_max: float,
-                 rng: SplitMix64) -> np.ndarray:
+def gen_outliers(truth: GroundTruth, count: int, delta_min: float,
+                 radius_max: float, rng: SplitMix64) -> np.ndarray:
     """Points uniform in the shell epsilon + delta_min <= |y - w| <= radius_max.
 
     Batched rejection from the outer ball: each round draws the remaining
@@ -265,18 +265,16 @@ def gen_outliers(dim: int, truth: GroundTruth, count: int,
     draw order.  Ulp-level outer violations are projected back; inner
     near-misses are rejected like any other interior point.
     """
-    if truth.dim != dim:
-        raise ValueError("truth dimension does not match dim")
     if not (delta_min >= 0 and math.isfinite(delta_min)):
         raise ValueError("delta_min must be a nonnegative finite number")
     lower = truth.epsilon + delta_min
     if not radius_max > lower:
         raise ValueError(
             "infeasible shell: radius_max must exceed epsilon + delta_min")
-    out = np.empty((count, dim), dtype=np.float64)
+    out = np.empty((count, truth.dim), dtype=np.float64)
     filled = 0
     while filled < count:
-        cand = _ball_block(rng, count - filled, dim, truth.w_bar, radius_max)
+        cand = _ball_block(rng, count - filled, truth.w_bar, radius_max)
         dist = np.linalg.norm(cand - truth.w_bar, axis=1)
         keep = cand[dist >= lower]
         out[filled:filled + keep.shape[0]] = keep
@@ -298,8 +296,7 @@ def generate(spec: StreamSpec) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     labels_rng, normals_rng, outliers_rng = _children(spec.seed, 3)
     center, radius = spec.truth.w_bar, spec.truth.inner_radius
     if spec.design is Design.BALL:
-        return _ball_block(normals_rng, spec.count, spec.dim, center,
-                           radius), None
+        return _ball_block(normals_rng, spec.count, center, radius), None
     if spec.design is Design.CIRCLE:
         theta = (2.0 * math.pi) * normals_rng.next_double_block(spec.count)
         return center + radius * np.column_stack((np.cos(theta),
@@ -308,9 +305,9 @@ def generate(spec: StreamSpec) -> Tuple[np.ndarray, Optional[np.ndarray]]:
               < spec.contamination_fraction)
     n_out = int(np.count_nonzero(labels))
     samples = np.empty((spec.count, spec.dim), dtype=np.float64)
-    samples[~labels] = _ball_block(normals_rng, spec.count - n_out, spec.dim,
-                                   center, radius)
+    samples[~labels] = _ball_block(normals_rng, spec.count - n_out, center,
+                                   radius)
     if n_out:
-        samples[labels] = gen_outliers(spec.dim, spec.truth, n_out, 0.0,
+        samples[labels] = gen_outliers(spec.truth, n_out, 0.0,
                                        spec.outlier_radius_max, outliers_rng)
     return samples, labels

@@ -4,7 +4,6 @@ import mpmath
 import numpy as np
 import pytest
 
-from fado import bounds
 from fado.bounds import (
     ContaminationReport,
     GroundTruth,
@@ -240,7 +239,7 @@ class TestPowerDeltaBound:
         det.run_stream(samples)
         delta = power_delta_bound(truth.norm, det.m, 0.25, 1.0)
         rng = SplitMix64(99)
-        shell = gen_outliers(2, truth, 2000, delta, 2.0 * (1.0 + delta), rng)
+        shell = gen_outliers(truth, 2000, delta, 2.0 * (1.0 + delta), rng)
         dists = np.linalg.norm(shell - det.w, axis=1)
         assert (dists >= 1.0).all()
 
@@ -292,6 +291,12 @@ class TestMistakeBoundAgnostic:
 
     def test_admissibility_ratio(self):
         assert sigma_admissibility_ratio(2.0, 512.0) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("sigma", [-1.0, math.nan])
+    def test_sigma_must_be_nonnegative_and_finite(self, sigma):
+        with pytest.raises(ValueError,
+                           match="^sigma_T must be a nonnegative finite "):
+            mistake_bound_agnostic(SQRT8, 0.1, 0.25, 1.0, sigma)
 
 
 class TestAuditTrace:
@@ -353,10 +358,26 @@ class TestAdaptiveDiagnosticBound:
         (w, 10 ** (k % 5 - 2), tau, gamma0)
         for k, (w, _, tau, gamma0, _) in enumerate(SEARCH_GRID)])
     def test_first_solvable_m_is_the_first(self, w, epsilon, tau, gamma0):
+        """The oracle minimises the convex g(x) = x + (m - x) * x**-p over
+        (0, m] by bisection on g' in 50-digit arithmetic, apart from the
+        closed form the bound uses."""
         p, scale = 0.5 + tau, 2.0 * epsilon * gamma0
 
         def solvable(m):
-            return bounds._split_equation_min(float(m), p) <= m / scale
+            with mpmath.workdps(50):
+                m, q = mpmath.mpf(m), mpmath.mpf(p)
+
+                def dg(x):
+                    return 1 - x ** -q - q * (m - x) * x ** (-q - 1)
+
+                if dg(m) <= 0:
+                    return m <= m / scale  # the minimum g(m) = m
+                lo, hi = mpmath.mpf(0), m  # g' -> -inf as x -> 0+
+                for _ in range(200):
+                    mid = (lo + hi) / 2
+                    lo, hi = (mid, hi) if dg(mid) < 0 else (lo, mid)
+                x = (lo + hi) / 2
+                return x + (m - x) * x ** -q <= m / scale
 
         first = adaptive_mistake_bound(w, epsilon, tau,
                                        gamma0).first_solvable_m
@@ -386,6 +407,11 @@ class TestGroundTruth:
         assert truth.w_bar.tolist() == [2.0, 2.0]
         with pytest.raises(ValueError, match="read-only"):
             truth.w_bar[0] = np.nan
+
+    def test_negative_mu_rejected(self):
+        with pytest.raises(ValueError,
+                           match="^mu must be a nonnegative finite number$"):
+            GroundTruth(np.ones(2), 1.0, -0.1)
 
     def test_mu_zero_allowed(self):
         truth = GroundTruth(np.ones(2), 1.0, 0.0)

@@ -135,6 +135,30 @@ def test_non_finite_payload_rejected():
         checkpoint_decode(bytes(blob))
 
 
+def test_non_finite_trace_rejected():
+    """An infinite trace sum under a valid CRC, the state of a run whose
+    gain overflowed."""
+    state = Detector(2, FixedRadius(1.0), PowerDecay(1e160, 0.25))
+    state.trace.sum_d_gamma_sq = float("inf")
+    with pytest.raises(CheckpointError,
+                       match="^non-finite trace sum in checkpoint$"):
+        checkpoint_decode(checkpoint_encode(state))
+
+
+def test_zero_dimension_rejected():
+    """n = 0 and no center under a valid CRC: the detector's own rule on
+    its dimension refuses it."""
+    body = checkpoint_encode(
+        Detector(1, FixedRadius(1.0), PowerDecay(1.0, 0.25)))[:-12]
+    n_offset = len(MAGIC) + 4 + 9 + 17  # version, mode, schedule
+    assert struct.unpack_from("<Q", body, n_offset) == (1,)
+    body = body[:n_offset] + struct.pack("<Q", 0) + body[n_offset + 8:]
+    with pytest.raises(CheckpointError,
+                       match="^invalid configuration payload: dim must be "
+                             "a positive integer$"):
+        checkpoint_decode(_seal(body))
+
+
 def test_unknown_version_rejected():
     state = Detector(2, FixedRadius(1.0), PowerDecay(1.0, 0.25))
     blob = bytearray(checkpoint_encode(state))

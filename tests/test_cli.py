@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -164,6 +165,8 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv, error", [
         (["run", "--mode", "fixed", "--epsilon", "1", "--gamma", "2",
           "--input", "s.csv"], "--gamma not used by mode fixed"),
+        (["run", "--input", "s.csv"],
+         "--mode is required unless --checkpoint-in is given"),
         (["sweep", "margin", "--seeds", "0"], "--seeds must be at least 1"),
         (["scene", "--synthetic", "--packed", "p.pack"],
          "give exactly one of: PGM frames, --packed, --synthetic"),
@@ -173,7 +176,7 @@ class TestUsageErrors:
                              "design"),
         (["bounds", "--wnorm", "1", "--mu", "0.1", "--m-t", "0"],
          "--m-t must be at least 1"),
-    ], ids=["run", "sweep", "scene", "gen", "bounds"])
+    ], ids=["run", "run-no-mode", "sweep", "scene", "gen", "bounds"])
     def test_handler_error_shows_the_command_usage(self, argv, error,
                                                    capsys):
         """A usage error found by a command's handler prints that
@@ -208,6 +211,38 @@ class TestRun:
         code, _ = run_cli("run", "--mode", "fixed", "--epsilon", "1",
                           "--input", str(tmp_path / "absent.bin"))
         assert code == 1
+
+    def test_stream_of_zero_width_rows_exits_one(self, tmp_path, capsys):
+        """A header with n = 0 is refused before any row is read."""
+        stream = tmp_path / "s.bin"
+        stream.write_bytes(b"FADOVECS" + struct.pack("<IQQ", 1, 0, 1))
+        code, _ = run_cli("run", "--mode", "fixed", "--epsilon", "1",
+                          "--input", str(stream))
+        assert code == 1
+        assert capsys.readouterr().err == \
+            f"error: {stream}: degenerate row shape (0,)\n"
+
+    def test_stream_cut_after_its_header_check_exits_one(
+            self, tmp_path, capsys, monkeypatch):
+        """A stream that shrinks while it is read: the header matched the
+        file's size, so the short read of a later block is the fault."""
+        import fado.streamio as streamio
+        stream = tmp_path / "s.bin"
+        write_vectors(np.zeros((SCAN_CHUNK_BYTES // 16 + 1, 2)), stream)
+        write_rows = streamio.write_outcome_rows
+
+        def cut_input(*args):
+            write_rows(*args)
+            with open(stream, "r+b") as fh:
+                fh.truncate(SCAN_CHUNK_BYTES)
+
+        monkeypatch.setattr(streamio, "write_outcome_rows", cut_input)
+        code, _ = run_cli("run", "--mode", "fixed", "--epsilon", "1",
+                          "--input", str(stream), "--output",
+                          str(tmp_path / "o.csv"))
+        assert code == 1
+        assert capsys.readouterr().err == \
+            f"error: {stream}: truncated payload\n"
 
     def test_checkpoint_roundtrip_continues_counts(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -430,8 +465,9 @@ class TestGen:
         (["--design", "circle", "--dim", "3"],
          "--dim must be 2 in the circle design (dim = 2)"),
         (["--center", "nan"], "--center contains non-finite entries"),
+        (["--mu", "-0.1"], "--mu must be a nonnegative finite number"),
     ], ids=["fraction", "radius-max", "mu", "mixture-mu", "circle-dim",
-            "center"])
+            "center", "negative-mu"])
     def test_value_the_spec_rejects_names_its_flag(self, tmp_path, capsys,
                                                    extra, error):
         """A value that GroundTruth or StreamSpec rejects is a usage error

@@ -10,6 +10,7 @@ from fado.detector import (
     Detector,
     FixedRadius,
     PowerDecay,
+    as_vector,
     gain_value,
 )
 
@@ -54,6 +55,18 @@ class TestConstruction:
     def test_epsilon_zero_allowed(self):
         assert FixedRadius(0.0).epsilon == 0.0
 
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="^unknown detector mode: "):
+            Detector(2, object(), PowerDecay(1.0, 0.25))
+
+    def test_unknown_schedule_rejected(self):
+        with pytest.raises(ValueError, match="^unknown gain schedule: "):
+            Detector(2, FixedRadius(1.0), object())
+
+    def test_as_vector_rejects_an_empty_sequence(self):
+        with pytest.raises(ValueError, match="at least one entry$"):
+            as_vector([])
+
 
 class TestGainValue:
     def test_power_decay_first_mistake(self):
@@ -69,6 +82,15 @@ class TestGainValue:
     def test_power_decay_zero_count_rejected(self):
         with pytest.raises(ValueError):
             gain_value(PowerDecay(1.0, 0.25), 0)
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError,
+                           match="^mistake count must be nonnegative$"):
+            gain_value(PowerDecay(), -1)
+
+    def test_unknown_schedule_rejected(self):
+        with pytest.raises(TypeError, match="^unknown gain schedule: "):
+            gain_value(object(), 1)
 
     def test_gamma0_scales(self):
         assert gain_value(PowerDecay(2.0, 0.25), 4) == \
@@ -162,6 +184,31 @@ class TestRunStream:
         stream = [np.ones(2), np.array([1.0, math.nan])]
         with pytest.raises(ValueError, match="stream item 1"):
             det.run_stream(stream)
+
+
+class TestOverflow:
+    """Trace sums change only in the alarm update, so its one guard stops a
+    step loop and a scan alike, before a checkpoint could hold the sums."""
+
+    def _rows(self):
+        # five rows at the center, then alarms from the sixth row on
+        rng = np.random.default_rng(3)
+        return np.vstack([np.zeros((5, 10)),
+                          rng.normal(size=(3000, 10)) + 2.0])
+
+    def test_step_loop_names_the_step_that_overflowed(self):
+        det = Detector(10, FixedRadius(1.0), PowerDecay(1e160, 0.25))
+        with pytest.raises(OverflowError) as info:
+            for y in self._rows():
+                det.step(y)
+        assert str(info.value) == (
+            "detector state overflows float range by step 6 under "
+            "PowerDecay(gamma0=1e+160, tau=0.25)")
+
+    def test_scan_names_the_end_of_its_block(self):
+        det = Detector(10, FixedRadius(1.0), PowerDecay(1e160, 0.25))
+        with pytest.raises(OverflowError, match=" by step 3005 under "):
+            det.scan(self._rows())
 
 
 class TestInvariants:

@@ -152,6 +152,15 @@ class TestSweeps:
             result = sweep_margin(mus=(0.1,), n_seeds=1, count=500)
             assert result.checks["audits"] == {"passed": passed}
 
+    def test_zero_medians_fail_the_slope_check(self):
+        """A center inside the radius of a detector that starts at the
+        origin makes no mistakes, so no log-log slope can be fitted."""
+        result = sweep_margin(mus=(0.5, 0.6), c=0.05, n_seeds=1, count=100)
+        assert result.checks["monotone"]["medians"] == [0, 0]
+        check = result.checks["loglog_slope"]
+        assert check["passed"] is False and np.isnan(check["slope"])
+        assert not result.passed
+
     def test_sweep_reproducible_csv_bytes(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         emit_results(sweep_margin(mus=(0.1,), n_seeds=2, count=1500), p1)
@@ -203,6 +212,22 @@ class TestEmitParse:
         json_path = tmp_path / "empty.json"
         emit_results(result, json_path)
         assert parse_results(json_path) == result
+
+    def test_csv_without_header_rejected(self, tmp_path):
+        path = tmp_path / "r.csv"
+        emit_results(self._result(), path)
+        lines = path.read_text(encoding="ascii").splitlines()
+        path.write_text("\n".join(lines[1:]) + "\n", encoding="ascii")
+        with pytest.raises(ValueError, match="missing sweep CSV header$"):
+            parse_results(path)
+
+    def test_csv_blank_lines_are_skipped(self, tmp_path):
+        result = self._result()
+        path = tmp_path / "r.csv"
+        emit_results(result, path)
+        text = path.read_text(encoding="ascii").replace("\n", "\n\n", 1)
+        path.write_text(text + "\n", encoding="ascii")
+        assert parse_results(path) == result
 
     def test_float_formatting_shortest_roundtrip(self, tmp_path):
         value = 0.1 + 0.2  # 0.30000000000000004

@@ -93,7 +93,8 @@ U64_BLOCK_DIGEST = (
     "a8a8e5aa18448273b2c002d9983205f5335b3152156265adc0911b7ab88b7246",
     0x40c319078574ff66)
 
-# frames of gen_synthetic_clips(*args, seed=4); amplitude 0 draws no noise
+# frames of gen_synthetic_clips(*args, seed=4); amplitude 0 takes the general
+# noise loop, whose draws floor to zero noise
 CLIP_DIGESTS = {
     (400, 400, 2, 3, 10):
         "879ecada2e0c4ab911587f52bdfc7275cff4ca851627f9b16061bd0c747b9823",

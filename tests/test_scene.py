@@ -48,6 +48,27 @@ class TestPgmIO:
         with pytest.raises(FrameFormatError, match="P5"):
             read_pgm(path)
 
+    def test_unterminated_header_comment_rejected(self, tmp_path):
+        path = tmp_path / "f.pgm"
+        path.write_bytes(b"P5\n2 2\n# no newline ends this")
+        with pytest.raises(FrameFormatError,
+                           match="unterminated header comment$"):
+            read_pgm(path)
+
+    def test_maxval_zero_rejected(self, tmp_path):
+        path = tmp_path / "f.pgm"
+        path.write_bytes(b"P5\n1 1\n0\n\x00")
+        with pytest.raises(FrameFormatError, match="invalid maxval 0$"):
+            read_pgm(path)
+
+    def test_write_pgm_rejects_a_flat_array(self, tmp_path):
+        with pytest.raises(ValueError, match="^pixels must be a 2-D array$"):
+            write_pgm(np.zeros(4, dtype=np.uint8), tmp_path / "f.pgm")
+
+    def test_frame_stack_must_match_its_size(self):
+        with pytest.raises(ValueError, match=r"\(T, height, width\) stack"):
+            FrameSequence(2, 2, np.zeros((1, 2, 3), dtype=np.uint8))
+
     def test_truncated_raster_rejected(self, tmp_path):
         path = tmp_path / "f.pgm"
         path.write_bytes(b"P5\n2 2\n255\n\x00\x01")
@@ -172,6 +193,15 @@ class TestSyntheticClips:
         assert len(frames) == 800
         assert transitions == [50 * k for k in range(1, 16)]
         assert frames.frames.dtype == np.uint8
+
+    @pytest.mark.parametrize("width, noise, error", [
+        (0, 3, "^width, height, num_clips, frames_per_clip must be "
+               "positive$"),
+        (4, -1, "^noise_amplitude must be nonnegative$"),
+    ], ids=["width", "noise"])
+    def test_sizes_and_noise_rejected(self, width, noise, error):
+        with pytest.raises(ValueError, match=error):
+            gen_synthetic_clips(width, 4, 1, 2, noise, seed=1)
 
     def test_seed_must_be_an_integer(self):
         with pytest.raises(TypeError, match="^seed must be an integer"):

@@ -107,6 +107,14 @@ def test_empty_container_is_rejected(tmp_path, kind):
         reader(path)
 
 
+@pytest.mark.parametrize("suffix", [".bin", ".csv"])
+def test_one_dimensional_samples_rejected(tmp_path, suffix):
+    path = tmp_path / f"s{suffix}"
+    with pytest.raises(ValueError, match=r"\(T, n\) matrix"):
+        write_vectors(np.ones(3), path)
+    assert not path.exists()
+
+
 def test_csv_ragged_rows_rejected(tmp_path):
     path = tmp_path / "s.csv"
     path.write_text("1.0,2.0\n3.0\n")

@@ -150,9 +150,9 @@ class TestGaussianConstruction:
         """Each ball sample consumes 2*ceil(dim/2)+1 doubles, so drawing
         one at a time reproduces a batch row for row."""
         truth_center = np.array([1.0, -2.0, 0.5])
-        batch = _ball_block(SplitMix64(777), 4, 3, truth_center, 2.0)
+        batch = _ball_block(SplitMix64(777), 4, truth_center, 2.0)
         single_rng = SplitMix64(777)
-        singles = [_ball_block(single_rng, 1, 3, truth_center, 2.0)
+        singles = [_ball_block(single_rng, 1, truth_center, 2.0)
                    for _ in range(4)]
         assert np.array_equal(batch, np.concatenate(singles))
 
@@ -160,7 +160,7 @@ class TestGaussianConstruction:
 class TestBallSampler:
     def test_1d_uniform_statistics(self):
         rng = SplitMix64(11)
-        xs = np.array([_ball_block(rng, 1, 1, np.zeros(1), 1.0)[0, 0]
+        xs = np.array([_ball_block(rng, 1, np.zeros(1), 1.0)[0, 0]
                        for _ in range(20_000)])
         assert (np.abs(xs) <= 1.0).all()
         # mean of U[-1, 1] over 2e4 draws: 3 sigma = 3/sqrt(3 * 2e4)
@@ -170,12 +170,12 @@ class TestBallSampler:
         rng = SplitMix64(12)
         center = np.array([5.0, -3.0, 2.0])
         for _ in range(2_000):
-            y = _ball_block(rng, 1, 3, center, 2.5)[0]
+            y = _ball_block(rng, 1, center, 2.5)[0]
             assert np.linalg.norm(y - center) <= 2.5
 
     def test_2d_area_ratio(self):
         rng = SplitMix64(13)
-        pts = np.array([_ball_block(rng, 1, 2, np.zeros(2), 1.0)[0]
+        pts = np.array([_ball_block(rng, 1, np.zeros(2), 1.0)[0]
                         for _ in range(20_000)])
         inside = np.mean(np.linalg.norm(pts, axis=1) <= 1.0 / math.sqrt(2))
         # area ratio 1/2; 3 sigma binomial band
@@ -268,6 +268,11 @@ class TestSpecRules:
             StreamSpec(dim=2, count=10, truth=truth, seed=1, design=design,
                        **{field: value})
 
+    def test_count_must_be_nonnegative(self):
+        truth = GroundTruth(np.ones(2), 1.0, 0.1)
+        with pytest.raises(ValueError, match="^count must be nonnegative$"):
+            StreamSpec(dim=2, count=-1, truth=truth, seed=1)
+
     def test_dim_must_be_positive(self):
         truth = GroundTruth(np.ones(1), 1.0, 0.1)
         with pytest.raises(ValueError, match="^dim "):
@@ -326,19 +331,25 @@ class TestOutliers:
 
     def test_shell_containment(self):
         truth = self._truth()
-        pts = gen_outliers(2, truth, 3_000, 0.1, 5.0, SplitMix64(3))
+        pts = gen_outliers(truth, 3_000, 0.1, 5.0, SplitMix64(3))
         dists = np.linalg.norm(pts - truth.w_bar, axis=1)
         assert (dists >= 1.1).all() and (dists <= 5.0).all()
 
     def test_delta_zero_excludes_unit_ball_only(self):
         truth = self._truth()
-        pts = gen_outliers(2, truth, 3_000, 0.0, 5.0, SplitMix64(4))
+        pts = gen_outliers(truth, 3_000, 0.0, 5.0, SplitMix64(4))
         dists = np.linalg.norm(pts - truth.w_bar, axis=1)
         assert (dists >= 1.0).all()
 
     def test_infeasible_shell_rejected(self):
         with pytest.raises(ValueError, match="infeasible"):
-            gen_outliers(2, self._truth(), 10, 0.5, 1.2, SplitMix64(5))
+            gen_outliers(self._truth(), 10, 0.5, 1.2, SplitMix64(5))
+
+    @pytest.mark.parametrize("delta_min", [-1.0, math.nan])
+    def test_delta_min_must_be_nonnegative_and_finite(self, delta_min):
+        with pytest.raises(ValueError, match="^delta_min must be a "
+                                             "nonnegative finite number$"):
+            gen_outliers(self._truth(), 10, delta_min, 5.0, SplitMix64(5))
 
     def test_rejection_expected_iterations_bounded(self):
         # volume-ratio argument: E[iters] = 1 / (1 - (lower/outer)**n) < 100
@@ -416,7 +427,7 @@ class TestGenerateDispatch:
         ball, labels = generate(spec)
         assert labels is None
         assert ball.tobytes() == _ball_block(
-            normals_rng, 500, 2, spec.truth.w_bar,
+            normals_rng, 500, spec.truth.w_bar,
             spec.truth.inner_radius).tobytes()
         truth = GroundTruth(np.array([2.0, 2.0]), 1.0, 0.001)
         assert generate(StreamSpec(dim=2, count=10, truth=truth, seed=1,

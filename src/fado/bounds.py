@@ -11,7 +11,7 @@ diagnostics trace.
 zeta(1+2*tau) is an Euler-Maclaurin sum of 18 terms, exact to a few ulps,
 and each integer cap comes from one search, :func:`_least_m`, over a
 monotone closed form; the adaptive cap's split equation is solved in
-closed form too.
+closed form too, in 130 decimal digits.
 
 All functions are pure; everything is safe for unrestricted parallel use.
 """
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
 
@@ -226,17 +227,19 @@ class AdaptiveBoundReport:
     loose: bool = True
 
 
-def _split_threshold(scale: float, p: float) -> float:
+def _split_threshold(scale: float, p: float) -> Decimal | int:
     """Least real m at which x + (m - x) * x**-p <= m / scale has a root
     x in (0, m]: 1 when scale <= 1 (x = m), else the least over x of
-    scale * x * (u - 1) / (u - scale), u = x**p, reached at the larger root
-    u of u**2 - (1 + scale + p*(scale - 1)) * u + scale = 0.  A threshold
-    beyond float range comes out as inf or nan."""
+    scale * x * (u - 1) / (u - scale), u = x**p, which is x * (1 + (u - 1)/p)
+    at the larger root u of u**2 - (2 + (1 + p)*d) * u + 1 + d = 0, d =
+    scale - 1.  In 130 digits, and with u - 1 free of cancellation, the
+    search decides every m up to its 2**400 (< 1e121) limit exactly."""
     if scale <= 1.0:
-        return 1.0
-    b = 1.0 + scale + p * (scale - 1.0)
-    u = 0.5 * (b + math.sqrt(b * b - 4.0 * scale))
-    return scale * u ** (1.0 / p) * (u - 1.0) / (u - scale)
+        return 1
+    with localcontext(Context(prec=130)):
+        d, p = Decimal(scale) - 1, Decimal(p)
+        um1 = (d * (1 + p) + (d * ((1 + p) ** 2 * d + 4 * p)).sqrt()) / 2
+        return (1 + um1) ** (1 / p) * (1 + um1 / p)
 
 
 def adaptive_mistake_bound(norm_w_bar: float, epsilon: float,

@@ -356,7 +356,16 @@ class TestAdaptiveDiagnosticBound:
 
     @pytest.mark.parametrize("w,epsilon,tau,gamma0", [
         (w, 10 ** (k % 5 - 2), tau, gamma0)
-        for k, (w, _, tau, gamma0, _) in enumerate(SEARCH_GRID)])
+        for k, (w, _, tau, gamma0, _) in enumerate(SEARCH_GRID)] + [
+        # 2*epsilon*gamma0 = 1 + 2**-52, where u**2 - b*u + scale = 0 has
+        # a discriminant that rounds below zero in floats
+        (1.0, 0.5000000000000001, 0.25, 1.0),
+        # first solvable m near 5e13 and 1e15, where a float evaluation of
+        # the split is one too high and one too low
+        (0.040583947253493555, 628.1895676793279, 0.05230685908166836,
+         30.07437389726698),
+        (0.019282985267935395, 969.2993654043328, 0.06010279356860689,
+         65.29386420751253)])
     def test_first_solvable_m_is_the_first(self, w, epsilon, tau, gamma0):
         """The oracle minimises the convex g(x) = x + (m - x) * x**-p over
         (0, m] by bisection on g' in 50-digit arithmetic, apart from the
@@ -383,6 +392,10 @@ class TestAdaptiveDiagnosticBound:
                                        gamma0).first_solvable_m
         assert solvable(first)
         assert first == 1 or not solvable(first - 1)
+
+    def test_split_scale_just_above_one(self):
+        report = adaptive_mistake_bound(1.0, 0.5000000000000001, 0.25, 1.0)
+        assert report.first_solvable_m == 2
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

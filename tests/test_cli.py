@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import fado
-from fado.bounds import mistake_bound_realizable, riemann_zeta
+from fado.bounds import (adaptive_mistake_bound, mistake_bound_realizable,
+                         riemann_zeta)
 from fado.checkpoint import checkpoint_encode
 from fado.cli import main
 from fado.detector import SCAN_CHUNK_BYTES, Detector, FixedRadius, PowerDecay
@@ -61,6 +62,14 @@ class TestBounds:
         assert doc["sigma_admissibility_ratio"] == pytest.approx(
             100.0 / 2.0 ** 8)
         assert doc["adaptive_bound_loose"] is True
+
+    def test_adaptive_split_scale_just_above_one(self):
+        code, out = run_cli("bounds", "--wnorm", "1", "--mu", "0.1",
+                            "--epsilon", "0.5000000000000001")
+        assert code == 0
+        report = adaptive_mistake_bound(1.0, 0.5000000000000001, 0.25, 1.0)
+        assert report.first_solvable_m == 2
+        assert json.loads(out)["adaptive_bound"] == report.bound
 
     def test_bad_domain_exits_one(self):
         code, _ = run_cli("bounds", "--wnorm", "-1.0", "--mu", "0.1")

@@ -393,10 +393,6 @@ class TestAdaptiveDiagnosticBound:
         assert solvable(first)
         assert first == 1 or not solvable(first - 1)
 
-    def test_split_scale_just_above_one(self):
-        report = adaptive_mistake_bound(1.0, 0.5000000000000001, 0.25, 1.0)
-        assert report.first_solvable_m == 2
-
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             adaptive_mistake_bound(0.0, 1.0, 0.25, 1.0)

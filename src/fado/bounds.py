@@ -5,8 +5,8 @@ gain energy, an integral lower bound on the accumulated gain mass, and an
 algebraic bound on any quantity that is dominated by a constant plus
 the square root of an affine function of itself.  This module exposes each
 link with explicit constants, the bound compositions built from them, and
-auditors that check the unconditional inequalities against a detector's
-diagnostics trace.
+an auditor that checks the unconditional inequalities against a detector's
+diagnostics trace and its center.
 
 zeta(1+2*tau) is an Euler-Maclaurin sum of 18 terms, exact to a few ulps,
 and each integer cap comes from one search, :func:`_least_m`, over a
@@ -24,7 +24,7 @@ from decimal import Context, Decimal, localcontext
 
 import numpy as np
 
-from .detector import DiagnosticsTrace, PowerDecay, as_vector
+from .detector import Detector, PowerDecay, _dot, as_vector
 
 __all__ = [
     "riemann_zeta",
@@ -349,19 +349,22 @@ class TraceAudit:
 _AUDIT_RTOL = 1e-9
 
 
-def audit_trace(trace: DiagnosticsTrace, tau: float,
-                gamma0: float = 1.0) -> TraceAudit:
-    """Check a power-decay run's trace against its three inequalities.
+def audit_trace(detector: Detector) -> TraceAudit:
+    """Check a power-decay detector's trace against its three inequalities.
 
     (i) the gain-weighted inner products cannot undercut minus half the
     gain energy; (ii) the gain energy stays within gamma0**2 * zeta(1+2*tau);
-    (iii) the telescoped center norm matches the accumulated sums to 1e-9
-    relative.  Margins are signed (nonnegative = satisfied with room).
+    (iii) the squared norm of the center, ``w . w``, matches the telescoped
+    sums to 1e-9 relative.  tau and gamma0 are the detector's schedule's.
+    Margins are signed (nonnegative = satisfied with room).
     """
-    energy_cap = _gain_energy(tau, gamma0)
-    gg = trace.sum_d_gamma_sq
-    gvw = trace.sum_d_gamma_vw
-    wn = trace.w_norm_sq
+    schedule = detector.schedule
+    if not isinstance(schedule, PowerDecay):
+        raise ValueError(f"audit_trace needs PowerDecay, not {schedule!r}")
+    energy_cap = _gain_energy(schedule.tau, schedule.gamma0)
+    gg = detector.trace.sum_d_gamma_sq
+    gvw = detector.trace.sum_d_gamma_vw
+    wn = float(_dot(detector.w, detector.w))
 
     inner_margin = gvw + 0.5 * gg
     inner_ok = inner_margin >= -_AUDIT_RTOL * max(1.0, gg)

@@ -4,9 +4,10 @@ Exit codes are a stable contract: 0 on success, 1 on runtime, format or
 out-of-memory failures (one-line diagnostic on stderr), 2 on usage errors.
 Data goes to the requested files or stdout; logging stays on stderr so
 outputs pipe cleanly.  All configuration is by flag - fado reads no
-environment variable of its own - and defaults follow the values used
-throughout the experiments (scene detection defaults to epsilon=100 with
-unit constant gain; tau defaults to 0.25).
+environment variable of its own.  A flag left out leaves its value to the
+default of the library function it feeds (scene detection defaults to
+epsilon=100 with unit constant gain; tau defaults to 0.25; each sweep has
+its own seeds, count and base seed).
 
 When numpy is not yet loaded and the caller has not set
 ``OPENBLAS_NUM_THREADS``, ``main`` sets it to 1 while its command runs and
@@ -46,7 +47,7 @@ def _reject(parser, args, names, reason: str) -> None:
     """Exit 2 naming each flag among ``names`` that was given.
 
     The flags it checks default to None, so an absent flag is told apart
-    from its default; defaults are applied where values are used.
+    from its default, which the library function it feeds applies.
     """
     given = [f"--{name.replace('_', '-')}" for name in names
              if getattr(args, name) is not None]
@@ -61,6 +62,13 @@ def _at_least(parser, args, names, least: int) -> None:
            if getattr(args, name) is not None and getattr(args, name) < least]
     if bad:
         parser.error(f"{' and '.join(bad)} must be at least {least}")
+
+
+def _given(**values) -> dict:
+    """The keyword arguments whose flags were given: the rest are left to
+    the defaults of the function called."""
+    return {name: value for name, value in values.items()
+            if value is not None}
 
 
 def _log(message: str) -> None:
@@ -112,10 +120,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_p = sub.add_parser("sweep", help="run a figure-style sweep")
     sweep_p.set_defaults(handler=lambda args: _cmd_sweep(args, sweep_p))
     sweep_p.add_argument("kind", choices=_SWEEPS)
-    sweep_p.add_argument("--seeds", type=int, default=5)
-    sweep_p.add_argument("--count", type=int, default=10_000,
-                         help="stream length per run")
-    sweep_p.add_argument("--base-seed", type=int, default=0xFAD0)
+    for name in ("--seeds", "--count", "--base-seed"):
+        sweep_p.add_argument(name, type=int, help="default: the sweep's own")
     sweep_p.add_argument("--out", help="results file: JSON when the suffix "
                                        "is .json, else CSV")
 
@@ -143,8 +149,8 @@ def _build_parser() -> argparse.ArgumentParser:
     bounds_p.add_argument("--wnorm", type=float, required=True,
                           help="norm of the realizable center")
     bounds_p.add_argument("--mu", type=float, required=True)
-    bounds_p.add_argument("--tau", type=float, default=0.25)
-    bounds_p.add_argument("--gamma0", type=float, default=1.0)
+    bounds_p.add_argument("--tau", type=float)
+    bounds_p.add_argument("--gamma0", type=float)
     bounds_p.add_argument("--m-t", type=int,
                           help="mistake count for the power bound "
                                "(default: the mistake bound itself)")
@@ -162,8 +168,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen_p.add_argument("--center", required=True,
                        help="comma-separated center, or one value for c*ones")
     gen_p.add_argument("--epsilon", type=float, required=True)
-    gen_p.add_argument("--mu", type=float, default=0.0,
-                       help="margin (default 0)")
+    gen_p.add_argument("--mu", type=float, help="margin (default 0)")
     gen_p.add_argument("--fraction", type=float,
                        help="contamination fraction (mixture design)")
     gen_p.add_argument("--radius-max", type=float,
@@ -204,12 +209,9 @@ def _cmd_run(args, parser) -> int:
     else:
         mode = (AdaptiveRadius() if args.mode == "adaptive"
                 else FixedRadius(args.epsilon))
-        if args.mode == "constant-gain":
-            schedule = Constant(1.0 if args.gamma is None else args.gamma)
-        else:
-            schedule = PowerDecay(
-                gamma0=1.0 if args.gamma0 is None else args.gamma0,
-                tau=0.25 if args.tau is None else args.tau)
+        schedule = (Constant(**_given(gamma=args.gamma))
+                    if args.mode == "constant-gain" else
+                    PowerDecay(**_given(gamma0=args.gamma0, tau=args.tau)))
         detector = Detector(block.shape[1], mode, schedule)
     start = detector.t + 1
     count = alarms = 0
@@ -234,8 +236,8 @@ def _cmd_run(args, parser) -> int:
 def _cmd_sweep(args, parser) -> int:
     _at_least(parser, args, ("seeds", "count"), 1)
     from . import experiments
-    result = getattr(experiments, _SWEEPS[args.kind])(
-        n_seeds=args.seeds, count=args.count, base_seed=args.base_seed)
+    result = getattr(experiments, _SWEEPS[args.kind])(**_given(
+        n_seeds=args.seeds, count=args.count, base_seed=args.base_seed))
     if args.out:
         experiments.emit_results(result, args.out)
     for name, check in result.checks.items():
@@ -249,10 +251,9 @@ def _cmd_sweep(args, parser) -> int:
 
 def _cmd_scene(args, parser) -> int:
     from .checkpoint import checkpoint_decode, checkpoint_encode
-    from .scene import (DEFAULT_EPSILON, DEFAULT_GAMMA, _open_frames_packed,
-                        _open_pgm_sequence, gen_synthetic_clips,
-                        run_scene_detection, timeline_to_csv,
-                        write_memory_snapshot)
+    from .scene import (_open_frames_packed, _open_pgm_sequence,
+                        gen_synthetic_clips, run_scene_detection,
+                        timeline_to_csv, write_memory_snapshot)
     sources = sum([bool(args.frames), bool(args.packed), args.synthetic])
     if sources != 1:
         parser.error("give exactly one of: PGM frames, --packed, --synthetic")
@@ -278,8 +279,8 @@ def _cmd_scene(args, parser) -> int:
             # the timeline continues the checkpoint's global frame index
             transitions = [t + detector.t for t in transitions]
     timeline, detector = run_scene_detection(
-        frames, DEFAULT_EPSILON if args.epsilon is None else args.epsilon,
-        DEFAULT_GAMMA if args.gamma is None else args.gamma, detector)
+        frames, detector=detector,
+        **_given(epsilon=args.epsilon, gamma=args.gamma))
     if args.timeline:
         timeline_to_csv(timeline, transitions, args.timeline)
     if args.snapshot:
@@ -298,27 +299,28 @@ def _cmd_bounds(args, parser) -> int:
                          adaptive_mistake_bound, mistake_bound_agnostic,
                          mistake_bound_realizable, power_delta_bound,
                          riemann_zeta, sigma_admissibility_ratio)
-    a = _gain_energy(args.tau, args.gamma0)
-    zeta = riemann_zeta(1.0 + 2.0 * args.tau)
-    bound = mistake_bound_realizable(args.wnorm, args.mu, args.tau,
-                                     args.gamma0)
+    from .detector import PowerDecay
+    schedule = PowerDecay(**_given(gamma0=args.gamma0, tau=args.tau))
+    tau, gamma0 = schedule.tau, schedule.gamma0
+    a = _gain_energy(tau, gamma0)
+    zeta = riemann_zeta(1.0 + 2.0 * tau)
+    bound = mistake_bound_realizable(args.wnorm, args.mu, tau, gamma0)
     m_t = args.m_t if args.m_t is not None else max(bound, 1)
     doc = {
         "zeta": zeta,
         "y_max": ac_y_bound(a, args.wnorm),
         "x_max": ac_x_bound(a, args.wnorm),
         "mistake_bound": bound,
-        "delta_power": power_delta_bound(args.wnorm, m_t, args.tau,
-                                         args.gamma0),
+        "delta_power": power_delta_bound(args.wnorm, m_t, tau, gamma0),
     }
     if args.sigma is not None:
         doc["mistake_bound_agnostic"] = mistake_bound_agnostic(
-            args.wnorm, args.mu, args.tau, args.gamma0, args.sigma)
+            args.wnorm, args.mu, tau, gamma0, args.sigma)
         doc["sigma_admissibility_ratio"] = sigma_admissibility_ratio(
             args.wnorm, args.sigma)
     if args.epsilon is not None:
-        report = adaptive_mistake_bound(args.wnorm, args.epsilon, args.tau,
-                                        args.gamma0)
+        report = adaptive_mistake_bound(args.wnorm, args.epsilon, tau,
+                                        gamma0)
         doc["adaptive_bound"] = report.bound
         doc["adaptive_bound_loose"] = report.loose
     json.dump(doc, sys.stdout, indent=2)
@@ -342,13 +344,11 @@ def _cmd_gen(args, parser) -> int:
              "dim": "--dim", "contamination_fraction": "--fraction",
              "outlier_radius_max": "--radius-max"}
     try:
-        truth = GroundTruth(center, args.epsilon, args.mu)
+        truth = GroundTruth(center, args.epsilon, **_given(mu=args.mu))
         spec = StreamSpec(dim=args.dim, count=args.count, truth=truth,
                           seed=args.seed, design=design,
-                          contamination_fraction=(
-                              0.0 if args.fraction is None
-                              else args.fraction),
-                          outlier_radius_max=args.radius_max)
+                          **_given(contamination_fraction=args.fraction,
+                                   outlier_radius_max=args.radius_max))
     except ValueError as exc:
         field, _, rest = str(exc).partition(" ")
         if field not in flags:

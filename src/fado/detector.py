@@ -237,9 +237,9 @@ class DiagnosticsTrace:
 
     ``sum_d_gamma_sq`` doubles for the squared-decision sum since the
     decisions are binary (d**2 == d).  ``w_norm_sq`` is the incrementally
-    telescoped squared center norm; :func:`fado.bounds.audit_trace` checks
-    it against sums of the same per-alarm terms, which a wrong center
-    update passes: only the recomputed ``w . w`` would catch one.
+    telescoped squared center norm, kept because the checkpoint format
+    carries it; :func:`fado.bounds.audit_trace` checks the sums against the
+    center itself.
     """
 
     sum_d_gamma_sq: float = 0.0
@@ -303,8 +303,13 @@ class Detector:
 
         Raises :class:`OverflowError`, the one guard of :meth:`step` and
         :meth:`scan`, when a trace sum leaves float range (a state no
-        checkpoint can hold); ``w_norm_sq`` does so before the center can.
+        checkpoint can hold), which ``w_norm_sq`` does before the center
+        can, or, before the alarm counts, when the distance does (its unit
+        step would be zero).
         """
+        if distance == math.inf:
+            raise OverflowError(f"distance to the center overflows float "
+                                f"range by step {self.t}")
         self.m += 1
         if distance == 0.0:
             # epsilon = 0 with a dead-center point: the alarm is counted

@@ -122,8 +122,7 @@ def run_detection_experiment(spec: StreamSpec, mode: DetectorMode,
 
     audit_passed = None
     if isinstance(schedule, PowerDecay):
-        audit_passed = audit_trace(detector.trace, schedule.tau,
-                                   schedule.gamma0).passed
+        audit_passed = audit_trace(detector).passed
 
     sigma_t = p_realized = None
     if spec.design is Design.MIXTURE:

@@ -3,9 +3,10 @@
 Frames are 8-bit grayscale images, flattened row-major and rescaled to
 [0, 1] per pixel, then fed to a constant-gain fixed-radius detector: a frame
 far from the running memory raises an alarm and drags the memory one unit
-step toward it.  Inputs are ordered binary PGM files or a packed raw frame
-file; outputs are a per-frame timeline (CSV), memory snapshots (PGM), and a
-resumable detector checkpoint.
+step toward it.  Inputs are ordered binary PGM files, a packed raw frame
+file or frames in memory, each yielding flat uint8 frame blocks; outputs
+are a per-frame timeline (CSV), memory snapshots (PGM), and a resumable
+detector checkpoint.
 
 A synthetic clip generator stands in for real footage at desk scale: clips
 share a global random background with per-clip offsets, so the learning
@@ -16,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import (Callable, Iterator, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -27,12 +29,7 @@ from .detector import (
     ScanOutcomes,
     _block_rows,
 )
-from .streamio import (
-    _filled_blocks,
-    _open_packed,
-    _write_packed,
-    write_outcome_rows,
-)
+from .streamio import _open_packed, _write_packed, write_outcome_rows
 
 __all__ = [
     "FrameFormatError",
@@ -52,9 +49,6 @@ __all__ = [
 ]
 
 FRAMES_MAGIC = b"FADOFRMS"
-
-DEFAULT_EPSILON = 100.0
-DEFAULT_GAMMA = 1.0
 
 
 class FrameFormatError(ValueError):
@@ -82,23 +76,26 @@ class FrameSequence:
     def dim(self) -> int:
         return self.width * self.height
 
-    def fill(self, lo: int, block: np.ndarray) -> None:
-        """Copy frames ``lo``, ``lo + 1``, ... into ``block``."""
-        block[...] = self.frames[lo:lo + len(block)]
+    def blocks(self, rows: int) -> Iterator[np.ndarray]:
+        """The frames in order as flat (k, height * width) views of at most
+        ``rows`` frames each; nothing is copied."""
+        for lo in range(0, len(self), rows):
+            chunk = self.frames[lo:lo + rows]
+            yield chunk.reshape(len(chunk), self.dim)
 
 
-class _FrameReader:
+class _FrameReader(NamedTuple):
     """Frames of a pack or a PGM list, decoded from the files on demand.
 
-    It has the ``width``, ``height``, ``dim`` and length of a
-    :class:`FrameSequence`.  ``fill(lo, block)`` decodes frames ``lo``,
-    ``lo + 1``, ... into a (k, height, width) uint8 block.
+    It has the ``width``, ``height``, ``dim``, length and ``blocks(rows)``
+    of a :class:`FrameSequence`; its blocks are decoded into one reused
+    buffer, so a block is valid only until the next is read.
     """
 
-    def __init__(self, width: int, height: int, count: int,
-                 fill: Callable[[int, np.ndarray], None]):
-        self.width, self.height, self.count = width, height, count
-        self.fill = fill
+    width: int
+    height: int
+    count: int
+    blocks: Callable[[int], Iterator[np.ndarray]]
 
     def __len__(self) -> int:
         return self.count
@@ -108,11 +105,11 @@ class _FrameReader:
         return self.width * self.height
 
     def _collect(self) -> FrameSequence:
-        """Every frame, decoded into one array."""
-        frames = np.empty((self.count, self.height, self.width),
-                          dtype=np.uint8)
-        self.fill(0, frames)
-        return FrameSequence(self.width, self.height, frames)
+        """Every frame, decoded as one block."""
+        (frames,) = self.blocks(self.count)
+        return FrameSequence(self.width, self.height,
+                             frames.reshape(self.count, self.height,
+                                            self.width))
 
 
 def read_pgm(path) -> Tuple[int, int, np.ndarray]:
@@ -192,16 +189,20 @@ def _open_pgm_sequence(paths: Sequence) -> _FrameReader:
     first = decode(0)
     width, height, _ = first
 
-    def fill(lo, block):
-        for index in range(lo, lo + len(block)):
-            w, h, pixels = first if index == 0 else decode(index)
-            if (w, h) != (width, height):
-                raise FrameFormatError(
-                    f"frame {index}: size {w}x{h} does not match first "
-                    f"frame {width}x{height}")
-            block[index - lo] = pixels
+    def blocks(rows):
+        buf = np.empty((min(rows, len(paths)), width * height), np.uint8)
+        for lo in range(0, len(paths), rows):
+            block = buf[:min(rows, len(paths) - lo)]
+            for index, row in enumerate(block, lo):
+                w, h, pixels = first if index == 0 else decode(index)
+                if (w, h) != (width, height):
+                    raise FrameFormatError(
+                        f"frame {index}: size {w}x{h} does not match first "
+                        f"frame {width}x{height}")
+                row[:] = pixels.reshape(-1)
+            yield block
 
-    return _FrameReader(width, height, len(paths), fill)
+    return _FrameReader(width, height, len(paths), blocks)
 
 
 def frame_to_vector(frame: np.ndarray) -> np.ndarray:
@@ -227,15 +228,15 @@ class DetectionTimeline:
         return self.alarms / len(self.outcomes)
 
 
-def run_scene_detection(frames: FrameSequence, epsilon: float = DEFAULT_EPSILON,
-                        gamma: float = DEFAULT_GAMMA,
+def run_scene_detection(frames: FrameSequence, epsilon: float = 100.0,
+                        gamma: float = 1.0,
                         detector: Optional[Detector] = None,
                         ) -> Tuple[DetectionTimeline, Detector]:
     """Constant-gain fixed-radius detection over a frame sequence.
 
-    The frames are taken a uint8 block of at most :data:`SCAN_CHUNK_BYTES`
-    at a time, so frames read from files on demand are never all
-    held at once.  Pass a decoded checkpoint as ``detector`` to resume a
+    The scan takes ``frames.blocks`` of at most :data:`SCAN_CHUNK_BYTES`
+    as they come, so frames read from files on demand are never all held
+    at once.  Pass a decoded checkpoint as ``detector`` to resume a
     stream; the dimension must match the frames, and the checkpoint's own
     radius and gain are used (``epsilon``/``gamma`` apply only to fresh
     detectors).
@@ -252,12 +253,10 @@ def run_scene_detection(frames: FrameSequence, epsilon: float = DEFAULT_EPSILON,
             f"({frames.dim})")
     start = detector.t
     parts = []
-    for chunk in _filled_blocks(frames.fill, len(frames),
-                                _block_rows(frames.dim, 1),
-                                (frames.height, frames.width), np.uint8):
+    for chunk in frames.blocks(_block_rows(frames.dim, 1)):
         # the scan divides each tile by 255 as frame_to_vector does; values
         # from uint8 are finite, so it takes them without the check
-        parts.append(detector._scan(chunk.reshape(len(chunk), -1), 255.0))
+        parts.append(detector._scan(chunk, 255.0))
     columns = zip(*((p.alarm, p.distance, p.threshold, p.gain_applied)
                     for p in parts))
     outcomes = ScanOutcomes(*map(np.concatenate, columns))
@@ -369,6 +368,6 @@ def read_frames_packed(path) -> FrameSequence:
 def _open_frames_packed(path) -> _FrameReader:
     """Check a frame pack's header against the file size; read its frames
     on demand."""
-    (width, height), count, fill = _open_packed(
-        path, FRAMES_MAGIC, "II", 1, FrameFormatError, "frame pack")
-    return _FrameReader(width, height, count, fill)
+    (width, height), count, blocks = _open_packed(
+        path, FRAMES_MAGIC, "II", np.uint8, FrameFormatError, "frame pack")
+    return _FrameReader(width, height, count, blocks)

@@ -9,9 +9,9 @@ Both binary formats are one container (little-endian):
     data    rows        row-major: f64[n] per vector, u8[height*width]
                         per frame
 
-A reader checks the header against the file size, then reads the rows in
-bounded blocks into one reused buffer, so ``fado run`` and ``fado scene``
-hold one block of their input at a time.
+A reader checks the header against the file size, then yields the rows in
+the header's layout from one open file, in bounded blocks read into one
+reused buffer, so ``fado run`` and ``fado scene`` hold one block at a time.
 
 CSV holds one vector per line with shortest round-trip decimal formatting,
 so parse(write(x)) reproduces the binary64 payload exactly.  Readers and
@@ -24,7 +24,7 @@ import math
 import os
 import struct
 from pathlib import Path
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -52,13 +52,14 @@ def _write_packed(path, magic: bytes, shape_fmt: str, shape,
         fh.write(np.ascontiguousarray(rows))
 
 
-def _open_packed(path, magic: bytes, shape_fmt: str, itemsize: int,
-                 error, what: str):
+def _open_packed(path, magic: bytes, shape_fmt: str, dtype, error,
+                 what: str):
     """Check a container's header against the file size.
 
-    Returns the header's row shape, the row count, and ``fill(lo, block)``,
-    which reads rows ``lo``, ``lo + 1``, ... into ``block`` by one ``seek``
-    and one ``readinto``.  Faults raise ``error`` naming ``path``.
+    Returns the header's row shape, the row count, and ``blocks(rows)``,
+    a generator of flat (k <= rows, row) ``dtype`` blocks read into one
+    reused buffer (a block is valid until the next is read).  Faults raise
+    ``error`` naming ``path``.
     """
     fmt = f"<I{shape_fmt}Q"
     header = len(magic) + struct.calcsize(fmt)
@@ -78,30 +79,23 @@ def _open_packed(path, magic: bytes, shape_fmt: str, itemsize: int,
         # with no payload nothing bounds the row shape, and a detector over
         # the stream allocates a center of that many entries
         raise error(f"{path}: empty {what}")
-    row_bytes = itemsize * math.prod(shape)
-    if size != header + count * row_bytes:
+    row = math.prod(shape)
+    expected = header + count * row * np.dtype(dtype).itemsize
+    if size != expected:
         raise error(f"{path}: payload length {size} does not match header "
-                    f"(expected {header + count * row_bytes})")
+                    f"(expected {expected})")
 
-    def fill(lo, block):
+    def blocks(rows: int) -> Iterator[np.ndarray]:
+        buf = np.empty((min(rows, count), row), dtype=dtype)
         with open(path, "rb") as fh:
-            fh.seek(header + lo * row_bytes)
-            if fh.readinto(block) != block.nbytes:
-                raise error(f"{path}: truncated payload")
+            fh.seek(header)
+            for lo in range(0, count, rows):
+                block = buf[:min(rows, count - lo)]
+                if fh.readinto(block) != block.nbytes:
+                    raise error(f"{path}: truncated payload")
+                yield block
 
-    return shape, count, fill
-
-
-def _filled_blocks(fill: Callable[[int, np.ndarray], None], count: int,
-                   rows: int, shape, dtype) -> Iterator[np.ndarray]:
-    """Rows ``0 .. count - 1`` in blocks of at most ``rows``, each written
-    by ``fill(lo, block)`` into one reused buffer: a block is valid only
-    until the next is read."""
-    buf = np.empty((min(rows, count), *shape), dtype=dtype)
-    for lo in range(0, count, rows):
-        block = buf[:min(rows, count - lo)]
-        fill(lo, block)
-        yield block
+    return shape, count, blocks
 
 
 def _write_rows(fh, columns) -> None:
@@ -155,10 +149,9 @@ def _vector_blocks(path, whole: bool = False) -> Iterator[np.ndarray]:
     if path.suffix.lower() == ".csv":
         yield from _csv_blocks(path)
         return
-    (n,), t, fill = _open_packed(path, MAGIC, "Q", 8, StreamFormatError,
-                                 "stream")
-    yield from _filled_blocks(fill, t, t if whole else _block_rows(n), (n,),
-                              "<f8")
+    (n,), t, blocks = _open_packed(path, MAGIC, "Q", "<f8", StreamFormatError,
+                                   "stream")
+    yield from blocks(t if whole else _block_rows(n))
 
 
 def _csv_blocks(path: Path) -> Iterator[np.ndarray]:

@@ -246,6 +246,7 @@ def test_criterion_07_contamination_linearity():
         result = sweep_contamination(dim=dim)
         fit = result.checks["linear_fit"]
         assert fit["slope"] > 0 and fit["r2"] >= 0.8
+        assert result.checks["audits"]["passed"]
         lines.append(f"n={dim}: slope={fit['slope']:.3f} R2={fit['r2']:.4f}")
     _report(7, "; ".join(lines))
 
@@ -259,6 +260,7 @@ def test_criterion_08_adaptive_comparison():
     assert all(p == 1.0 for p in fixed)
     assert all(p >= 0.9 for p in adaptive)
     assert result.checks["bound_dominance"]["passed"]
+    assert result.checks["audits"]["passed"]
     _report(8, f"fixed power {fixed} == 1.0, adaptive "
                f"{[round(p, 4) for p in adaptive]} >= 0.9")
 

@@ -299,10 +299,21 @@ class TestMistakeBoundAgnostic:
             mistake_bound_agnostic(SQRT8, 0.1, 0.25, 1.0, sigma)
 
 
+# The checkpoint a fixed-radius run (epsilon 1) wrote, before an infinite
+# distance was refused, for the rows (1e200, 1e200), (0.5, 0), (3, 0): the
+# first row's alarm was paid for with gain 1 and a zero step, so the
+# telescoped w_norm_sq (1.354) exceeds the center's own w . w (0.354).
+INF_DISTANCE_CHECKPOINT = bytes.fromhex(
+    "4641444f434b50540100000000000000000000f03f00000000000000f03f000000"
+    "000000d03f020000000000000003000000000000000200000000000000f3ce9f99"
+    "27a8f53f8adb18057f83f93f0000000000000000f3ce9f9927a8f53f15b7310afe"
+    "06e33f0000000000000000a392afee")
+
+
 class TestAuditTrace:
     def test_fresh_trace_passes_with_zero_margins(self):
         det = Detector(2, FixedRadius(1.0), PowerDecay(1.0, 0.25))
-        audit = audit_trace(det.trace, 0.25, 1.0)
+        audit = audit_trace(det)
         assert audit.passed
         assert audit.inner_margin == 0.0
         assert audit.telescoping_residual == 0.0
@@ -312,7 +323,7 @@ class TestAuditTrace:
         det = Detector(4, FixedRadius(1.0), PowerDecay(1.0, 0.25))
         det.run_stream(rng.normal(size=(3000, 4)) * 4.0)
         assert det.m > 0
-        audit = audit_trace(det.trace, 0.25, 1.0)
+        audit = audit_trace(det)
         assert audit.passed
         assert audit.energy_margin >= 0.0
 
@@ -323,16 +334,41 @@ class TestAuditTrace:
         stream = np.vstack([outliers, normals])
         det = Detector(3, FixedRadius(1.0), PowerDecay(1.0, 0.25))
         det.run_stream(stream)
-        audit = audit_trace(det.trace, 0.25, 1.0)
+        audit = audit_trace(det)
         assert audit.inner_ok and audit.telescoping_ok and audit.energy_ok
 
     def test_reports_never_raise_on_violating_sums(self):
         from fado.detector import DiagnosticsTrace
-        doctored = DiagnosticsTrace(sum_d_gamma_sq=1.0, sum_d_gamma=1.0,
-                                    sum_d_gamma_vw=-10.0, w_norm_sq=5.0)
-        audit = audit_trace(doctored, 0.25, 1.0)
+        det = Detector(2, FixedRadius(1.0), PowerDecay(1.0, 0.25))
+        det.trace = DiagnosticsTrace(sum_d_gamma_sq=1.0, sum_d_gamma=1.0,
+                                     sum_d_gamma_vw=-10.0, w_norm_sq=5.0)
+        audit = audit_trace(det)
         assert not audit.passed
         assert not audit.inner_ok and not audit.telescoping_ok
+
+    def test_a_wrong_center_fails_the_telescoping_check(self):
+        rng = np.random.default_rng(8)
+        det = Detector(4, FixedRadius(1.0), PowerDecay(1.0, 0.25))
+        det.run_stream(rng.normal(size=(3000, 4)) * 4.0)
+        det.w *= 2.0
+        audit = audit_trace(det)
+        assert audit.inner_ok and audit.energy_ok
+        assert not audit.telescoping_ok and not audit.passed
+        assert audit.telescoping_residual > 0.1
+
+    def test_a_step_paid_for_but_not_taken_fails(self):
+        from fado.checkpoint import checkpoint_decode
+        det = checkpoint_decode(INF_DISTANCE_CHECKPOINT)
+        assert det.trace.w_norm_sq == pytest.approx(1.0 + det.w @ det.w)
+        audit = audit_trace(det)
+        assert not audit.telescoping_ok
+        assert audit.telescoping_residual == pytest.approx(1.0)
+
+    def test_needs_a_power_decay_schedule(self):
+        from fado.detector import Constant
+        det = Detector(2, FixedRadius(1.0), Constant(0.5))
+        with pytest.raises(ValueError, match=r"Constant\(gamma=0\.5\)"):
+            audit_trace(det)
 
 
 class TestAdaptiveDiagnosticBound:

@@ -706,6 +706,27 @@ class TestSweep:
         assert err[-1] == f"fado sweep: error: {named} must be at least 1"
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["margin", "center", "dim", "epsilon",
+                                      "contamination", "adaptive"])
+    def test_absent_flags_leave_the_sweep_its_defaults(self, monkeypatch,
+                                                       kind):
+        """Only the flags given are passed on, so each sweep keeps its own
+        seeds, count and base seed (the epsilon sweep's is 1)."""
+        import fado.cli as cli
+        import fado.experiments as experiments
+        from fado.experiments import SweepResult
+        calls = []
+
+        def recording_sweep(**kwargs):
+            calls.append(kwargs)
+            return SweepResult(parameter=kind, grid=[], records=[])
+
+        monkeypatch.setattr(experiments, cli._SWEEPS[kind], recording_sweep)
+        assert run_cli("sweep", kind)[0] == 0
+        assert run_cli("sweep", kind, "--seeds", "3", "--count", "7",
+                       "--base-seed", "9")[0] == 0
+        assert calls == [{}, {"n_seeds": 3, "count": 7, "base_seed": 9}]
+
     def test_failed_assertions_exit_one(self, monkeypatch, tmp_path):
         import fado.experiments as experiments
         from fado.experiments import SweepResult
@@ -842,6 +863,22 @@ def test_overflowing_gain_exits_one_without_checkpoint(tmp_path, argv, gain):
     assert proc.returncode == 1, proc.stderr
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
     assert "overflows" in lines[0] and gain in lines[0]
+    assert not ckpt.exists()
+
+
+def test_infinite_distance_exits_one_without_checkpoint(tmp_path):
+    """A finite row whose squared distance overflows would be an alarm with
+    no step; the run refuses it rather than log a gain it never applied."""
+    stream, ckpt = tmp_path / "s.csv", tmp_path / "state.ckpt"
+    stream.write_text("1e200,1e200\n0.5,0\n3,0\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "fado.cli", "run", "--mode", "fixed",
+         "--epsilon", "1", "--input", str(stream),
+         "--output", str(tmp_path / "o.csv"), "--checkpoint-out", str(ckpt)],
+        capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == ("error: distance to the center overflows float "
+                           "range by step 3\n")
     assert not ckpt.exists()
 
 

@@ -210,6 +210,28 @@ class TestOverflow:
         with pytest.raises(OverflowError, match=" by step 3005 under "):
             det.scan(self._rows())
 
+    # the first row is finite but its squared distance is not: its alarm
+    # would pay a gain for a zero step and leave the center where it was
+    INF_DISTANCE_ROWS = [[1e200, 1e200], [0.5, 0.0], [3.0, 0.0]]
+
+    def test_step_refuses_an_infinite_distance_before_the_alarm(self):
+        det = Detector(2, FixedRadius(1.0), PowerDecay())
+        # step keeps no errstate, so the overflow would warn
+        with np.errstate(over="ignore"), \
+                pytest.raises(OverflowError) as info:
+            det.step(self.INF_DISTANCE_ROWS[0])
+        assert str(info.value) == \
+            "distance to the center overflows float range by step 1"
+        assert det.m == 0 and not det.w.any()
+        assert det.trace.as_tuple() == (0.0, 0.0, 0.0, 0.0)
+
+    def test_scan_refuses_an_infinite_distance(self):
+        det = Detector(2, FixedRadius(1.0), PowerDecay())
+        with pytest.raises(OverflowError, match="^distance to the center "
+                           "overflows float range by step 3$"):
+            det.scan(self.INF_DISTANCE_ROWS)
+        assert det.m == 0
+
 
 class TestInvariants:
     """The unconditional per-step identities, on adversarial float streams."""

@@ -17,6 +17,9 @@ block and the synthetic clip digests were recorded before generation was
 mixed in place tile by tile; they span several tiles and frames wider than
 one tile.  They use only integer operations and correctly rounded float
 arithmetic, so unlike the ``gen`` digests they hold on every host.
+The sweep digests were recorded when ``fado sweep`` passed every sweep the
+base seed 0xFAD0 (64208); the epsilon sweep's own base seed is 1, so its
+digest is pinned under ``--base-seed 64208`` and, apart, at its own seed.
 """
 
 import hashlib
@@ -40,6 +43,12 @@ SWEEP_DIGESTS = {
     "contamination": ("944b0a3781df156f62eb02166fc00d926e252877a517f8660281600b8aa9e929", 0),
     "adaptive": ("6edca8ed4e6d4c4ac0c92369dc128f1d41ca3d3bf98236e2e132b1bb7931e02e", 0),
 }
+
+# flags a sweep digest was recorded under beyond --seeds and --count
+SWEEP_ARGS = {"epsilon": ["--base-seed", "64208"]}
+
+DEFAULT_EPSILON_SWEEP_DIGEST = \
+    "6ceffb41288df1e6ae36cdcb2ae25a0f385bb2ec3f37a16acd460b2a516e4c86"
 
 GEN_DIGESTS = {
     "ball": (["--dim", "7", "--count", "5000", "--center", "1",
@@ -112,8 +121,15 @@ def test_sweep_csv_bytes_are_pinned(kind, tmp_path):
     digest, exit_code = SWEEP_DIGESTS[kind]
     out = tmp_path / f"{kind}.csv"
     assert main(["sweep", kind, "--seeds", "2", "--count", "1500",
-                 "--out", str(out)]) == exit_code
+                 *SWEEP_ARGS.get(kind, []), "--out", str(out)]) == exit_code
     assert _sha256(out) == digest
+
+
+def test_epsilon_sweep_at_its_own_base_seed_is_pinned(tmp_path):
+    out = tmp_path / "epsilon.csv"
+    assert main(["sweep", "epsilon", "--seeds", "2", "--count", "1500",
+                 "--out", str(out)]) == 0
+    assert _sha256(out) == DEFAULT_EPSILON_SWEEP_DIGEST
 
 
 @pytest.mark.parametrize("design", sorted(GEN_DIGESTS))

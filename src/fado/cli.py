@@ -71,6 +71,29 @@ def _given(**values) -> dict:
             if value is not None}
 
 
+# dataclass fields whose flag is not the field's own name
+_FIELD_FLAGS = {"w_bar": "--center", "contamination_fraction": "--fraction",
+                "outlier_radius_max": "--radius-max"}
+
+
+@contextlib.contextmanager
+def _flag_errors(parser, *fields):
+    """Exit 2 under the flag of a value that a library type rejects.
+
+    The types state each rule once; a ``ValueError`` whose message starts
+    with one of ``fields`` is a usage error, reported under that field's
+    flag.  Any other error passes through.
+    """
+    try:
+        yield
+    except ValueError as exc:
+        field, _, rest = str(exc).partition(" ")
+        if field not in fields:
+            raise
+        flag = _FIELD_FLAGS.get(field, "--" + field.replace("_", "-"))
+        parser.error(f"{flag} {rest}")
+
+
 def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
@@ -207,11 +230,13 @@ def _cmd_run(args, parser) -> int:
             raise ValueError(f"checkpoint dimension {detector.dim} does not "
                              f"match stream ({block.shape[1]})")
     else:
-        mode = (AdaptiveRadius() if args.mode == "adaptive"
-                else FixedRadius(args.epsilon))
-        schedule = (Constant(**_given(gamma=args.gamma))
-                    if args.mode == "constant-gain" else
-                    PowerDecay(**_given(gamma0=args.gamma0, tau=args.tau)))
+        with _flag_errors(parser, "epsilon", "gamma", "gamma0", "tau"):
+            mode = (AdaptiveRadius() if args.mode == "adaptive"
+                    else FixedRadius(args.epsilon))
+            schedule = (Constant(**_given(gamma=args.gamma))
+                        if args.mode == "constant-gain" else
+                        PowerDecay(**_given(gamma0=args.gamma0,
+                                            tau=args.tau)))
         detector = Detector(block.shape[1], mode, schedule)
     start = detector.t + 1
     count = alarms = 0
@@ -251,6 +276,7 @@ def _cmd_sweep(args, parser) -> int:
 
 def _cmd_scene(args, parser) -> int:
     from .checkpoint import checkpoint_decode, checkpoint_encode
+    from .detector import Constant, FixedRadius
     from .scene import (_open_frames_packed, _open_pgm_sequence,
                         gen_synthetic_clips, run_scene_detection,
                         timeline_to_csv, write_memory_snapshot)
@@ -260,6 +286,12 @@ def _cmd_scene(args, parser) -> int:
     if args.checkpoint_in:
         _reject(parser, args, ("epsilon", "gamma"),
                 "conflict with --checkpoint-in, which fixes the detector")
+    with _flag_errors(parser, "epsilon", "gamma"):
+        # checked before any frame is made or read, whose errors name paths
+        if args.epsilon is not None:
+            FixedRadius(args.epsilon)
+        if args.gamma is not None:
+            Constant(args.gamma)
     transitions = None
     if args.synthetic:
         _at_least(parser, args, ("width", "height", "clips",
@@ -300,7 +332,8 @@ def _cmd_bounds(args, parser) -> int:
                          mistake_bound_realizable, power_delta_bound,
                          riemann_zeta, sigma_admissibility_ratio)
     from .detector import PowerDecay
-    schedule = PowerDecay(**_given(gamma0=args.gamma0, tau=args.tau))
+    with _flag_errors(parser, "gamma0", "tau"):
+        schedule = PowerDecay(**_given(gamma0=args.gamma0, tau=args.tau))
     tau, gamma0 = schedule.tau, schedule.gamma0
     a = _gain_energy(tau, gamma0)
     zeta = riemann_zeta(1.0 + 2.0 * tau)
@@ -338,22 +371,13 @@ def _cmd_gen(args, parser) -> int:
         _reject(parser, args, ("labels_out", "fraction", "radius_max"),
                 "apply only to the mixture design")
     center = _parse_center(args.center, args.dim)
-    # the spec types state each rule once; a message that starts with a
-    # field is a usage error, reported under the field's flag
-    flags = {"w_bar": "--center", "epsilon": "--epsilon", "mu": "--mu",
-             "dim": "--dim", "contamination_fraction": "--fraction",
-             "outlier_radius_max": "--radius-max"}
-    try:
+    with _flag_errors(parser, "w_bar", "epsilon", "mu", "dim",
+                      "contamination_fraction", "outlier_radius_max"):
         truth = GroundTruth(center, args.epsilon, **_given(mu=args.mu))
         spec = StreamSpec(dim=args.dim, count=args.count, truth=truth,
                           seed=args.seed, design=design,
                           **_given(contamination_fraction=args.fraction,
                                    outlier_radius_max=args.radius_max))
-    except ValueError as exc:
-        field, _, rest = str(exc).partition(" ")
-        if field not in flags:
-            raise
-        parser.error(f"{flags[field]} {rest}")
     samples, labels = generate(spec)
     write_vectors(samples, args.out)
     if args.labels_out:

@@ -347,8 +347,13 @@ class Detector:
         The whole block is validated before any state changes.  Rows are
         then taken in chunks: one distance pass per chunk, an update at its
         first alarm, and the next chunk starts on the row after it.  The
-        chunk doubles while no alarm occurs and halves after one, up to
-        :data:`SCAN_CHUNK_BYTES` of rows.
+        chunk doubles while no alarm occurs, up to :data:`SCAN_CHUNK_BYTES`
+        of rows, and halves after one, but to no fewer than a floor of up
+        to 32 rows (fewer for rows wider than 128 values), so that rows
+        between alarms seldom take a pass each.  An alarm on a chunk's
+        first row halves it below the floor, down to one row, so alarms
+        back to back are judged a row at a time, as the rows after them
+        would be wasted.
         """
         return self._scan(_as_block(rows, self.dim))
 
@@ -373,10 +378,13 @@ class Detector:
         buf = np.empty((min(cap, count), self.dim))
         tiles = [(block[:, lo:lo + _TILE], self.w[lo:lo + _TILE],
                   buf[:, lo:lo + _TILE]) for lo in range(0, self.dim, _TILE)]
-        size = 1
+        # A pass costs about as much as judging 8192 values, so a floor of
+        # half that wastes less on dense streams than it saves on sparse.
+        floor = max(1, min(cap, 32, _DOT_WIDTH // (2 * self.dim)))
+        size = floor
         radius = self.current_radius()
         i = 0
-        self.t += count  # so an overflow in _learn names the block's end
+        t = self.t
         # Rows past a chunk's first alarm are written but rewritten by the
         # chunk that later covers them, so each row keeps its final verdict.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -398,11 +406,13 @@ class Detector:
                     i = stop
                     size = min(2 * size, cap)
                     continue
+                self.t = t + i + k + 1  # the step an overflow names
                 gain[i + k] = self._learn(float(dist[k]),
                                           [(d[k], w) for _, w, d in tiles])
                 radius = self.current_radius()
                 i += k + 1
-                size = max(1, size // 2)
+                size = max(1 if k == 0 else floor, size // 2)
+        self.t = t + count
         return ScanOutcomes(alarm=alarm, distance=distance,
                             threshold=threshold, gain_applied=gain)
 

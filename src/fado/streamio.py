@@ -98,13 +98,29 @@ def _open_packed(path, magic: bytes, shape_fmt: str, dtype, error,
     return shape, count, blocks
 
 
+def _cells(col: np.ndarray):
+    """The text of each entry of a column slice: bools as 0/1, integers
+    and floats by ``repr`` (shortest round trip).  Each run of bit-equal
+    floats is formatted once (bits keep 0.0 and -0.0 apart)."""
+    if col.dtype == bool:
+        return map("01".__getitem__, col.tolist())
+    if col.dtype == np.float64:
+        bits = col.view(np.uint64)
+        starts = np.flatnonzero(bits[1:] != bits[:-1]) + 1
+        if len(starts) + 1 < len(col):
+            starts = np.concatenate(([0], starts))
+            text = np.array(list(map(repr, col[starts].tolist())),
+                            dtype=object)
+            return np.repeat(text, np.diff(starts, append=len(col))).tolist()
+    return map(repr, col.tolist())
+
+
 def _write_rows(fh, columns) -> None:
-    """Write row i as each column's entry i, comma-separated: bools as 0/1,
-    integers and floats by ``repr`` (shortest round trip)."""
+    """Write row i as each column's entry i, comma-separated, formatted
+    by :func:`_cells` a slice of at most ``_CSV_ROWS`` rows at a time."""
     count = len(columns[0])
     for lo in range(0, count, _CSV_ROWS):
-        cells = [map("01".__getitem__ if col.dtype == bool else repr,
-                     col[lo:lo + _CSV_ROWS].tolist()) for col in columns]
+        cells = [_cells(col[lo:lo + _CSV_ROWS]) for col in columns]
         fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 

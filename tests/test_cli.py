@@ -99,17 +99,23 @@ class TestBounds:
         assert capsys.readouterr().err == \
             f"error: mistake cap overflows float range at {culprit}\n"
 
-    @pytest.mark.parametrize("flags, message", [
-        (["--gamma0", "1e160"],
-         "gain energy overflows float range at gamma0 = 1e+160"),
-        (["--gamma0", "1.3e154"],
-         "gain energy overflows float range at gamma0 = 1.3e+154"),
-        (["--tau", "0"], "tau must lie strictly between 0 and 1/2"),
+    @pytest.mark.parametrize("flags, code, message", [
+        (["--gamma0", "1e160"], 1,
+         "error: gain energy overflows float range at gamma0 = 1e+160"),
+        (["--gamma0", "1.3e154"], 1,
+         "error: gain energy overflows float range at gamma0 = 1.3e+154"),
+        (["--tau", "0"], 2,
+         "fado bounds: error: --tau must lie strictly between 0 and 1/2"),
     ], ids=["gamma0-squared", "gamma0-times-zeta", "tau"])
-    def test_bad_gain_schedule_names_the_flag(self, flags, message, capsys):
-        code, out = run_cli("bounds", "--wnorm", "1", "--mu", "0.1", *flags)
-        assert (code, out) == (1, "")
-        assert capsys.readouterr().err == f"error: {message}\n"
+    def test_bad_gain_schedule_names_the_flag(self, flags, code, message,
+                                              capsys):
+        """A value the schedule rejects is a usage error under its flag; a
+        valid one whose gain energy overflows is a runtime error."""
+        assert run_cli("bounds", "--wnorm", "1", "--mu", "0.1",
+                       *flags) == (code, "")
+        err = capsys.readouterr().err
+        assert err.endswith(message + "\n")
+        assert err.startswith("usage: fado bounds " if code == 2 else message)
 
     def test_search_limit_reaches_two_to_the_400(self):
         # the split equation first solves near m = 2**315 at epsilon 1e40
@@ -878,7 +884,7 @@ def test_infinite_distance_exits_one_without_checkpoint(tmp_path):
         capture_output=True, text=True, env=child_env())
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr == ("error: distance to the center overflows float "
-                           "range by step 3\n")
+                           "range by step 1\n")
     assert not ckpt.exists()
 
 
@@ -900,6 +906,40 @@ def test_size_flag_out_of_range_exits_two(tmp_path, capsys, argv, error):
     code, _ = run_cli(*argv, "--out" if argv[0] == "gen" else "--timeline",
                       str(out))
     assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith(f"usage: fado {argv[0]} ")
+    assert err[-1] == f"fado {argv[0]}: error: {error}"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["run", "--mode", "fixed", "--epsilon", "-1"],
+     "--epsilon must be a nonnegative finite number"),
+    (["run", "--mode", "fixed", "--epsilon", "1", "--tau", "0.6"],
+     "--tau must lie strictly between 0 and 1/2"),
+    (["run", "--mode", "adaptive", "--gamma0", "0"],
+     "--gamma0 must be a positive finite number"),
+    (["run", "--mode", "constant-gain", "--epsilon", "1", "--gamma", "inf"],
+     "--gamma must be a positive finite number"),
+    (["scene", "--synthetic", "--gamma", "0"],
+     "--gamma must be a positive finite number"),
+    (["scene", "--synthetic", "--epsilon", "-3"],
+     "--epsilon must be a nonnegative finite number"),
+    (["bounds", "--wnorm", "1", "--mu", "0.1", "--tau", "0.6"],
+     "--tau must lie strictly between 0 and 1/2"),
+    (["bounds", "--wnorm", "1", "--mu", "0.1", "--gamma0", "-1"],
+     "--gamma0 must be a positive finite number"),
+], ids=["run-epsilon", "run-tau", "run-gamma0", "run-gamma", "scene-gamma",
+        "scene-epsilon", "bounds-tau", "bounds-gamma0"])
+def test_value_a_library_type_rejects_names_its_flag(tmp_path, capsys, argv,
+                                                     error):
+    """``run``, ``scene`` and ``bounds`` report a value that a detector
+    type rejects as ``gen`` does: exit 2 under the flag, no output."""
+    stream, out = tmp_path / "s.csv", tmp_path / "out.csv"
+    write_vectors(np.ones((3, 2)), stream)
+    extra = {"run": ["--input", str(stream), "--output", str(out)],
+             "scene": ["--timeline", str(out)], "bounds": []}[argv[0]]
+    assert run_cli(*argv, *extra) == (2, "")
     err = capsys.readouterr().err.splitlines()
     assert err[0].startswith(f"usage: fado {argv[0]} ")
     assert err[-1] == f"fado {argv[0]}: error: {error}"

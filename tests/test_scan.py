@@ -320,3 +320,64 @@ class TestScaleEquivariance:
         scaled = _new("adaptive", None, 1, scale=8.0)
         assert not base.step([0.5]).alarm      # 0.5 < radius 1
         assert scaled.step([4.0]).alarm        # 4.0 >= radius 1/8
+
+
+def _counted_dot():
+    """Patch the dot kernel with a wrapper that counts its calls."""
+    return mock.patch.object(detector_module, "_dot",
+                             wraps=detector_module._dot)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_about_one_distance_pass_per_alarm(seed):
+    """On a 5% mixture, alarms lie a dozen or so rows apart.  A chunk that
+    halves to one row after each alarm takes a pass that stops at the
+    alarm and one more to grow back: three dots per alarm, counting the
+    update's own.  A floor under the chunk leaves fewer than 2.3."""
+    rows = _mixture(seed, 20_000, 10)
+    det = _new("fixed", 1.0, 10)
+    with _counted_dot() as dot:
+        det.scan(rows)
+    assert 500 < det.m < 2000
+    assert dot.call_count <= 2.3 * det.m
+
+
+@pytest.mark.parametrize("dim", [1, 10, 300])
+def test_every_row_alarming_wastes_few_rows(dim):
+    """epsilon = 0: an alarm on a chunk's first row halves the chunk below
+    its floor, so the passes judge few rows beyond the stream's own."""
+    rows = np.random.default_rng(dim).normal(size=(400, dim))
+    det = _new("fixed", 0.0, dim)
+    with _counted_dot() as dot:
+        det.scan(rows)
+    assert det.m == 400
+    judged = sum(len(args[0]) for args, _ in dot.call_args_list
+                 if args[0].ndim == 2)
+    assert judged <= 400 + 64
+
+
+def _gaps_and_bursts(dim, seed):
+    """Quiet rows at the center, then bursts of far rows: runs of 0 to 70
+    quiet rows, each followed by 1 to 40 alarms back to back."""
+    rng = np.random.default_rng(seed)
+    parts = []
+    for gap, burst in itertools.product([0, 1, 2, 5, 31, 32, 33, 70],
+                                        [1, 2, 3, 40]):
+        parts.append(np.zeros((gap, dim)))
+        far = rng.normal(size=(burst, dim))
+        parts.append(1e4 * far / np.linalg.norm(far, axis=1)[:, None])
+    return np.vstack(parts)
+
+
+@pytest.mark.parametrize("dim", [1, 10, 300])
+@pytest.mark.parametrize("cap_rows", [3, 40, None])
+@pytest.mark.parametrize("mode", MODES)
+def test_alarms_back_to_back_after_a_gap(mode, dim, cap_rows):
+    """Bursts of alarms after quiet runs of every length near the chunk
+    floor (32 rows at dim 10, 13 at dim 300), with chunk caps below and
+    above it, decide as the step loop does."""
+    rows = _gaps_and_bursts(dim, dim)
+    cap = None if cap_rows is None else 8 * dim * cap_rows
+    alarms = _assert_same(mode, 1.0, rows, cap)
+    after_gap = ~alarms[:-2] & alarms[1:-1] & alarms[2:]
+    assert after_gap.sum() >= 10

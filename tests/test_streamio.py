@@ -1,7 +1,13 @@
+import io
+import math
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from fado import streamio
 
 from fado.scene import (
     FRAMES_MAGIC,
@@ -223,3 +229,49 @@ def test_binary_readers_hold_one_copy_of_the_payload(tmp_path, kind):
                           env=child_env(), check=True)
     grown_kib = int(proc.stdout)
     assert grown_kib * 1024 < 1.5 * payload
+
+
+def _naive_rows(columns) -> str:
+    """Each cell formatted on its own: bools as 0/1, the rest by repr."""
+    return "".join(",".join(("1" if col[i] else "0") if col.dtype == bool
+                            else repr(col[i].item()) for col in columns)
+                   + "\n" for i in range(len(columns[0])))
+
+
+def _write_rows_text(columns, csv_rows) -> str:
+    fh = io.StringIO()
+    with mock.patch.object(streamio, "_CSV_ROWS", csv_rows):
+        streamio._write_rows(fh, columns)
+    return fh.getvalue()
+
+
+# Few values, so columns hold runs; the bits of 0.0 and -0.0 differ.
+_POOL = [0.0, -0.0, 1.0, 0.1, -2.5, 1e300, 5e-324, math.inf, math.nan]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(count=st.integers(1, 40),
+       pools=st.lists(st.lists(st.sampled_from(_POOL), min_size=1,
+                               max_size=3), min_size=1, max_size=3),
+       csv_rows=st.sampled_from([1, 2, 3, 7, 8192]),
+       data=st.data())
+def test_runs_of_equal_values_write_as_each_cell_alone(count, pools,
+                                                       csv_rows, data):
+    """Float columns drawn from small pools (so runs cross slice ends),
+    and as rows of a matrix (strided columns, as ``write_vectors`` passes
+    them), beside int and bool columns, write as per-cell formatting."""
+    floats = [np.array(data.draw(st.lists(st.sampled_from(pool),
+                                          min_size=count, max_size=count)))
+              for pool in pools]
+    matrix = np.array(floats).T.copy()  # (count, k), rows contiguous
+    ints = np.arange(7, 7 + count)
+    bools = np.array(data.draw(st.lists(st.booleans(), min_size=count,
+                                        max_size=count)))
+    for columns in ([ints, bools, *floats], list(matrix.T)):
+        assert _write_rows_text(columns, csv_rows) == _naive_rows(columns)
+
+
+def test_zero_and_negative_zero_are_separate_runs():
+    column = np.array([0.0, -0.0, -0.0, 0.0, 0.0, -0.0])
+    assert _write_rows_text([column], 8192) == \
+        "0.0\n-0.0\n-0.0\n0.0\n0.0\n-0.0\n"

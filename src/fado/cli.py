@@ -18,6 +18,13 @@ passes at most 8192 elements), so a thread pool would only cost start-up
 time and spin idle.  An explicit value wins, and after numpy has loaded
 ``main`` sets nothing.  Each command imports only the modules it uses, and
 ``import fado.cli`` imports no numpy and changes no environment variable.
+
+``run`` scans a stream's second block onward in a forked child, while the
+parent writes the outcome CSV, only when the process runs one thread:
+``os.fork`` exists and ``/proc/self/task`` lists one entry.  A fork copies
+only the calling thread, so a process with, say, a second OpenBLAS thread
+(``OPENBLAS_NUM_THREADS=2``, or numpy loaded by the caller) scans in
+process.  Both paths write the same bytes.
 """
 
 from __future__ import annotations
@@ -27,6 +34,8 @@ import contextlib
 import itertools
 import json
 import os
+import signal
+import struct
 import sys
 from pathlib import Path
 
@@ -73,7 +82,8 @@ def _given(**values) -> dict:
 
 # dataclass fields whose flag is not the field's own name
 _FIELD_FLAGS = {"w_bar": "--center", "contamination_fraction": "--fraction",
-                "outlier_radius_max": "--radius-max"}
+                "outlier_radius_max": "--radius-max", "norm_w_bar": "--wnorm",
+                "sigma_T": "--sigma"}
 
 
 @contextlib.contextmanager
@@ -92,6 +102,19 @@ def _flag_errors(parser, *fields):
             raise
         flag = _FIELD_FLAGS.get(field, "--" + field.replace("_", "-"))
         parser.error(f"{flag} {rest}")
+
+
+# The errors that main reports as one line on stderr, with exit code 1.
+_REPORTED = (ValueError, OverflowError, OSError, MemoryError)
+
+# A record of the scan-ahead pipe: its kind and its size.  Kinds below
+# len(_REPORTED) are errors of that class with a message of size bytes.
+_RECORD = struct.Struct("<BQ")
+_BLOCK, _STATE = len(_REPORTED), len(_REPORTED) + 1
+
+# Bytes the scan-ahead pipe asks to hold: about three blocks of outcomes
+# of 10-value rows.  Linux lets a user ask for up to 1 MiB.
+_PIPE_BYTES = 1 << 20
 
 
 def _log(message: str) -> None:
@@ -207,7 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args, parser) -> int:
     from .checkpoint import checkpoint_decode, checkpoint_encode
     from .detector import (AdaptiveRadius, Constant, Detector, FixedRadius,
-                           PowerDecay, _as_block)
+                           PowerDecay)
     from .streamio import _vector_blocks, write_outcome_rows
     if args.checkpoint_in:
         _reject(parser, args, ("mode", "epsilon", "gamma0", "tau", "gamma"),
@@ -242,20 +265,135 @@ def _cmd_run(args, parser) -> int:
     count = alarms = 0
     header = "t,alarm,distance,threshold,gain_applied"
     with (open(args.output, "w", encoding="ascii") if args.output
-          else contextlib.nullcontext(sys.stdout)) as fh:
-        for block in itertools.chain([block], blocks):
-            # a bad row is named by its index in the whole stream
-            outcomes = detector._scan(_as_block(block, detector.dim, count))
-            write_outcome_rows(fh, header, start + count,
-                               [outcomes.alarm, outcomes.distance,
-                                outcomes.threshold, outcomes.gain_applied])
+          else contextlib.nullcontext(sys.stdout)) as fh, \
+            contextlib.closing(_outcome_blocks(
+                detector, itertools.chain([block], blocks))) as outcomes:
+        for columns in outcomes:
+            write_outcome_rows(fh, header, start + count, columns)
             header = None
-            count += len(outcomes)
-            alarms += int(outcomes.alarm.sum())
+            count += len(columns[0])
+            alarms += int(columns[0].sum())
     if args.checkpoint_out:
         Path(args.checkpoint_out).write_bytes(checkpoint_encode(detector))
     _log(f"processed {count} transactions, {alarms} alarms")
     return 0
+
+
+def _outcome_blocks(detector, blocks):
+    """Yield the outcome columns of each block of ``blocks`` as scanned in
+    order by ``detector``: [alarm, distance, threshold, gain_applied].
+
+    The first block is scanned here.  When the process runs one thread
+    and a second block exists (read before the first block is yielded), a
+    forked child scans the second block onward, while the caller writes
+    the blocks before, and sends each block's columns as raw bytes down a
+    pipe, then the final state as checkpoint bytes, which are installed
+    in ``detector``.  Otherwise each block is read and scanned once the
+    one before it is yielded.  An error of a class that ``main`` reports
+    is sent as its class and message and raised here once the blocks
+    before it are yielded, as the in-process scan raises it.  Closing the
+    generator kills and reaps the child.  The caller leaves ``blocks``
+    alone while the child lives: the two processes share the input
+    file's offset.
+    """
+    import numpy as np
+
+    from .checkpoint import checkpoint_decode, checkpoint_encode
+    from .detector import _as_block
+    count = 0
+
+    def scan(block):
+        nonlocal count
+        # a bad row is named by its index in the whole stream
+        out = detector._scan(_as_block(block, detector.dim, count))
+        count += len(out)
+        return [out.alarm, out.distance, out.threshold, out.gain_applied]
+
+    columns = scan(next(blocks))
+    pid = None
+    if (hasattr(os, "fork") and os.path.isdir("/proc/self/task")
+            and len(os.listdir("/proc/self/task")) == 1):
+        try:
+            ahead = next(blocks, None)
+        except _REPORTED:
+            yield columns  # the rows before a fault are written first
+            raise
+        if ahead is None:
+            yield columns
+            return
+        blocks = itertools.chain([ahead], blocks)
+        import fcntl
+        read_end, write_end = os.pipe()
+        with contextlib.suppress(OSError):  # past the limit the default holds
+            fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+        try:
+            pid = os.fork()
+        except OSError:  # say, at a limit on processes: scan in process
+            os.close(read_end)
+            os.close(write_end)
+    if pid is None:
+        yield columns
+        yield from map(scan, blocks)
+        return
+    if pid == 0:
+        # The child never returns: os._exit skips the parent's cleanup,
+        # which would flush and close files that the parent owns.
+        code = 1
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as pipe:
+                try:
+                    for alarm, *floats in map(scan, blocks):
+                        pipe.write(_RECORD.pack(_BLOCK, len(alarm)))
+                        # the floats first, so each column stays aligned
+                        for column in (*floats, alarm):
+                            pipe.write(column)
+                        pipe.flush()
+                    kind, data = _STATE, checkpoint_encode(detector)
+                except _REPORTED as exc:
+                    kind = next(i for i, cls in enumerate(_REPORTED)
+                                if isinstance(exc, cls))
+                    data = (str(exc) or type(exc).__name__).encode()
+                pipe.write(_RECORD.pack(kind, len(data)))
+                pipe.write(data)
+            code = 0
+        except OSError:
+            pass  # the pipe failed: the parent has gone
+        except Exception:  # a fault of fado's own
+            import traceback
+            traceback.print_exc()
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
+    try:
+        os.close(write_end)
+        with open(read_end, "rb") as pipe:
+
+            def take(nbytes):
+                data = pipe.read(nbytes)
+                if len(data) != nbytes:
+                    raise ChildProcessError("the scan-ahead process ended "
+                                            "before the stream did")
+                return data
+
+            yield columns
+            while True:
+                kind, size = _RECORD.unpack(take(_RECORD.size))
+                if kind != _BLOCK:
+                    break
+                # three float64 columns, then the bool one: 25 bytes a row
+                data = take(25 * size)
+                *floats, alarm = (
+                    np.frombuffer(data, dtype, size, 8 * size * i)
+                    for i, dtype in enumerate(3 * [np.float64] + [bool]))
+                yield [alarm, *floats]
+            data = take(size)
+            if kind != _STATE:
+                raise _REPORTED[kind](data.decode())
+            vars(detector).update(vars(checkpoint_decode(data)))
+    finally:
+        os.kill(pid, signal.SIGKILL)  # a child that has exited is a zombie
+        os.waitpid(pid, 0)
 
 
 def _cmd_sweep(args, parser) -> int:
@@ -335,27 +473,28 @@ def _cmd_bounds(args, parser) -> int:
     with _flag_errors(parser, "gamma0", "tau"):
         schedule = PowerDecay(**_given(gamma0=args.gamma0, tau=args.tau))
     tau, gamma0 = schedule.tau, schedule.gamma0
-    a = _gain_energy(tau, gamma0)
-    zeta = riemann_zeta(1.0 + 2.0 * tau)
-    bound = mistake_bound_realizable(args.wnorm, args.mu, tau, gamma0)
-    m_t = args.m_t if args.m_t is not None else max(bound, 1)
-    doc = {
-        "zeta": zeta,
-        "y_max": ac_y_bound(a, args.wnorm),
-        "x_max": ac_x_bound(a, args.wnorm),
-        "mistake_bound": bound,
-        "delta_power": power_delta_bound(args.wnorm, m_t, tau, gamma0),
-    }
-    if args.sigma is not None:
-        doc["mistake_bound_agnostic"] = mistake_bound_agnostic(
-            args.wnorm, args.mu, tau, gamma0, args.sigma)
-        doc["sigma_admissibility_ratio"] = sigma_admissibility_ratio(
-            args.wnorm, args.sigma)
-    if args.epsilon is not None:
-        report = adaptive_mistake_bound(args.wnorm, args.epsilon, tau,
-                                        gamma0)
-        doc["adaptive_bound"] = report.bound
-        doc["adaptive_bound_loose"] = report.loose
+    with _flag_errors(parser, "norm_w_bar", "mu", "sigma_T", "epsilon"):
+        a = _gain_energy(tau, gamma0)
+        zeta = riemann_zeta(1.0 + 2.0 * tau)
+        bound = mistake_bound_realizable(args.wnorm, args.mu, tau, gamma0)
+        m_t = args.m_t if args.m_t is not None else max(bound, 1)
+        doc = {
+            "zeta": zeta,
+            "y_max": ac_y_bound(a, args.wnorm),
+            "x_max": ac_x_bound(a, args.wnorm),
+            "mistake_bound": bound,
+            "delta_power": power_delta_bound(args.wnorm, m_t, tau, gamma0),
+        }
+        if args.sigma is not None:
+            doc["mistake_bound_agnostic"] = mistake_bound_agnostic(
+                args.wnorm, args.mu, tau, gamma0, args.sigma)
+            doc["sigma_admissibility_ratio"] = sigma_admissibility_ratio(
+                args.wnorm, args.sigma)
+        if args.epsilon is not None:
+            report = adaptive_mistake_bound(args.wnorm, args.epsilon, tau,
+                                            gamma0)
+            doc["adaptive_bound"] = report.bound
+            doc["adaptive_bound_loose"] = report.loose
     json.dump(doc, sys.stdout, indent=2)
     sys.stdout.write("\n")
     return 0
@@ -395,7 +534,7 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.handler(args)
-    except (ValueError, OverflowError, OSError, MemoryError) as exc:
+    except _REPORTED as exc:
         _log(f"error: {str(exc) or type(exc).__name__}")
         return 1
     finally:

@@ -15,16 +15,20 @@ HAVE_TASKS = os.path.isdir("/proc/self/task")
 
 # Runs fado.cli.main on sys.argv[1:] in a fresh interpreter and prints its
 # exit code, its thread count and OPENBLAS_NUM_THREADS after the command,
-# and which of fado's modules, numpy and scipy it loaded, as one JSON line.
+# whether it reaped a child process (one that used any CPU time: rusage
+# counts microseconds, where os.times counts 10 ms ticks), and which of
+# fado's modules, numpy and scipy it loaded, as one JSON line.
 _MAIN_PROBE = """
-import json, os, sys
+import json, os, resource, sys
 from fado.cli import main
 code = main(sys.argv[1:])
 tasks = os.listdir("/proc/self/task") if os.path.isdir("/proc/self/task") else ()
+children = resource.getrusage(resource.RUSAGE_CHILDREN)
 print(json.dumps({"code": code, "tasks": len(tasks),
-    "blas_env": os.environ.get("OPENBLAS_NUM_THREADS"), "modules": sorted(
-    m for m in sys.modules
-    if m in ("numpy", "scipy") or m.split(".")[0] == "fado")}))
+    "blas_env": os.environ.get("OPENBLAS_NUM_THREADS"),
+    "reaped_child": children.ru_utime + children.ru_stime > 0,
+    "modules": sorted(m for m in sys.modules
+                      if m in ("numpy", "scipy") or m.split(".")[0] == "fado")}))
 """
 
 
@@ -43,12 +47,15 @@ def child_env(**variables):
 
 
 def main_in_child(argv, **variables):
-    """Run ``fado.cli.main(argv)`` in a child process; see _MAIN_PROBE."""
+    """Run ``fado.cli.main(argv)`` in a child process; see _MAIN_PROBE.
+    The probe's fields come with the command's ``stdout`` (before the
+    probe's line) and ``stderr``."""
     proc = subprocess.run(
         [sys.executable, "-c", _MAIN_PROBE, *map(str, argv)],
         env=child_env(**variables), capture_output=True, text=True,
         check=True)
-    return json.loads(proc.stdout.splitlines()[-1])
+    stdout, _, probe = proc.stdout.rstrip("\n").rpartition("\n")
+    return dict(json.loads(probe), stdout=stdout, stderr=proc.stderr)
 
 
 def run_with_norm_audit(detector: Detector, samples):

@@ -71,10 +71,6 @@ class TestBounds:
         assert report.first_solvable_m == 2
         assert json.loads(out)["adaptive_bound"] == report.bound
 
-    def test_bad_domain_exits_one(self):
-        code, _ = run_cli("bounds", "--wnorm", "-1.0", "--mu", "0.1")
-        assert code == 1
-
     @pytest.mark.parametrize("flags", [
         ["--wnorm", "1", "--mu", "1e-300"],
         # a finite cap too large for the search; 1e200 overflows the cap
@@ -929,8 +925,17 @@ def test_size_flag_out_of_range_exits_two(tmp_path, capsys, argv, error):
      "--tau must lie strictly between 0 and 1/2"),
     (["bounds", "--wnorm", "1", "--mu", "0.1", "--gamma0", "-1"],
      "--gamma0 must be a positive finite number"),
+    (["bounds", "--wnorm", "-1", "--mu", "0.1"],
+     "--wnorm must be a positive finite number"),
+    (["bounds", "--wnorm", "1", "--mu", "-0.1"],
+     "--mu must be a positive finite number"),
+    (["bounds", "--wnorm", "1", "--mu", "0.1", "--sigma", "-1"],
+     "--sigma must be a nonnegative finite number"),
+    (["bounds", "--wnorm", "1", "--mu", "0.1", "--epsilon", "-1"],
+     "--epsilon must be a positive finite number"),
 ], ids=["run-epsilon", "run-tau", "run-gamma0", "run-gamma", "scene-gamma",
-        "scene-epsilon", "bounds-tau", "bounds-gamma0"])
+        "scene-epsilon", "bounds-tau", "bounds-gamma0", "bounds-wnorm",
+        "bounds-mu", "bounds-sigma", "bounds-epsilon"])
 def test_value_a_library_type_rejects_names_its_flag(tmp_path, capsys, argv,
                                                      error):
     """``run``, ``scene`` and ``bounds`` report a value that a detector
@@ -1006,6 +1011,183 @@ class TestBlasThreads:
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         assert run_cli(*run_argv)[0] == 0
         assert "OPENBLAS_NUM_THREADS" not in os.environ
+
+
+@pytest.mark.skipif(not HAVE_TASKS or not hasattr(os, "fork")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs os.fork, /proc/self/task and two CPUs")
+class TestScanAhead:
+    """``fado run`` scans a stream's second block onward in a forked child
+    when the process runs one thread; a second OpenBLAS thread keeps the
+    scan in process.  Both paths write the same bytes and fail alike."""
+
+    @staticmethod
+    def both_paths(argv, *files, forks=True):
+        """Run ``main(argv)`` with OpenBLAS left to fado's one thread, where
+        it forks if ``forks``, then in process (two OpenBLAS threads).  For
+        each: the exit code, stdout, stderr and the bytes of each of
+        ``files`` (None if absent)."""
+        results = []
+        for threads in (None, "2"):
+            for path in files:
+                path.unlink(missing_ok=True)
+            probe = main_in_child(argv, OPENBLAS_NUM_THREADS=threads)
+            assert probe["reaped_child"] is (forks and threads is None)
+            results.append((probe["code"], probe["stdout"], probe["stderr"],
+                            *(path.read_bytes() if path.exists() else None
+                              for path in files)))
+        return results
+
+    @pytest.fixture(scope="class")
+    def streams(self, tmp_path_factory):
+        """A 4000 x 100 stream as .bin (4 blocks) and .csv (25 blocks), and
+        a checkpoint of an adaptive detector of that dimension."""
+        tmp = tmp_path_factory.mktemp("ahead")
+        rows = np.random.default_rng(22).normal(size=(4000, 100)) + 0.5
+        assert rows.nbytes > 3 * SCAN_CHUNK_BYTES
+        for suffix in (".bin", ".csv"):
+            write_vectors(rows, tmp / f"s{suffix}")
+        write_vectors(rows[:50] + 3.0, tmp / "head.csv")
+        assert run_cli("run", "--mode", "adaptive", "--input",
+                       str(tmp / "head.csv"), "--checkpoint-out",
+                       str(tmp / "head.ckpt"))[0] == 0
+        return tmp
+
+    @pytest.mark.parametrize("argv, sink", [
+        (["--mode", "fixed", "--epsilon", "10.5", "--input", "s.bin"],
+         "file"),
+        (["--mode", "adaptive", "--input", "s.bin"], "file"),
+        (["--mode", "constant-gain", "--epsilon", "10.5", "--gamma", "0.5",
+          "--input", "s.bin"], "file"),
+        (["--mode", "fixed", "--epsilon", "10.5", "--input", "s.csv"],
+         "file"),
+        (["--mode", "adaptive", "--input", "s.bin"], "stdout"),
+        (["--checkpoint-in", "head.ckpt", "--input", "s.csv"], "file"),
+    ], ids=["fixed", "adaptive", "constant-gain", "csv-input", "stdout",
+            "resume"])
+    def test_both_paths_write_the_same_bytes(self, streams, tmp_path, argv,
+                                             sink):
+        out, ckpt = tmp_path / "out.csv", tmp_path / "out.ckpt"
+        argv = ["run", *(streams / a if a in ("s.bin", "s.csv", "head.ckpt")
+                         else a for a in argv), "--checkpoint-out", ckpt]
+        if sink == "file":
+            argv += ["--output", out]
+        forked, in_process = self.both_paths(argv, out, ckpt)
+        assert forked == in_process
+        code, stdout, stderr, text, state = forked
+        assert code == 0 and state is not None
+        assert (stdout if sink == "stdout" else text.decode()).count("\n") \
+            >= 4000
+        assert stderr.startswith("processed 4000 transactions")
+
+    def test_a_refused_fork_scans_in_process(self, streams, tmp_path):
+        """At a limit on processes ``os.fork`` fails; the run goes on in
+        process and writes the same bytes."""
+        refuse = ("import errno, os, sys\n"
+                  "def fork():\n"
+                  "    raise BlockingIOError(errno.EAGAIN, 'refused')\n"
+                  "os.fork = fork\n"
+                  "from fado.cli import main\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        outputs = []
+        for name, prelude in (("refused", ["-c", refuse]),
+                              ("forked", ["-m", "fado.cli"])):
+            out = tmp_path / f"{name}.csv"
+            proc = subprocess.run(
+                [sys.executable, *prelude, "run", "--mode", "adaptive",
+                 "--input", str(streams / "s.bin"), "--output", str(out)],
+                capture_output=True, text=True, timeout=60,
+                env=child_env(OPENBLAS_NUM_THREADS=None))
+            assert proc.returncode == 0, proc.stderr
+            outputs.append((out.read_bytes(), proc.stderr))
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("suffix", [".bin", ".csv"])
+    def test_a_bad_last_row_fails_as_in_process(self, tmp_path, suffix):
+        """The child meets the fault; the parent writes the rows before it
+        and reports it on one line, exit 1, with no checkpoint."""
+        rows = np.random.default_rng(4).integers(-3, 4, size=(40_000, 10))
+        rows = rows.astype(np.float64)
+        rows[-1, 3] = np.nan
+        stream = tmp_path / f"s{suffix}"
+        out, ckpt = tmp_path / "out.csv", tmp_path / "out.ckpt"
+        write_vectors(rows, stream)
+        forked, in_process = self.both_paths(
+            ["run", "--mode", "fixed", "--epsilon", "1", "--input", stream,
+             "--output", out, "--checkpoint-out", ckpt], out, ckpt)
+        assert forked == in_process
+        code, _, stderr, text, state = forked
+        assert (code, stderr, state) == (
+            1, "error: stream item 39999: transaction contains non-finite "
+               "entries\n", None)
+        assert text.count(b"\n") > 13_107  # past the first block
+
+    def test_a_fault_in_the_second_block_fails_as_in_process(self, tmp_path):
+        """The second block is read before the fork; its fault is raised
+        after the first block's rows are written, and no child starts."""
+        lines = [",".join(map(repr, row)) for row in
+                 np.random.default_rng(9).normal(size=(40_000, 10)).tolist()]
+        lines[2000] = "1,2"  # a .csv block of 10 values a row is 1638 rows
+        stream = tmp_path / "s.csv"
+        stream.write_text("\n".join(lines) + "\n")
+        out, ckpt = tmp_path / "out.csv", tmp_path / "out.ckpt"
+        forked, in_process = self.both_paths(
+            ["run", "--mode", "fixed", "--epsilon", "1", "--input", stream,
+             "--output", out, "--checkpoint-out", ckpt], out, ckpt,
+            forks=False)
+        assert forked == in_process
+        code, _, stderr, text, state = forked
+        assert (code, stderr, state) == (
+            1, f"error: {stream}:2001: expected 10 values, found 2\n", None)
+        assert text.count(b"\n") == 1 + 1638  # the header, one block
+
+    @pytest.mark.parametrize("suffix", [".bin", ".csv"])
+    def test_an_overflow_in_a_later_block_fails_as_in_process(self, tmp_path,
+                                                              suffix):
+        rows = np.random.default_rng(5).normal(size=(140_000, 2))
+        rows[-7] = 1e200
+        stream = tmp_path / f"s{suffix}"
+        out, ckpt = tmp_path / "out.csv", tmp_path / "out.ckpt"
+        write_vectors(rows, stream)
+        forked, in_process = self.both_paths(
+            ["run", "--mode", "adaptive", "--input", stream, "--output", out,
+             "--checkpoint-out", ckpt], out, ckpt)
+        assert forked == in_process
+        code, _, stderr, _, state = forked
+        assert (code, stderr, state) == (
+            1, "error: distance to the center overflows float range by "
+               "step 139994\n", None)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs /dev/full")
+    def test_a_full_output_device_fails_on_one_line(self, tmp_path):
+        """The parent's write fails while the child scans ahead: exit 1
+        with one line, and no wait on the child."""
+        stream = tmp_path / "s.bin"
+        write_vectors(np.random.default_rng(7).normal(size=(40_000, 10)),
+                      stream)
+        proc = subprocess.run(
+            [sys.executable, "-m", "fado.cli", "run", "--mode", "fixed",
+             "--epsilon", "1", "--input", str(stream), "--output",
+             "/dev/full"], capture_output=True, text=True, timeout=60,
+            env=child_env(OPENBLAS_NUM_THREADS=None))
+        assert (proc.returncode, proc.stderr) == (
+            1, "error: [Errno 28] No space left on device\n")
+
+    def test_no_fork_from_a_threaded_process(self, tmp_path):
+        """Python warns when a process with threads forks; with two
+        OpenBLAS threads ``run`` scans in process, so it passes with the
+        warning made an error."""
+        stream = tmp_path / "s.bin"
+        write_vectors(np.random.default_rng(8).normal(size=(40_000, 10)),
+                      stream)
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::DeprecationWarning",
+             "-m", "fado.cli", "run", "--mode", "fixed", "--epsilon", "1",
+             "--input", str(stream), "--output", str(tmp_path / "o.csv")],
+            capture_output=True, text=True, timeout=60,
+            env=child_env(OPENBLAS_NUM_THREADS="2"))
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestPackageExports:

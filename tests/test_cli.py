@@ -1120,7 +1120,7 @@ class TestScanAhead:
         assert (code, stderr, state) == (
             1, "error: stream item 39999: transaction contains non-finite "
                "entries\n", None)
-        assert text.count(b"\n") > 13_107  # past the first block
+        assert text.count(b"\n") > 13_107  # the blocks the child scanned
 
     def test_a_fault_in_the_second_block_fails_as_in_process(self, tmp_path):
         """The second block is read before the fork; its fault is raised
@@ -1144,6 +1144,8 @@ class TestScanAhead:
     @pytest.mark.parametrize("suffix", [".bin", ".csv"])
     def test_an_overflow_in_a_later_block_fails_as_in_process(self, tmp_path,
                                                               suffix):
+        """A ``1e200,1e200`` row in a later block: the child's
+        OverflowError is raised by the parent as the same one line."""
         rows = np.random.default_rng(5).normal(size=(140_000, 2))
         rows[-7] = 1e200
         stream = tmp_path / f"s{suffix}"
@@ -1162,7 +1164,8 @@ class TestScanAhead:
                         reason="needs /dev/full")
     def test_a_full_output_device_fails_on_one_line(self, tmp_path):
         """The parent's write fails while the child scans ahead: exit 1
-        with one line, and no wait on the child."""
+        with one line, within a timeout, as the parent kills the child
+        rather than wait for it to finish the stream."""
         stream = tmp_path / "s.bin"
         write_vectors(np.random.default_rng(7).normal(size=(40_000, 10)),
                       stream)

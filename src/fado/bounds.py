@@ -207,9 +207,23 @@ def mistake_bound_agnostic(norm_w_bar: float, mu: float, tau: float,
 
 
 def sigma_admissibility_ratio(norm_w_bar: float, sigma_T: float) -> float:
-    """sigma_T / norm_w_bar**8, reported (not enforced) for the agnostic cap."""
+    """sigma_T / norm_w_bar**8, reported (not enforced) for the agnostic cap.
+
+    Zero when sigma_T is; otherwise a ratio outside float range, where
+    norm_w_bar**8 overflows or underflows, is a ValueError."""
     _check_positive("norm_w_bar", norm_w_bar)
-    return sigma_T / norm_w_bar ** 8
+    if not (sigma_T >= 0 and math.isfinite(sigma_T)):
+        raise ValueError("sigma_T must be a nonnegative finite number")
+    if sigma_T == 0:
+        return 0.0
+    try:
+        ratio = sigma_T / norm_w_bar ** 8
+    except (OverflowError, ZeroDivisionError):
+        ratio = math.inf
+    if not math.isfinite(ratio):
+        raise ValueError(f"sigma admissibility ratio overflows float range "
+                         f"at norm_w_bar = {norm_w_bar!r}")
+    return ratio
 
 
 @dataclass(frozen=True)

@@ -245,6 +245,15 @@ def _cmd_run(args, parser) -> int:
                     "conflicts with the adaptive mode")
         elif args.epsilon is None:
             parser.error(f"--epsilon is required for mode {args.mode}")
+    if args.output:
+        # opening the output truncates it, so it must not be the input,
+        # under its own name or a link; a missing file is neither
+        try:
+            same = os.path.samefile(args.output, args.input)
+        except OSError:
+            same = False
+        if same:
+            parser.error("--output names the --input file")
     blocks = _vector_blocks(args.input)
     block = next(blocks)  # the header is checked before the checkpoint
     if args.checkpoint_in:

@@ -1,11 +1,12 @@
 """Figure-reproducing sweeps: margin, center scale, dimension, radius
 insensitivity, contamination, and the fixed-vs-adaptive comparison.
 
-Every sweep runs a grid of stream designs over shared per-seed stream seeds
-(so grid points are paired across seeds), records one row per (point, seed),
-aggregates medians, and attaches named checks (bound dominance, trace
-audits, monotonicity, fits).  Results serialize to CSV (data only, byte
-reproducible under fixed seeds) and JSON (adds metadata and checks).
+Every sweep runs a grid of stream designs over stream seeds drawn from one
+base seed (so grid points are paired across seeds), records one row per
+(point, seed), aggregates medians, and attaches named checks (bound
+dominance, trace audits, monotonicity, fits, equal counts).  Results
+serialize to CSV (data only, byte reproducible under fixed seeds) and JSON
+(adds metadata and checks; a non-finite float is null).
 """
 
 from __future__ import annotations
@@ -53,28 +54,12 @@ __all__ = [
     "compare_adaptive",
     "emit_results",
     "parse_results",
-    "spearman_rho",
 ]
 
 DEFAULT_SEED = 0xFAD0
-# The radius sweep's no-trend statistic is rank-noise-limited at 20 grid
-# points (sd ~ 0.23 under the null); the shipped meta-seed is one that
-# keeps |rho| inside the 0.3 band, per the reproducibility contract.
-DEFAULT_EPSILON_SEED = 1
 DEFAULT_COUNT = 10_000
 DEFAULT_HELDOUT = 10_000
 DEFAULT_POWER_DELTA = 0.1
-
-
-def spearman_rho(x: Sequence[float], y: Sequence[float]) -> float:
-    """Spearman rank correlation (average ranks on ties)."""
-    def ranks(values):
-        _, inverse, counts = np.unique(np.asarray(values, float),
-                                       return_inverse=True,
-                                       return_counts=True)
-        # tied values share the mean of the 1-based ranks they span
-        return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
-    return float(np.corrcoef(ranks(x), ranks(y))[0, 1])
 
 
 @dataclass
@@ -309,40 +294,46 @@ def sweep_dimension(dims: Sequence[int] = (2, 10, 50, 100),
     return result
 
 
-def sweep_epsilon(num_points: int = 20, n_seeds: int = 5,
-                  eps_lo: float = 1e-2, eps_hi: float = 1e2,
-                  count: int = DEFAULT_COUNT, tau: float = 0.25,
-                  base_seed: int = DEFAULT_EPSILON_SEED) -> SweepResult:
-    """Radius insensitivity: log-spaced epsilon grid, nuisance randomized.
+def sweep_epsilon(exponents: Sequence[int] = range(-7, 8),
+                  n_seeds: int = 5, count: int = DEFAULT_COUNT,
+                  tau: float = 0.25,
+                  base_seed: int = DEFAULT_SEED) -> SweepResult:
+    """Radius insensitivity over the radii epsilon = 2**k, k in ``exponents``.
 
-    Per grid point the nuisance is drawn once and shared across seeds:
-    relative margin mu/epsilon log-uniform on [1e-3, 1e-1], center scale
-    c uniform on [0.5, 4] with w_bar = epsilon * c * ones(n), n uniform on
-    {2..20}; the gain scale is tied to epsilon.  Unit-norm updates make the
-    detector equivariant under joint rescaling, so any residual trend in
-    m_T over epsilon is nuisance noise; the check reports the Spearman
-    correlation between epsilon and median m_T.
+    Each seed draws its nuisance once, from its stream seed's fifth child
+    generator: mu/epsilon log-uniform on [1e-3, 1e-1], c uniform on [0.5, 4]
+    and n uniform on {2..20}.  At every radius w_bar = epsilon * c * ones(n)
+    and the margin and gain scale are epsilon times theirs: unit-norm
+    updates make the detector equivariant under that rescaling, exactly in
+    floating point, so each seed must make equal mistakes at every radius.
     """
-    root = SplitMix64(base_seed)
-    seeds = [root.next_u64() for _ in range(n_seeds)]
-    params_rng = root.spawn()
-    grid = [float(e) for e in np.logspace(math.log10(eps_lo),
-                                          math.log10(eps_hi), num_points)]
-    points, point_params = [], []
-    for eps in grid:
-        mu = eps * 10.0 ** (-3.0 + 2.0 * params_rng.next_double())
-        c = eps * (0.5 + 3.5 * params_rng.next_double())
-        dim = 2 + int(params_rng.next_double() * 19.0)
-        point_params.append({"epsilon": eps, "mu": mu, "c": c, "n": dim})
-        points.append(_ball_point(eps, dim, c, eps, mu, count, tau, eps))
+    seeds = _stream_seeds(base_seed, n_seeds)
+    nuisance = {}
+    for seed in seeds:
+        rng = _children(seed, 5)[4]
+        nuisance[seed] = (10.0 ** (-3.0 + 2.0 * rng.next_double()),
+                          0.5 + 3.5 * rng.next_double(),
+                          2 + int(rng.next_double() * 19.0))
+
+    def point(eps: float) -> _Point:
+        balls = {seed: _ball(dim, eps * c, eps, eps * mu, count)
+                 for seed, (mu, c, dim) in nuisance.items()}
+        bounds = {seed: mistake_bound_realizable(truth.norm, truth.mu, tau,
+                                                 eps)
+                  for seed, (truth, _) in balls.items()}
+        return _Point(eps, lambda seed: balls[seed][1](seed=seed),
+                      PowerDecay(gamma0=eps, tau=tau),
+                      [("", FixedRadius(eps), lambda rec: bounds[rec.seed])])
+
     result = _run_grid(
-        "epsilon", seeds, points,
+        "epsilon", seeds, [point(math.ldexp(1.0, k)) for k in exponents],
         {"design": "ball", "count": count, "tau": tau, "gamma0": "epsilon",
-         "seeds": seeds, "points": point_params})
-    medians = [result.median(eps) for eps in grid]
-    rho = spearman_rho(grid, medians)
-    result.checks["no_trend"] = {"passed": abs(rho) <= 0.3, "spearman": rho,
-                                 "medians": medians}
+         "seeds": seeds, "nuisance": [dict(zip(("relative_mu", "c", "n"), v))
+                                      for v in nuisance.values()]})
+    m_T = [sorted({r.m_T for r in result.records if r.seed == seed})
+           for seed in seeds]
+    result.checks["equal_m_T"] = {"passed": all(len(m) <= 1 for m in m_T),
+                                  "m_T": m_T}
     return result
 
 
@@ -390,7 +381,7 @@ def sweep_contamination(fractions: Sequence[float] = (0.0, 0.1, 0.2, 0.3, 0.4, 0
         ss_res = float(np.sum((np.asarray(ys) - fitted) ** 2))
         ss_tot = float(np.sum((np.asarray(ys) - np.mean(ys)) ** 2))
         r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else math.nan
-        fit = {"passed": slope > 0 and r2 >= 0.8, "slope": float(slope),
+        fit = {"passed": bool(slope > 0 and r2 >= 0.8), "slope": float(slope),
                "r2": r2}
     result.checks["linear_fit"] = {**fit, "p_medians": xs, "m_medians": ys}
     return result
@@ -467,7 +458,10 @@ def emit_results(result: SweepResult, path) -> None:
                         for r in result.records],
             "checks": result.checks,
             "metadata": result.metadata,
-        }, indent=2)
+        })
+        # JSON has no NaN or infinity: a non-finite float is written null
+        text = json.dumps(json.loads(text, parse_constant=lambda _: None),
+                          indent=2, allow_nan=False)
     else:
         text = "\n".join([_CSV_HEADER] + [
             ",".join([result.parameter,

@@ -18,9 +18,10 @@ Gaussian construction is pinned to the classic Box-Muller pair
 with u1 clamped away from zero at 2**-53.
 
 Seed discipline: ``_children`` spawns a seed's child generators in one
-order: labels, normal samples, outlier samples, held-out outliers.  A
-stream takes the first three, so a mixture with contamination fraction 0
-emits byte-identical samples to the ball design under the same seed.
+order: labels, normal samples, outlier samples, held-out outliers, the
+radius sweep's nuisance.  A stream takes the first three, so a mixture
+with contamination fraction 0 emits byte-identical samples to the ball
+design under the same seed.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -292,11 +293,24 @@ class TestMistakeBoundAgnostic:
     def test_admissibility_ratio(self):
         assert sigma_admissibility_ratio(2.0, 512.0) == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("norm", [1e-50, 1e-40, 1e39])
+    def test_admissibility_ratio_out_of_float_range(self, norm):
+        """norm**8 underflows (a zero division), the ratio is infinite, or
+        norm**8 overflows; with no fault mass the ratio is 0 regardless."""
+        assert sigma_admissibility_ratio(norm, 0.0) == 0.0
+        with pytest.raises(ValueError, match=re.escape(
+                "sigma admissibility ratio overflows float range at "
+                f"norm_w_bar = {norm!r}")):
+            sigma_admissibility_ratio(norm, 1.0)
+
     @pytest.mark.parametrize("sigma", [-1.0, math.nan])
     def test_sigma_must_be_nonnegative_and_finite(self, sigma):
         with pytest.raises(ValueError,
                            match="^sigma_T must be a nonnegative finite "):
             mistake_bound_agnostic(SQRT8, 0.1, 0.25, 1.0, sigma)
+        with pytest.raises(ValueError,
+                           match="^sigma_T must be a nonnegative finite "):
+            sigma_admissibility_ratio(SQRT8, sigma)
 
 
 # The checkpoint a fixed-radius run (epsilon 1) wrote, before an infinite

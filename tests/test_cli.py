@@ -83,17 +83,25 @@ class TestBounds:
         assert capsys.readouterr().err == \
             "error: mistake bound search diverged\n"
 
-    @pytest.mark.parametrize("flags, culprit", [
-        (["--wnorm", "1e200", "--mu", "0.1"], "norm_w_bar = 1e+200"),
+    @pytest.mark.parametrize("flags, message", [
+        (["--wnorm", "1e200", "--mu", "0.1"],
+         "mistake cap overflows float range at norm_w_bar = 1e+200"),
         (["--wnorm", "1", "--mu", "0.1", "--sigma", "1e308"],
-         "sigma_T = 1e+308"),
-    ], ids=["wnorm", "sigma"])
-    def test_overflowing_cap_names_the_input(self, flags, culprit, capsys):
-        """An infinite right-hand side is reported before any search."""
+         "mistake cap overflows float range at sigma_T = 1e+308"),
+        # wnorm**8 underflows to zero, or the ratio is infinite
+        (["--wnorm", "1e-50", "--mu", "0.1", "--sigma", "1"],
+         "sigma admissibility ratio overflows float range at "
+         "norm_w_bar = 1e-50"),
+        (["--wnorm", "1e-40", "--mu", "0.1", "--sigma", "1"],
+         "sigma admissibility ratio overflows float range at "
+         "norm_w_bar = 1e-40"),
+    ], ids=["wnorm", "sigma", "ratio-zero-division", "ratio-infinite"])
+    def test_overflowing_cap_names_the_input(self, flags, message, capsys):
+        """An infinite right-hand side is reported before any search; a
+        sigma ratio out of float range is not written as JSON."""
         code, out = run_cli("bounds", *flags)
         assert (code, out) == (1, "")
-        assert capsys.readouterr().err == \
-            f"error: mistake cap overflows float range at {culprit}\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("flags, code, message", [
         (["--gamma0", "1e160"], 1,
@@ -217,6 +225,27 @@ class TestRun:
         assert lines[0] == "t,alarm,distance,threshold,gain_applied"
         assert len(lines) == 5
         assert all(ln.split(",")[1] == "0" for ln in lines[1:])
+
+    @pytest.mark.parametrize("input_name, output_name", [
+        ("s.bin", "s.bin"), ("s.csv", "s.csv"), ("s.bin", "link.bin")],
+        ids=["bin", "csv", "symlink"])
+    def test_output_naming_the_input_exits_two(self, tmp_path, capsys,
+                                               input_name, output_name):
+        """Opening the output truncates it: the input is refused as the
+        output, under its own name or a link, before either is opened."""
+        stream = tmp_path / input_name
+        write_vectors(np.random.default_rng(1).normal(size=(40_000, 10)),
+                      stream)
+        before = stream.read_bytes()
+        output = tmp_path / output_name
+        if output != stream:
+            output.symlink_to(stream)
+        code, out = run_cli("run", "--mode", "fixed", "--epsilon", "1",
+                            "--input", str(stream), "--output", str(output))
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err.splitlines()[-1] == \
+            "fado run: error: --output names the --input file"
+        assert stream.read_bytes() == before
 
     def test_missing_input_exits_one(self, tmp_path):
         code, _ = run_cli("run", "--mode", "fixed", "--epsilon", "1",
@@ -685,6 +714,31 @@ class TestSweep:
         assert doc["checks"]["audits"] == {"passed": True}
         assert all(c["passed"] for c in doc["checks"].values())
 
+    @pytest.mark.parametrize("flags", [
+        ["--count", "1"],
+        # the fitted slope is a rounding error below zero
+        ["--count", "2", "--base-seed", "3"]])
+    def test_undefined_fit_writes_strict_json(self, tmp_path, flags):
+        """Tiny streams make the same mistake count at every fraction, so
+        R**2 is undefined: it is written null, not NaN, and the failed
+        check is a JSON false."""
+        def refuse(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        out = tmp_path / "contamination.json"
+        assert run_cli("sweep", "contamination", "--seeds", "1", *flags,
+                       "--out", str(out))[0] == 1
+        doc = json.loads(out.read_text(), parse_constant=refuse)
+        fit = doc["checks"]["linear_fit"]
+        assert fit["r2"] is None and fit["passed"] is False
+
+    @pytest.mark.parametrize("base_seed", range(1, 11))
+    def test_epsilon_sweep_passes_at_any_base_seed(self, base_seed):
+        """The radius sweep's check is exact, so no base seed fails it (the
+        Spearman band it replaced failed at base seed 6 at these flags)."""
+        assert run_cli("sweep", "epsilon", "--base-seed", str(base_seed),
+                       "--seeds", "2", "--count", "1500")[0] == 0
+
     def test_suffix_in_any_case_picks_json(self, tmp_path):
         out = tmp_path / "adaptive.JSON"
         code, _ = run_cli("sweep", "adaptive", "--seeds", "2",
@@ -713,7 +767,7 @@ class TestSweep:
     def test_absent_flags_leave_the_sweep_its_defaults(self, monkeypatch,
                                                        kind):
         """Only the flags given are passed on, so each sweep keeps its own
-        seeds, count and base seed (the epsilon sweep's is 1)."""
+        seeds, count and base seed."""
         import fado.cli as cli
         import fado.experiments as experiments
         from fado.experiments import SweepResult

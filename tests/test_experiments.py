@@ -1,3 +1,5 @@
+import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -12,9 +14,9 @@ from fado.experiments import (
     emit_results,
     parse_results,
     run_detection_experiment,
-    spearman_rho,
     sweep_center_scale,
     sweep_contamination,
+    sweep_epsilon,
     sweep_margin,
 )
 from fado.streams import Design, StreamSpec
@@ -83,18 +85,6 @@ class TestRunDetectionExperiment:
         assert rec.final_radius > 1.0
 
 
-class TestSpearman:
-    def test_monotone_sequence_is_one(self):
-        assert spearman_rho([1, 2, 3, 4], [10, 20, 30, 40]) == 1.0
-
-    def test_reversed_is_minus_one(self):
-        assert spearman_rho([1, 2, 3, 4], [4, 3, 2, 1]) == -1.0
-
-    def test_ties_average(self):
-        rho = spearman_rho([1, 2, 3, 4], [5, 5, 6, 7])
-        assert 0.9 <= rho <= 1.0
-
-
 class TestSweeps:
     """Small, fast sweep configurations; full-size runs live in acceptance."""
 
@@ -160,6 +150,40 @@ class TestSweeps:
         check = result.checks["loglog_slope"]
         assert check["passed"] is False and np.isnan(check["slope"])
         assert not result.passed
+
+    def test_epsilon_sweep_radii_share_each_seeds_nuisance(self):
+        """Each seed's stream at radius 2**k is 2**k times its stream at
+        radius 1, so its runs agree on everything but the scale."""
+        result = sweep_epsilon(exponents=(-3, 0, 4), n_seeds=3, count=1000)
+        assert result.grid == [0.125, 1.0, 16.0]
+        assert result.passed
+        m_T = result.checks["equal_m_T"]["m_T"]
+        assert len(m_T) == 3 and all(len(m) == 1 for m in m_T)
+        assert len({m[0] for m in m_T}) > 1  # the nuisance differs by seed
+        for seed, nuisance in zip(result.metadata["seeds"],
+                                  result.metadata["nuisance"]):
+            runs = [r for r in result.records if r.seed == seed]
+            assert [r.value for r in runs] == result.grid
+            assert len({(r.m_T, r.bound, r.final_w_error / r.value)
+                        for r in runs}) == 1
+            assert 1e-3 <= nuisance["relative_mu"] <= 1e-1
+            assert 0.5 <= nuisance["c"] <= 4.0
+            assert nuisance["n"] in range(2, 21)
+
+    def test_epsilon_sweep_fails_on_a_radius_dependent_count(self,
+                                                              monkeypatch):
+        import fado.experiments as experiments
+        real = experiments.run_detection_experiment
+
+        def skewed(spec, mode, schedule):
+            rec = real(spec, mode, schedule)
+            return replace(rec, m_T=rec.m_T + (mode.epsilon > 1.0))
+
+        monkeypatch.setattr(experiments, "run_detection_experiment", skewed)
+        result = sweep_epsilon(exponents=(0, 1), n_seeds=2, count=500)
+        check = result.checks["equal_m_T"]
+        assert not check["passed"] and not result.passed
+        assert all(len(m) == 2 and m[1] == m[0] + 1 for m in check["m_T"])
 
     def test_sweep_reproducible_csv_bytes(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -239,6 +263,34 @@ class TestEmitParse:
         back = parse_results(path)
         assert back.records[0].value == value
         assert back.records[0].power == value
+
+    def test_non_finite_floats_are_json_null(self, tmp_path):
+        """JSON has no NaN or infinity: a strict parser reads the file."""
+        result = SweepResult(
+            parameter="x", grid=[1.0],
+            records=[SweepRecord(value=1.0, seed=1, m_T=1,
+                                 wall_time=math.inf)],
+            checks={"fit": {"passed": True, "slope": math.nan,
+                            "r2": -math.inf, "medians": [1.0, math.nan],
+                            "pair": (math.nan, 2)}})
+        path = tmp_path / "r.json"
+        emit_results(result, path)
+
+        def refuse(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        doc = json.loads(path.read_text(encoding="ascii"),
+                         parse_constant=refuse)
+        assert doc["checks"]["fit"] == {"passed": True, "slope": None,
+                                        "r2": None, "medians": [1.0, None],
+                                        "pair": [None, 2]}
+        assert doc["records"][0]["wall_time"] is None
+
+    def test_one_point_margin_sweep_slope_is_json_null(self, tmp_path):
+        path = tmp_path / "margin.json"
+        emit_results(sweep_margin(mus=(0.1,), n_seeds=1, count=100), path)
+        doc = json.loads(path.read_text(encoding="ascii"))
+        assert doc["checks"]["loglog_slope"]["slope"] is None
 
     @pytest.mark.parametrize("name, is_json", [
         ("r.JSON", True), ("r.Json", True), ("r.txt", False),

@@ -17,9 +17,8 @@ block and the synthetic clip digests were recorded before generation was
 mixed in place tile by tile; they span several tiles and frames wider than
 one tile.  They use only integer operations and correctly rounded float
 arithmetic, so unlike the ``gen`` digests they hold on every host.
-The sweep digests were recorded when ``fado sweep`` passed every sweep the
-base seed 0xFAD0 (64208); the epsilon sweep's own base seed is 1, so its
-digest is pinned under ``--base-seed 64208`` and, apart, at its own seed.
+The ``epsilon`` sweep digest was re-recorded when the radius sweep moved to
+a power-of-two grid whose radii share each seed's nuisance draw.
 """
 
 import hashlib
@@ -39,16 +38,10 @@ SWEEP_DIGESTS = {
     "margin": ("eebdc58ddaef761ad1478e01c24f6e853a544a229b82aba0ce3be608696a16b8", 1),
     "center": ("14d29825b3fa125bce1eac14427e4d79a137513af59290c5703f40be9e50ecf8", 0),
     "dim": ("a3235564c41bb7a6415bb6f37f48c6004fe5b5c59c3d447a9df9417479018649", 0),
-    "epsilon": ("72df50ac46ba51ac3a48f7b207438b97ba3bcf76522d408034f4c215eb34e8ef", 0),
+    "epsilon": ("903b8a9fcf9f5dbfc45b162c31d2edc31bce06a86ca0b44f5946922bdf499a74", 0),
     "contamination": ("944b0a3781df156f62eb02166fc00d926e252877a517f8660281600b8aa9e929", 0),
     "adaptive": ("6edca8ed4e6d4c4ac0c92369dc128f1d41ca3d3bf98236e2e132b1bb7931e02e", 0),
 }
-
-# flags a sweep digest was recorded under beyond --seeds and --count
-SWEEP_ARGS = {"epsilon": ["--base-seed", "64208"]}
-
-DEFAULT_EPSILON_SWEEP_DIGEST = \
-    "6ceffb41288df1e6ae36cdcb2ae25a0f385bb2ec3f37a16acd460b2a516e4c86"
 
 GEN_DIGESTS = {
     "ball": (["--dim", "7", "--count", "5000", "--center", "1",
@@ -121,15 +114,8 @@ def test_sweep_csv_bytes_are_pinned(kind, tmp_path):
     digest, exit_code = SWEEP_DIGESTS[kind]
     out = tmp_path / f"{kind}.csv"
     assert main(["sweep", kind, "--seeds", "2", "--count", "1500",
-                 *SWEEP_ARGS.get(kind, []), "--out", str(out)]) == exit_code
+                 "--out", str(out)]) == exit_code
     assert _sha256(out) == digest
-
-
-def test_epsilon_sweep_at_its_own_base_seed_is_pinned(tmp_path):
-    out = tmp_path / "epsilon.csv"
-    assert main(["sweep", "epsilon", "--seeds", "2", "--count", "1500",
-                 "--out", str(out)]) == 0
-    assert _sha256(out) == DEFAULT_EPSILON_SWEEP_DIGEST
 
 
 @pytest.mark.parametrize("design", sorted(GEN_DIGESTS))

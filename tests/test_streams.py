@@ -246,6 +246,20 @@ class TestRealizableStream:
         b, _ = generate(_ball_spec(seed=2))
         assert a.tobytes() != b.tobytes()
 
+    def test_power_of_two_scaling_is_exact(self):
+        """Scaling the center, epsilon and mu by 2**k scales the stream by
+        2**k bit for bit: the radius sweep's equivariance rests on it."""
+        center = np.linspace(0.3, 2.9, 7)
+        base, _ = generate(StreamSpec(
+            dim=7, count=2000, truth=GroundTruth(center, 1.0, 0.013),
+            seed=99))
+        for k in range(-7, 8):
+            s = math.ldexp(1.0, k)
+            scaled, _ = generate(StreamSpec(
+                dim=7, count=2000,
+                truth=GroundTruth(center * s, s, 0.013 * s), seed=99))
+            assert scaled.tobytes() == (base * s).tobytes(), k
+
 
 class TestSpecRules:
     """The spec types state every stream rule, and being frozen, what they

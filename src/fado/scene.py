@@ -273,12 +273,16 @@ def gen_synthetic_clips(width: int, height: int, num_clips: int,
     uniform noise of the given amplitude and clips to [0, 255].  Returns
     the frames and the indices where a new clip starts.
 
-    A clip's noise is drawn for a block of frames at a time (at most
-    :data:`SCAN_CHUNK_BYTES` of doubles, and at least one frame) into one
-    reused buffer.  The noise generator's draws are consecutive, so the
-    bytes do not depend on the block size.
+    Noise is drawn for a block of frames at a time (at most
+    :data:`SCAN_CHUNK_BYTES` of doubles, and at least one frame) into a
+    reused buffer.  With n pixels a frame, clip c's offset is the base
+    generator's draws ``c * n ..`` and frame f's noise the noise
+    generator's draws ``f * n ..``, so when two CPUs are available a
+    thread draws the upper half of the frames from generators placed that
+    far ahead while the caller draws the lower half.  The bytes depend
+    neither on the block size nor on the split.
     """
-    from .streams import SplitMix64
+    from .streams import SplitMix64, _split
     if min(width, height, num_clips, frames_per_clip) < 1:
         raise ValueError("width, height, num_clips, frames_per_clip must be positive")
     if noise_amplitude < 0:
@@ -291,22 +295,29 @@ def gen_synthetic_clips(width: int, height: int, num_clips: int,
     frames = np.empty((total, height, width), dtype=np.uint8)
     rows = frames.reshape(total, n)
     span = 2 * noise_amplitude + 1
-    per_block = min(frames_per_clip, _block_rows(n))
-    noise = np.empty(per_block * n)
-    for clip in range(num_clips):
-        delta = np.floor(base_rng.next_double_block(n) * 129.0) - 64.0
-        base = np.clip(background + delta, 0.0, 255.0)
-        first = clip * frames_per_clip
-        for lo in range(0, frames_per_clip, per_block):
-            k = min(per_block, frames_per_clip - lo)
-            block = noise_rng.next_double_block(k * n, out=noise[:k * n])
-            block *= span
-            np.floor(block, out=block)
-            block -= noise_amplitude
-            pixels = block.reshape(k, n)
-            pixels += base
-            np.clip(pixels, 0.0, 255.0, out=pixels)
-            rows[first + lo:first + lo + k] = pixels
+    per_block = _block_rows(n)
+
+    def fill(lo, hi):
+        """Frames ``lo .. hi - 1``, clip by clip."""
+        rng = noise_rng.jumped(lo * n)
+        noise = np.empty(min(hi - lo, per_block) * n)
+        for clip in range(lo // frames_per_clip, -(-hi // frames_per_clip)):
+            delta = np.floor(base_rng.jumped(clip * n).next_double_block(n)
+                             * 129.0) - 64.0
+            base = np.clip(background + delta, 0.0, 255.0)
+            end = min(hi, (clip + 1) * frames_per_clip)
+            for f in range(max(lo, clip * frames_per_clip), end, per_block):
+                k = min(per_block, end - f)
+                block = rng.next_double_block(k * n, out=noise[:k * n])
+                block *= span
+                np.floor(block, out=block)
+                block -= noise_amplitude
+                pixels = block.reshape(k, n)
+                pixels += base
+                np.clip(pixels, 0.0, 255.0, out=pixels)
+                rows[f:f + k] = pixels
+
+    _split(fill, total, n)
     transitions = [clip * frames_per_clip for clip in range(1, num_clips)]
     return FrameSequence(width=width, height=height,
                          frames=frames), transitions

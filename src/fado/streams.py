@@ -10,8 +10,14 @@ in place, one cache-sized tile at a time, into the same bits as drawing
 them one at a time.  So a (spec, seed) pair reproduces a stream bit for bit
 under a given numpy build and CPU dispatch level: numpy's AVX512 ``log``
 and ``pow`` kernels give other bits than its AVX2 and baseline ones, so the
-bytes can differ between hosts.  The
-Gaussian construction is pinned to the classic Box-Muller pair
+bytes can differ between hosts.  The state after k draws is the seed plus
+k times a constant, so a generator can be placed any number of draws ahead
+in O(1) (:meth:`SplitMix64.jumped`).  When the process may use two CPUs,
+a large ball block (and the synthetic clips of :mod:`fado.scene`) is
+split by that counter offset: a second thread draws the upper half of the
+rows or frames while the caller draws the lower half.  Each row's or
+frame's draws are the same either way, so the bytes do not depend on the
+split.  The Gaussian construction is pinned to the classic Box-Muller pair
 
     z0 = sqrt(-2 ln u1) cos(2 pi u2),   z1 = sqrt(-2 ln u1) sin(2 pi u2)
 
@@ -30,6 +36,8 @@ import enum
 import functools
 import math
 import operator
+import os
+import threading
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -51,6 +59,9 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _MASK = 0xFFFFFFFFFFFFFFFF
 _U53 = 2.0 ** -53
+# Draws each half of a split holds at least: enough tiles that mixing them
+# outweighs starting and joining a thread.
+_SPLIT_DRAWS = 4 * _TILE
 
 
 @functools.cache
@@ -111,7 +122,7 @@ class SplitMix64:
         for lo in range(0, count, _TILE):
             z = out[lo:lo + _TILE]
             self._mix(lo, z, t[:len(z)])
-        self._state = (self._state + count * _GOLDEN) & _MASK
+        self._state = self.jumped(count)._state
         return out
 
     def next_u64(self) -> int:
@@ -137,11 +148,16 @@ class SplitMix64:
             self._mix(lo, zk, t[:len(dst)])
             zk >>= 11
             np.multiply(zk, _U53, out=dst)  # exact: zk < 2**53
-        self._state = (self._state + count * _GOLDEN) & _MASK
+        self._state = self.jumped(count)._state
         return out
 
     def next_double(self) -> float:
         return float(self.next_double_block(1)[0])
+
+    def jumped(self, draws: int) -> "SplitMix64":
+        """A copy of this generator placed ``draws`` draws ahead, in O(1):
+        the state after k draws is the state plus k times the constant."""
+        return SplitMix64(self._state + _count(draws) * _GOLDEN)
 
     def spawn(self) -> "SplitMix64":
         """Child generator seeded from the next output."""
@@ -152,6 +168,50 @@ def _children(seed: int, count: int) -> List[SplitMix64]:
     """The first ``count`` child generators of ``seed``, in spawn order."""
     root = SplitMix64(seed)
     return [root.spawn() for _ in range(count)]
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call outside Linux
+        return os.cpu_count() or 1
+
+
+def _split(fill, count: int, draws_each: int) -> None:
+    """``fill(0, count)``, maybe as two halves filled at the same time.
+
+    ``fill(lo, hi)`` fills items ``lo .. hi - 1`` of ``draws_each`` draws
+    each, from a generator placed ``lo * draws_each`` draws ahead, so the
+    halves write what one call would.  When the process may use two CPUs
+    and each half holds at least ``_SPLIT_DRAWS`` draws, a thread fills
+    the upper half while the caller fills the lower one.  The thread is
+    joined on every exit path, and an error it raised is raised here.
+    """
+    half = count // 2
+    if half * draws_each < _SPLIT_DRAWS or _usable_cpus() < 2:
+        fill(0, count)
+        return
+    errors = []
+
+    def upper():
+        try:
+            fill(half, count)
+        except BaseException as exc:  # raised in the caller below
+            errors.append(exc)
+
+    worker = threading.Thread(target=upper, name="fado-split")
+    try:
+        worker.start()
+    except RuntimeError:  # say, at a limit on threads: fill it all here
+        fill(0, count)
+        return
+    try:
+        fill(0, half)
+    finally:
+        worker.join()
+    if errors:
+        raise errors[0]
 
 
 def _box_muller(u: np.ndarray, cols: int) -> np.ndarray:
@@ -172,19 +232,29 @@ def _ball_block(rng: SplitMix64, count: int, center: np.ndarray,
     """Uniform samples from the closed ball; row consumption is fixed.
 
     Each sample consumes 2*ceil(dim/2) doubles for the direction plus one
-    for the radial factor U**(1/dim).  Points that land an ulp outside the
-    ball after the center addition are projected back in (no extra draws).
-    A Gaussian row is never all zero: u1 <= 1 - 2**-53 keeps its radius
-    positive, and no double angle has a zero cosine.
+    for the radial factor U**(1/dim), so the rows may be drawn in two
+    halves at once (see :func:`_split`).  Points that land an ulp outside
+    the ball after the center addition are projected back in (no extra
+    draws).  A Gaussian row is never all zero: u1 <= 1 - 2**-53 keeps its
+    radius positive, and no double angle has a zero cosine.
     """
     dim = center.size
     per_row = 2 * ((dim + 1) // 2) + 1
-    u = rng.next_double_block(count * per_row).reshape(count, per_row)
-    g = _box_muller(u[:, :-1], dim)
-    norms = np.sqrt(np.einsum("ij,ij->i", g, g))
-    scale = radius * u[:, -1] ** (1.0 / dim)
-    out = center + g * (scale / norms)[:, None]
-    _project_into_ball(out, center, radius)
+    out = np.empty((count, dim), dtype=np.float64)
+
+    def fill(lo, hi):
+        u = rng.jumped(lo * per_row).next_double_block(
+            (hi - lo) * per_row).reshape(hi - lo, per_row)
+        g = _box_muller(u[:, :-1], dim)
+        norms = np.sqrt(np.einsum("ij,ij->i", g, g))
+        scale = radius * u[:, -1] ** (1.0 / dim)
+        rows = out[lo:hi]
+        np.multiply(g, (scale / norms)[:, None], out=rows)
+        rows += center  # the bits of center + rows
+        _project_into_ball(rows, center, radius)
+
+    _split(fill, count, per_row)
+    rng._state = rng.jumped(count * per_row)._state
     return out
 
 

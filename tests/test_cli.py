@@ -1247,6 +1247,64 @@ class TestScanAhead:
         assert proc.returncode == 0, proc.stderr
 
 
+# Runs ``fado gen`` and ``fado scene --synthetic`` with fado.cli.main in
+# one fresh interpreter, counting the threads they start, then polls
+# /proc/self/task for up to a second until one thread is left (a joined
+# thread can stay listed for a moment), then runs ``fado run`` there.
+_SPLIT_THEN_FORK = """
+import json, os, resource, sys, threading, time
+from fado.cli import main
+started = []
+real_start = threading.Thread.start
+def start(self):
+    started.append(self)
+    real_start(self)
+threading.Thread.start = start
+gen, scene, run = json.loads(sys.argv[1])
+codes = [main(gen), main(scene)]
+threads = len(started)
+deadline = time.monotonic() + 1.0
+while len(os.listdir("/proc/self/task")) > 1 and time.monotonic() < deadline:
+    time.sleep(0.01)
+tasks = len(os.listdir("/proc/self/task"))
+codes.append(main(run))
+children = resource.getrusage(resource.RUSAGE_CHILDREN)
+print(json.dumps({"codes": codes, "threads": threads, "tasks": tasks,
+    "reaped_child": children.ru_utime + children.ru_stime > 0}))
+"""
+
+
+@pytest.mark.skipif(not HAVE_TASKS or not hasattr(os, "fork")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs os.fork, /proc/self/task and two CPUs")
+def test_split_generation_leaves_one_thread_to_fork(tmp_path):
+    """Generation joins the thread that draws half of it, so after a
+    split ``fado gen`` and ``fado scene --synthetic`` the process runs one
+    thread again, and a later ``fado run`` in it may fork (a warning made
+    an error would catch a fork from a threaded process)."""
+    stream = tmp_path / "s.bin"
+    argvs = [["gen", "--design", "mixture", "--dim", "10", "--count",
+              "30000", "--center", "1", "--epsilon", "1", "--mu", "0.1",
+              "--fraction", "0.05", "--radius-max", "5", "--seed", "2",
+              "--out", str(stream)],
+             ["scene", "--synthetic", "--width", "400", "--height", "400",
+              "--clips", "2", "--frames-per-clip", "2", "--timeline",
+              str(tmp_path / "t.csv")],
+             ["run", "--mode", "fixed", "--epsilon", "1", "--input",
+              str(stream), "--output", str(tmp_path / "o.csv")]]
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::DeprecationWarning",
+         "-c", _SPLIT_THEN_FORK, json.dumps(argvs)],
+        env=child_env(OPENBLAS_NUM_THREADS=None), capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    probe = json.loads(proc.stdout.splitlines()[-1])
+    assert probe["codes"] == [0, 0, 0]
+    assert probe["threads"] == 2  # the mixture's normal rows, the frames
+    assert probe["tasks"] == 1
+    assert probe["reaped_child"]
+
+
 class TestPackageExports:
     """``fado`` loads its public names from their modules on first use."""
 

@@ -18,7 +18,11 @@ mixed in place tile by tile; they span several tiles and frames wider than
 one tile.  They use only integer operations and correctly rounded float
 arithmetic, so unlike the ``gen`` digests they hold on every host.
 The ``epsilon`` sweep digest was re-recorded when the radius sweep moved to
-a power-of-two grid whose radii share each seed's nuisance draw.
+a power-of-two grid whose radii share each seed's nuisance draw.  The
+split-path digests (a 200,000-row mixture and clips 3 frames past the
+split threshold) were recorded with one thread drawing everything, before
+generation was split between two threads; they are checked with two usable
+CPUs whatever the host has.
 """
 
 import hashlib
@@ -28,6 +32,7 @@ import sys
 
 import pytest
 
+from fado import streams
 from fado.cli import main
 from fado.scene import gen_synthetic_clips, write_frames_packed
 from fado.streams import SplitMix64
@@ -104,6 +109,19 @@ CLIP_DIGESTS = {
         "0ee925865bc382bb1c89accdda347943605263a371f7637e95fcdc32ef53e633",
 }
 
+# ``fado gen`` of a 200,000-row 10-d mixture at seed 1 (the stream-batch
+# benchmark's input), and clips of 30,000-pixel frames, 13 to a clip: a
+# split needs 2 * ceil(4 * 32768 / 30000) = 10 frames
+SPLIT_GEN_ARGS = ["--design", "mixture", "--dim", "10", "--count", "200000",
+                  "--center", "2,2,0,0,0,0,0,0,0,0", "--epsilon", "1",
+                  "--mu", "0.1", "--fraction", "0.05", "--radius-max", "5",
+                  "--seed", "1"]
+SPLIT_GEN_DIGEST = \
+    "bd38751729a895b8f5001132e176d9eff9625ee8efe6f0ddd592208931ecc185"
+SPLIT_CLIP_ARGS = (200, 150, 2, 13, 10)
+SPLIT_CLIP_DIGEST = \
+    "9eba975eb1ecd59471d75e7832cd3a2f43313da6a35fc4530cb92066e53c15fb"
+
 
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -178,6 +196,16 @@ def test_synthetic_clip_bytes_are_pinned(args):
     frames, _ = gen_synthetic_clips(*args, seed=4)
     assert hashlib.sha256(frames.frames.tobytes()).hexdigest() == \
         CLIP_DIGESTS[args]
+
+
+def test_split_generation_bytes_are_pinned(monkeypatch, tmp_path):
+    monkeypatch.setattr(streams, "_usable_cpus", lambda: 2)
+    out = tmp_path / "mixture.bin"
+    assert main(["gen", *SPLIT_GEN_ARGS, "--out", str(out)]) == 0
+    assert _sha256(out) == SPLIT_GEN_DIGEST
+    frames, _ = gen_synthetic_clips(*SPLIT_CLIP_ARGS, seed=4)
+    assert hashlib.sha256(frames.frames.tobytes()).hexdigest() == \
+        SPLIT_CLIP_DIGEST
 
 
 def test_cli_import_loads_no_scipy(tmp_path):

@@ -1,12 +1,18 @@
 import math
+import sys
+import threading
 from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fado import streams
 from fado.bounds import GroundTruth, sigma_size
 from fado.detector import _TILE
+from fado.scene import gen_synthetic_clips
 from fado.streams import (
+    _SPLIT_DRAWS,
     Design,
     SplitMix64,
     StreamSpec,
@@ -108,6 +114,39 @@ class TestSplitMix64:
         with pytest.raises(ValueError, match="nonnegative"):
             rng.next_double_block(-1)
         assert rng._state == 1
+
+
+def _assert_jump_is_the_tail(seed, k, m=_TILE + 3):
+    """A generator jumped k draws ahead draws the tail of one (k + m)-draw
+    block and ends in the same state, for u64 and double blocks."""
+    for draw in (SplitMix64.next_u64_block, SplitMix64.next_double_block):
+        whole, origin = SplitMix64(seed), SplitMix64(seed)
+        expected = draw(whole, k + m)[k:]
+        jumped = origin.jumped(k)
+        assert draw(jumped, m).tobytes() == expected.tobytes()
+        assert jumped._state == whole._state
+        assert origin._state == seed % 2 ** 64  # the original stays put
+
+
+class TestJumpAhead:
+    @pytest.mark.parametrize("k", [0, 1, _TILE - 1, _TILE, _TILE + 1])
+    def test_jump_draws_the_tail_of_one_block(self, k):
+        _assert_jump_is_the_tail(2 ** 64 - 5, k)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64 - 1), k=st.integers(0, 4 * _TILE),
+           m=st.integers(0, 2 * _TILE))
+    def test_any_jump_draws_the_tail_of_one_block(self, seed, k, m):
+        _assert_jump_is_the_tail(seed, k, m)
+
+    def test_jump_wraps_the_state(self):
+        assert SplitMix64(7).jumped(2 ** 64)._state == 7
+
+    def test_jump_is_a_nonnegative_integer(self):
+        with pytest.raises(TypeError, match="^count must be an integer"):
+            SplitMix64(1).jumped(2.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            SplitMix64(1).jumped(-1)
 
 
 class TestGaussianConstruction:
@@ -454,3 +493,181 @@ class TestGenerateDispatch:
         assert labels.dtype == bool and labels.shape == (200,)
         assert np.array_equal(labels,
                               labels_rng.next_double_block(200) < 0.3)
+
+
+def _split_threshold(draws_each: int) -> int:
+    """The fewest items that split: each half holds _SPLIT_DRAWS draws."""
+    return 2 * -(-_SPLIT_DRAWS // draws_each)
+
+
+def _on_both_paths(monkeypatch, draw):
+    """``draw()`` with two usable CPUs, then with one: (its result on the
+    split path, on the serial path, threads the split path started)."""
+    started = []
+    real_start = threading.Thread.start
+
+    def start(self):
+        started.append(self)
+        real_start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    monkeypatch.setattr(streams, "_usable_cpus", lambda: 2)
+    split = draw()
+    threads = len(started)
+    monkeypatch.setattr(streams, "_usable_cpus", lambda: 1)
+    serial = draw()
+    assert len(started) == threads  # one CPU starts no thread
+    return split, serial, threads
+
+
+def _worker_fault(monkeypatch, in_worker=True):
+    """Make the upper half of each split (the thread's), or the lower
+    half (the caller's), raise MemoryError, with two usable CPUs."""
+    real_split = streams._split
+
+    def split(fill, count, draws_each):
+        def faulty(lo, hi):
+            if (lo > 0) is in_worker:
+                raise MemoryError("worker fault" if in_worker
+                                  else "caller fault")
+            fill(lo, hi)
+
+        real_split(faulty, count, draws_each)
+
+    monkeypatch.setattr(streams, "_split", split)
+    monkeypatch.setattr(streams, "_usable_cpus", lambda: 2)
+
+
+class TestSplitGeneration:
+    """Ball rows and clip frames are drawn in two halves at once, by
+    counter offset, when two CPUs are usable: the bytes and the
+    generator's end state are those of the one-CPU path."""
+
+    @pytest.mark.parametrize("where", ["one", "below", "at", "odd-above"])
+    @pytest.mark.parametrize("dim", [2, 7, 10])
+    def test_ball_block_bytes_do_not_depend_on_the_split(
+            self, monkeypatch, dim, where):
+        per_row = 2 * ((dim + 1) // 2) + 1
+        threshold = _split_threshold(per_row)
+        count = {"one": 1, "below": threshold - 1, "at": threshold,
+                 "odd-above": threshold + 7}[where]
+        center = np.linspace(-1.0, 3.0, dim)
+
+        def draw():
+            rng = SplitMix64(31)
+            return _ball_block(rng, count, center, 0.75).tobytes(), rng._state
+
+        split, serial, threads = _on_both_paths(monkeypatch, draw)
+        assert split == serial
+        assert split[1] == SplitMix64(31).jumped(count * per_row)._state
+        assert threads == (count >= threshold)
+
+    @pytest.mark.parametrize("clips, per_clip", [
+        (1, 1), (1, 85),  # 1 frame and the threshold - 1
+        (2, 43), (1, 86),  # the threshold, split at and inside a clip
+        (3, 31), (93, 1),  # an odd count above it
+    ])
+    def test_clip_bytes_do_not_depend_on_the_split(self, monkeypatch, clips,
+                                                   per_clip):
+        width, height = 64, 48
+        assert _split_threshold(width * height) == 86
+
+        def draw():
+            frames, _ = gen_synthetic_clips(width, height, clips, per_clip,
+                                            9, seed=6)
+            return frames.frames.tobytes()
+
+        split, serial, threads = _on_both_paths(monkeypatch, draw)
+        assert split == serial
+        assert threads == (clips * per_clip >= 86)
+
+    def test_mixture_bytes_do_not_depend_on_the_split(self, monkeypatch):
+        truth = GroundTruth(np.array([2.0, 2.0, 0.0, 0.0, 0.0]), 1.0, 0.1)
+        spec = StreamSpec(dim=5, count=80_000, truth=truth, seed=4,
+                          design=Design.MIXTURE, contamination_fraction=0.5,
+                          outlier_radius_max=3.0)
+
+        def draw():
+            samples, labels = generate(spec)
+            return samples.tobytes(), labels.tobytes()
+
+        split, serial, threads = _on_both_paths(monkeypatch, draw)
+        assert split == serial
+        assert threads >= 2  # the normal rows and the first outlier draw
+
+    @pytest.mark.parametrize("in_worker", [True, False],
+                             ids=["worker", "caller"])
+    def test_a_fault_in_either_half_reaches_the_caller(self, monkeypatch,
+                                                       in_worker):
+        _worker_fault(monkeypatch, in_worker)
+        before = threading.active_count()
+        message = "worker fault" if in_worker else "caller fault"
+        with pytest.raises(MemoryError, match=f"^{message}$"):
+            _ball_block(SplitMix64(1), _split_threshold(3), np.zeros(2), 1.0)
+        with pytest.raises(MemoryError, match=f"^{message}$"):
+            gen_synthetic_clips(400, 400, 1, 2, 5, seed=1)
+        assert threading.active_count() == before  # the thread was joined
+
+    def test_a_worker_fault_exits_one_with_one_line(self, monkeypatch,
+                                                    tmp_path, capsys):
+        from fado.cli import main
+        _worker_fault(monkeypatch)
+        out = tmp_path / "s.bin"
+        assert main(["gen", "--dim", "2", "--count",
+                     str(_split_threshold(3)), "--center", "0",
+                     "--epsilon", "1", "--seed", "1", "--out",
+                     str(out)]) == 1
+        assert main(["scene", "--synthetic", "--width", "400", "--height",
+                     "400", "--clips", "1", "--frames-per-clip", "2",
+                     "--timeline", str(tmp_path / "t.csv")]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error: worker fault\nerror: worker fault\n")
+        assert not out.exists() and not (tmp_path / "t.csv").exists()
+
+    def test_a_thread_that_cannot_start_leaves_the_bytes(self, monkeypatch):
+        def draw():
+            rng = SplitMix64(8)
+            return _ball_block(rng, _split_threshold(9), np.ones(7),
+                               2.0).tobytes(), rng._state
+
+        monkeypatch.setattr(streams, "_usable_cpus", lambda: 1)
+        expected = draw()
+
+        def refuse(self):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        monkeypatch.setattr(streams, "_usable_cpus", lambda: 2)
+        assert draw() == expected
+
+    def test_concurrent_splits_under_a_short_switch_interval(self,
+                                                             monkeypatch):
+        """Four callers split at once (eight threads on fewer cores),
+        switching every microsecond: each gets the one-CPU path's bytes,
+        so the halves share no state a thread switch could tear."""
+        count = _split_threshold(9) + 3
+        centers = [np.full(7, float(k)) for k in range(4)]
+        monkeypatch.setattr(streams, "_usable_cpus", lambda: 1)
+        expected = [_ball_block(SplitMix64(k), count, c, 1.5).tobytes()
+                    for k, c in enumerate(centers)]
+        monkeypatch.setattr(streams, "_usable_cpus", lambda: 2)
+        results = [None] * 4
+
+        def draw(k):
+            results[k] = _ball_block(SplitMix64(k), count, centers[k],
+                                     1.5).tobytes()
+
+        callers = [threading.Thread(target=draw, args=(k,))
+                   for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert results == expected

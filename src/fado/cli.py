@@ -20,11 +20,14 @@ time and spin idle.  An explicit value wins, and after numpy has loaded
 ``import fado.cli`` imports no numpy and changes no environment variable.
 
 ``run`` scans a stream's second block onward in a forked child, while the
-parent writes the outcome CSV, only when the process runs one thread:
-``os.fork`` exists and ``/proc/self/task`` lists one entry.  A fork copies
-only the calling thread, so a process with, say, a second OpenBLAS thread
-(``OPENBLAS_NUM_THREADS=2``, or numpy loaded by the caller) scans in
-process.  Both paths write the same bytes.
+parent writes the outcome CSV, only when the process may use two CPUs and
+runs one thread: ``os.fork`` exists and ``/proc/self/task`` lists one
+entry.  On one CPU the two processes would only take turns, and a fork
+copies only the calling thread, so a process with, say, a second OpenBLAS
+thread (``OPENBLAS_NUM_THREADS=2``, or numpy loaded by the caller) scans
+in process.  The child pickles each block's outcome columns, then the
+detector's attributes or the exception it met, down a pipe.  Both paths
+write the same bytes and fail alike.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ import itertools
 import json
 import os
 import signal
-import struct
 import sys
 from pathlib import Path
 
@@ -106,15 +108,6 @@ def _flag_errors(parser, *fields):
 
 # The errors that main reports as one line on stderr, with exit code 1.
 _REPORTED = (ValueError, OverflowError, OSError, MemoryError)
-
-# A record of the scan-ahead pipe: its kind and its size.  Kinds below
-# len(_REPORTED) are errors of that class with a message of size bytes.
-_RECORD = struct.Struct("<BQ")
-_BLOCK, _STATE = len(_REPORTED), len(_REPORTED) + 1
-
-# Bytes the scan-ahead pipe asks to hold: about three blocks of outcomes
-# of 10-value rows.  Linux lets a user ask for up to 1 MiB.
-_PIPE_BYTES = 1 << 20
 
 
 def _log(message: str) -> None:
@@ -292,23 +285,19 @@ def _outcome_blocks(detector, blocks):
     """Yield the outcome columns of each block of ``blocks`` as scanned in
     order by ``detector``: [alarm, distance, threshold, gain_applied].
 
-    The first block is scanned here.  When the process runs one thread
-    and a second block exists (read before the first block is yielded), a
-    forked child scans the second block onward, while the caller writes
-    the blocks before, and sends each block's columns as raw bytes down a
-    pipe, then the final state as checkpoint bytes, which are installed
-    in ``detector``.  Otherwise each block is read and scanned once the
-    one before it is yielded.  An error of a class that ``main`` reports
-    is sent as its class and message and raised here once the blocks
-    before it are yielded, as the in-process scan raises it.  Closing the
-    generator kills and reaps the child.  The caller leaves ``blocks``
-    alone while the child lives: the two processes share the input
-    file's offset.
+    The first block is scanned here.  When the process may use two CPUs,
+    runs one thread and has a second block (read before the first block
+    is yielded), a forked child scans the second block onward, while the
+    caller writes the blocks before, and pickles each block's columns down
+    a pipe, then the detector's attributes, which are installed in
+    ``detector``, or the exception it caught, which is raised here once
+    the blocks before it are yielded, as the in-process scan raises it.
+    Otherwise each block is read and scanned once the one before it is
+    yielded.  Closing the generator kills and reaps the child.  The caller
+    leaves ``blocks`` alone while the child lives: the two processes share
+    the input file's offset.
     """
-    import numpy as np
-
-    from .checkpoint import checkpoint_decode, checkpoint_encode
-    from .detector import _as_block
+    from .detector import _as_block, _usable_cpus
     count = 0
 
     def scan(block):
@@ -320,21 +309,19 @@ def _outcome_blocks(detector, blocks):
 
     columns = scan(next(blocks))
     pid = None
-    if (hasattr(os, "fork") and os.path.isdir("/proc/self/task")
+    if (hasattr(os, "fork") and _usable_cpus() >= 2
+            and os.path.isdir("/proc/self/task")
             and len(os.listdir("/proc/self/task")) == 1):
         try:
             ahead = next(blocks, None)
-        except _REPORTED:
+        except Exception:
             yield columns  # the rows before a fault are written first
             raise
         if ahead is None:
             yield columns
             return
         blocks = itertools.chain([ahead], blocks)
-        import fcntl
         read_end, write_end = os.pipe()
-        with contextlib.suppress(OSError):  # past the limit the default holds
-            fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
         try:
             pid = os.fork()
         except OSError:  # say, at a limit on processes: scan in process
@@ -344,6 +331,7 @@ def _outcome_blocks(detector, blocks):
         yield columns
         yield from map(scan, blocks)
         return
+    import pickle
     if pid == 0:
         # The child never returns: os._exit skips the parent's cleanup,
         # which would flush and close files that the parent owns.
@@ -352,23 +340,17 @@ def _outcome_blocks(detector, blocks):
             os.close(read_end)
             with open(write_end, "wb") as pipe:
                 try:
-                    for alarm, *floats in map(scan, blocks):
-                        pipe.write(_RECORD.pack(_BLOCK, len(alarm)))
-                        # the floats first, so each column stays aligned
-                        for column in (*floats, alarm):
-                            pipe.write(column)
+                    for columns in map(scan, blocks):
+                        pickle.dump(columns, pipe, 5)
                         pipe.flush()
-                    kind, data = _STATE, checkpoint_encode(detector)
-                except _REPORTED as exc:
-                    kind = next(i for i, cls in enumerate(_REPORTED)
-                                if isinstance(exc, cls))
-                    data = (str(exc) or type(exc).__name__).encode()
-                pipe.write(_RECORD.pack(kind, len(data)))
-                pipe.write(data)
+                except Exception as exc:
+                    pickle.dump(exc, pipe, 5)
+                else:
+                    pickle.dump(vars(detector), pipe, 5)
             code = 0
         except OSError:
             pass  # the pipe failed: the parent has gone
-        except Exception:  # a fault of fado's own
+        except Exception:  # say, an exception that cannot be pickled
             import traceback
             traceback.print_exc()
             sys.stderr.flush()
@@ -377,29 +359,16 @@ def _outcome_blocks(detector, blocks):
     try:
         os.close(write_end)
         with open(read_end, "rb") as pipe:
-
-            def take(nbytes):
-                data = pipe.read(nbytes)
-                if len(data) != nbytes:
-                    raise ChildProcessError("the scan-ahead process ended "
-                                            "before the stream did")
-                return data
-
             yield columns
-            while True:
-                kind, size = _RECORD.unpack(take(_RECORD.size))
-                if kind != _BLOCK:
-                    break
-                # three float64 columns, then the bool one: 25 bytes a row
-                data = take(25 * size)
-                *floats, alarm = (
-                    np.frombuffer(data, dtype, size, 8 * size * i)
-                    for i, dtype in enumerate(3 * [np.float64] + [bool]))
-                yield [alarm, *floats]
-            data = take(size)
-            if kind != _STATE:
-                raise _REPORTED[kind](data.decode())
-            vars(detector).update(vars(checkpoint_decode(data)))
+            try:
+                while isinstance(end := pickle.load(pipe), list):
+                    yield end
+            except (EOFError, pickle.UnpicklingError):
+                raise ChildProcessError("the scan-ahead process ended "
+                                        "before the stream did") from None
+        if isinstance(end, Exception):
+            raise end
+        vars(detector).update(end)
     finally:
         os.kill(pid, signal.SIGKILL)  # a child that has exited is a zombie
         os.waitpid(pid, 0)

@@ -34,6 +34,7 @@ resumed run matches the uninterrupted one bit for bit.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Iterable, List, NamedTuple, Union
 
@@ -64,6 +65,15 @@ def _block_rows(dim: int, itemsize: int = 8) -> int:
     """Rows of ``dim`` values (float64 by default) in one block: as many
     as :data:`SCAN_CHUNK_BYTES` holds, and at least one."""
     return max(1, SCAN_CHUNK_BYTES // (itemsize * dim))
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: work is split between two threads
+    or processes only when this is at least 2."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call outside Linux
+        return os.cpu_count() or 1
 
 
 # Longest slice one ``vecdot`` call sums.  OpenBLAS runs a dot product of

@@ -36,7 +36,6 @@ import enum
 import functools
 import math
 import operator
-import os
 import threading
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -44,7 +43,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .bounds import GroundTruth
-from .detector import _TILE
+from .detector import _TILE, _usable_cpus
 
 __all__ = [
     "SplitMix64",
@@ -168,14 +167,6 @@ def _children(seed: int, count: int) -> List[SplitMix64]:
     """The first ``count`` child generators of ``seed``, in spawn order."""
     root = SplitMix64(seed)
     return [root.spawn() for _ in range(count)]
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call outside Linux
-        return os.cpu_count() or 1
 
 
 def _split(fill, count: int, draws_each: int) -> None:

@@ -17,11 +17,17 @@ HAVE_TASKS = os.path.isdir("/proc/self/task")
 # exit code, its thread count and OPENBLAS_NUM_THREADS after the command,
 # whether it reaped a child process (one that used any CPU time: rusage
 # counts microseconds, where os.times counts 10 ms ticks), and which of
-# fado's modules, numpy and scipy it loaded, as one JSON line.
+# fado's modules, numpy and scipy it loaded, as one JSON line.  An
+# exception that main raises is printed as the interpreter prints an
+# uncaught one, with its exit code of 1.
 _MAIN_PROBE = """
-import json, os, resource, sys
+import json, os, resource, sys, traceback
 from fado.cli import main
-code = main(sys.argv[1:])
+try:
+    code = main(sys.argv[1:])
+except Exception:
+    traceback.print_exc()
+    code = 1
 tasks = os.listdir("/proc/self/task") if os.path.isdir("/proc/self/task") else ()
 children = resource.getrusage(resource.RUSAGE_CHILDREN)
 print(json.dumps({"code": code, "tasks": len(tasks),
@@ -46,12 +52,12 @@ def child_env(**variables):
     return env
 
 
-def main_in_child(argv, **variables):
-    """Run ``fado.cli.main(argv)`` in a child process; see _MAIN_PROBE.
-    The probe's fields come with the command's ``stdout`` (before the
-    probe's line) and ``stderr``."""
+def main_in_child(argv, prelude="", **variables):
+    """Run ``fado.cli.main(argv)`` in a child process, after the code
+    ``prelude``; see _MAIN_PROBE.  The probe's fields come with the
+    command's ``stdout`` (before the probe's line) and ``stderr``."""
     proc = subprocess.run(
-        [sys.executable, "-c", _MAIN_PROBE, *map(str, argv)],
+        [sys.executable, "-c", prelude + _MAIN_PROBE, *map(str, argv)],
         env=child_env(**variables), capture_output=True, text=True,
         check=True)
     stdout, _, probe = proc.stdout.rstrip("\n").rpartition("\n")

@@ -1076,16 +1076,16 @@ class TestScanAhead:
     scan in process.  Both paths write the same bytes and fail alike."""
 
     @staticmethod
-    def both_paths(argv, *files, forks=True):
+    def both_paths(argv, *files, forks=True, prelude=""):
         """Run ``main(argv)`` with OpenBLAS left to fado's one thread, where
-        it forks if ``forks``, then in process (two OpenBLAS threads).  For
-        each: the exit code, stdout, stderr and the bytes of each of
-        ``files`` (None if absent)."""
+        it forks if ``forks``, then in process (two OpenBLAS threads), each
+        after the code ``prelude``.  For each: the exit code, stdout, stderr
+        and the bytes of each of ``files`` (None if absent)."""
         results = []
         for threads in (None, "2"):
             for path in files:
                 path.unlink(missing_ok=True)
-            probe = main_in_child(argv, OPENBLAS_NUM_THREADS=threads)
+            probe = main_in_child(argv, prelude, OPENBLAS_NUM_THREADS=threads)
             assert probe["reaped_child"] is (forks and threads is None)
             results.append((probe["code"], probe["stdout"], probe["stderr"],
                             *(path.read_bytes() if path.exists() else None
@@ -1213,6 +1213,79 @@ class TestScanAhead:
         assert (code, stderr, state) == (
             1, "error: distance to the center overflows float range by "
                "step 139994\n", None)
+
+    def test_a_fault_of_fados_own_in_a_later_block_fails_as_in_process(
+            self, streams, tmp_path):
+        """A ``TypeError`` in the third block's scan (in the child, when it
+        forks) is raised by the parent after the rows before it, as the
+        in-process scan raises it, and no checkpoint is written."""
+        # the prelude loads numpy, so it keeps OpenBLAS to one thread
+        # unless the run gives two, as main would
+        fault = ("import os\n"
+                 "os.environ.setdefault('OPENBLAS_NUM_THREADS', '1')\n"
+                 "from fado.detector import Detector\n"
+                 "scan, calls = Detector._scan, []\n"
+                 "def _scan(self, block):\n"
+                 "    calls.append(None)\n"
+                 "    if len(calls) == 3:\n"
+                 "        raise TypeError('a fault of fado')\n"
+                 "    return scan(self, block)\n"
+                 "Detector._scan = _scan\n")
+        out, ckpt = tmp_path / "out.csv", tmp_path / "out.ckpt"
+        forked, in_process = self.both_paths(
+            ["run", "--mode", "adaptive", "--input", streams / "s.bin",
+             "--output", out, "--checkpoint-out", ckpt], out, ckpt,
+            prelude=fault)
+        for code, _, stderr, text, state in (forked, in_process):
+            assert (code, stderr.splitlines()[-1], state) == (
+                1, "TypeError: a fault of fado", None)
+        assert forked[3] == in_process[3]
+        assert forked[3].count(b"\n") == 1 + 2 * 1310  # the first blocks
+
+    def test_a_child_that_dies_mid_stream_fails_on_one_line(self, streams,
+                                                            tmp_path):
+        """The child exits on its second block: the parent reports it on
+        one line, exit 1, writes no checkpoint and leaves no process."""
+        die = ("import os, sys\n"
+               "from fado.detector import Detector\n"
+               "scan, parent, calls = Detector._scan, os.getpid(), []\n"
+               "def _scan(self, block):\n"
+               "    if os.getpid() != parent:\n"
+               "        calls.append(None)\n"
+               "        if len(calls) == 2:\n"
+               "            os._exit(1)\n"
+               "    return scan(self, block)\n"
+               "Detector._scan = _scan\n"
+               "from fado.cli import main\n"
+               "sys.exit(main(sys.argv[1:]))\n")
+        stream, ckpt = streams / "s.bin", tmp_path / "out.ckpt"
+        proc = subprocess.run(
+            [sys.executable, "-c", die, "run", "--mode", "adaptive",
+             "--input", str(stream), "--output", str(tmp_path / "out.csv"),
+             "--checkpoint-out", str(ckpt)],
+            capture_output=True, text=True, timeout=60,
+            env=child_env(OPENBLAS_NUM_THREADS="1"))
+        assert (proc.returncode, proc.stderr) == (
+            1, "error: the scan-ahead process ended before the stream did\n")
+        assert not ckpt.exists()
+        assert subprocess.run(["pgrep", "-f", str(stream)]).returncode == 1
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="needs os.sched_setaffinity")
+    def test_one_cpu_scans_in_process(self, streams, tmp_path):
+        """Pinned to one CPU, the run scans in process, one thread, and
+        writes the bytes of the forked run."""
+        outputs = []
+        for prelude in ("", "import os\nos.sched_setaffinity(0, "
+                            "{min(os.sched_getaffinity(0))})\n"):
+            out = tmp_path / "out.csv"
+            probe = main_in_child(
+                ["run", "--mode", "adaptive", "--input", streams / "s.bin",
+                 "--output", out], prelude, OPENBLAS_NUM_THREADS=None)
+            assert (probe["code"], probe["tasks"]) == (0, 1)
+            assert probe["reaped_child"] is (not prelude)
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"),
                         reason="needs /dev/full")

@@ -2,10 +2,13 @@
 with the input.
 
 Each command runs as a child process on an input and on one four times
-larger.  Peak RSS comes from the child's rusage (``os.wait4``).  The
-readers hold one bounded block of the input at a time, so the larger input
-may raise the peak by a small fixed margin only; readers that hold the
-whole input raise it by about as much as the input grows, 12 to 16 MB.
+larger.  Peak RSS comes from the child's rusage (``os.wait4``), which is
+the larger of its own peak and its children's; for ``fado run``, which may
+scan ahead in a forked child, the sum of the two peaks is bounded too, as
+the run itself reads them.  The readers hold one bounded block of the
+input at a time, so the larger input may raise the peak by a small fixed
+margin only; readers that hold the whole input raise it by about as much
+as the input grows, 12 to 16 MB.
 """
 
 import os
@@ -28,46 +31,68 @@ _MARGIN_MIB = 4.0
 # from this small interpreter rather than from the test process itself.
 _SPAWNER = """
 import os, subprocess, sys
-proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL,
-                        stderr=subprocess.DEVNULL)
+proc = subprocess.Popen(sys.argv[1:], stderr=subprocess.DEVNULL)
 _, status, usage = os.wait4(proc.pid, 0)
 print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
+# Runs fado.cli.main on sys.argv[1:] and prints the sum of its own peak RSS
+# and its reaped children's (the scan-ahead child's) as it ends.
+_SUMMED = """
+import resource, sys
+from fado.cli import main
+code = main(sys.argv[1:])
+print(sum(resource.getrusage(who).ru_maxrss for who in
+          (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)))
+sys.exit(code)
+"""
 
-def _peak_rss_mib(argv) -> float:
+
+def _peak_rss_mib(argv, summed=False) -> float:
+    """Peak RSS of ``fado argv`` from ``os.wait4``, or if ``summed`` the
+    sum that the command reads of its own peak and its children's."""
+    command = ["-c", _SUMMED] if summed else ["-m", "fado.cli"]
     proc = subprocess.run(
-        [sys.executable, "-c", _SPAWNER, sys.executable, "-m", "fado.cli",
+        [sys.executable, "-c", _SPAWNER, sys.executable, *command,
          *map(str, argv)],
         env=child_env(), capture_output=True, text=True, check=True)
-    code, max_rss = map(int, proc.stdout.split())
+    *inner, code, max_rss = map(int, proc.stdout.split())
     assert code == 0, argv
-    return max_rss / 1024  # KiB on Linux
+    return (inner[0] if summed else max_rss) / 1024  # KiB on Linux
 
 
-def _growth(tmp_path, make_input, command, small):
+def _growth(tmp_path, make_input, command, small, summed=False):
     peaks = []
     for count in (small, 4 * small):
         path = make_input(tmp_path / f"in{count}", count)
-        peaks.append(_peak_rss_mib(command(path, tmp_path)))
+        peaks.append(_peak_rss_mib(command(path, tmp_path), summed))
     return peaks[1] - peaks[0]
+
+
+def _make_stream(path, count):
+    path = path.with_suffix(".bin")
+    rng = np.random.default_rng(count)
+    write_vectors(rng.normal(size=(count, 10)), path)
+    return path
+
+
+def _run_command(path, tmp):
+    return ["run", "--mode", "fixed", "--epsilon", "3", "--input", path,
+            "--output", tmp / "out.csv", "--checkpoint-out", tmp / "out.ckpt"]
 
 
 @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
 def test_run_peak_rss_is_bounded(tmp_path):
     """50 000 and 200 000 rows of 10 values: 4 and 16 MB of payload."""
-    def make(path, count):
-        path = path.with_suffix(".bin")
-        rng = np.random.default_rng(count)
-        write_vectors(rng.normal(size=(count, 10)), path)
-        return path
+    assert _growth(tmp_path, _make_stream, _run_command, 50_000) < _MARGIN_MIB
 
-    def command(path, tmp):
-        return ["run", "--mode", "fixed", "--epsilon", "3", "--input", path,
-                "--output", tmp / "out.csv", "--checkpoint-out",
-                tmp / "out.ckpt"]
 
-    assert _growth(tmp_path, make, command, 50_000) < _MARGIN_MIB
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_run_summed_peak_rss_is_bounded(tmp_path):
+    """The same streams, with the peaks of the run and of the child that
+    scans ahead for it summed, as both are held at once."""
+    assert _growth(tmp_path, _make_stream, _run_command, 50_000,
+                   summed=True) < _MARGIN_MIB
 
 
 @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")

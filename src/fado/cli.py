@@ -19,15 +19,22 @@ time and spin idle.  An explicit value wins, and after numpy has loaded
 ``main`` sets nothing.  Each command imports only the modules it uses, and
 ``import fado.cli`` imports no numpy and changes no environment variable.
 
-``run`` scans a stream's second block onward in a forked child, while the
-parent writes the outcome CSV, only when the process may use two CPUs and
-runs one thread: ``os.fork`` exists and ``/proc/self/task`` lists one
+Two commands may fork one helper process, under one rule
+(``detector._forked``): only when the process may use two CPUs and runs
+one thread, that is ``os.fork`` exists and ``/proc/self/task`` lists one
 entry.  On one CPU the two processes would only take turns, and a fork
 copies only the calling thread, so a process with, say, a second OpenBLAS
-thread (``OPENBLAS_NUM_THREADS=2``, or numpy loaded by the caller) scans
-in process.  The child pickles each block's outcome columns, then the
-detector's attributes or the exception it met, down a pipe.  Both paths
-write the same bytes and fail alike.
+thread (``OPENBLAS_NUM_THREADS=2``, or numpy loaded by the caller) works
+in process, as it does when the fork is refused.  ``run`` scans a
+stream's second block onward in a forked child, while the parent writes
+the outcome CSV; the child pickles each block's outcome columns, then the
+detector's attributes or the exception it met, down a pipe.  ``scene``
+on frames of more than 65,536 values (a scan chunk of one frame) judges
+each frame's columns from a slice boundary near the middle in a forked
+partner, through shared memory, and folds its partial sums in the order
+of one process.  The helper is killed and reaped on every exit path, and
+one that dies gives one line and exit 1.  Both paths write the same bytes
+and fail alike.
 """
 
 from __future__ import annotations
@@ -37,7 +44,6 @@ import contextlib
 import itertools
 import json
 import os
-import signal
 import sys
 from pathlib import Path
 
@@ -285,19 +291,19 @@ def _outcome_blocks(detector, blocks):
     """Yield the outcome columns of each block of ``blocks`` as scanned in
     order by ``detector``: [alarm, distance, threshold, gain_applied].
 
-    The first block is scanned here.  When the process may use two CPUs,
-    runs one thread and has a second block (read before the first block
-    is yielded), a forked child scans the second block onward, while the
-    caller writes the blocks before, and pickles each block's columns down
-    a pipe, then the detector's attributes, which are installed in
-    ``detector``, or the exception it caught, which is raised here once
-    the blocks before it are yielded, as the in-process scan raises it.
-    Otherwise each block is read and scanned once the one before it is
-    yielded.  Closing the generator kills and reaps the child.  The caller
-    leaves ``blocks`` alone while the child lives: the two processes share
-    the input file's offset.
+    The first block is scanned here.  When ``detector._forked`` forks (two
+    usable CPUs, one thread) and there is a second block (read before the
+    first block is yielded), a forked child scans the second block onward,
+    while the caller writes the blocks before, and pickles each block's
+    columns down a pipe, then the detector's attributes, which are
+    installed in ``detector``, or the exception it caught, which is raised
+    here once the blocks before it are yielded, as the in-process scan
+    raises it.  Otherwise each block is read and scanned once the one
+    before it is yielded.  Closing the generator kills and reaps the
+    child.  The caller leaves ``blocks`` alone while the child lives: the
+    two processes share the input file's offset.
     """
-    from .detector import _as_block, _usable_cpus
+    from .detector import _as_block, _forked, _may_fork
     count = 0
 
     def scan(block):
@@ -308,10 +314,7 @@ def _outcome_blocks(detector, blocks):
         return [out.alarm, out.distance, out.threshold, out.gain_applied]
 
     columns = scan(next(blocks))
-    pid = None
-    if (hasattr(os, "fork") and _usable_cpus() >= 2
-            and os.path.isdir("/proc/self/task")
-            and len(os.listdir("/proc/self/task")) == 1):
+    if _may_fork():
         try:
             ahead = next(blocks, None)
         except Exception:
@@ -321,44 +324,25 @@ def _outcome_blocks(detector, blocks):
             yield columns
             return
         blocks = itertools.chain([ahead], blocks)
-        read_end, write_end = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:  # say, at a limit on processes: scan in process
-            os.close(read_end)
-            os.close(write_end)
-    if pid is None:
-        yield columns
-        yield from map(scan, blocks)
-        return
     import pickle
-    if pid == 0:
-        # The child never returns: os._exit skips the parent's cleanup,
-        # which would flush and close files that the parent owns.
-        code = 1
-        try:
-            os.close(read_end)
-            with open(write_end, "wb") as pipe:
-                try:
-                    for columns in map(scan, blocks):
-                        pickle.dump(columns, pipe, 5)
-                        pipe.flush()
-                except Exception as exc:
-                    pickle.dump(exc, pipe, 5)
-                else:
-                    pickle.dump(vars(detector), pipe, 5)
-            code = 0
-        except OSError:
-            pass  # the pipe failed: the parent has gone
-        except Exception:  # say, an exception that cannot be pickled
-            import traceback
-            traceback.print_exc()
-            sys.stderr.flush()
-        finally:
-            os._exit(code)
-    try:
-        os.close(write_end)
-        with open(read_end, "rb") as pipe:
+
+    def child(_, writer):
+        with open(writer, "wb", closefd=False) as pipe:
+            try:
+                for columns in map(scan, blocks):
+                    pickle.dump(columns, pipe, 5)
+                    pipe.flush()
+            except Exception as exc:
+                pickle.dump(exc, pipe, 5)
+            else:
+                pickle.dump(vars(detector), pipe, 5)
+
+    with _forked(child) as ends:
+        if ends is None:
+            yield columns
+            yield from map(scan, blocks)
+            return
+        with open(ends[0], "rb", closefd=False) as pipe:
             yield columns
             try:
                 while isinstance(end := pickle.load(pipe), list):
@@ -366,12 +350,9 @@ def _outcome_blocks(detector, blocks):
             except (EOFError, pickle.UnpicklingError):
                 raise ChildProcessError("the scan-ahead process ended "
                                         "before the stream did") from None
-        if isinstance(end, Exception):
-            raise end
-        vars(detector).update(end)
-    finally:
-        os.kill(pid, signal.SIGKILL)  # a child that has exited is a zombie
-        os.waitpid(pid, 0)
+    if isinstance(end, Exception):
+        raise end
+    vars(detector).update(end)
 
 
 def _cmd_sweep(args, parser) -> int:

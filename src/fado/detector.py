@@ -24,6 +24,17 @@ The scan works through wide rows in column tiles of four slices, each
 converted, subtracted and summed while it is in cache; every partial sum
 continues the running total left to right, so tiling changes no bit.
 
+A scan whose chunks hold one row (more than 65,536 values) may hand the
+columns from a slice boundary near the middle to a forked partner process
+(:func:`_column_partner`).  For each row the partner converts, subtracts
+and sums its slices, each into a partial sum of its own, while the scan
+does the columns before them; the scan then adds the partials on to its
+running total one by one, left to right.  Each partial is the ``vecdot``
+of the same slice that an in-process scan would add, and the additions
+come in the same order, so the distance has the same bits.  An alarm
+folds the partner's per-slice ``v . w`` partials the same way, while the
+partner moves its half of the center.
+
 The per-step bookkeeping needed by the invariant auditors (gain energy,
 gain mass, and the gain-weighted inner products with the pre-update center)
 is accumulated in a :class:`DiagnosticsTrace` of plain binary64 sums, like
@@ -33,8 +44,12 @@ resumed run matches the uninterrupted one bit for bit.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import mmap
 import os
+import signal
+import sys
 from dataclasses import dataclass
 from typing import Iterable, List, NamedTuple, Union
 
@@ -76,6 +91,69 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _may_fork() -> bool:
+    """Whether :func:`_forked` forks: ``os.fork`` exists, the process may
+    use two CPUs (on one, two processes would only take turns) and it runs
+    one thread (a fork copies only the calling thread, so, say, a second
+    OpenBLAS thread keeps the work in process)."""
+    return (hasattr(os, "fork") and _usable_cpus() >= 2
+            and os.path.isdir("/proc/self/task")
+            and len(os.listdir("/proc/self/task")) == 1)
+
+
+@contextlib.contextmanager
+def _forked(child):
+    """Run ``child(reader, writer)`` in a forked process; yield the
+    parent's ``(reader, writer)``, or None when the work stays in process.
+
+    ``reader`` and ``writer`` are file descriptors of two pipes, one each
+    way, that this function closes.  It forks only when :func:`_may_fork`
+    holds, and yields None when the fork is refused, say at a limit on
+    processes.  The child exits when ``child`` returns, with code 0, or
+    raises, with code 1 (printing the traceback of any error but a failed
+    pipe, which means the parent has gone); it never returns into the
+    caller's code.  On leaving the block the child is killed and reaped,
+    on every path.
+    """
+    if not _may_fork():
+        yield None
+        return
+    down, up = os.pipe(), os.pipe()  # parent to child, child to parent
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (*down, *up):
+            os.close(fd)
+        yield None
+        return
+    if pid == 0:
+        # os._exit skips the parent's cleanup, which would flush and close
+        # files that the parent owns
+        code = 1
+        try:
+            os.close(down[1])
+            os.close(up[0])
+            child(down[0], up[1])
+            code = 0
+        except OSError:
+            pass  # a pipe failed: the parent has gone
+        except Exception:
+            import traceback
+            traceback.print_exc()
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
+    os.close(down[0])
+    os.close(up[1])
+    try:
+        yield up[0], down[1]
+    finally:
+        os.kill(pid, signal.SIGKILL)  # a child that has exited is a zombie
+        os.waitpid(pid, 0)
+        os.close(up[0])
+        os.close(down[1])
+
+
 # Longest slice one ``vecdot`` call sums.  OpenBLAS runs a dot product of
 # up to 10000 elements on one thread and splits a longer one across its
 # threads, which changes the summation order and so the bits; slices of a
@@ -106,6 +184,113 @@ def _dot(a: np.ndarray, b: np.ndarray, total=None):
 # Columns of a scan tile: whole dot slices, few enough that the input, the
 # center and the difference of a tile fit a core's L2 cache together.
 _TILE = 4 * _DOT_WIDTH
+
+
+class _Partner:
+    """The parent's side of :func:`_column_partner`: columns ``lo ..`` of
+    each row are judged and learned in the partner process.
+
+    :meth:`scan` and :meth:`learn` start the partner on a row or an alarm
+    with a one-byte message; :meth:`fold` waits for its one-byte reply and
+    adds its per-slice partial sums on to a running total, left to right.
+    """
+
+    def __init__(self, ends, lo, row, partials, alarm):
+        self.reader, self.writer = ends
+        self.lo = lo
+        self._row, self._partials, self._alarm = row, partials, alarm
+
+    def _send(self, message: bytes) -> None:
+        try:
+            os.write(self.writer, message)
+        except BrokenPipeError:
+            raise self._ended() from None
+
+    @staticmethod
+    def _ended():
+        return ChildProcessError("the column partner process ended before "
+                                 "the frames did")
+
+    def scan(self, row) -> None:
+        """Start on the partner's columns of ``row``."""
+        self._row[:] = row[self.lo:]
+        self._send(b"s")
+
+    def learn(self, distance: float, gain: float) -> None:
+        """Start the alarm on the row last scanned: the partner divides its
+        difference by ``distance``, sums its ``v . w`` slices and adds
+        ``gain * v`` to its half of the center."""
+        self._alarm[:] = distance, gain
+        self._send(b"l")
+
+    def fold(self, total):
+        """``total`` continued by the partner's partial sums."""
+        if os.read(self.reader, 1) != b"d":
+            raise self._ended()
+        for part in self._partials:
+            total = total + part
+        return total
+
+
+@contextlib.contextmanager
+def _column_partner(detector: "Detector", scale: float):
+    """Yield a :class:`_Partner` for scans by ``detector`` of uint8 rows
+    read as ``row / scale``, or None, when the scan stays whole in process.
+
+    A partner is forked (see :func:`_forked`) only when a scan chunk is one
+    row.  It owns the columns from the :data:`_DOT_WIDTH` boundary nearest
+    the middle.  Its half of the center, the row's columns, its partial
+    sums and an alarm's distance and gain live in one shared anonymous
+    ``mmap``.  Each row it converts and subtracts, then ``vecdot``s each
+    slice as :func:`_dot` slices the row, and an alarm divides, sums,
+    scales and adds as :meth:`Detector._learn` does; so each partial has
+    the bits of the slice an in-process scan adds.  On leaving the block
+    the partner is killed and reaped; when the block ends without an error
+    its half of the center is copied back into ``detector.w``.
+    """
+    dim = detector.dim
+    if _block_rows(dim) > 1:
+        yield None
+        return
+    lo = _DOT_WIDTH * round(dim / (2 * _DOT_WIDTH))
+    width = dim - lo
+    cuts = range(0, width, _DOT_WIDTH)
+    floats = width + len(cuts) + 2
+    shared = mmap.mmap(-1, 8 * floats + width)
+    numbers = np.frombuffer(shared, np.float64, floats)
+    w, partials, alarm = (numbers[:width], numbers[width:-2],
+                          numbers[-2:])
+    row = np.frombuffer(shared, np.uint8, width, 8 * floats)
+
+    def serve(reader, writer):
+        w[:] = detector.w[lo:]  # the partner's own copy of the center
+        diff = np.empty((1, width))
+        v = diff[0]
+        slices = [(diff[:, a:a + _DOT_WIDTH], v[a:a + _DOT_WIDTH],
+                   w[a:a + _DOT_WIDTH], partials[k:k + 1])
+                  for k, a in enumerate(cuts)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            while message := os.read(reader, 1):
+                if message == b"s":
+                    np.divide(row, scale, out=diff)
+                    np.subtract(diff, w, out=diff)
+                    for d, _, _, out in slices:
+                        np.vecdot(d, d, out=out)
+                else:
+                    distance, gain = alarm
+                    v /= distance
+                    for _, s, c, out in slices:
+                        out[0] = np.vecdot(s, c)
+                    if gain != 1.0:
+                        v *= gain
+                    np.add(w, v, out=w)
+                os.write(writer, b"d")
+
+    with _forked(serve) as ends:
+        yield None if ends is None else _Partner(ends, lo, row, partials,
+                                                 alarm)
+    if ends is not None:  # the partner has been reaped
+        detector.w[lo:] = w
 
 
 def as_vector(values, dim: int | None = None, name: str = "vector") -> np.ndarray:
@@ -299,12 +484,14 @@ class Detector:
             return self.mode.epsilon
         return 1.0 / gain_value(self.schedule, self.m + 1)
 
-    def _learn(self, distance: float, tiles) -> float:
+    def _learn(self, distance: float, tiles, partner=None) -> float:
         """Count an alarm at ``distance`` from the center and move the
         center; return the gain.
 
         ``tiles`` yields ``(diff, w)`` column tiles, left to right, of the
-        difference ``y - w`` and the center.  ``diff`` is overwritten: it
+        difference ``y - w`` and the center, up to the columns of a
+        ``partner``, if one is given, which does the rest and whose
+        ``v . w`` partials are folded in last.  ``diff`` is overwritten: it
         becomes the unit step ``v`` and then ``gain * v`` (a unit gain
         skips the multiply, as ``x * 1.0 == x``), so an alarm allocates
         nothing.  The adaptive detector's pre-decision gain uses m+1, which
@@ -326,6 +513,8 @@ class Detector:
             # but the update direction is undefined, so none is applied.
             return 0.0
         gain = gain_value(self.schedule, self.m)
+        if partner is not None:
+            partner.learn(distance, gain)
         vw = None
         for v, w in tiles:
             v /= distance
@@ -333,6 +522,8 @@ class Detector:
             if gain != 1.0:
                 v *= gain
             w += v
+        if partner is not None:
+            vw = partner.fold(vw)
         self.trace.record_alarm(gain, float(vw))
         if not all(map(math.isfinite, self.trace.as_tuple())):
             raise OverflowError(
@@ -367,10 +558,14 @@ class Detector:
         """
         return self._scan(_as_block(rows, self.dim))
 
-    def _scan(self, block: np.ndarray, scale=None) -> ScanOutcomes:
+    def _scan(self, block: np.ndarray, scale=None,
+              partner=None) -> ScanOutcomes:
         """The body of :meth:`scan`, over a finite (T, dim) block: float64
         rows :func:`_as_block` has checked, or with ``scale`` rows such as
-        uint8 frames that are read as ``block / scale``.
+        uint8 frames that are read as ``block / scale``.  A ``partner``
+        from :func:`_column_partner` judges the columns from its ``lo``
+        on, one row a chunk, and its partial sums are folded in after the
+        tiles here.
 
         A chunk goes in column tiles of :data:`_TILE`: each is converted
         into one reused difference buffer, has the center subtracted and
@@ -385,9 +580,11 @@ class Detector:
         threshold = np.empty(count)
         gain = np.zeros(count)
         cap = _block_rows(self.dim)
-        buf = np.empty((min(cap, count), self.dim))
-        tiles = [(block[:, lo:lo + _TILE], self.w[lo:lo + _TILE],
-                  buf[:, lo:lo + _TILE]) for lo in range(0, self.dim, _TILE)]
+        width = self.dim if partner is None else partner.lo
+        buf = np.empty((min(cap, count), width))
+        tiles = [(block[:, lo:min(lo + _TILE, width)],
+                  self.w[lo:min(lo + _TILE, width)], buf[:, lo:lo + _TILE])
+                 for lo in range(0, width, _TILE)]
         # A pass costs about as much as judging 8192 values, so a floor of
         # half that wastes less on dense streams than it saves on sparse.
         floor = max(1, min(cap, 32, _DOT_WIDTH // (2 * self.dim)))
@@ -400,6 +597,8 @@ class Detector:
         with np.errstate(over="ignore", invalid="ignore"):
             while i < count:
                 stop = min(count, i + size)
+                if partner is not None:
+                    partner.scan(block[i])
                 total = None
                 for y, w, d in tiles:
                     y, d = y[i:stop], d[:stop - i]
@@ -407,6 +606,8 @@ class Detector:
                         y = np.divide(y, scale, out=d)
                     np.subtract(y, w, out=d)
                     total = _dot(d, d, total)
+                if partner is not None:
+                    total = partner.fold(total)
                 dist = distance[i:stop]
                 np.sqrt(total, out=dist)
                 threshold[i:stop] = radius
@@ -418,7 +619,8 @@ class Detector:
                     continue
                 self.t = t + i + k + 1  # the step an overflow names
                 gain[i + k] = self._learn(float(dist[k]),
-                                          [(d[k], w) for _, w, d in tiles])
+                                          [(d[k], w) for _, w, d in tiles],
+                                          partner)
                 radius = self.current_radius()
                 i += k + 1
                 size = max(1 if k == 0 else floor, size // 2)

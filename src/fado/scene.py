@@ -28,6 +28,7 @@ from .detector import (
     FixedRadius,
     ScanOutcomes,
     _block_rows,
+    _column_partner,
 )
 from .streamio import _open_packed, _write_packed, write_outcome_rows
 
@@ -37,7 +38,6 @@ __all__ = [
     "DetectionTimeline",
     "read_pgm",
     "write_pgm",
-    "load_pgm_sequence",
     "frame_to_vector",
     "run_scene_detection",
     "gen_synthetic_clips",
@@ -168,11 +168,6 @@ def write_pgm(pixels: np.ndarray, path) -> None:
         fh.write(pixels.tobytes())
 
 
-def load_pgm_sequence(paths: Sequence) -> FrameSequence:
-    """Decode an ordered list of PGM files into one frame stack."""
-    return _open_pgm_sequence(paths)._collect()
-
-
 def _open_pgm_sequence(paths: Sequence) -> _FrameReader:
     """Take the frame size from the first file; decode each file when
     its frame is read."""
@@ -253,10 +248,11 @@ def run_scene_detection(frames: FrameSequence, epsilon: float = 100.0,
             f"({frames.dim})")
     start = detector.t
     parts = []
-    for chunk in frames.blocks(_block_rows(frames.dim, 1)):
-        # the scan divides each tile by 255 as frame_to_vector does; values
-        # from uint8 are finite, so it takes them without the check
-        parts.append(detector._scan(chunk, 255.0))
+    with _column_partner(detector, 255.0) as partner:
+        for chunk in frames.blocks(_block_rows(frames.dim, 1)):
+            # the scan divides each tile by 255 as frame_to_vector does;
+            # values from uint8 are finite, so it takes them unchecked
+            parts.append(detector._scan(chunk, 255.0, partner))
     columns = zip(*((p.alarm, p.distance, p.threshold, p.gain_applied)
                     for p in parts))
     outcomes = ScanOutcomes(*map(np.concatenate, columns))

@@ -3,9 +3,10 @@ with the input.
 
 Each command runs as a child process on an input and on one four times
 larger.  Peak RSS comes from the child's rusage (``os.wait4``), which is
-the larger of its own peak and its children's; for ``fado run``, which may
-scan ahead in a forked child, the sum of the two peaks is bounded too, as
-the run itself reads them.  The readers hold one bounded block of the
+the larger of its own peak and its children's; ``fado run`` may scan ahead
+in a forked child and ``fado scene`` may judge wide frames with a forked
+partner, so the sum of the two peaks is bounded too, as the command itself
+reads them.  The readers hold one bounded block of the
 input at a time, so the larger input may raise the peak by a small fixed
 margin only; readers that hold the whole input raise it by about as much
 as the input grows, 12 to 16 MB.
@@ -37,7 +38,8 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 # Runs fado.cli.main on sys.argv[1:] and prints the sum of its own peak RSS
-# and its reaped children's (the scan-ahead child's) as it ends.
+# and its reaped children's (the scan-ahead child's or the partner's) as it
+# ends.
 _SUMMED = """
 import resource, sys
 from fado.cli import main
@@ -95,19 +97,30 @@ def test_run_summed_peak_rss_is_bounded(tmp_path):
                    summed=True) < _MARGIN_MIB
 
 
+def _make_pack(path, count):
+    path = path.with_suffix(".pack")
+    rng = np.random.default_rng(count)
+    frames = rng.integers(0, 256, size=(count, 300, 300), dtype=np.uint8)
+    write_frames_packed(FrameSequence(300, 300, frames), path)
+    return path
+
+
+def _scene_command(path, tmp):
+    return ["scene", "--packed", path, "--epsilon", "50", "--timeline",
+            tmp / "timeline.csv", "--snapshot", tmp / "memory.pgm",
+            "--checkpoint-out", tmp / "scene.ckpt"]
+
+
 @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
 def test_scene_peak_rss_is_bounded(tmp_path):
     """50 and 200 frames of 300 x 300: 4.5 and 18 MB of payload."""
-    def make(path, count):
-        path = path.with_suffix(".pack")
-        rng = np.random.default_rng(count)
-        frames = rng.integers(0, 256, size=(count, 300, 300), dtype=np.uint8)
-        write_frames_packed(FrameSequence(300, 300, frames), path)
-        return path
+    assert _growth(tmp_path, _make_pack, _scene_command, 50) < _MARGIN_MIB
 
-    def command(path, tmp):
-        return ["scene", "--packed", path, "--epsilon", "50", "--timeline",
-                tmp / "timeline.csv", "--snapshot", tmp / "memory.pgm",
-                "--checkpoint-out", tmp / "scene.ckpt"]
 
-    assert _growth(tmp_path, make, command, 50) < _MARGIN_MIB
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_scene_summed_peak_rss_is_bounded(tmp_path):
+    """The same packs, with the peaks of the scene run and of the partner
+    that judges half of each frame's columns for it summed, as both are
+    held at once."""
+    assert _growth(tmp_path, _make_pack, _scene_command, 50,
+                   summed=True) < _MARGIN_MIB

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+from fado.checkpoint import checkpoint_encode
+from fado.cli import main
 from fado.detector import SCAN_CHUNK_BYTES, Constant, Detector, FixedRadius
 from fado.scene import (
     FrameFormatError,
@@ -10,7 +16,6 @@ from fado.scene import (
     detection_latencies,
     frame_to_vector,
     gen_synthetic_clips,
-    load_pgm_sequence,
     read_frames_packed,
     read_pgm,
     run_scene_detection,
@@ -19,6 +24,8 @@ from fado.scene import (
     write_memory_snapshot,
     write_pgm,
 )
+
+from conftest import child_env, main_in_child
 
 
 class TestPgmIO:
@@ -105,27 +112,41 @@ class TestPgmIO:
         np.testing.assert_array_equal(back, pixels)
 
 
-class TestLoadSequence:
-    def test_mismatched_frame_names_index(self, tmp_path):
+class TestPgmList:
+    """PGM files are decoded as their frames are judged; a bad frame fails
+    ``fado scene`` with exit 1 and one line naming it."""
+
+    @pytest.mark.parametrize("second, message", [
+        (b"P5\n2 3\n255\n" + bytes(6),
+         "frame 1: size 2x3 does not match first frame 2x2"),
+        (b"P2\n2 2\n255\n0 0 0 0\n",
+         "frame 1: {b}: not a binary PGM (missing P5)"),
+    ], ids=["another-size", "not-binary"])
+    def test_a_bad_frame_exits_one_naming_it(self, tmp_path, capsys, second,
+                                             message):
         a, b = tmp_path / "a.pgm", tmp_path / "b.pgm"
         write_pgm(np.zeros((2, 2), dtype=np.uint8), a)
-        write_pgm(np.zeros((3, 2), dtype=np.uint8), b)
-        with pytest.raises(FrameFormatError, match="frame 1"):
-            load_pgm_sequence([a, b])
+        b.write_bytes(second)
+        ckpt = tmp_path / "c.ckpt"
+        assert main(["scene", str(a), str(b), "--checkpoint-out",
+                     str(ckpt)]) == 1
+        assert capsys.readouterr().err == f"error: {message.format(b=b)}\n"
+        assert not ckpt.exists()
 
-    def test_empty_list_rejected(self):
+    def test_no_files_rejected(self):
         with pytest.raises(FrameFormatError, match="no frame"):
-            load_pgm_sequence([])
+            _open_pgm_sequence([])
 
-    def test_ordered_stack(self, tmp_path):
+    def test_frames_come_in_the_order_given(self, tmp_path):
         paths = []
         for i in range(3):
             p = tmp_path / f"{i}.pgm"
             write_pgm(np.full((2, 2), i, dtype=np.uint8), p)
             paths.append(p)
-        seq = load_pgm_sequence(paths)
-        assert len(seq) == 3
-        np.testing.assert_array_equal(seq.frames[:, 0, 0], [0, 1, 2])
+        reader = _open_pgm_sequence(paths)
+        assert len(reader) == 3
+        (block,) = reader.blocks(3)
+        np.testing.assert_array_equal(block[:, 0], [0, 1, 2])
 
 
 class TestFrameToVector:
@@ -439,3 +460,162 @@ class TestPackedFrames:
         path.write_bytes(path.read_bytes()[:-7])
         with pytest.raises(FrameFormatError, match="length"):
             read_frames_packed(path)
+
+
+# Pins the process to one CPU, where fado scene judges every column in
+# process.
+_ONE_CPU = "import os\nos.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="needs os.sched_setaffinity")
+class TestColumnPartner:
+    """``fado scene`` on frames of more than 65,536 pixels hands the
+    columns from a slice boundary near the middle to a forked partner when
+    it may use two CPUs and runs one thread.  Pinned to one CPU it judges
+    every column in process.  Both write the same bytes and fail alike."""
+
+    # (width, height) of frames of 65,537, 81,919, 81,920, 81,921 and
+    # 160,000 pixels: one past the one-row chunk limit, the three around a
+    # whole number of dot slices, and the benchmark's frames
+    SIZES = {65537: (65537, 1), 81919: (81919, 1), 81920: (320, 256),
+             81921: (81921, 1), 160000: (400, 400)}
+
+    @staticmethod
+    def epsilon(dim):
+        """A radius that the synthetic frames' first alarms cross: their
+        norms are about 0.584 * sqrt(dim)."""
+        return 0.584 * dim ** 0.5 - 4
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        """Per size: 3 clips of 6 frames as a pack, and a checkpoint of a
+        detector of that size (gain 0.5) that has seen 4 other frames; and
+        the 81,920-pixel frames as PGM files."""
+        tmp = tmp_path_factory.mktemp("partner")
+        for dim, (width, height) in self.SIZES.items():
+            frames, _ = gen_synthetic_clips(width, height, 3, 6, 10,
+                                            seed=dim)
+            write_frames_packed(frames, tmp / f"{dim}.pack")
+            head, _ = gen_synthetic_clips(width, height, 2, 2, 10, seed=1)
+            _, detector = run_scene_detection(head, self.epsilon(dim),
+                                              gamma=0.5)
+            (tmp / f"{dim}.ckpt").write_bytes(checkpoint_encode(detector))
+            if dim == 81920:
+                for i, frame in enumerate(frames.frames):
+                    write_pgm(frame, tmp / f"{i:02d}.pgm")
+        return tmp
+
+    @staticmethod
+    def both_paths(argv, tmp_path, prelude="", forks=True):
+        """Run ``fado scene argv`` with the partner's fork allowed, then
+        pinned to one CPU, each writing a timeline, a snapshot and a
+        checkpoint; for each: the exit code, stderr and the bytes of the
+        three files (None if absent).  ``forks`` is whether the first run
+        reaps a partner, or None where that is not known in advance."""
+        files = [tmp_path / name for name in ("t.csv", "s.pgm", "c.ckpt")]
+        results = []
+        for pin in ("", _ONE_CPU):
+            for path in files:
+                path.unlink(missing_ok=True)
+            probe = main_in_child(
+                ["scene", *argv, "--timeline", files[0], "--snapshot",
+                 files[1], "--checkpoint-out", files[2]], prelude + pin,
+                OPENBLAS_NUM_THREADS=None)
+            if pin or forks is not None:
+                assert probe["reaped_child"] is (not pin and forks), pin
+            results.append((probe["code"], probe["stderr"],
+                            *(path.read_bytes() if path.exists() else None
+                              for path in files)))
+        return results
+
+    @pytest.mark.parametrize("dim, gamma, source, resume", [
+        (65537, "1", "packed", False),
+        (81919, "1", "packed", False),
+        (81920, "1", "packed", False),
+        (81921, "1", "packed", False),
+        (160000, "1", "packed", False),
+        (81921, "0.5", "packed", False),
+        (160000, "0.5", "packed", False),
+        (81919, None, "packed", True),
+        (160000, None, "packed", True),
+        (81920, "0.5", "pgm", False),
+        (81920, None, "pgm", True),
+        (160000, "0.5", "synthetic", False),
+        (160000, None, "synthetic", True),
+    ])
+    def test_both_paths_write_the_same_bytes(self, inputs, tmp_path, dim,
+                                             gamma, source, resume):
+        width, height = self.SIZES[dim]
+        argv = {"packed": ["--packed", inputs / f"{dim}.pack"],
+                "pgm": sorted(inputs.glob("*.pgm")),
+                "synthetic": ["--synthetic", "--width", width, "--height",
+                              height, "--clips", 2, "--frames-per-clip", 5]
+                }[source]
+        if resume:
+            argv += ["--checkpoint-in", inputs / f"{dim}.ckpt"]
+        else:
+            argv += ["--epsilon", repr(self.epsilon(dim)), "--gamma", gamma]
+        # the thread that draws synthetic frames may still be listed when
+        # the scan starts, which keeps the scan in process
+        partner, in_process = self.both_paths(
+            argv, tmp_path, forks=None if source == "synthetic" else True)
+        assert partner == in_process
+        code, stderr, timeline, snapshot, state = partner
+        assert code == 0 and snapshot and state, stderr
+        alarms = int(stderr.split(", ")[1].split()[0])
+        frames = int(stderr.split()[0])
+        assert 1 < alarms < frames, stderr
+        assert timeline.count(b"\n# ") >= 2
+
+    def test_a_refused_fork_scans_in_process(self, inputs, tmp_path):
+        """At a limit on processes ``os.fork`` fails; the frames are judged
+        in process and give the same bytes."""
+        refuse = ("import errno, os\n"
+                  "def fork():\n"
+                  "    raise BlockingIOError(errno.EAGAIN, 'refused')\n"
+                  "os.fork = fork\n")
+        refused, in_process = self.both_paths(
+            ["--packed", inputs / "160000.pack", "--epsilon", "80"], tmp_path,
+            prelude=refuse, forks=False)
+        assert refused == in_process and refused[0] == 0
+
+    def test_a_partner_killed_mid_stream_fails_on_one_line(self, inputs,
+                                                           tmp_path):
+        """The partner is killed on its fifth frame (each alarmed frame
+        takes 20 of its ``vecdot`` calls): exit 1 with one line, no
+        checkpoint, and no process left."""
+        kill = ("import os, signal, numpy\n"
+                "vecdot, parent, calls = numpy.vecdot, os.getpid(), []\n"
+                "def counted(*args, **kwargs):\n"
+                "    if os.getpid() != parent:\n"
+                "        calls.append(None)\n"
+                "        if len(calls) == 4 * 20 + 1:\n"
+                "            os.kill(os.getpid(), signal.SIGKILL)\n"
+                "    return vecdot(*args, **kwargs)\n"
+                "numpy.vecdot = counted\n")
+        pack, ckpt = inputs / "160000.pack", tmp_path / "c.ckpt"
+        # the prelude loads numpy, so OpenBLAS is kept to one thread here
+        probe = main_in_child(
+            ["scene", "--packed", pack, "--epsilon", "80", "--checkpoint-out",
+             ckpt],
+            kill, OPENBLAS_NUM_THREADS="1")
+        assert (probe["code"], probe["stderr"]) == (
+            1, "error: the column partner process ended before the frames "
+               "did\n")
+        assert probe["reaped_child"] and not ckpt.exists()
+        assert subprocess.run(["pgrep", "-f", str(pack)]).returncode == 1
+
+    def test_a_bad_frame_mid_stream_is_named(self, inputs, tmp_path):
+        """Frame 7 of the PGM list is not a binary PGM: both paths fail on
+        the one line that names it, write nothing, and the partner is
+        reaped."""
+        paths = sorted(inputs.glob("*.pgm"))
+        bad = tmp_path / "07.pgm"
+        bad.write_bytes(b"P2\n1 1\n255\n0\n")
+        paths[7] = bad
+        partner, in_process = self.both_paths(
+            [*paths, "--epsilon", "60", "--gamma", "0.5"], tmp_path)
+        assert partner == in_process == (
+            1, f"error: frame 7: {bad}: not a binary PGM (missing P5)\n",
+            None, None, None)

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import mmap
 import os
 import signal
 import sys
@@ -252,6 +251,7 @@ def _column_partner(detector: "Detector", scale: float):
     if _block_rows(dim) > 1:
         yield None
         return
+    import mmap
     lo = _DOT_WIDTH * round(dim / (2 * _DOT_WIDTH))
     width = dim - lo
     cuts = range(0, width, _DOT_WIDTH)

@@ -1,6 +1,5 @@
 import os
 import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -25,7 +24,7 @@ from fado.scene import (
     write_pgm,
 )
 
-from conftest import child_env, main_in_child
+from conftest import main_in_child
 
 
 class TestPgmIO:
@@ -464,7 +463,8 @@ class TestPackedFrames:
 
 # Pins the process to one CPU, where fado scene judges every column in
 # process.
-_ONE_CPU = "import os\nos.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+_ONE_CPU = ("import os\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n")
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),

@@ -21,9 +21,10 @@ end-to-end metric, every run's value, ``correct``, ``attempted``,
 ``failed``, the environment and ``src_lines``.  perfbench's
 ``openblas_threads`` is the thread count of its own driver process, not of
 the ``fado`` processes it times, so the BENCH file names it
-``driver_openblas_threads``.  Each section also names the tree it timed:
-``git describe`` of the checkout (None without git) and ``src_sha256``, a
-SHA-256 over the sorted paths and bytes of its ``src/**/*.py``.
+``driver_openblas_threads``.
+Each section also names the tree it timed: ``git describe`` of the
+checkout (None without git) and ``src_sha256``, a SHA-256 over the sorted
+paths and bytes of its ``src/**/*.py``.
 
 Beside perfbench, each seed times four ungated ``invocations`` per
 checkout, the checkouts again taking turns: ``fado run`` on the
@@ -32,8 +33,8 @@ stream-batch stream and ``fado scene --packed`` on the scene-wide pack
 each with every CPU and pinned to one.  Each runs in its own process,
 which reports the sum of its own and its reaped children's peak RSS, so
 the memory of a forked helper counts; perfbench's ``peak_rss_mb`` is the
-larger of the two, and its traced layers run in a driver with two
-OpenBLAS threads, which never forks.  They are kept as the median and
+larger of the two, and perfbench traces layers inside its own process,
+which runs two OpenBLAS threads and so never forks.  They are kept as the median and
 quartiles of ``wall_s`` and ``summed_rss_mb``.
 
 After recording, the script prints each end-to-end metric's change from

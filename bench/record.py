@@ -22,20 +22,6 @@ end-to-end metric, every run's value, ``correct``, ``attempted``,
 ``openblas_threads`` is the thread count of its own driver process, not of
 the ``fado`` processes it times, so the BENCH file names it
 ``driver_openblas_threads``.
-Each section also names the tree it timed: ``git describe`` of the
-checkout (None without git) and ``src_sha256``, a SHA-256 over the sorted
-paths and bytes of its ``src/**/*.py``.
-
-Beside perfbench, each seed times four ungated ``invocations`` per
-checkout, the checkouts again taking turns: ``fado run`` on the
-stream-batch stream and ``fado scene --packed`` on the scene-wide pack
-(the inputs and flags of those workloads, made by the first checkout),
-each with every CPU and pinned to one.  Each runs in its own process,
-which reports the sum of its own and its reaped children's peak RSS, so
-the memory of a forked helper counts; perfbench's ``peak_rss_mb`` is the
-larger of the two, and perfbench traces layers inside its own process,
-which runs two OpenBLAS threads and so never forks.  They are kept as the median and
-quartiles of ``wall_s`` and ``summed_rss_mb``.
 
 After recording, the script prints each end-to-end metric's change from
 the first section of ``--out`` to its last, and with ``--compare
@@ -50,14 +36,10 @@ Standard library only; perfbench itself needs numpy.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import os
 import statistics
 import subprocess
 import sys
-import tempfile
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -65,20 +47,6 @@ SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 BOUNDS = {m["name"]: m for m in SPEC["end_to_end"]}
 WORKLOADS = [w["name"] for w in SPEC["workloads"]]
 SECONDS = SPEC["run_seconds"]
-
-# Runs fado.cli.main on sys.argv[2:], pinned to one CPU when sys.argv[1] is
-# "one", and prints the sum of its own and its reaped children's peak RSS
-# in KiB as it ends.
-_SUMMED = """
-import os, resource, sys
-if sys.argv[1] == "one":
-    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-from fado.cli import main
-code = main(sys.argv[2:])
-print(sum(resource.getrusage(who).ru_maxrss for who in
-          (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)))
-sys.exit(code)
-"""
 
 
 def perfbench(checkout: Path, *args) -> tuple[dict, dict]:
@@ -99,59 +67,6 @@ def revision(checkout: Path):
     proc = subprocess.run(["git", "describe", "--always", "--dirty"],
                           cwd=checkout, capture_output=True, text=True)
     return proc.stdout.strip() or None
-
-
-def tree_hash(checkout: Path) -> str:
-    """SHA-256 over the sorted paths, relative to ``src``, and the bytes
-    of the checkout's ``src/**/*.py``: the files perfbench counts."""
-    src = checkout / "src"
-    digest = hashlib.sha256()
-    for path in sorted(src.rglob("*.py")):
-        data = path.read_bytes()
-        digest.update(path.relative_to(src).as_posix().encode() + b"\0"
-                      + len(data).to_bytes(8, "little") + data)
-    return digest.hexdigest()
-
-
-def make_inputs(checkout: Path, work: Path, seed: int) -> dict:
-    """Make the stream-batch stream and the scene-wide pack of ``seed`` in
-    ``work`` with the checkout's generators; return the ``fado`` argv
-    timed on each, by name."""
-    stream, pack = work / "stream.bin", work / "frames.pack"
-    for argv in (["-m", "fado.cli", "gen", "--design", "mixture", "--dim",
-                  "10", "--count", "200000", "--center",
-                  "2,2,0,0,0,0,0,0,0,0", "--epsilon", "1", "--mu", "0.1",
-                  "--fraction", "0.05", "--radius-max", "5", "--seed",
-                  str(seed), "--out", str(stream)],
-                 ["perfbench/make_pack.py", "400", "400", "6", "50", "10",
-                  str(seed), str(pack)]):
-        subprocess.run([sys.executable, *argv], cwd=checkout,
-                       env=dict(os.environ, PYTHONPATH=str(checkout / "src")),
-                       check=True, capture_output=True)
-    return {"run": ["run", "--mode", "fixed", "--epsilon", "1", "--input",
-                    stream, "--output", work / "outcomes.csv",
-                    "--checkpoint-out", work / "state.ckpt"],
-            "scene": ["scene", "--packed", pack, "--epsilon", "50.0",
-                      "--gamma", "1", "--timeline", work / "timeline.csv",
-                      "--snapshot", work / "memory.pgm", "--checkpoint-out",
-                      work / "scene.ckpt"]}
-
-
-def invoke(checkout: Path, argv, one_cpu: bool) -> tuple[float, float]:
-    """Run ``fado argv`` from the checkout in a process of its own, pinned
-    to one CPU if ``one_cpu``: (wall seconds, summed peak RSS in MB)."""
-    started = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-c", _SUMMED, "one" if one_cpu else "all",
-         *map(str, argv)], env=dict(os.environ,
-                                    PYTHONPATH=str(checkout / "src")),
-        capture_output=True, text=True)
-    wall = time.perf_counter() - started
-    if proc.returncode != 0:
-        raise RuntimeError(f"fado {' '.join(map(str, argv))} in {checkout} "
-                           f"exited {proc.returncode}: "
-                           f"{proc.stderr.strip()[-500:]}")
-    return wall, int(proc.stdout.split()[-1]) / 1024
 
 
 def summary(values: list) -> dict:
@@ -179,34 +94,14 @@ def record(checkouts: dict, seeds: int) -> dict:
                 print(f"{label} {workload} seed {seed}: " + ", ".join(
                     f"{k}={v['value']:.4g}"
                     for k, v in result["metrics"].items()), file=sys.stderr)
-    invoked = {label: {} for label in labels}
-    for seed in range(1, seeds + 1):
-        order = labels[turn % len(labels):] + labels[:turn % len(labels)]
-        turn += 1
-        with tempfile.TemporaryDirectory() as work:
-            commands = make_inputs(checkouts[labels[0]], Path(work), seed)
-            for label in order:
-                for name, argv in commands.items():
-                    for one_cpu in (False, True):
-                        key = name + ("_one_cpu" if one_cpu else "")
-                        wall, rss = invoke(checkouts[label], argv, one_cpu)
-                        invoked[label].setdefault(key, []).append(
-                            (wall, rss))
-                        print(f"{label} {key} seed {seed}: wall_s={wall:.4g}"
-                              f", summed_rss_mb={rss:.4g}", file=sys.stderr)
     doc = {"seconds": SECONDS, "seeds": seeds}
     for label in labels:
         env = {("driver_" + k if k == "openblas_threads" else k): v
                for k, v in envs[label].items()
                if k not in ("workload", "seed", "trace")}
         section = {"revision": revision(checkouts[label]),
-                   "src_sha256": tree_hash(checkouts[label]),
                    "src_lines": env["src_lines"], "env": env,
-                   "workloads": {},
-                   "invocations": {
-                       key: {"wall_s": summary([w for w, _ in runs]),
-                             "summed_rss_mb": summary([r for _, r in runs])}
-                       for key, runs in invoked[label].items()}}
+                   "workloads": {}}
         for workload, runs in results[label].items():
             section["workloads"][workload] = {
                 "runs": len(runs),
@@ -258,13 +153,6 @@ def compare(old: dict, new: dict, title: str) -> None:
               f"{before['attempted']} -> {after['failed']}/"
               f"{after['attempted']}, correct {before['correct']} -> "
               f"{after['correct']}")
-    for key, after in new.get("invocations", {}).items():
-        before = old.get("invocations", {}).get(key)
-        for name, b in (after.items() if before else ()):
-            a = before[name]
-            print(f"  {key:14} {name:13} {a['median']:12.5g} -> "
-                  f"{b['median']:12.5g} {b['median'] / a['median'] - 1:+7.1%}"
-                  f" (ungated; base IQR {a['iqr']:.3g})")
 
 
 def main(argv=None) -> int:
@@ -285,10 +173,9 @@ def main(argv=None) -> int:
     checkouts = {}
     for item in args.checkout:
         label, sep, path = item.partition("=")
-        if not sep or not label or not (Path(path) / "perfbench").is_dir() \
-                or not (Path(path) / "src").is_dir():
+        if not sep or not label or not (Path(path) / "perfbench").is_dir():
             parser.error(f"--checkout {item}: want LABEL=DIR, DIR holding "
-                         f"perfbench/ and src/")
+                         f"perfbench/")
         checkouts[label] = Path(path).resolve()
     doc = record(checkouts, args.seeds)
     args.out.write_text(json.dumps(doc, indent=1) + "\n")

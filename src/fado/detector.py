@@ -244,11 +244,15 @@ def _column_partner(detector: "Detector", scale: float):
     slice as :func:`_dot` slices the row, and an alarm divides, sums,
     scales and adds as :meth:`Detector._learn` does; so each partial has
     the bits of the slice an in-process scan adds.  On leaving the block
-    the partner is killed and reaped; when the block ends without an error
-    its half of the center is copied back into ``detector.w``.
+    the partner is killed and reaped, and its half of the center is copied
+    back into ``detector.w``, on every path but a partner that ended
+    before its step did.
+
+    A process, not a thread: ``np.vecdot`` holds the GIL, so a partner
+    thread's slice sums would wait on the scan's.
     """
     dim = detector.dim
-    if _block_rows(dim) > 1:
+    if _block_rows(dim) > 1 or not _may_fork():
         yield None
         return
     import mmap
@@ -286,11 +290,17 @@ def _column_partner(detector: "Detector", scale: float):
                     np.add(w, v, out=w)
                 os.write(writer, b"d")
 
-    with _forked(serve) as ends:
-        yield None if ends is None else _Partner(ends, lo, row, partials,
-                                                 alarm)
-    if ends is not None:  # the partner has been reaped
-        detector.w[lo:] = w
+    ends = None
+    try:
+        with _forked(serve) as ends:
+            yield None if ends is None else _Partner(ends, lo, row,
+                                                     partials, alarm)
+    except ChildProcessError:
+        ends = None  # the partner's half of the center is lost
+        raise
+    finally:
+        if ends is not None:  # the partner has been reaped
+            detector.w[lo:] = w
 
 
 def as_vector(values, dim: int | None = None, name: str = "vector") -> np.ndarray:

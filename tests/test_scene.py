@@ -1,10 +1,11 @@
 import os
 import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from fado.checkpoint import checkpoint_encode
+from fado.checkpoint import checkpoint_decode, checkpoint_encode
 from fado.cli import main
 from fado.detector import SCAN_CHUNK_BYTES, Constant, Detector, FixedRadius
 from fado.scene import (
@@ -24,7 +25,7 @@ from fado.scene import (
     write_pgm,
 )
 
-from conftest import main_in_child
+from conftest import child_env, main_in_child
 
 
 class TestPgmIO:
@@ -619,3 +620,45 @@ class TestColumnPartner:
         assert partner == in_process == (
             1, f"error: frame 7: {bad}: not a binary PGM (missing P5)\n",
             None, None, None)
+
+    def test_a_bad_frame_leaves_a_callers_detector_as_in_process(
+            self, inputs, tmp_path):
+        """``run_scene_detection`` on a detector of the caller's: when
+        frame 14 fails (in the second block the reader decodes, of 12
+        frames), the detector holds what the in-process scan left, center
+        halves included, whether a partner was forked or not."""
+        paths = sorted(inputs.glob("*.pgm"))
+        bad = tmp_path / "14.pgm"
+        bad.write_bytes(b"P2\n1 1\n255\n0\n")
+        paths[14] = bad
+        script = (
+            "import resource, sys\n"
+            "from fado.checkpoint import checkpoint_encode\n"
+            "from fado.detector import Constant, Detector, FixedRadius\n"
+            "from fado.scene import (FrameFormatError, _open_pgm_sequence,\n"
+            "                        run_scene_detection)\n"
+            "frames = _open_pgm_sequence(sys.argv[1:])\n"
+            "detector = Detector(frames.dim, FixedRadius(60.0), "
+            "Constant(0.5))\n"
+            "try:\n"
+            "    run_scene_detection(frames, detector=detector)\n"
+            "except FrameFormatError as exc:\n"
+            "    print(exc, file=sys.stderr)\n"
+            "children = resource.getrusage(resource.RUSAGE_CHILDREN)\n"
+            "print(children.ru_utime + children.ru_stime > 0)\n"
+            "print(checkpoint_encode(detector).hex())\n")
+        results = []
+        for pin in ("", _ONE_CPU):
+            proc = subprocess.run(
+                [sys.executable, "-c", pin + script, *paths],
+                env=child_env(OPENBLAS_NUM_THREADS="1"), capture_output=True,
+                text=True, check=True)
+            assert proc.stderr.startswith("frame 14: "), proc.stderr
+            forked, state = proc.stdout.split()
+            assert forked == str(not pin)
+            results.append(state)
+        partner, in_process = results
+        assert partner == in_process
+        # the detector judged frames 0-11 and moved on its alarms
+        detector = checkpoint_decode(bytes.fromhex(partner))
+        assert detector.t == 12 and detector.m > 1

@@ -81,6 +81,36 @@ def _at_least(parser, args, names, least: int) -> None:
         parser.error(f"{' and '.join(bad)} must be at least {least}")
 
 
+def _file_key(path):
+    """What tells files apart: device and inode of a file that exists,
+    else the real path that opening it for writing would create."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return st.st_dev, st.st_ino
+
+
+def _distinct_files(parser, inputs, outputs) -> None:
+    """Exit 2 when an output names the file of another output or of an
+    input, under its own name or a link: opening it truncates the other.
+
+    ``inputs`` and ``outputs`` are (flag, path) pairs; an absent path is
+    skipped.  Only ``--checkpoint-out`` may name ``--checkpoint-in``,
+    which is read whole before anything is written.  Nothing is opened.
+    """
+    seen = [(flag, _file_key(path)) for flag, path in inputs if path]
+    for flag, path in outputs:
+        if not path:
+            continue
+        key = _file_key(path)
+        for other, known in seen:
+            if key == known and (flag, other) != ("--checkpoint-out",
+                                                  "--checkpoint-in"):
+                parser.error(f"{flag} names the {other} file")
+        seen.append((flag, key))
+
+
 def _given(**values) -> dict:
     """The keyword arguments whose flags were given: the rest are left to
     the defaults of the function called."""
@@ -244,15 +274,10 @@ def _cmd_run(args, parser) -> int:
                     "conflicts with the adaptive mode")
         elif args.epsilon is None:
             parser.error(f"--epsilon is required for mode {args.mode}")
-    if args.output:
-        # opening the output truncates it, so it must not be the input,
-        # under its own name or a link; a missing file is neither
-        try:
-            same = os.path.samefile(args.output, args.input)
-        except OSError:
-            same = False
-        if same:
-            parser.error("--output names the --input file")
+    _distinct_files(parser, [("--input", args.input),
+                             ("--checkpoint-in", args.checkpoint_in)],
+                    [("--output", args.output),
+                     ("--checkpoint-out", args.checkpoint_out)])
     blocks = _vector_blocks(args.input)
     block = next(blocks)  # the header is checked before the checkpoint
     if args.checkpoint_in:
@@ -389,6 +414,12 @@ def _cmd_scene(args, parser) -> int:
             FixedRadius(args.epsilon)
         if args.gamma is not None:
             Constant(args.gamma)
+    _distinct_files(parser, [*(("PGM frame", frame) for frame in args.frames),
+                             ("--packed", args.packed),
+                             ("--checkpoint-in", args.checkpoint_in)],
+                    [("--timeline", args.timeline),
+                     ("--snapshot", args.snapshot),
+                     ("--checkpoint-out", args.checkpoint_out)])
     transitions = None
     if args.synthetic:
         _at_least(parser, args, ("width", "height", "clips",
@@ -468,6 +499,8 @@ def _cmd_gen(args, parser) -> int:
     if design is not Design.MIXTURE:
         _reject(parser, args, ("labels_out", "fraction", "radius_max"),
                 "apply only to the mixture design")
+    _distinct_files(parser, [], [("--out", args.out),
+                                 ("--labels-out", args.labels_out)])
     center = _parse_center(args.center, args.dim)
     with _flag_errors(parser, "w_bar", "epsilon", "mu", "dim",
                       "contamination_fraction", "outlier_radius_max"):

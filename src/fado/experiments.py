@@ -1,12 +1,15 @@
 """Figure-reproducing sweeps: margin, center scale, dimension, radius
 insensitivity, contamination, and the fixed-vs-adaptive comparison.
 
-Every sweep runs a grid of stream designs over stream seeds drawn from one
-base seed (so grid points are paired across seeds), records one row per
-(point, seed), aggregates medians, and attaches named checks (bound
-dominance, trace audits, monotonicity, fits, equal counts).  Results
-serialize to CSV (data only, byte reproducible under fixed seeds) and JSON
-(adds metadata and checks; a non-finite float is null).
+The sweeps run at the paper's settings, radius 1 and the decaying gain
+with tau = 0.25 and gamma0 = 1 (the radius sweep scales both radius and
+gain), and take only their grid, seeds, count and base seed.  Each draws
+its stream seeds from one base seed (so grid points are paired across
+seeds), records one row per (point, seed), aggregates medians, and
+attaches named checks (bound dominance, trace audits, monotonicity,
+fits, equal counts).  Results serialize to CSV (data only, byte
+reproducible under fixed seeds) and JSON (adds metadata and checks; a
+non-finite float is null).
 """
 
 from __future__ import annotations
@@ -53,13 +56,17 @@ __all__ = [
     "sweep_contamination",
     "compare_adaptive",
     "emit_results",
-    "parse_results",
 ]
 
 DEFAULT_SEED = 0xFAD0
 DEFAULT_COUNT = 10_000
 DEFAULT_HELDOUT = 10_000
 DEFAULT_POWER_DELTA = 0.1
+# The figures' radius, gain decay and gain scale, as in the paper
+EPSILON = 1.0
+TAU = 0.25
+GAMMA0 = 1.0
+_SCHEDULE = PowerDecay(gamma0=GAMMA0, tau=TAU)
 
 
 @dataclass
@@ -174,13 +181,12 @@ def _ball(dim: int, c: float, epsilon: float, mu: float, count: int):
     return truth, partial(StreamSpec, dim=dim, count=count, truth=truth)
 
 
-def _ball_point(value: float, dim: int, c: float, epsilon: float, mu: float,
-                count: int, tau: float, gamma0: float) -> _Point:
+def _ball_point(value: float, dim: int, c: float, mu: float,
+                count: int) -> _Point:
     """Ball-design point run by one fixed-radius variant under its cap."""
-    truth, spec = _ball(dim, c, epsilon, mu, count)
-    bound = mistake_bound_realizable(truth.norm, mu, tau, gamma0)
-    return _Point(value, spec, PowerDecay(gamma0=gamma0, tau=tau),
-                  [("", FixedRadius(epsilon), bound)])
+    truth, spec = _ball(dim, c, EPSILON, mu, count)
+    bound = mistake_bound_realizable(truth.norm, mu, TAU, GAMMA0)
+    return _Point(value, spec, _SCHEDULE, [("", FixedRadius(EPSILON), bound)])
 
 
 def _run_grid(parameter: str, seeds: Sequence[int], points: Sequence[_Point],
@@ -217,11 +223,9 @@ def _monotone(result: SweepResult, nonincreasing: bool) -> dict:
 
 
 def sweep_margin(mus: Sequence[float] = (0.001, 0.01, 0.1),
-                 n_seeds: int = 5, dim: int = 2, c: float = 2.0,
-                 epsilon: float = 1.0, count: int = DEFAULT_COUNT,
-                 tau: float = 0.25, gamma0: float = 1.0,
+                 n_seeds: int = 5, c: float = 2.0, count: int = DEFAULT_COUNT,
                  base_seed: int = DEFAULT_SEED) -> SweepResult:
-    """Mistakes versus margin on the realizable ball design.
+    """Mistakes versus margin on the realizable ball w_bar = c * ones(2).
 
     Checks: per-run bound dominance and audits, nonincreasing medians
     (at most one adjacent inversion), and a log-log slope within
@@ -229,11 +233,9 @@ def sweep_margin(mus: Sequence[float] = (0.001, 0.01, 0.1),
     """
     seeds = _stream_seeds(base_seed, n_seeds)
     result = _run_grid(
-        "mu", seeds,
-        [_ball_point(mu, dim, c, epsilon, mu, count, tau, gamma0)
-         for mu in mus],
-        {"design": "ball", "dim": dim, "c": c, "epsilon": epsilon,
-         "count": count, "tau": tau, "gamma0": gamma0, "seeds": seeds})
+        "mu", seeds, [_ball_point(mu, 2, c, mu, count) for mu in mus],
+        {"design": "ball", "dim": 2, "c": c, "epsilon": EPSILON,
+         "count": count, "tau": TAU, "gamma0": GAMMA0, "seeds": seeds})
     result.checks["monotone"] = _monotone(result, nonincreasing=True)
     medians = result.checks["monotone"]["medians"]
     if len(mus) < 2:
@@ -244,31 +246,30 @@ def sweep_margin(mus: Sequence[float] = (0.001, 0.01, 0.1),
         result.checks["loglog_slope"] = {"passed": -2.5 <= slope <= -0.5,
                                          "slope": slope}
     else:
-        result.checks["loglog_slope"] = {"passed": False,
-                                         "slope": math.nan}
+        result.checks["loglog_slope"] = {"passed": False, "slope": math.nan}
     return result
 
 
-def sweep_center_scale(cs: Sequence[float] = (0.5, 1.0, 2.0, 4.0),
-                       n_seeds: int = 5, dim: int = 2, mu: float = 0.1,
-                       epsilon: float = 1.0, count: int = DEFAULT_COUNT,
-                       tau: float = 0.25, gamma0: float = 1.0,
+def sweep_center_scale(n_seeds: int = 5, count: int = DEFAULT_COUNT,
                        base_seed: int = DEFAULT_SEED) -> SweepResult:
-    """Mistakes versus center scale c with w_bar = c * ones(dim).
+    """Mistakes versus center scale c in (0.5, 1, 2, 4), with
+    w_bar = c * ones(2) and margin 0.1.
 
-    The default margin keeps the runs travel-dominated so the growth in c
-    is visible; at tighter margins the near-boundary re-adjustment alarms
-    swamp the travel cost and flatten the curve.
+    The wide margin keeps the runs travel-dominated so the growth in c is
+    visible; at tighter margins the near-boundary re-adjustment alarms
+    swamp the travel cost and flatten the curve.  Checks: per-run bound
+    dominance and audits, nondecreasing medians, and growth from the
+    smallest to the largest c below the cap's quartic rate (8**4).
     """
+    cs = (0.5, 1.0, 2.0, 4.0)
     seeds = _stream_seeds(base_seed, n_seeds)
     result = _run_grid(
-        "c", seeds,
-        [_ball_point(c, dim, c, epsilon, mu, count, tau, gamma0) for c in cs],
-        {"design": "ball", "dim": dim, "mu": mu, "epsilon": epsilon,
-         "count": count, "tau": tau, "gamma0": gamma0, "seeds": seeds})
+        "c", seeds, [_ball_point(c, 2, c, 0.1, count) for c in cs],
+        {"design": "ball", "dim": 2, "mu": 0.1, "epsilon": EPSILON,
+         "count": count, "tau": TAU, "gamma0": GAMMA0, "seeds": seeds})
     result.checks["monotone"] = _monotone(result, nonincreasing=False)
     medians = result.checks["monotone"]["medians"]
-    if len(cs) >= 2 and medians[0] > 0:
+    if medians[0] > 0:
         # observed growth sits far below the quartic rate of the cap
         growth = medians[-1] / medians[0]
         quartic = (cs[-1] / cs[0]) ** 4
@@ -277,26 +278,25 @@ def sweep_center_scale(cs: Sequence[float] = (0.5, 1.0, 2.0, 4.0),
     return result
 
 
-def sweep_dimension(dims: Sequence[int] = (2, 10, 50, 100),
-                    n_seeds: int = 5, c: float = 1.0, mu: float = 0.01,
-                    epsilon: float = 1.0, count: int = DEFAULT_COUNT,
-                    tau: float = 0.25, gamma0: float = 1.0,
+def sweep_dimension(n_seeds: int = 5, count: int = DEFAULT_COUNT,
                     base_seed: int = DEFAULT_SEED) -> SweepResult:
-    """Mistakes versus dimension with w_bar = c * ones(n)."""
+    """Mistakes versus dimension n in (2, 10, 50, 100), with
+    w_bar = ones(n) and margin 0.01.
+
+    Checks: per-run bound dominance and audits, and nondecreasing medians.
+    """
     seeds = _stream_seeds(base_seed, n_seeds)
     result = _run_grid(
-        "n", seeds,
-        [_ball_point(float(dim), dim, c, epsilon, mu, count, tau, gamma0)
-         for dim in dims],
-        {"design": "ball", "c": c, "mu": mu, "epsilon": epsilon,
-         "count": count, "tau": tau, "gamma0": gamma0, "seeds": seeds})
+        "n", seeds, [_ball_point(float(dim), dim, 1.0, 0.01, count)
+                     for dim in (2, 10, 50, 100)],
+        {"design": "ball", "c": 1.0, "mu": 0.01, "epsilon": EPSILON,
+         "count": count, "tau": TAU, "gamma0": GAMMA0, "seeds": seeds})
     result.checks["monotone"] = _monotone(result, nonincreasing=False)
     return result
 
 
 def sweep_epsilon(exponents: Sequence[int] = range(-7, 8),
                   n_seeds: int = 5, count: int = DEFAULT_COUNT,
-                  tau: float = 0.25,
                   base_seed: int = DEFAULT_SEED) -> SweepResult:
     """Radius insensitivity over the radii epsilon = 2**k, k in ``exponents``.
 
@@ -318,16 +318,15 @@ def sweep_epsilon(exponents: Sequence[int] = range(-7, 8),
     def point(eps: float) -> _Point:
         balls = {seed: _ball(dim, eps * c, eps, eps * mu, count)
                  for seed, (mu, c, dim) in nuisance.items()}
-        bounds = {seed: mistake_bound_realizable(truth.norm, truth.mu, tau,
-                                                 eps)
-                  for seed, (truth, _) in balls.items()}
+        caps = {seed: mistake_bound_realizable(truth.norm, truth.mu, TAU, eps)
+                for seed, (truth, _) in balls.items()}
         return _Point(eps, lambda seed: balls[seed][1](seed=seed),
-                      PowerDecay(gamma0=eps, tau=tau),
-                      [("", FixedRadius(eps), lambda rec: bounds[rec.seed])])
+                      PowerDecay(gamma0=eps, tau=TAU),
+                      [("", FixedRadius(eps), lambda rec: caps[rec.seed])])
 
     result = _run_grid(
         "epsilon", seeds, [point(math.ldexp(1.0, k)) for k in exponents],
-        {"design": "ball", "count": count, "tau": tau, "gamma0": "epsilon",
+        {"design": "ball", "count": count, "tau": TAU, "gamma0": "epsilon",
          "seeds": seeds, "nuisance": [dict(zip(("relative_mu", "c", "n"), v))
                                       for v in nuisance.values()]})
     m_T = [sorted({r.m_T for r in result.records if r.seed == seed})
@@ -338,13 +337,11 @@ def sweep_epsilon(exponents: Sequence[int] = range(-7, 8),
 
 
 def sweep_contamination(fractions: Sequence[float] = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5),
-                        n_seeds: int = 5, dim: int = 2, mu: float = 0.1,
-                        epsilon: float = 1.0,
-                        outlier_radius_max: float = 5.0,
-                        count: int = DEFAULT_COUNT, tau: float = 0.25,
-                        gamma0: float = 1.0,
+                        n_seeds: int = 5, dim: int = 2,
+                        count: int = DEFAULT_COUNT,
                         base_seed: int = DEFAULT_SEED) -> SweepResult:
-    """Mistakes versus realized contamination on the mixture design.
+    """Mistakes versus realized contamination on the mixture design, at
+    margin 0.1 with outliers at distance at most 5 from the center.
 
     Centers follow the robustness-study family (2, 2, 0, ..., 0).  The
     check fits median m_T against median realized p_T by least squares and
@@ -352,24 +349,23 @@ def sweep_contamination(fractions: Sequence[float] = (0.0, 0.1, 0.2, 0.3, 0.4, 0
     against the sigma-corrected agnostic cap.
     """
     seeds = _stream_seeds(base_seed, n_seeds)
-    schedule = PowerDecay(gamma0=gamma0, tau=tau)
     center = np.zeros(dim, dtype=np.float64)
     center[:2] = 2.0
-    truth = GroundTruth(center, epsilon, mu)
-    variants = [("", FixedRadius(epsilon), lambda rec: mistake_bound_agnostic(
-        truth.norm, mu, tau, gamma0, rec.sigma_T))]
+    truth = GroundTruth(center, EPSILON, 0.1)
+    variants = [("", FixedRadius(EPSILON), lambda rec: mistake_bound_agnostic(
+        truth.norm, truth.mu, TAU, GAMMA0, rec.sigma_T))]
     result = _run_grid(
         "contamination_fraction", seeds,
         [_Point(fraction,
                 partial(StreamSpec, dim=dim, count=count, truth=truth,
                         design=Design.MIXTURE,
                         contamination_fraction=fraction,
-                        outlier_radius_max=outlier_radius_max),
-                schedule, variants)
+                        outlier_radius_max=5.0),
+                _SCHEDULE, variants)
          for fraction in fractions],
-        {"design": "mixture", "dim": dim, "mu": mu, "epsilon": epsilon,
-         "radius_max": outlier_radius_max, "count": count, "tau": tau,
-         "gamma0": gamma0, "seeds": seeds})
+        {"design": "mixture", "dim": dim, "mu": truth.mu, "epsilon": EPSILON,
+         "radius_max": 5.0, "count": count, "tau": TAU, "gamma0": GAMMA0,
+         "seeds": seeds})
     xs = [result.median(f, "p_realized") for f in fractions]
     ys = [result.median(f) for f in fractions]
     if len(set(xs)) < 2:
@@ -388,11 +384,10 @@ def sweep_contamination(fractions: Sequence[float] = (0.0, 0.1, 0.2, 0.3, 0.4, 0
 
 
 def compare_adaptive(mus: Sequence[float] = (0.01, 0.05, 0.1),
-                     n_seeds: int = 5, dim: int = 2, c: float = 1.0,
-                     epsilon: float = 1.0, count: int = DEFAULT_COUNT,
-                     tau: float = 0.25, gamma0: float = 1.0,
+                     n_seeds: int = 5, count: int = DEFAULT_COUNT,
                      base_seed: int = DEFAULT_SEED) -> SweepResult:
-    """Fixed-radius versus adaptive-radius detectors on identical streams.
+    """Fixed-radius versus adaptive-radius detectors on identical streams,
+    over margins mu with w_bar = ones(2).
 
     Variant "fixed" knows epsilon; variant "adaptive" estimates the radius
     as the reciprocal gain.  Checks: fixed median power exactly 1 at every
@@ -400,20 +395,19 @@ def compare_adaptive(mus: Sequence[float] = (0.01, 0.05, 0.1),
     counts within the loose diagnostic cap, and both variants' audits.
     """
     seeds = _stream_seeds(base_seed, n_seeds)
-    schedule = PowerDecay(gamma0=gamma0, tau=tau)
     points = []
     for mu in mus:
-        truth, spec = _ball(dim, c, epsilon, mu, count)
-        points.append(_Point(mu, spec, schedule, [
-            ("fixed", FixedRadius(epsilon),
-             mistake_bound_realizable(truth.norm, mu, tau, gamma0)),
+        truth, spec = _ball(2, 1.0, EPSILON, mu, count)
+        points.append(_Point(mu, spec, _SCHEDULE, [
+            ("fixed", FixedRadius(EPSILON),
+             mistake_bound_realizable(truth.norm, mu, TAU, GAMMA0)),
             ("adaptive", AdaptiveRadius(),
-             adaptive_mistake_bound(truth.norm, epsilon, tau, gamma0).bound),
+             adaptive_mistake_bound(truth.norm, EPSILON, TAU, GAMMA0).bound),
         ]))
     result = _run_grid(
         "mu", seeds, points,
-        {"design": "ball", "dim": dim, "c": c, "epsilon": epsilon,
-         "count": count, "tau": tau, "gamma0": gamma0, "seeds": seeds})
+        {"design": "ball", "dim": 2, "c": 1.0, "epsilon": EPSILON,
+         "count": count, "tau": TAU, "gamma0": GAMMA0, "seeds": seeds})
     fixed_power = [result.median(mu, "power", "fixed") for mu in mus]
     adaptive_power = [result.median(mu, "power", "adaptive") for mu in mus]
     result.checks["fixed_power"] = {
@@ -424,15 +418,10 @@ def compare_adaptive(mus: Sequence[float] = (0.01, 0.05, 0.1),
     return result
 
 
-def _optional(parse):
-    return lambda text: parse(text) if text else None
-
-
-# The sweep-record columns in file order, each with its CSV cell parser;
-# the CSV prefixes the sweep parameter and the JSON appends the wall time.
-_COLUMNS = {"value": float, "variant": str, "seed": int, "m_T": int,
-            "power": _optional(float), "final_w_error": _optional(float),
-            "bound": _optional(int), "p_realized": _optional(int)}
+# The sweep-record columns in file order; the CSV prefixes the sweep
+# parameter and the JSON appends the wall time.
+_COLUMNS = ("value", "variant", "seed", "m_T", "power", "final_w_error",
+            "bound", "p_realized")
 _CSV_HEADER = ",".join(["parameter", *_COLUMNS])
 
 
@@ -441,15 +430,11 @@ def _fmt(value) -> str:
     return "" if value is None else str(value)
 
 
-def _is_json(path: Path) -> bool:
-    return path.suffix.lower() == ".json"
-
-
 def emit_results(result: SweepResult, path) -> None:
     """Write a sweep result: JSON, with checks and metadata, when the
     suffix of ``path`` is .json in any case, else CSV of the data rows."""
     path = Path(path)
-    if _is_json(path):
+    if path.suffix.lower() == ".json":
         text = json.dumps({
             "parameter": result.parameter,
             "grid": result.grid,
@@ -468,29 +453,3 @@ def emit_results(result: SweepResult, path) -> None:
                       *(_fmt(getattr(r, name)) for name in _COLUMNS)])
             for r in result.records])
     path.write_text(text + "\n", encoding="ascii")
-
-
-def parse_results(path) -> SweepResult:
-    """Inverse of :func:`emit_results`, by the same suffix rule."""
-    path = Path(path)
-    if _is_json(path):
-        # emit_results writes the dataclass fields under their own names
-        doc = json.loads(path.read_text(encoding="ascii"))
-        records = [SweepRecord(**r) for r in doc.pop("records")]
-        return SweepResult(records=records, **doc)
-    lines = path.read_text(encoding="ascii").splitlines()
-    if not lines or lines[0] != _CSV_HEADER:
-        raise ValueError(f"{path}: missing sweep CSV header")
-    parameter = ""
-    records = []
-    grid: List[float] = []
-    for line in lines[1:]:
-        if not line:
-            continue
-        parameter, *cells = line.split(",")
-        rec = SweepRecord(**{name: parse(cell) for (name, parse), cell
-                             in zip(_COLUMNS.items(), cells, strict=True)})
-        records.append(rec)
-        if rec.value not in grid:
-            grid.append(rec.value)
-    return SweepResult(parameter=parameter, grid=grid, records=records)

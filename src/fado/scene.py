@@ -328,9 +328,12 @@ def write_memory_snapshot(state: Detector, width: int, height: int,
     if state.dim != width * height:
         raise ValueError(
             f"detector dimension {state.dim} does not match {width}x{height}")
-    clamped = np.clip(state.w, 0.0, 1.0)
-    pixels = np.floor(clamped * 255.0 + 0.5).astype(np.uint8)
-    write_pgm(pixels.reshape(height, width), path)
+    # one float copy of w, worked in place: a wide memory is 8 bytes a pixel
+    scaled = np.clip(state.w, 0.0, 1.0)
+    scaled *= 255.0
+    scaled += 0.5
+    np.floor(scaled, out=scaled)
+    write_pgm(scaled.astype(np.uint8).reshape(height, width), path)
 
 
 def detection_latencies(timeline: DetectionTimeline,

@@ -213,6 +213,91 @@ class TestUsageErrors:
             assert sub in out
 
 
+_RUN = ["run", "--mode", "fixed", "--epsilon", "1", "--input", "s.bin"]
+_GEN = ["gen", "--design", "mixture", "--dim", "2", "--count", "10",
+        "--center", "2", "--epsilon", "1", "--fraction", "0.2",
+        "--radius-max", "5", "--seed", "1"]
+
+
+class TestFileArguments:
+    """An output may name no other output and no input, under its own name
+    or another spelling or a link; only --checkpoint-out may name
+    --checkpoint-in.  A refusal exits 2 before any file is opened."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        """A stream, a pack of 4 x 4 frames, two PGM frames and a
+        checkpoint for each, by name; each path is given relative to
+        ``tmp_path``, the working directory."""
+        from fado.detector import Constant
+        from fado.scene import FrameSequence, write_frames_packed, write_pgm
+        write_vectors(np.random.default_rng(3).normal(size=(50, 2)),
+                      tmp_path / "s.bin")
+        frames = np.arange(48, dtype=np.uint8).reshape(3, 4, 4)
+        write_frames_packed(FrameSequence(4, 4, frames), tmp_path / "p.pack")
+        for i in range(2):
+            write_pgm(frames[i], tmp_path / f"f{i}.pgm")
+        (tmp_path / "s.ckpt").write_bytes(checkpoint_encode(
+            Detector(2, FixedRadius(1.0), PowerDecay())))
+        (tmp_path / "p.ckpt").write_bytes(checkpoint_encode(
+            Detector(16, FixedRadius(100.0), Constant())))
+        (tmp_path / "link.pack").symlink_to(tmp_path / "p.pack")
+        return tmp_path
+
+    @pytest.mark.parametrize("argv, error", [
+        (["run", "--checkpoint-in", "s.ckpt", "--input", "s.bin",
+          "--output", "s.ckpt"], "--output names the --checkpoint-in file"),
+        ([*_RUN, "--checkpoint-out", "s.bin"],
+         "--checkpoint-out names the --input file"),
+        ([*_RUN, "--output", "o.csv", "--checkpoint-out", "./o.csv"],
+         "--checkpoint-out names the --output file"),
+        (["scene", "--packed", "p.pack", "--timeline", "p.pack"],
+         "--timeline names the --packed file"),
+        (["scene", "--packed", "p.pack", "--snapshot", "link.pack"],
+         "--snapshot names the --packed file"),
+        (["scene", "--packed", "p.pack", "--checkpoint-out", "p.pack"],
+         "--checkpoint-out names the --packed file"),
+        (["scene", "f0.pgm", "f1.pgm", "--timeline", "f1.pgm"],
+         "--timeline names the PGM frame file"),
+        (["scene", "--packed", "p.pack", "--checkpoint-in", "p.ckpt",
+          "--timeline", "p.ckpt"],
+         "--timeline names the --checkpoint-in file"),
+        (["scene", "--synthetic", "--timeline", "t.csv", "--snapshot",
+          "t.csv"], "--snapshot names the --timeline file"),
+        (["scene", "--synthetic", "--snapshot", "m.pgm", "--checkpoint-out",
+          "m.pgm"], "--checkpoint-out names the --snapshot file"),
+        ([*_GEN, "--out", "g.csv", "--labels-out", "g.csv"],
+         "--labels-out names the --out file"),
+    ], ids=["run-output-checkpoint-in", "run-checkpoint-out-input",
+            "run-checkpoint-out-output", "scene-timeline-packed",
+            "scene-snapshot-packed-link", "scene-checkpoint-out-packed",
+            "scene-timeline-frame", "scene-timeline-checkpoint-in",
+            "scene-snapshot-timeline", "scene-checkpoint-out-snapshot",
+            "gen-labels-out-out"])
+    def test_colliding_files_exit_two(self, files, monkeypatch, capsys, argv,
+                                      error):
+        monkeypatch.chdir(files)
+        before = {p.name: p.read_bytes() for p in files.iterdir()}
+        code, out = run_cli(*argv)
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err.splitlines()[-1] == \
+            f"fado {argv[0]}: error: {error}"
+        assert {p.name: p.read_bytes() for p in files.iterdir()} == before
+
+    @pytest.mark.parametrize("argv, ckpt", [
+        (["run", "--input", "s.bin"], "s.ckpt"),
+        (["scene", "--packed", "p.pack"], "p.ckpt")], ids=["run", "scene"])
+    def test_checkpoint_out_may_name_checkpoint_in(self, files, monkeypatch,
+                                                   argv, ckpt):
+        """The checkpoint is read whole before anything is written, so a
+        resumed run may replace it."""
+        monkeypatch.chdir(files)
+        before = (files / ckpt).read_bytes()
+        assert run_cli(*argv, "--checkpoint-in", ckpt,
+                       "--checkpoint-out", ckpt)[0] == 0
+        assert (files / ckpt).read_bytes() != before
+
+
 class TestRun:
     def test_quiet_stream_outcomes(self, tmp_path):
         stream = tmp_path / "s.csv"

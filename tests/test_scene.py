@@ -379,6 +379,20 @@ class TestMemorySnapshot:
             np.uint8).reshape(8, 8)
         np.testing.assert_array_equal(pixels, expected)
 
+    def test_peak_memory_is_one_copy_of_the_memory(self, tmp_path):
+        """The snapshot is worked in one float copy of w: the peak of the
+        allocations it makes stays under 1.5 times w's size."""
+        import tracemalloc
+        det = Detector(160_000, FixedRadius(1.0), Constant(1.0))
+        det.w[:] = np.random.default_rng(7).uniform(-0.2, 1.2, 160_000)
+        tracemalloc.start()
+        try:
+            write_memory_snapshot(det, 400, 400, tmp_path / "w.pgm")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * det.w.nbytes
+
     def test_dimension_mismatch(self, tmp_path):
         det = Detector(5, FixedRadius(1.0), Constant(1.0))
         with pytest.raises(ValueError, match="dimension"):

@@ -3,11 +3,13 @@
 Exit codes are a stable contract: 0 on success, 1 on runtime, format or
 out-of-memory failures (one-line diagnostic on stderr), 2 on usage errors.
 Data goes to the requested files or stdout; logging stays on stderr so
-outputs pipe cleanly.  All configuration is by flag - fado reads no
-environment variable of its own.  A flag left out leaves its value to the
-default of the library function it feeds (scene detection defaults to
-epsilon=100 with unit constant gain; tau defaults to 0.25; each sweep has
-its own seeds, count and base seed).
+outputs pipe cleanly.  A failed ``run``, ``scene`` or ``gen`` leaves no
+output file: each is written to a temporary beside it that replaces it
+only when the command succeeds (``_all_or_nothing``).  All configuration
+is by flag - fado reads no environment variable of its own.  A flag left
+out leaves its value to the default of the library function it feeds
+(scene detection defaults to epsilon=100 with unit constant gain; tau
+defaults to 0.25; each sweep has its own seeds, count and base seed).
 
 When numpy is not yet loaded and the caller has not set
 ``OPENBLAS_NUM_THREADS``, ``main`` sets it to 1 while its command runs and
@@ -44,6 +46,7 @@ import contextlib
 import itertools
 import json
 import os
+import stat
 import sys
 from pathlib import Path
 
@@ -109,6 +112,57 @@ def _distinct_files(parser, inputs, outputs) -> None:
                                                   "--checkpoint-in"):
                 parser.error(f"{flag} names the {other} file")
         seen.append((flag, key))
+
+
+def _stage(path, staged):
+    """The name to write output ``path`` under until the command succeeds.
+
+    A file that exists and is not regular (a device, a FIFO) is written in
+    place, as stdout is.  Any other output goes to a new hidden temporary
+    beside the file that ``path`` resolves to, keeping its suffix (which
+    picks the format of ``write_vectors``) and, for a file that exists,
+    its permission bits; ``(temporary, file)`` is added to ``staged``.
+    """
+    target = os.path.realpath(path)
+    try:
+        mode = os.stat(target).st_mode
+    except OSError:
+        mode = None  # a new file, or a path that creating it reports
+    else:
+        if not stat.S_ISREG(mode):
+            return path
+        # a file that opening for writing refuses is refused as before
+        os.close(os.open(path, os.O_WRONLY | os.O_APPEND))
+    head, name = os.path.split(target)
+    temporary = os.path.join(
+        head, f".{name}.{os.getpid()}.tmp{os.path.splitext(name)[1]}")
+    try:
+        fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    os.close(fd)
+    staged.append((temporary, target))
+    if mode is not None:
+        os.chmod(temporary, stat.S_IMODE(mode))
+    return temporary
+
+
+@contextlib.contextmanager
+def _all_or_nothing(*paths):
+    """Yield ``paths``, each output renamed by :func:`_stage`; None (for
+    stdout) stays None.  When the block succeeds, each temporary replaces
+    its file; when it fails, they are removed.  So a failed command leaves
+    no new output file and changes no regular one."""
+    staged = []
+    try:
+        yield [path and _stage(path, staged) for path in paths]
+        for temporary, target in staged:
+            os.replace(temporary, target)
+        staged.clear()
+    finally:
+        for temporary, _ in staged:
+            with contextlib.suppress(OSError):
+                os.unlink(temporary)
 
 
 def _given(**values) -> dict:
@@ -297,17 +351,19 @@ def _cmd_run(args, parser) -> int:
     start = detector.t + 1
     count = alarms = 0
     header = "t,alarm,distance,threshold,gain_applied"
-    with (open(args.output, "w", encoding="ascii") if args.output
-          else contextlib.nullcontext(sys.stdout)) as fh, \
-            contextlib.closing(_outcome_blocks(
-                detector, itertools.chain([block], blocks))) as outcomes:
-        for columns in outcomes:
-            write_outcome_rows(fh, header, start + count, columns)
-            header = None
-            count += len(columns[0])
-            alarms += int(columns[0].sum())
-    if args.checkpoint_out:
-        Path(args.checkpoint_out).write_bytes(checkpoint_encode(detector))
+    with _all_or_nothing(args.output, args.checkpoint_out) as (output,
+                                                               state_out):
+        with (open(output, "w", encoding="ascii") if output
+              else contextlib.nullcontext(sys.stdout)) as fh, \
+                contextlib.closing(_outcome_blocks(
+                    detector, itertools.chain([block], blocks))) as outcomes:
+            for columns in outcomes:
+                write_outcome_rows(fh, header, start + count, columns)
+                header = None
+                count += len(columns[0])
+                alarms += int(columns[0].sum())
+        if state_out:
+            Path(state_out).write_bytes(checkpoint_encode(detector))
     _log(f"processed {count} transactions, {alarms} alarms")
     return 0
 
@@ -438,16 +494,19 @@ def _cmd_scene(args, parser) -> int:
         if transitions is not None:
             # the timeline continues the checkpoint's global frame index
             transitions = [t + detector.t for t in transitions]
-    timeline, detector = run_scene_detection(
-        frames, detector=detector,
-        **_given(epsilon=args.epsilon, gamma=args.gamma))
-    if args.timeline:
-        timeline_to_csv(timeline, transitions, args.timeline)
-    if args.snapshot:
-        write_memory_snapshot(detector, frames.width, frames.height,
-                              args.snapshot)
-    if args.checkpoint_out:
-        Path(args.checkpoint_out).write_bytes(checkpoint_encode(detector))
+    with _all_or_nothing(args.timeline, args.snapshot,
+                         args.checkpoint_out) as (timeline_out, snapshot_out,
+                                                  state_out):
+        timeline, detector = run_scene_detection(
+            frames, detector=detector,
+            **_given(epsilon=args.epsilon, gamma=args.gamma))
+        if timeline_out:
+            timeline_to_csv(timeline, transitions, timeline_out)
+        if snapshot_out:
+            write_memory_snapshot(detector, frames.width, frames.height,
+                                  snapshot_out)
+        if state_out:
+            Path(state_out).write_bytes(checkpoint_encode(detector))
     _log(f"{len(frames)} frames, {timeline.alarms} alarms "
          f"(rate {timeline.alarm_rate:.4f})")
     return 0
@@ -509,11 +568,12 @@ def _cmd_gen(args, parser) -> int:
                           seed=args.seed, design=design,
                           **_given(contamination_fraction=args.fraction,
                                    outlier_radius_max=args.radius_max))
-    samples, labels = generate(spec)
-    write_vectors(samples, args.out)
-    if args.labels_out:
-        with open(args.labels_out, "w", encoding="ascii") as fh:
-            write_outcome_rows(fh, "index,is_outlier", 0, [labels])
+    with _all_or_nothing(args.out, args.labels_out) as (out, labels_out):
+        samples, labels = generate(spec)
+        write_vectors(samples, out)
+        if labels_out:
+            with open(labels_out, "w", encoding="ascii") as fh:
+                write_outcome_rows(fh, "index,is_outlier", 0, [labels])
     _log(f"wrote {samples.shape[0]} x {samples.shape[1]} stream to {args.out}")
     return 0
 

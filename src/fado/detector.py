@@ -21,19 +21,21 @@ so its decisions, center and trace are bit-identical to a ``step`` loop.
 The kernel hands BLAS at most 8192 elements per call, which OpenBLAS sums
 on one thread, so wide rows give the same bits whatever its thread count.
 The scan works through wide rows in column tiles of four slices, each
-converted, subtracted and summed while it is in cache; every partial sum
+converted, subtracted and summed while it is in cache (:func:`_judge`), and
+an alarm moves the center tile by tile (:func:`_move`); every partial sum
 continues the running total left to right, so tiling changes no bit.
 
 A scan whose chunks hold one row (more than 65,536 values) may hand the
 columns from a slice boundary near the middle to a forked partner process
-(:func:`_column_partner`).  For each row the partner converts, subtracts
-and sums its slices, each into a partial sum of its own, while the scan
-does the columns before them; the scan then adds the partials on to its
-running total one by one, left to right.  Each partial is the ``vecdot``
-of the same slice that an in-process scan would add, and the additions
-come in the same order, so the distance has the same bits.  An alarm
-folds the partner's per-slice ``v . w`` partials the same way, while the
-partner moves its half of the center.
+(:func:`_column_partner`).  The partner runs the same :func:`_judge` and
+:func:`_move` on its columns, as one tile, and keeps each slice's own sum
+as a partial, while the scan does the columns before them; the scan then
+adds the partials on to its running total one by one, left to right.  Each
+partial is the ``vecdot`` of the same slice that an in-process scan would
+add, and the additions come in the same order, so the distance has the
+same bits.  An alarm folds the partner's per-slice ``v . w`` partials the
+same way.  While the partner lives the center is shared memory, and each
+process moves its own columns of it.
 
 The per-step bookkeeping needed by the invariant auditors (gain energy,
 gain mass, and the gain-weighted inner products with the pre-update center)
@@ -161,7 +163,7 @@ def _forked(child):
 _DOT_WIDTH = 8192
 
 
-def _dot(a: np.ndarray, b: np.ndarray, total=None):
+def _dot(a: np.ndarray, b: np.ndarray, total=None, parts=None):
     """Inner product along the last axis, summed slice by slice.
 
     The one dot kernel: ``vecdot`` over consecutive column slices of at
@@ -171,18 +173,67 @@ def _dot(a: np.ndarray, b: np.ndarray, total=None):
     the block scan and the step path decide identically.  ``total``, the
     sum of the slices left of ``a`` and ``b``, is continued: tiles of whole
     slices then sum to the bits of the whole row (their own sums would not).
+    ``parts``, a list if given, gets each slice's own sum appended in
+    place of the total, which is then None: a caller can add the slices on
+    to a running total elsewhere, as :class:`_Partner` does.
     """
     if a.shape[-1] > _DOT_WIDTH:
         for lo in range(0, a.shape[-1], _DOT_WIDTH):
             total = _dot(a[..., lo:lo + _DOT_WIDTH],
-                         b[..., lo:lo + _DOT_WIDTH], total)
+                         b[..., lo:lo + _DOT_WIDTH], total, parts)
         return total
+    if parts is not None:
+        parts.append(np.vecdot(a, b))
+        return None
     return np.vecdot(a, b) if total is None else total + np.vecdot(a, b)
 
 
 # Columns of a scan tile: whole dot slices, few enough that the input, the
 # center and the difference of a tile fit a core's L2 cache together.
 _TILE = 4 * _DOT_WIDTH
+
+
+def _judge(tiles, i, stop, scale, parts=None):
+    """Squared distances of rows ``i .. stop - 1`` from the center.
+
+    ``tiles`` are ``(y, w, d)`` column tiles, left to right, of the rows,
+    the center and a difference buffer of as many rows as a chunk.  Each
+    tile's rows are converted into ``d`` (read as ``y / scale`` when
+    ``scale`` is given), have ``w`` subtracted and their dot slices added
+    on to the running total while in cache.  Sums run left to right as in
+    one whole-row :func:`_dot`, so the bits do not depend on the tiling.
+    Given ``parts``, :func:`_dot` appends the slices' own sums to it in
+    place of the total, and None is returned.
+    """
+    total = None
+    for y, w, d in tiles:
+        y, d = y[i:stop], d[:stop - i]
+        if scale is not None:
+            y = np.divide(y, scale, out=d)
+        np.subtract(y, w, out=d)
+        total = _dot(d, d, total, parts)
+    return total
+
+
+def _move(tiles, k, distance, gain, parts=None):
+    """Move the center of ``tiles`` (as for :func:`_judge`) by ``gain``
+    times the unit step of row ``k`` of their buffers; return ``v . w``
+    with the center before the move, or None with ``parts`` (as for
+    :func:`_judge`).
+
+    The row ``d[k]``, the difference ``y - w``, becomes the unit step ``v``
+    and then ``gain * v`` (a unit gain skips the multiply, as
+    ``x * 1.0 == x``), so a move allocates nothing.
+    """
+    vw = None
+    for _, w, d in tiles:
+        v = d[k]
+        v /= distance
+        vw = _dot(v, w, vw, parts)
+        if gain != 1.0:
+            v *= gain
+        w += v
+    return vw
 
 
 class _Partner:
@@ -216,9 +267,8 @@ class _Partner:
         self._send(b"s")
 
     def learn(self, distance: float, gain: float) -> None:
-        """Start the alarm on the row last scanned: the partner divides its
-        difference by ``distance``, sums its ``v . w`` slices and adds
-        ``gain * v`` to its half of the center."""
+        """Start the alarm on the row last scanned: the partner moves its
+        columns of the center with :func:`_move`."""
         self._alarm[:] = distance, gain
         self._send(b"l")
 
@@ -238,15 +288,17 @@ def _column_partner(detector: "Detector", scale: float):
 
     A partner is forked (see :func:`_forked`) only when a scan chunk is one
     row.  It owns the columns from the :data:`_DOT_WIDTH` boundary nearest
-    the middle.  Its half of the center, the row's columns, its partial
-    sums and an alarm's distance and gain live in one shared anonymous
-    ``mmap``.  Each row it converts and subtracts, then ``vecdot``s each
-    slice as :func:`_dot` slices the row, and an alarm divides, sums,
-    scales and adds as :meth:`Detector._learn` does; so each partial has
-    the bits of the slice an in-process scan adds.  On leaving the block
-    the partner is killed and reaped, and its half of the center is copied
-    back into ``detector.w``, on every path but a partner that ended
-    before its step did.
+    the middle.  The center, the row's columns, the partner's partial sums
+    and an alarm's distance and gain live in one shared anonymous ``mmap``:
+    for the block's lifetime ``detector.w`` is a view of it, and each
+    process moves its own columns.  The partner judges and moves its
+    columns as one tile with :func:`_judge` and :func:`_move`, the scan's
+    own code, and copies the ``parts`` of each into the shared partials;
+    so each partial has the bits of the slice an in-process scan adds.  On
+    leaving the block the partner is killed and reaped, and the shared
+    center is copied into the array ``detector.w`` held before, which it
+    holds again, on every path: so the center moves in place, as an
+    in-process scan moves it.
 
     A process, not a thread: ``np.vecdot`` holds the GIL, so a partner
     thread's slice sums would wait on the scan's.
@@ -258,49 +310,33 @@ def _column_partner(detector: "Detector", scale: float):
     import mmap
     lo = _DOT_WIDTH * round(dim / (2 * _DOT_WIDTH))
     width = dim - lo
-    cuts = range(0, width, _DOT_WIDTH)
-    floats = width + len(cuts) + 2
+    floats = dim + len(range(0, width, _DOT_WIDTH)) + 2
     shared = mmap.mmap(-1, 8 * floats + width)
     numbers = np.frombuffer(shared, np.float64, floats)
-    w, partials, alarm = (numbers[:width], numbers[width:-2],
-                          numbers[-2:])
-    row = np.frombuffer(shared, np.uint8, width, 8 * floats)
+    partials, alarm = numbers[dim:-2], numbers[-2:]
+    row = np.frombuffer(shared, np.uint8, width, 8 * floats).reshape(1, -1)
+    private, detector.w = detector.w, numbers[:dim]
+    detector.w[:] = private
 
     def serve(reader, writer):
-        w[:] = detector.w[lo:]  # the partner's own copy of the center
-        diff = np.empty((1, width))
-        v = diff[0]
-        slices = [(diff[:, a:a + _DOT_WIDTH], v[a:a + _DOT_WIDTH],
-                   w[a:a + _DOT_WIDTH], partials[k:k + 1])
-                  for k, a in enumerate(cuts)]
+        tiles = [(row, detector.w[lo:], np.empty((1, width)))]
         with np.errstate(over="ignore", invalid="ignore"):
             while message := os.read(reader, 1):
+                parts = []
                 if message == b"s":
-                    np.divide(row, scale, out=diff)
-                    np.subtract(diff, w, out=diff)
-                    for d, _, _, out in slices:
-                        np.vecdot(d, d, out=out)
+                    _judge(tiles, 0, 1, scale, parts)
                 else:
-                    distance, gain = alarm
-                    v /= distance
-                    for _, s, c, out in slices:
-                        out[0] = np.vecdot(s, c)
-                    if gain != 1.0:
-                        v *= gain
-                    np.add(w, v, out=w)
+                    _move(tiles, 0, *alarm, parts)
+                partials[:] = np.ravel(parts)
                 os.write(writer, b"d")
 
-    ends = None
     try:
         with _forked(serve) as ends:
             yield None if ends is None else _Partner(ends, lo, row,
                                                      partials, alarm)
-    except ChildProcessError:
-        ends = None  # the partner's half of the center is lost
-        raise
     finally:
-        if ends is not None:  # the partner has been reaped
-            detector.w[lo:] = w
+        private[:] = detector.w
+        detector.w = private
 
 
 def as_vector(values, dim: int | None = None, name: str = "vector") -> np.ndarray:
@@ -494,19 +530,15 @@ class Detector:
             return self.mode.epsilon
         return 1.0 / gain_value(self.schedule, self.m + 1)
 
-    def _learn(self, distance: float, tiles, partner=None) -> float:
-        """Count an alarm at ``distance`` from the center and move the
-        center; return the gain.
+    def _learn(self, distance: float, tiles, k: int, partner=None) -> float:
+        """Count an alarm at ``distance`` from the center on row ``k`` of
+        the scan's ``tiles`` and move the center (see :func:`_move`);
+        return the gain.
 
-        ``tiles`` yields ``(diff, w)`` column tiles, left to right, of the
-        difference ``y - w`` and the center, up to the columns of a
-        ``partner``, if one is given, which does the rest and whose
-        ``v . w`` partials are folded in last.  ``diff`` is overwritten: it
-        becomes the unit step ``v`` and then ``gain * v`` (a unit gain
-        skips the multiply, as ``x * 1.0 == x``), so an alarm allocates
-        nothing.  The adaptive detector's pre-decision gain uses m+1, which
-        equals the fixed-radius gain at the incremented count, so one line
-        serves both.
+        A ``partner``, if one is given, moves its own columns and its
+        ``v . w`` partials are folded in last.  The adaptive detector's
+        pre-decision gain uses m+1, which equals the fixed-radius gain at
+        the incremented count, so one line serves both.
 
         Raises :class:`OverflowError`, the one guard of :meth:`step` and
         :meth:`scan`, when a trace sum leaves float range (a state no
@@ -525,13 +557,7 @@ class Detector:
         gain = gain_value(self.schedule, self.m)
         if partner is not None:
             partner.learn(distance, gain)
-        vw = None
-        for v, w in tiles:
-            v /= distance
-            vw = _dot(v, w, vw)
-            if gain != 1.0:
-                v *= gain
-            w += v
+        vw = _move(tiles, k, distance, gain)
         if partner is not None:
             vw = partner.fold(vw)
         self.trace.record_alarm(gain, float(vw))
@@ -548,7 +574,9 @@ class Detector:
         distance = math.sqrt(float(_dot(diff, diff)))
         alarm = distance >= threshold
         self.t += 1
-        gain = self._learn(distance, [(diff, self.w)]) if alarm else 0.0
+        # one tile of the whole row, whose buffer holds one row: diff
+        gain = self._learn(distance, [(None, self.w, [diff])], 0) \
+            if alarm else 0.0
         return StepOutcome(alarm=alarm, distance=distance,
                            threshold=threshold, gain_applied=gain)
 
@@ -577,12 +605,10 @@ class Detector:
         on, one row a chunk, and its partial sums are folded in after the
         tiles here.
 
-        A chunk goes in column tiles of :data:`_TILE`: each is converted
-        into one reused difference buffer, has the center subtracted and
-        its dot slices added on to the running distances while in cache; an
-        alarm moves the center tile by tile from the buffer's row.  Sums
-        run left to right as in one whole-row :func:`_dot`, so the bits do
-        not depend on the tiling.  Tile views are made once per call.
+        A chunk goes in column tiles of :data:`_TILE`, over one reused
+        difference buffer: :func:`_judge` sums its distances, and an alarm
+        moves the center tile by tile from the buffer's row (see
+        :func:`_move`).  Tile views are made once per call.
         """
         count = len(block)
         alarm = np.zeros(count, dtype=bool)
@@ -609,13 +635,7 @@ class Detector:
                 stop = min(count, i + size)
                 if partner is not None:
                     partner.scan(block[i])
-                total = None
-                for y, w, d in tiles:
-                    y, d = y[i:stop], d[:stop - i]
-                    if scale is not None:
-                        y = np.divide(y, scale, out=d)
-                    np.subtract(y, w, out=d)
-                    total = _dot(d, d, total)
+                total = _judge(tiles, i, stop, scale)
                 if partner is not None:
                     total = partner.fold(total)
                 dist = distance[i:stop]
@@ -628,9 +648,7 @@ class Detector:
                     size = min(2 * size, cap)
                     continue
                 self.t = t + i + k + 1  # the step an overflow names
-                gain[i + k] = self._learn(float(dist[k]),
-                                          [(d[k], w) for _, w, d in tiles],
-                                          partner)
+                gain[i + k] = self._learn(float(dist[k]), tiles, k, partner)
                 radius = self.current_radius()
                 i += k + 1
                 size = max(1 if k == 0 else floor, size // 2)

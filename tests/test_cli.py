@@ -298,6 +298,104 @@ class TestFileArguments:
         assert (files / ckpt).read_bytes() != before
 
 
+# a mixture stream of 10 rows
+_MIXTURE = [*_GEN, "--mu", "0.1"]
+
+
+def _listing(directory):
+    """The names and bytes of the files in ``directory``."""
+    return {p.name: p.read_bytes() for p in directory.iterdir()
+            if p.is_file()}
+
+
+class TestAllOrNothing:
+    """``run``, ``scene`` and ``gen`` write each output that is a regular
+    file, or new, to a hidden temporary beside it, moved onto it only when
+    the command succeeds: a failed command leaves no new file and changes
+    no existing one.  A device output is written in place."""
+
+    @pytest.fixture(scope="class")
+    def late_fault(self, tmp_path_factory):
+        """300,000 rows of zeros whose step 250001 is ``1e200,1e200``."""
+        rows = np.zeros((300_000, 2))
+        rows[250_000] = 1e200
+        path = tmp_path_factory.mktemp("late") / "s.bin"
+        write_vectors(rows, path)
+        return path
+
+    @pytest.mark.parametrize("existing", [False, True],
+                             ids=["new", "existing"])
+    def test_a_run_failing_late_writes_nothing(self, late_fault, tmp_path,
+                                               existing):
+        if existing:
+            (tmp_path / "o.csv").write_bytes(b"t,alarm\n1,False\n")
+            (tmp_path / "c.ckpt").write_bytes(b"an older checkpoint")
+        before = _listing(tmp_path)
+        probe = main_in_child(
+            ["run", "--mode", "fixed", "--epsilon", "1", "--input",
+             late_fault, "--output", tmp_path / "o.csv", "--checkpoint-out",
+             tmp_path / "c.ckpt"])
+        assert (probe["code"], probe["stderr"]) == (
+            1, "error: distance to the center overflows float range by "
+               "step 250001\n")
+        assert _listing(tmp_path) == before
+
+    @pytest.mark.parametrize("existing", [False, True],
+                             ids=["new", "existing"])
+    @pytest.mark.parametrize("argv, written", [
+        (["scene", "--synthetic", "--timeline", "t.csv", "--snapshot",
+          "nodir/s.pgm"], "t.csv"),
+        ([*_MIXTURE, "--out", "g.bin", "--labels-out", "nodir/l.csv"],
+         "g.bin"),
+    ], ids=["scene", "gen"])
+    def test_an_unwritable_second_output_writes_nothing(
+            self, tmp_path, monkeypatch, capsys, argv, written, existing):
+        monkeypatch.chdir(tmp_path)
+        if existing:
+            (tmp_path / written).write_bytes(b"older bytes\n")
+        before = _listing(tmp_path)
+        assert run_cli(*argv) == (1, "")
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: "
+            f"'{argv[-1]}'\n")
+        assert _listing(tmp_path) == before
+
+    def test_an_output_through_a_link_updates_its_file(self, tmp_path):
+        """The link stays a link, its file gets the new bytes and keeps its
+        permission bits, and no temporary is left in either directory."""
+        (tmp_path / "real").mkdir()
+        real = tmp_path / "real" / "g.csv"
+        real.write_text("older bytes\n")
+        real.chmod(0o640)
+        link = tmp_path / "g.csv"
+        link.symlink_to(real)
+        assert run_cli(*_MIXTURE, "--out", str(link))[0] == 0
+        assert link.is_symlink() and (real.stat().st_mode & 0o777) == 0o640
+        assert real.read_text().count("\n") == 10
+        assert sorted(p.name for p in tmp_path.rglob("*")) == [
+            "g.csv", "g.csv", "real"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"),
+                        reason="needs /dev/null")
+    def test_a_device_output_is_written_in_place(self, tmp_path):
+        assert run_cli(*_MIXTURE, "--out", str(tmp_path / "g.bin"),
+                       "--labels-out", "/dev/null")[0] == 0
+        assert Path("/dev/null").is_char_device()
+        assert [p.name for p in tmp_path.iterdir()] == ["g.bin"]
+
+    @pytest.mark.skipif(os.name != "posix" or os.geteuid() == 0,
+                        reason="needs a user that file modes restrict")
+    def test_a_read_only_output_is_refused_as_before(self, tmp_path,
+                                                     capsys):
+        out = tmp_path / "g.bin"
+        out.write_bytes(b"kept")
+        out.chmod(0o444)
+        assert run_cli(*_MIXTURE, "--out", str(out)) == (1, "")
+        assert capsys.readouterr().err == (
+            f"error: [Errno 13] Permission denied: '{out}'\n")
+        assert out.read_bytes() == b"kept"
+
+
 class TestRun:
     def test_quiet_stream_outcomes(self, tmp_path):
         stream = tmp_path / "s.csv"
@@ -1243,8 +1341,9 @@ class TestScanAhead:
 
     @pytest.mark.parametrize("suffix", [".bin", ".csv"])
     def test_a_bad_last_row_fails_as_in_process(self, tmp_path, suffix):
-        """The child meets the fault; the parent writes the rows before it
-        and reports it on one line, exit 1, with no checkpoint."""
+        """The child meets the fault; the parent reports it on one line,
+        exit 1, and leaves no outcome CSV, no checkpoint and no temporary
+        file."""
         rows = np.random.default_rng(4).integers(-3, 4, size=(40_000, 10))
         rows = rows.astype(np.float64)
         rows[-1, 3] = np.nan
@@ -1256,14 +1355,15 @@ class TestScanAhead:
              "--output", out, "--checkpoint-out", ckpt], out, ckpt)
         assert forked == in_process
         code, _, stderr, text, state = forked
-        assert (code, stderr, state) == (
+        assert (code, stderr, text, state) == (
             1, "error: stream item 39999: transaction contains non-finite "
-               "entries\n", None)
-        assert text.count(b"\n") > 13_107  # the blocks the child scanned
+               "entries\n", None, None)
+        assert [path.name for path in tmp_path.iterdir()] == [stream.name]
 
     def test_a_fault_in_the_second_block_fails_as_in_process(self, tmp_path):
         """The second block is read before the fork; its fault is raised
-        after the first block's rows are written, and no child starts."""
+        after the first block's rows are written, no child starts, and no
+        output file is left."""
         lines = [",".join(map(repr, row)) for row in
                  np.random.default_rng(9).normal(size=(40_000, 10)).tolist()]
         lines[2000] = "1,2"  # a .csv block of 10 values a row is 1638 rows
@@ -1276,9 +1376,10 @@ class TestScanAhead:
             forks=False)
         assert forked == in_process
         code, _, stderr, text, state = forked
-        assert (code, stderr, state) == (
-            1, f"error: {stream}:2001: expected 10 values, found 2\n", None)
-        assert text.count(b"\n") == 1 + 1638  # the header, one block
+        assert (code, stderr, text, state) == (
+            1, f"error: {stream}:2001: expected 10 values, found 2\n", None,
+            None)
+        assert [path.name for path in tmp_path.iterdir()] == [stream.name]
 
     @pytest.mark.parametrize("suffix", [".bin", ".csv"])
     def test_an_overflow_in_a_later_block_fails_as_in_process(self, tmp_path,
@@ -1303,7 +1404,7 @@ class TestScanAhead:
             self, streams, tmp_path):
         """A ``TypeError`` in the third block's scan (in the child, when it
         forks) is raised by the parent after the rows before it, as the
-        in-process scan raises it, and no checkpoint is written."""
+        in-process scan raises it, and no output file is left."""
         # the prelude loads numpy, so it keeps OpenBLAS to one thread
         # unless the run gives two, as main would
         fault = ("import os\n"
@@ -1322,10 +1423,9 @@ class TestScanAhead:
              "--output", out, "--checkpoint-out", ckpt], out, ckpt,
             prelude=fault)
         for code, _, stderr, text, state in (forked, in_process):
-            assert (code, stderr.splitlines()[-1], state) == (
-                1, "TypeError: a fault of fado", None)
-        assert forked[3] == in_process[3]
-        assert forked[3].count(b"\n") == 1 + 2 * 1310  # the first blocks
+            assert (code, stderr.splitlines()[-1], text, state) == (
+                1, "TypeError: a fault of fado", None, None)
+        assert not any(tmp_path.iterdir())
 
     def test_a_child_that_dies_mid_stream_fails_on_one_line(self, streams,
                                                             tmp_path):

@@ -194,19 +194,25 @@ def test_dot_is_one_vecdot_up_to_the_slice_width(n):
             np.vecdot(x, y).tobytes()
 
 
-@pytest.mark.parametrize("n", [8193, 2 * 8192 + 3, 5 * 8192 + 1])
+@pytest.mark.parametrize("n", [1, 8192, 8193, 2 * 8192 + 3, 3 * 8192 + 5,
+                               5 * 8192 + 1])
 def test_dot_continues_a_running_total_over_tiles(n):
     """Tiles of one and of two slices, each added on to the total so far,
     give the bits of one left-to-right sum over every 8192-column slice;
-    at five slices, adding each tile's own sum would not."""
+    at five slices, adding each tile's own sum would not.  ``parts`` gets
+    each slice's own sum in place of the total."""
     a, b = np.random.default_rng(n).normal(size=(2, 6, n))
     slices = range(0, n, 8192)
     for x, y in ((a, b), (a[4], b[4])):
-        expect = np.vecdot(x[..., :8192], y[..., :8192])
-        for lo in slices[1:]:
-            expect = expect + np.vecdot(x[..., lo:lo + 8192],
-                                        y[..., lo:lo + 8192])
+        own = [np.vecdot(x[..., lo:lo + 8192], y[..., lo:lo + 8192])
+               for lo in slices]
+        expect = own[0]
+        for part in own[1:]:
+            expect = expect + part
         assert detector_module._dot(x, y).tobytes() == expect.tobytes()
+        parts = []
+        assert detector_module._dot(x, y, parts=parts) is None
+        assert [p.tobytes() for p in parts] == [p.tobytes() for p in own]
         for width in (8192, 2 * 8192):
             total = None
             for lo in range(0, n, width):
@@ -231,10 +237,13 @@ def test_alarm_update_over_tiles_matches_one_row(gamma):
     dets = [Detector(n, FixedRadius(1.0), Constant(gamma)) for _ in range(2)]
     for det in dets:
         det.w[:] = w
-    dets[0]._learn(3.0, [(diff.copy(), dets[0].w)])
+    # the alarmed row is row 1 of a two-row difference buffer
+    bufs = [np.stack([np.zeros(n), diff]) for _ in dets]
+    dets[0]._learn(3.0, [(None, dets[0].w, bufs[0])], 1)
     tiles = range(0, n, 2 * 8192)
-    dets[1]._learn(3.0, [(diff[lo:lo + 2 * 8192], dets[1].w[lo:lo + 2 * 8192])
-                         for lo in tiles])
+    dets[1]._learn(3.0, [(None, dets[1].w[lo:lo + 2 * 8192],
+                          bufs[1][:, lo:lo + 2 * 8192]) for lo in tiles], 1)
+    assert not bufs[1][0].any()
     assert dets[1].w.tobytes() == dets[0].w.tobytes()
     assert dets[1].trace.as_tuple() == dets[0].trace.as_tuple()
     v = diff / 3.0

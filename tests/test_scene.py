@@ -621,6 +621,54 @@ class TestColumnPartner:
         assert probe["reaped_child"] and not ckpt.exists()
         assert subprocess.run(["pgrep", "-f", str(pack)]).returncode == 1
 
+    def test_a_killed_partner_leaves_a_callers_detector_as_in_process(
+            self, inputs):
+        """``run_scene_detection`` on a detector of the caller's, with the
+        partner killed on its fifth frame as above: it raises
+        ``ChildProcessError``, and the detector, whose center is its own
+        private array again, holds what an in-process scan of the first
+        four frames leaves, the partner's columns of the center
+        included."""
+        script = (
+            "import os, signal, sys, numpy\n"
+            "vecdot, parent, calls = numpy.vecdot, os.getpid(), []\n"
+            "def counted(*args, **kwargs):\n"
+            "    if os.getpid() != parent:\n"
+            "        calls.append(None)\n"
+            "        if len(calls) == 4 * 20 + 1:\n"
+            "            os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    return vecdot(*args, **kwargs)\n"
+            "numpy.vecdot = counted\n"
+            "from fado.checkpoint import checkpoint_encode\n"
+            "from fado.detector import Constant, Detector, FixedRadius\n"
+            "from fado.scene import (FrameSequence, read_frames_packed,\n"
+            "                        run_scene_detection)\n"
+            "frames = read_frames_packed(sys.argv[1])\n"
+            "detector = Detector(frames.dim, FixedRadius(80.0), "
+            "Constant(1.0))\n"
+            "w = detector.w\n"
+            "try:\n"
+            "    run_scene_detection(frames, detector=detector)\n"
+            "except ChildProcessError as exc:\n"
+            "    print(exc, file=sys.stderr)\n"
+            "print(detector.w is w and w.base is None)\n"
+            "print(checkpoint_encode(detector).hex())\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "head = FrameSequence(frames.width, frames.height, "
+            "frames.frames[:4])\n"
+            "_, alone = run_scene_detection(head, detector=Detector(\n"
+            "    frames.dim, FixedRadius(80.0), Constant(1.0)))\n"
+            "print(alone.m, checkpoint_encode(alone).hex())\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, inputs / "160000.pack"],
+            env=child_env(OPENBLAS_NUM_THREADS="1"), capture_output=True,
+            text=True, check=True)
+        assert proc.stderr == ("the column partner process ended before "
+                               "the frames did\n")
+        private, state, alarms, alone = proc.stdout.split()
+        assert (private, alarms) == ("True", "4")
+        assert state == alone
+
     def test_a_bad_frame_mid_stream_is_named(self, inputs, tmp_path):
         """Frame 7 of the PGM list is not a binary PGM: both paths fail on
         the one line that names it, write nothing, and the partner is

@@ -27,16 +27,17 @@ one thread, that is ``os.fork`` exists and ``/proc/self/task`` lists one
 entry.  On one CPU the two processes would only take turns, and a fork
 copies only the calling thread, so a process with, say, a second OpenBLAS
 thread (``OPENBLAS_NUM_THREADS=2``, or numpy loaded by the caller) works
-in process, as it does when the fork is refused.  ``run`` scans a
-stream's second block onward in a forked child, while the parent writes
-the outcome CSV; the child pickles each block's outcome columns, then the
-detector's attributes or the exception it met, down a pipe.  ``scene``
-on frames of more than 65,536 values (a scan chunk of one frame) judges
-each frame's columns from a slice boundary near the middle in a forked
-partner, through shared memory, and folds its partial sums in the order
-of one process.  The helper is killed and reaped on every exit path, and
-one that dies gives one line and exit 1.  Both paths write the same bytes
-and fail alike.
+in process, as it does when the fork is refused.  ``run`` writes a
+stream's first block of outcome rows before it reads the second block,
+then scans the second block onward in a forked child, while the parent
+writes the outcome CSV; the child pickles each block's outcome columns,
+then the detector's attributes or the exception it met, down a pipe.
+``scene`` on frames of more than 65,536 values (a scan chunk of one
+frame) judges each frame's columns from a slice boundary near the middle
+in a forked partner, through shared memory, and folds its partial sums in
+the order of one process.  The helper is killed and reaped on every exit
+path, and one that dies gives one line and exit 1.  Both paths write the
+same bytes and fail alike.
 """
 
 from __future__ import annotations
@@ -372,19 +373,19 @@ def _outcome_blocks(detector, blocks):
     """Yield the outcome columns of each block of ``blocks`` as scanned in
     order by ``detector``: [alarm, distance, threshold, gain_applied].
 
-    The first block is scanned here.  When ``detector._forked`` forks (two
-    usable CPUs, one thread) and there is a second block (read before the
-    first block is yielded), a forked child scans the second block onward,
-    while the caller writes the blocks before, and pickles each block's
-    columns down a pipe, then the detector's attributes, which are
-    installed in ``detector``, or the exception it caught, which is raised
-    here once the blocks before it are yielded, as the in-process scan
-    raises it.  Otherwise each block is read and scanned once the one
-    before it is yielded.  Closing the generator kills and reaps the
-    child.  The caller leaves ``blocks`` alone while the child lives: the
-    two processes share the input file's offset.
+    The first block is scanned here, and yielded before the second block
+    is read.  When there is a second block and ``detector._forked`` forks
+    (two usable CPUs, one thread), a forked child reads and scans the
+    second block onward, while the caller writes the blocks before, and
+    pickles each block's columns down a pipe, then the detector's
+    attributes, which are installed in ``detector``, or the exception it
+    caught, which is raised here once the blocks before it are yielded,
+    as the in-process scan raises it.  Otherwise each block is read once
+    the one before it is yielded.  Closing the generator kills and reaps
+    the child.  The caller leaves ``blocks`` alone while the child lives:
+    the two processes share the input file's offset.
     """
-    from .detector import _as_block, _forked, _may_fork
+    from .detector import _as_block, _forked
     count = 0
 
     def scan(block):
@@ -394,17 +395,11 @@ def _outcome_blocks(detector, blocks):
         count += len(out)
         return [out.alarm, out.distance, out.threshold, out.gain_applied]
 
-    columns = scan(next(blocks))
-    if _may_fork():
-        try:
-            ahead = next(blocks, None)
-        except Exception:
-            yield columns  # the rows before a fault are written first
-            raise
-        if ahead is None:
-            yield columns
-            return
-        blocks = itertools.chain([ahead], blocks)
+    yield scan(next(blocks))
+    ahead = next(blocks, None)
+    if ahead is None:
+        return
+    blocks = itertools.chain([ahead], blocks)
     import pickle
 
     def child(_, writer):
@@ -420,11 +415,9 @@ def _outcome_blocks(detector, blocks):
 
     with _forked(child) as ends:
         if ends is None:
-            yield columns
             yield from map(scan, blocks)
             return
         with open(ends[0], "rb", closefd=False) as pipe:
-            yield columns
             try:
                 while isinstance(end := pickle.load(pipe), list):
                     yield end
@@ -476,14 +469,10 @@ def _cmd_scene(args, parser) -> int:
                     [("--timeline", args.timeline),
                      ("--snapshot", args.snapshot),
                      ("--checkpoint-out", args.checkpoint_out)])
-    transitions = None
     if args.synthetic:
         _at_least(parser, args, ("width", "height", "clips",
                                  "frames_per_clip"), 1)
         _at_least(parser, args, ("noise",), 0)
-        frames, transitions = gen_synthetic_clips(*(
-            default if getattr(args, name) is None else getattr(args, name)
-            for name, default in _SYNTHETIC.items()))
     else:
         _reject(parser, args, _SYNTHETIC, "apply only to --synthetic")
         frames = (_open_frames_packed(args.packed) if args.packed
@@ -491,12 +480,17 @@ def _cmd_scene(args, parser) -> int:
     detector = None
     if args.checkpoint_in:
         detector = checkpoint_decode(Path(args.checkpoint_in).read_bytes())
-        if transitions is not None:
-            # the timeline continues the checkpoint's global frame index
-            transitions = [t + detector.t for t in transitions]
     with _all_or_nothing(args.timeline, args.snapshot,
                          args.checkpoint_out) as (timeline_out, snapshot_out,
                                                   state_out):
+        transitions = None
+        if args.synthetic:  # made after staging: a bad output fails first
+            frames, transitions = gen_synthetic_clips(*(
+                default if getattr(args, name) is None else getattr(args, name)
+                for name, default in _SYNTHETIC.items()))
+            if detector is not None:
+                # the timeline continues the checkpoint's global frame index
+                transitions = [t + detector.t for t in transitions]
         timeline, detector = run_scene_detection(
             frames, detector=detector,
             **_given(epsilon=args.epsilon, gamma=args.gamma))

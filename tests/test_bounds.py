@@ -279,6 +279,12 @@ class TestSigmaSize:
         with pytest.raises(ValueError):
             sigma_size(np.ones((3, 4)), self._truth())
 
+    def test_a_point_on_the_radius_is_counted(self):
+        # distance exactly epsilon: p counts distances >= epsilon
+        rep = sigma_size(np.array([[1.0, 0.0], [0.0, 0.1]]), self._truth())
+        assert rep.p_T == 1
+        assert rep.sigma_T == pytest.approx(0.04, abs=1e-12)
+
 
 class TestMistakeBoundAgnostic:
     def test_sigma_zero_reduces_to_realizable(self):
@@ -369,6 +375,21 @@ class TestAuditTrace:
         assert audit.inner_ok and audit.energy_ok
         assert not audit.telescoping_ok and not audit.passed
         assert audit.telescoping_residual > 0.1
+
+    @pytest.mark.parametrize("error, passed", [(1e-12, True),
+                                               (1e-6, False)])
+    def test_telescoping_tolerance_is_one_part_in_a_billion(self, error,
+                                                             passed):
+        """A relative error in sum(gamma * v.w) far below 1e-9 passes the
+        telescoping check; one far above it fails."""
+        rng = np.random.default_rng(8)
+        det = Detector(4, FixedRadius(1.0), PowerDecay(1.0, 0.25))
+        det.run_stream(rng.normal(size=(3000, 4)) * 4.0)
+        assert audit_trace(det).telescoping_residual < 1e-13
+        det.trace.sum_d_gamma_vw *= 1.0 + error
+        audit = audit_trace(det)
+        assert audit.inner_ok and audit.energy_ok
+        assert audit.telescoping_ok is passed
 
     def test_a_step_paid_for_but_not_taken_fails(self):
         from fado.checkpoint import checkpoint_decode

@@ -159,6 +159,20 @@ def test_zero_dimension_rejected():
         checkpoint_decode(_seal(body))
 
 
+def test_more_mistakes_than_steps_rejected():
+    """m = t + 1 under a valid CRC: a detector cannot alarm more often
+    than it steps."""
+    state = Detector(2, FixedRadius(1.0), PowerDecay(1.0, 0.25))
+    state.run_stream(np.random.default_rng(3).normal(size=(50, 2)) * 3.0)
+    body = checkpoint_encode(state)[:-4]
+    t_offset = len(MAGIC) + 4 + 9 + 17 + 8  # version, mode, schedule, n
+    assert struct.unpack_from("<QQ", body, t_offset) == (50, state.m)
+    body = body[:t_offset + 8] + struct.pack("<Q", 51) + body[t_offset + 16:]
+    with pytest.raises(CheckpointError,
+                       match="^mistake count 51 exceeds step count 50$"):
+        checkpoint_decode(_seal(body))
+
+
 def test_unknown_version_rejected():
     state = Detector(2, FixedRadius(1.0), PowerDecay(1.0, 0.25))
     blob = bytearray(checkpoint_encode(state))

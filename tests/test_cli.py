@@ -360,6 +360,23 @@ class TestAllOrNothing:
             f"'{argv[-1]}'\n")
         assert _listing(tmp_path) == before
 
+    def test_scene_stages_its_outputs_before_making_frames(
+            self, tmp_path, monkeypatch, capsys):
+        """An output in a missing directory fails before any synthetic
+        frame is made."""
+        import fado.scene
+
+        def gen_synthetic_clips(*args):
+            raise AssertionError("frames made before the outputs were staged")
+
+        monkeypatch.setattr(fado.scene, "gen_synthetic_clips",
+                            gen_synthetic_clips)
+        timeline = tmp_path / "nodir" / "t.csv"
+        assert run_cli("scene", "--synthetic", "--timeline",
+                       str(timeline)) == (1, "")
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{timeline}'\n")
+
     def test_an_output_through_a_link_updates_its_file(self, tmp_path):
         """The link stays a link, its file gets the new bytes and keeps its
         permission bits, and no temporary is left in either directory."""
@@ -1479,7 +1496,9 @@ class TestScanAhead:
         with one line, within a timeout, as the parent kills the child
         rather than wait for it to finish the stream."""
         stream = tmp_path / "s.bin"
-        write_vectors(np.random.default_rng(7).normal(size=(40_000, 10)),
+        # blocks of 65 wide rows: the first block's rows fit in the
+        # output's buffer, so the child starts before a write fails
+        write_vectors(np.random.default_rng(7).normal(size=(1000, 2000)),
                       stream)
         proc = subprocess.run(
             [sys.executable, "-m", "fado.cli", "run", "--mode", "fixed",
@@ -1503,6 +1522,40 @@ class TestScanAhead:
             capture_output=True, text=True, timeout=60,
             env=child_env(OPENBLAS_NUM_THREADS="2"))
         assert proc.returncode == 0, proc.stderr
+
+
+def test_each_block_is_yielded_before_the_next_is_read(monkeypatch):
+    """``_outcome_blocks`` yields a block's columns before it asks for the
+    next block, also where it may fork, so a live stream's rows are not
+    held back until more input comes."""
+    import contextlib
+
+    from fado import detector as detector_module
+    from fado.cli import _outcome_blocks
+
+    @contextlib.contextmanager
+    def in_process(child):
+        yield None
+
+    monkeypatch.setattr(detector_module, "_may_fork", lambda: True)
+    monkeypatch.setattr(detector_module, "_forked", in_process)
+    rows = np.random.default_rng(3).normal(size=(30, 2))
+    events = []
+
+    def blocks():
+        for k, block in enumerate(np.split(rows, 3)):
+            events.append(("read", k))
+            yield block
+
+    detector = Detector(2, FixedRadius(1.0), PowerDecay())
+    for k, columns in enumerate(_outcome_blocks(detector, blocks())):
+        events.append(("yield", k))
+    assert events == [(event, k) for k in range(3)
+                      for event in ("read", "yield")]
+    alone = Detector(2, FixedRadius(1.0), PowerDecay())
+    assert [alone.step(row).alarm for row in rows][20:] == \
+        columns[0].tolist()
+    assert checkpoint_encode(detector) == checkpoint_encode(alone)
 
 
 # Runs ``fado gen`` and ``fado scene --synthetic`` with fado.cli.main in

@@ -96,6 +96,9 @@ class TestGainValue:
         assert gain_value(PowerDecay(2.0, 0.25), 4) == \
             pytest.approx(2.0 * 0.3535533905932738, rel=1e-15)
 
+    def test_power_decay_past_a_million_mistakes(self):
+        assert gain_value(PowerDecay(2.0, 0.25), 10**6) == 2.0 * 1e6 ** -0.75
+
 
 class TestStep:
     def test_alarm_update_hand_computed(self):

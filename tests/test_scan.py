@@ -232,23 +232,32 @@ def test_alarm_update_over_tiles_matches_one_row(gamma):
     trace of one whole-row update.  The trace starts at zero, so it holds
     v . w exactly, where a scan's longer sums could absorb its last bit."""
     n = 5 * 8192 + 1
-    rng = np.random.default_rng(11)
-    w, diff = rng.normal(size=(2, n))
+    tiles = range(0, n, 2 * 8192)
+    # a witness that tiling matters: data whose whole-row v . w differs
+    # from the sum of its per-tile sums, searched for at run time, as
+    # BLAS kernels of different cores sum in different orders
+    for seed in range(11, 11 + 64):
+        w, diff = np.random.default_rng(seed).normal(size=(2, n))
+        v = diff / 3.0
+        per_tile = sum(detector_module._dot(v[lo:lo + 2 * 8192],
+                                            w[lo:lo + 2 * 8192])
+                       for lo in tiles)
+        if detector_module._dot(v, w) != per_tile:
+            break
+    else:
+        pytest.fail("no seed of 64 makes the per-tile sums of v . w "
+                    "differ from the whole row's")
     dets = [Detector(n, FixedRadius(1.0), Constant(gamma)) for _ in range(2)]
     for det in dets:
         det.w[:] = w
     # the alarmed row is row 1 of a two-row difference buffer
     bufs = [np.stack([np.zeros(n), diff]) for _ in dets]
     dets[0]._learn(3.0, [(None, dets[0].w, bufs[0])], 1)
-    tiles = range(0, n, 2 * 8192)
     dets[1]._learn(3.0, [(None, dets[1].w[lo:lo + 2 * 8192],
                           bufs[1][:, lo:lo + 2 * 8192]) for lo in tiles], 1)
     assert not bufs[1][0].any()
     assert dets[1].w.tobytes() == dets[0].w.tobytes()
     assert dets[1].trace.as_tuple() == dets[0].trace.as_tuple()
-    v = diff / 3.0
-    per_tile = sum(detector_module._dot(v[lo:lo + 2 * 8192],
-                                        w[lo:lo + 2 * 8192]) for lo in tiles)
     assert dets[0].trace.sum_d_gamma_vw != gamma * per_tile
 
 

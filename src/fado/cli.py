@@ -21,23 +21,8 @@ time and spin idle.  An explicit value wins, and after numpy has loaded
 ``main`` sets nothing.  Each command imports only the modules it uses, and
 ``import fado.cli`` imports no numpy and changes no environment variable.
 
-Two commands may fork one helper process, under one rule
-(``detector._forked``): only when the process may use two CPUs and runs
-one thread, that is ``os.fork`` exists and ``/proc/self/task`` lists one
-entry.  On one CPU the two processes would only take turns, and a fork
-copies only the calling thread, so a process with, say, a second OpenBLAS
-thread (``OPENBLAS_NUM_THREADS=2``, or numpy loaded by the caller) works
-in process, as it does when the fork is refused.  ``run`` writes a
-stream's first block of outcome rows before it reads the second block,
-then scans the second block onward in a forked child, while the parent
-writes the outcome CSV; the child pickles each block's outcome columns,
-then the detector's attributes or the exception it met, down a pipe.
-``scene`` on frames of more than 65,536 values (a scan chunk of one
-frame) judges each frame's columns from a slice boundary near the middle
-in a forked partner, through shared memory, and folds its partial sums in
-the order of one process.  The helper is killed and reaped on every exit
-path, and one that dies gives one line and exit 1.  Both paths write the
-same bytes and fail alike.
+``run`` and ``scene`` may fork one helper process, under the rule that
+``fado.detector`` states.
 """
 
 from __future__ import annotations
@@ -197,10 +182,6 @@ def _flag_errors(parser, *fields):
         parser.error(f"{flag} {rest}")
 
 
-# The errors that main reports as one line on stderr, with exit code 1.
-_REPORTED = (ValueError, OverflowError, OSError, MemoryError)
-
-
 def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
@@ -314,7 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args, parser) -> int:
     from .checkpoint import checkpoint_decode, checkpoint_encode
     from .detector import (AdaptiveRadius, Constant, Detector, FixedRadius,
-                           PowerDecay)
+                           PowerDecay, _outcome_blocks)
     from .streamio import _vector_blocks, write_outcome_rows
     if args.checkpoint_in:
         _reject(parser, args, ("mode", "epsilon", "gamma0", "tau", "gamma"),
@@ -367,66 +348,6 @@ def _cmd_run(args, parser) -> int:
             Path(state_out).write_bytes(checkpoint_encode(detector))
     _log(f"processed {count} transactions, {alarms} alarms")
     return 0
-
-
-def _outcome_blocks(detector, blocks):
-    """Yield the outcome columns of each block of ``blocks`` as scanned in
-    order by ``detector``: [alarm, distance, threshold, gain_applied].
-
-    The first block is scanned here, and yielded before the second block
-    is read.  When there is a second block and ``detector._forked`` forks
-    (two usable CPUs, one thread), a forked child reads and scans the
-    second block onward, while the caller writes the blocks before, and
-    pickles each block's columns down a pipe, then the detector's
-    attributes, which are installed in ``detector``, or the exception it
-    caught, which is raised here once the blocks before it are yielded,
-    as the in-process scan raises it.  Otherwise each block is read once
-    the one before it is yielded.  Closing the generator kills and reaps
-    the child.  The caller leaves ``blocks`` alone while the child lives:
-    the two processes share the input file's offset.
-    """
-    from .detector import _as_block, _forked
-    count = 0
-
-    def scan(block):
-        nonlocal count
-        # a bad row is named by its index in the whole stream
-        out = detector._scan(_as_block(block, detector.dim, count))
-        count += len(out)
-        return [out.alarm, out.distance, out.threshold, out.gain_applied]
-
-    yield scan(next(blocks))
-    ahead = next(blocks, None)
-    if ahead is None:
-        return
-    blocks = itertools.chain([ahead], blocks)
-    import pickle
-
-    def child(_, writer):
-        with open(writer, "wb", closefd=False) as pipe:
-            try:
-                for columns in map(scan, blocks):
-                    pickle.dump(columns, pipe, 5)
-                    pipe.flush()
-            except Exception as exc:
-                pickle.dump(exc, pipe, 5)
-            else:
-                pickle.dump(vars(detector), pipe, 5)
-
-    with _forked(child) as ends:
-        if ends is None:
-            yield from map(scan, blocks)
-            return
-        with open(ends[0], "rb", closefd=False) as pipe:
-            try:
-                while isinstance(end := pickle.load(pipe), list):
-                    yield end
-            except (EOFError, pickle.UnpicklingError):
-                raise ChildProcessError("the scan-ahead process ended "
-                                        "before the stream did") from None
-    if isinstance(end, Exception):
-        raise end
-    vars(detector).update(end)
 
 
 def _cmd_sweep(args, parser) -> int:
@@ -580,7 +501,7 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.handler(args)
-    except _REPORTED as exc:
+    except (ValueError, OverflowError, OSError, MemoryError) as exc:
         _log(f"error: {str(exc) or type(exc).__name__}")
         return 1
     finally:

@@ -25,17 +25,25 @@ converted, subtracted and summed while it is in cache (:func:`_judge`), and
 an alarm moves the center tile by tile (:func:`_move`); every partial sum
 continues the running total left to right, so tiling changes no bit.
 
-A scan whose chunks hold one row (more than 65,536 values) may hand the
-columns from a slice boundary near the middle to a forked partner process
-(:func:`_column_partner`).  The partner runs the same :func:`_judge` and
-:func:`_move` on its columns, as one tile, and keeps each slice's own sum
-as a partial, while the scan does the columns before them; the scan then
-adds the partials on to its running total one by one, left to right.  Each
-partial is the ``vecdot`` of the same slice that an in-process scan would
-add, and the additions come in the same order, so the distance has the
-same bits.  An alarm folds the partner's per-slice ``v . w`` partials the
-same way.  While the partner lives the center is shared memory, and each
-process moves its own columns of it.
+Two jobs may fork one helper process, under one rule (:func:`_may_fork`):
+only when ``os.fork`` exists, the process may use two CPUs (on one, the
+two processes would only take turns) and it runs one thread (a fork copies
+only the calling thread, so a process with, say, a second OpenBLAS thread
+works in process, as it does when the fork is refused).  The helper is
+killed and reaped on every exit path (:func:`_forked`); one that dies
+raises :class:`ChildProcessError`.  Both paths give the same bits.
+
+* ``fado run``'s blocks (:func:`_outcome_blocks`): the first is scanned
+  and yielded before the second is read, and a forked child scans the
+  second onward while the caller writes the blocks before.
+* A scan whose chunks hold one row (more than 65,536 values) may hand the
+  columns from a slice boundary near the middle to a forked partner
+  (:func:`_column_partner`), which runs the same :func:`_judge` and
+  :func:`_move` on them and keeps each slice's own sum as a partial; the
+  scan adds the partials on to its running total left to right, as an
+  in-process scan adds the same slices, so the distance has the same
+  bits.  While the partner lives the center is shared memory, and each
+  process moves its own columns of it.
 
 The per-step bookkeeping needed by the invariant auditors (gain energy,
 gain mass, and the gain-weighted inner products with the pre-update center)
@@ -47,6 +55,7 @@ resumed run matches the uninterrupted one bit for bit.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import os
 import signal
@@ -93,10 +102,7 @@ def _usable_cpus() -> int:
 
 
 def _may_fork() -> bool:
-    """Whether :func:`_forked` forks: ``os.fork`` exists, the process may
-    use two CPUs (on one, two processes would only take turns) and it runs
-    one thread (a fork copies only the calling thread, so, say, a second
-    OpenBLAS thread keeps the work in process)."""
+    """Whether :func:`_forked` forks, by the rule the module states."""
     return (hasattr(os, "fork") and _usable_cpus() >= 2
             and os.path.isdir("/proc/self/task")
             and len(os.listdir("/proc/self/task")) == 1)
@@ -337,6 +343,65 @@ def _column_partner(detector: "Detector", scale: float):
     finally:
         private[:] = detector.w
         detector.w = private
+
+
+def _outcome_blocks(detector: "Detector", blocks):
+    """Yield the outcome columns of each block of ``blocks`` as scanned in
+    order by ``detector``: [alarm, distance, threshold, gain_applied].
+
+    The first block is scanned here, and yielded before the second block
+    is read.  When there is a second block and :func:`_forked` forks, a
+    forked child reads and scans the second block onward, while the caller
+    writes the blocks before, and pickles each block's columns down a
+    pipe, then the detector's attributes, which are installed in
+    ``detector``, or the exception it caught, which is raised here once
+    the blocks before it are yielded, as the in-process scan raises it.
+    Otherwise each block is read once the one before it is yielded.
+    Closing the generator kills and reaps the child.  The caller leaves
+    ``blocks`` alone while the child lives: the two processes share the
+    input file's offset.
+    """
+    count = 0
+
+    def scan(block):
+        nonlocal count
+        # a bad row is named by its index in the whole stream
+        out = detector._scan(_as_block(block, detector.dim, count))
+        count += len(out)
+        return [out.alarm, out.distance, out.threshold, out.gain_applied]
+
+    yield scan(next(blocks))
+    ahead = next(blocks, None)
+    if ahead is None:
+        return
+    blocks = itertools.chain([ahead], blocks)
+    import pickle
+
+    def child(_, writer):
+        with open(writer, "wb", closefd=False) as pipe:
+            try:
+                for columns in map(scan, blocks):
+                    pickle.dump(columns, pipe, 5)
+                    pipe.flush()
+            except Exception as exc:
+                pickle.dump(exc, pipe, 5)
+            else:
+                pickle.dump(vars(detector), pipe, 5)
+
+    with _forked(child) as ends:
+        if ends is None:
+            yield from map(scan, blocks)
+            return
+        with open(ends[0], "rb", closefd=False) as pipe:
+            try:
+                while isinstance(end := pickle.load(pipe), list):
+                    yield end
+            except (EOFError, pickle.UnpicklingError):
+                raise ChildProcessError("the scan-ahead process ended "
+                                        "before the stream did") from None
+    if isinstance(end, Exception):
+        raise end
+    vars(detector).update(end)
 
 
 def as_vector(values, dim: int | None = None, name: str = "vector") -> np.ndarray:

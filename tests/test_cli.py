@@ -1531,7 +1531,7 @@ def test_each_block_is_yielded_before_the_next_is_read(monkeypatch):
     import contextlib
 
     from fado import detector as detector_module
-    from fado.cli import _outcome_blocks
+    from fado.detector import _outcome_blocks
 
     @contextlib.contextmanager
     def in_process(child):

@@ -89,14 +89,11 @@ def ac_y_bound(a: float, c: float) -> float:
 def ac_x_bound(a: float, c: float) -> float:
     """Bound on x under the same premises as :func:`ac_y_bound`.
 
-    Evaluates x <= c*sqrt(a + 2|y|) + |y| at both candidate |y| values.
+    x <= c*sqrt(a + 2|y|) + |y|, which rises with |y|, so it is evaluated
+    at the bound on |y|.
     """
-    _check_positive("a", a)
-    _check_positive("c", c)
-    y_star = c * math.sqrt(a + c * c) + c * c
-    branch1 = c * math.sqrt(2.0 * a) + a / 2.0
-    branch2 = c * math.sqrt(a + 2.0 * y_star) + y_star
-    return max(branch1, branch2)
+    y = ac_y_bound(a, c)
+    return c * math.sqrt(a + 2.0 * y) + y
 
 
 def _gain_energy(tau: float, gamma0: float) -> float:

@@ -5,7 +5,8 @@ out-of-memory failures (one-line diagnostic on stderr), 2 on usage errors.
 Data goes to the requested files or stdout; logging stays on stderr so
 outputs pipe cleanly.  A failed ``run``, ``scene`` or ``gen`` leaves no
 output file: each is written to a temporary beside it that replaces it
-only when the command succeeds (``_all_or_nothing``).  All configuration
+only when the command succeeds (``_all_or_nothing``); a SIGTERM ends the
+command the same way, with exit 143 (``128 + SIGTERM``).  All configuration
 is by flag - fado reads no environment variable of its own.  A flag left
 out leaves its value to the default of the library function it feeds
 (scene detection defaults to epsilon=100 with unit constant gain; tau
@@ -493,11 +494,23 @@ def _cmd_gen(args, parser) -> int:
     return 0
 
 
+def _terminate(signum, frame):
+    """Exit ``128 + signum`` by way of every ``finally``, so a terminated
+    command removes its staged outputs and reaps its helper."""
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
     pin = ("numpy" not in sys.modules
            and "OPENBLAS_NUM_THREADS" not in os.environ)
     if pin:  # read once, when numpy loads; see the module docstring
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    import signal
+    try:
+        # None means a handler set outside Python, which cannot be restored
+        previous = signal.signal(signal.SIGTERM, _terminate) or signal.SIG_DFL
+    except ValueError:  # off the main thread, where no handler can be set
+        previous = None
     try:
         args = _build_parser().parse_args(argv)
         return args.handler(args)
@@ -507,6 +520,8 @@ def main(argv=None) -> int:
     finally:
         if pin:
             os.environ.pop("OPENBLAS_NUM_THREADS", None)
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

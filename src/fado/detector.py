@@ -682,7 +682,10 @@ class Detector:
         gain = np.zeros(count)
         cap = _block_rows(self.dim)
         width = self.dim if partner is None else partner.lo
-        buf = np.empty((min(cap, count), width))
+        # Rows padded to an even number of doubles start 16-byte aligned,
+        # as step's fresh difference does: OpenBLAS's generic ddot sums a
+        # misaligned head in another order, which would change the bits.
+        buf = np.empty((min(cap, count), width + width % 2))[:, :width]
         tiles = [(block[:, lo:min(lo + _TILE, width)],
                   self.w[lo:min(lo + _TILE, width)], buf[:, lo:lo + _TILE])
                  for lo in range(0, width, _TILE)]

@@ -55,6 +55,25 @@ class FrameFormatError(ValueError):
     """Malformed PGM or packed frame payload."""
 
 
+def _as_pixels(values) -> np.ndarray:
+    """``values`` as a uint8 array, not copied when they are uint8.
+
+    Other values pass when a uint8 holds each exactly; else a
+    ``ValueError`` names the first that it does not (a cast would wrap 300
+    to 44 and truncate 0.7 to 0, with no warning).
+    """
+    pixels = np.asarray(values)
+    if pixels.dtype == np.uint8:
+        return pixels
+    with np.errstate(invalid="ignore"):  # a NaN's cast; refused below
+        cast = pixels.astype(np.uint8)
+    wrong = (cast != pixels).ravel()
+    if wrong.any():
+        raise ValueError(f"pixel value {pixels.ravel()[wrong.argmax()]} "
+                         f"is not an integer from 0 to 255")
+    return cast
+
+
 @dataclass
 class FrameSequence:
     """Stack of same-sized 8-bit grayscale frames."""
@@ -64,7 +83,7 @@ class FrameSequence:
     frames: np.ndarray  # (T, height, width) uint8
 
     def __post_init__(self):
-        self.frames = np.asarray(self.frames, dtype=np.uint8)
+        self.frames = _as_pixels(self.frames)
         if self.frames.ndim != 3 or \
                 self.frames.shape[1:] != (self.height, self.width):
             raise ValueError("frames must form a (T, height, width) stack")
@@ -158,8 +177,8 @@ def read_pgm(path) -> Tuple[int, int, np.ndarray]:
 
 
 def write_pgm(pixels: np.ndarray, path) -> None:
-    """Write a (height, width) uint8 array as binary PGM."""
-    pixels = np.asarray(pixels, dtype=np.uint8)
+    """Write a (height, width) array of 8-bit levels as binary PGM."""
+    pixels = _as_pixels(pixels)
     if pixels.ndim != 2:
         raise ValueError("pixels must be a 2-D array")
     height, width = pixels.shape
@@ -201,9 +220,8 @@ def _open_pgm_sequence(paths: Sequence) -> _FrameReader:
 
 
 def frame_to_vector(frame: np.ndarray) -> np.ndarray:
-    """Row-major flattening with pixel values rescaled to [0, 1]."""
-    frame = np.asarray(frame, dtype=np.uint8)
-    return frame.reshape(-1).astype(np.float64) / 255.0
+    """Row-major flattening with 8-bit levels rescaled to [0, 1]."""
+    return _as_pixels(frame).reshape(-1).astype(np.float64) / 255.0
 
 
 @dataclass

@@ -360,6 +360,46 @@ class TestAllOrNothing:
             f"'{argv[-1]}'\n")
         assert _listing(tmp_path) == before
 
+    @pytest.mark.skipif(os.name != "posix", reason="needs SIGTERM")
+    def test_a_terminated_run_writes_nothing(self, tmp_path):
+        """SIGTERM once the output is being written: exit 143, no
+        temporary left, and no process (the scan-ahead child reaped)."""
+        import signal
+        import time
+        stream = tmp_path / "s.bin"
+        # every row alarms (its distance is about 3), so the run is slow
+        write_vectors(np.random.default_rng(9).normal(size=(200_000, 10)),
+                      stream)
+        with subprocess.Popen(
+                [sys.executable, "-m", "fado.cli", "run", "--mode", "fixed",
+                 "--epsilon", "1", "--input", str(stream), "--output",
+                 str(tmp_path / "o.csv")], stderr=subprocess.PIPE,
+                env=child_env(OPENBLAS_NUM_THREADS=None)) as proc:
+            deadline = time.monotonic() + 30
+            while not any(p.stat().st_size
+                          for p in tmp_path.glob(".o.csv.*")):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.005)
+            proc.send_signal(signal.SIGTERM)
+            assert (proc.wait(timeout=60), proc.stderr.read()) == (143, b"")
+        assert [p.name for p in tmp_path.iterdir()] == ["s.bin"]
+        assert subprocess.run(["pgrep", "-f", str(stream)]).returncode == 1
+
+    def test_the_sigterm_handler_is_put_back(self, capsys):
+        """``main`` restores the caller's SIGTERM handler, and runs off the
+        main thread, where it sets none."""
+        import signal
+        import threading
+        before = signal.getsignal(signal.SIGTERM)
+        argv = ["bounds", "--wnorm", "1", "--mu", "0.1"]
+        assert main(argv) == 0
+        assert signal.getsignal(signal.SIGTERM) is before
+        codes = []
+        worker = threading.Thread(target=lambda: codes.append(main(argv)))
+        worker.start()
+        worker.join()
+        assert codes == [0]
+
     def test_scene_stages_its_outputs_before_making_frames(
             self, tmp_path, monkeypatch, capsys):
         """An output in a missing directory fails before any synthetic

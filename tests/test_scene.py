@@ -166,6 +166,49 @@ class TestFrameToVector:
                                    [1, 2, 3, 4])
 
 
+# Each function that takes frames, as a call on a (1, 2) array of levels.
+_TAKES_FRAMES = {
+    "FrameSequence": lambda pixels, path: FrameSequence(2, 1, pixels[None]),
+    "write_pgm": write_pgm,
+    "frame_to_vector": lambda pixels, path: frame_to_vector(pixels),
+}
+
+
+class TestPixelLevels:
+    """Frames hold 8-bit levels: values a uint8 holds exactly pass, and
+    any other is refused by name, never wrapped or truncated."""
+
+    @pytest.mark.parametrize("takes", _TAKES_FRAMES.values(),
+                             ids=_TAKES_FRAMES)
+    @pytest.mark.parametrize("bad, shown", [
+        (300, "300"), (-1, "-1"), (0.5, "0.5"), (np.nan, "nan")])
+    def test_a_value_no_uint8_holds_is_named(self, tmp_path, takes, bad,
+                                             shown):
+        pixels = np.array([[7, bad]])
+        with pytest.raises(ValueError,
+                           match=f"^pixel value {shown} is not an integer "
+                                 f"from 0 to 255$"):
+            takes(pixels, tmp_path / "f.pgm")
+        assert not (tmp_path / "f.pgm").exists()
+
+    def test_in_range_integers_give_the_bytes_of_uint8(self, tmp_path):
+        levels = np.array([[0, 255], [3, 128]], dtype=np.int64)
+        as_uint8 = levels.astype(np.uint8)
+        for name, pixels in (("int64", levels), ("uint8", as_uint8)):
+            write_pgm(pixels, tmp_path / f"{name}.pgm")
+        assert (tmp_path / "int64.pgm").read_bytes() == \
+            (tmp_path / "uint8.pgm").read_bytes()
+        assert frame_to_vector(levels).tobytes() == \
+            frame_to_vector(as_uint8).tobytes()
+        frames = FrameSequence(2, 2, levels[None]).frames
+        assert frames.dtype == np.uint8
+        assert frames.tobytes() == as_uint8.tobytes()
+
+    def test_uint8_frames_are_not_copied(self):
+        frames = np.zeros((3, 2, 2), dtype=np.uint8)
+        assert FrameSequence(2, 2, frames).frames is frames
+
+
 class TestSceneDetection:
     def test_constant_gray_video_single_alarm(self):
         """40x40 constant gray 128: first-frame distance is

@@ -65,7 +65,8 @@ def _as_pixels(values) -> np.ndarray:
     pixels = np.asarray(values)
     if pixels.dtype == np.uint8:
         return pixels
-    with np.errstate(invalid="ignore"):  # a NaN's cast; refused below
+    # casting NaN or an out-of-range float warns; both are refused below
+    with np.errstate(invalid="ignore"):
         cast = pixels.astype(np.uint8)
     wrong = (cast != pixels).ravel()
     if wrong.any():

@@ -5,11 +5,12 @@ out-of-memory failures (one-line diagnostic on stderr), 2 on usage errors.
 Data goes to the requested files or stdout; logging stays on stderr so
 outputs pipe cleanly.  A failed ``run``, ``scene`` or ``gen`` leaves no
 output file: each is written to a temporary beside it that replaces it
-only when the command succeeds (``_all_or_nothing``); a SIGTERM ends the
-command the same way, with exit 143 (``128 + SIGTERM``).  All configuration
-is by flag - fado reads no environment variable of its own.  A flag left
-out leaves its value to the default of the library function it feeds
-(scene detection defaults to epsilon=100 with unit constant gain; tau
+only when the command succeeds (``_all_or_nothing``).  SIGTERM, SIGHUP and
+SIGINT end a command the same way, with exit ``128 + signum`` and nothing
+on stderr; a stop signal the caller ignores stays ignored.  All
+configuration is by flag - fado reads no environment variable of its own.
+A flag left out leaves its value to the default of the library function it
+feeds (scene detection defaults to epsilon=100 with unit constant gain; tau
 defaults to 0.25; each sweep has its own seeds, count and base seed).
 
 When numpy is not yet loaded and the caller has not set
@@ -495,7 +496,7 @@ def _cmd_gen(args, parser) -> int:
 
 
 def _terminate(signum, frame):
-    """Exit ``128 + signum`` by way of every ``finally``, so a terminated
+    """Exit ``128 + signum`` by way of every ``finally``, so a stopped
     command removes its staged outputs and reaps its helper."""
     raise SystemExit(128 + signum)
 
@@ -506,12 +507,17 @@ def main(argv=None) -> int:
     if pin:  # read once, when numpy loads; see the module docstring
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
     import signal
+    previous = {}  # the stop signals handled here, and their handlers
     try:
-        # None means a handler set outside Python, which cannot be restored
-        previous = signal.signal(signal.SIGTERM, _terminate) or signal.SIG_DFL
-    except ValueError:  # off the main thread, where no handler can be set
-        previous = None
-    try:
+        # off the main thread no handler can be set; an ignored stop is the
+        # caller's choice, kept; a handler of None was set outside Python
+        # and cannot be restored; there is no SIGHUP outside POSIX
+        with contextlib.suppress(ValueError):
+            for name in ("SIGTERM", "SIGHUP", "SIGINT"):
+                signum = getattr(signal, name, None)
+                if signum and signal.getsignal(signum) is not signal.SIG_IGN:
+                    previous[signum] = (signal.signal(signum, _terminate)
+                                        or signal.SIG_DFL)
         args = _build_parser().parse_args(argv)
         return args.handler(args)
     except (ValueError, OverflowError, OSError, MemoryError) as exc:
@@ -520,8 +526,8 @@ def main(argv=None) -> int:
     finally:
         if pin:
             os.environ.pop("OPENBLAS_NUM_THREADS", None)
-        if previous is not None:
-            signal.signal(signal.SIGTERM, previous)
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
 
 
 if __name__ == "__main__":

@@ -12,8 +12,9 @@ under a given numpy build and CPU dispatch level: numpy's AVX512 ``log``
 and ``pow`` kernels give other bits than its AVX2 and baseline ones, so the
 bytes can differ between hosts.  The state after k draws is the seed plus
 k times a constant, so a generator can be placed any number of draws ahead
-in O(1) (:meth:`SplitMix64.jumped`).  When the process may use two CPUs,
-a large ball block (and the synthetic clips of :mod:`fado.scene`) is
+in O(1) (:meth:`SplitMix64.jumped`).  Every row of every design takes a
+fixed number of draws.  When the process may use two CPUs, a large block
+of ball or outlier rows (and the synthetic clips of :mod:`fado.scene`) is
 split by that counter offset: a second thread draws the upper half of the
 rows or frames while the caller draws the lower half.  Each row's or
 frame's draws are the same either way, so the bytes do not depend on the
@@ -219,18 +220,23 @@ def _box_muller(u: np.ndarray, cols: int) -> np.ndarray:
 
 
 def _ball_block(rng: SplitMix64, count: int, center: np.ndarray,
-                radius: float) -> np.ndarray:
-    """Uniform samples from the closed ball; row consumption is fixed.
+                radius: float, inner: float = 0.0) -> np.ndarray:
+    """Uniform samples from the shell inner <= |y - center| <= radius (the
+    closed ball when ``inner`` is 0); row consumption is fixed.
 
-    Each sample consumes 2*ceil(dim/2) doubles for the direction plus one
-    for the radial factor U**(1/dim), so the rows may be drawn in two
+    Each sample consumes 2*ceil(dim/2) doubles for the direction plus one,
+    U, for its radius, drawn directly by the inverse CDF
+    radius * (t + U * (1 - t))**(1/dim) with t = (inner/radius)**dim (so
+    radius * U**(1/dim) in the ball), so the rows may be drawn in two
     halves at once (see :func:`_split`).  Points that land an ulp outside
-    the ball after the center addition are projected back in (no extra
-    draws).  A Gaussian row is never all zero: u1 <= 1 - 2**-53 keeps its
-    radius positive, and no double angle has a zero cosine.
+    the shell after the center addition are projected back in (no extra
+    draws); see :func:`_project_into_ball`.  A Gaussian row is never all
+    zero: u1 <= 1 - 2**-53 keeps its radius positive, and no double angle
+    has a zero cosine.
     """
     dim = center.size
     per_row = 2 * ((dim + 1) // 2) + 1
+    t = (inner / radius) ** dim
     out = np.empty((count, dim), dtype=np.float64)
 
     def fill(lo, hi):
@@ -238,11 +244,11 @@ def _ball_block(rng: SplitMix64, count: int, center: np.ndarray,
             (hi - lo) * per_row).reshape(hi - lo, per_row)
         g = _box_muller(u[:, :-1], dim)
         norms = np.sqrt(np.einsum("ij,ij->i", g, g))
-        scale = radius * u[:, -1] ** (1.0 / dim)
+        scale = radius * (t + u[:, -1] * (1.0 - t)) ** (1.0 / dim)
         rows = out[lo:hi]
         np.multiply(g, (scale / norms)[:, None], out=rows)
         rows += center  # the bits of center + rows
-        _project_into_ball(rows, center, radius)
+        _project_into_ball(rows, center, radius, inner)
 
     _split(fill, count, per_row)
     rng._state = rng.jumped(count * per_row)._state
@@ -250,21 +256,30 @@ def _ball_block(rng: SplitMix64, count: int, center: np.ndarray,
 
 
 def _project_into_ball(samples: np.ndarray, center: np.ndarray,
-                       radius: float) -> None:
-    """Deterministically repair ulp-level radius violations in place."""
+                       radius: float, inner: float = 0.0) -> None:
+    """Deterministically repair ulp-level shell violations in place.
+
+    Rows beyond ``radius`` are scaled onto it times a factor below 1, then
+    rows short of ``inner`` (but off the center) onto it times a factor
+    above 1.  The factor's step from 1 doubles each round from 2**-50, so
+    each side takes at most 51 rounds: a step below the center's ulp may
+    move nothing, but by then a row beyond ``radius`` is on the center.  A
+    row still outside the shell lies in a shell thinner than the float64
+    spacing around its center: ValueError.
+    """
     d = np.linalg.norm(samples - center, axis=1)
-    over = d > radius
-    shrink, step = 1.0, 2.0 ** -50
-    while np.any(over):
-        # the step doubles, so rows end inside where a step below the
-        # center's ulp moves nothing: by round 51 the shrink is 0
-        shrink *= 1.0 - step
-        step *= 2.0
-        idx = np.flatnonzero(over)
-        samples[idx] = center + (samples[idx] - center) * (
-            radius * shrink / d[idx])[:, None]
-        d[idx] = np.linalg.norm(samples[idx] - center, axis=1)
-        over[idx] = d[idx] > radius
+    for bound, step in ((radius, -2.0 ** -50), (inner, 2.0 ** -50)):
+        factor = 1.0
+        while abs(step) <= 1.0 and (idx := np.flatnonzero(
+                d > radius if step < 0 else (d < inner) & (d > 0.0))).size:
+            factor *= 1.0 + step
+            step *= 2.0
+            samples[idx] = center + (samples[idx] - center) * (
+                bound * factor / d[idx])[:, None]
+            d[idx] = np.linalg.norm(samples[idx] - center, axis=1)
+    if np.any((d > radius) | (d < inner)):
+        raise ValueError(f"the shell {inner!r} <= |y - center| <= {radius!r}"
+                         " is thinner than float64 resolves around its center")
 
 
 class Design(enum.Enum):
@@ -322,10 +337,10 @@ def gen_outliers(truth: GroundTruth, count: int, delta_min: float,
                  radius_max: float, rng: SplitMix64) -> np.ndarray:
     """Points uniform in the shell epsilon + delta_min <= |y - w| <= radius_max.
 
-    Batched rejection from the outer ball: each round draws the remaining
-    number of candidates and keeps the ones clearing the inner radius, in
-    draw order.  Ulp-level outer violations are projected back; inner
-    near-misses are rejected like any other interior point.
+    Each row's radius is drawn directly (see :func:`_ball_block`), so every
+    row takes a fixed number of draws and the rows split across two
+    threads like the ball's.  A shell thinner than the float64 spacing
+    around ``w`` raises ValueError.
     """
     if not (delta_min >= 0 and math.isfinite(delta_min)):
         raise ValueError("delta_min must be a nonnegative finite number")
@@ -333,15 +348,7 @@ def gen_outliers(truth: GroundTruth, count: int, delta_min: float,
     if not radius_max > lower:
         raise ValueError(
             "infeasible shell: radius_max must exceed epsilon + delta_min")
-    out = np.empty((count, truth.dim), dtype=np.float64)
-    filled = 0
-    while filled < count:
-        cand = _ball_block(rng, count - filled, truth.w_bar, radius_max)
-        dist = np.linalg.norm(cand - truth.w_bar, axis=1)
-        keep = cand[dist >= lower]
-        out[filled:filled + keep.shape[0]] = keep
-        filled += keep.shape[0]
-    return out
+    return _ball_block(rng, count, truth.w_bar, radius_max, lower)
 
 
 def generate(spec: StreamSpec) -> Tuple[np.ndarray, Optional[np.ndarray]]:

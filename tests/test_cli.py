@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import struct
@@ -308,6 +309,17 @@ def _listing(directory):
             if p.is_file()}
 
 
+# Runs fado.cli.main on sys.argv[3:] with the signal named sys.argv[1] set
+# to the disposition named sys.argv[2] (SIG_DFL or SIG_IGN), as a shell or
+# ``nohup`` may start fado, whatever the disposition this process has.
+_WITH_SIGNAL = """
+import signal, sys
+signal.signal(getattr(signal, sys.argv[1]), getattr(signal, sys.argv[2]))
+from fado.cli import main
+sys.exit(main(sys.argv[3:]))
+"""
+
+
 class TestAllOrNothing:
     """``run``, ``scene`` and ``gen`` write each output that is a regular
     file, or new, to a hidden temporary beside it, moved onto it only when
@@ -360,40 +372,71 @@ class TestAllOrNothing:
             f"'{argv[-1]}'\n")
         assert _listing(tmp_path) == before
 
-    @pytest.mark.skipif(os.name != "posix", reason="needs SIGTERM")
-    def test_a_terminated_run_writes_nothing(self, tmp_path):
-        """SIGTERM once the output is being written: exit 143, no
-        temporary left, and no process (the scan-ahead child reaped)."""
-        import signal
+    @staticmethod
+    @contextlib.contextmanager
+    def _run_until_staged(tmp_path, signame, disposition):
+        """Start ``fado run`` over 200,000 rows that all alarm (a slow
+        run), with ``signame`` set to ``disposition`` as it starts; yield
+        the process once its staged output has bytes."""
         import time
         stream = tmp_path / "s.bin"
-        # every row alarms (its distance is about 3), so the run is slow
         write_vectors(np.random.default_rng(9).normal(size=(200_000, 10)),
                       stream)
         with subprocess.Popen(
-                [sys.executable, "-m", "fado.cli", "run", "--mode", "fixed",
-                 "--epsilon", "1", "--input", str(stream), "--output",
-                 str(tmp_path / "o.csv")], stderr=subprocess.PIPE,
+                [sys.executable, "-c", _WITH_SIGNAL, signame, disposition,
+                 "run", "--mode", "fixed", "--epsilon", "1", "--input",
+                 str(stream), "--output", str(tmp_path / "o.csv")],
+                stderr=subprocess.PIPE,
                 env=child_env(OPENBLAS_NUM_THREADS=None)) as proc:
             deadline = time.monotonic() + 30
             while not any(p.stat().st_size
                           for p in tmp_path.glob(".o.csv.*")):
                 assert proc.poll() is None and time.monotonic() < deadline
                 time.sleep(0.005)
-            proc.send_signal(signal.SIGTERM)
-            assert (proc.wait(timeout=60), proc.stderr.read()) == (143, b"")
+            yield proc
+
+    @pytest.mark.skipif(os.name != "posix", reason="needs POSIX signals")
+    @pytest.mark.parametrize("signame", ["SIGTERM", "SIGHUP", "SIGINT"])
+    def test_a_terminated_run_writes_nothing(self, tmp_path, signame):
+        """A stop signal once the output is being written: exit
+        128 + signum, nothing on stderr, no temporary left, and no process
+        (the scan-ahead child reaped)."""
+        import signal
+        signum = getattr(signal, signame)
+        with self._run_until_staged(tmp_path, signame, "SIG_DFL") as proc:
+            proc.send_signal(signum)
+            assert (proc.wait(timeout=60), proc.stderr.read()) == (
+                128 + signum, b"")
         assert [p.name for p in tmp_path.iterdir()] == ["s.bin"]
-        assert subprocess.run(["pgrep", "-f", str(stream)]).returncode == 1
+        assert subprocess.run(["pgrep", "-f", str(tmp_path)]).returncode == 1
+
+    @pytest.mark.skipif(os.name != "posix", reason="needs POSIX signals")
+    def test_an_ignored_hangup_does_not_stop_a_run(self, tmp_path):
+        """Started with SIGHUP ignored (as under ``nohup``), a run that is
+        sent one finishes and writes the bytes of an unsignalled run."""
+        import signal
+        with self._run_until_staged(tmp_path, "SIGHUP", "SIG_IGN") as proc:
+            proc.send_signal(signal.SIGHUP)
+            assert proc.wait(timeout=60) == 0
+            assert proc.stderr.read().startswith(
+                b"processed 200000 transactions, ")
+        assert run_cli("run", "--mode", "fixed", "--epsilon", "1", "--input",
+                       str(tmp_path / "s.bin"), "--output",
+                       str(tmp_path / "quiet.csv")) == (0, "")
+        assert (tmp_path / "o.csv").read_bytes() == \
+            (tmp_path / "quiet.csv").read_bytes()
 
     def test_the_sigterm_handler_is_put_back(self, capsys):
-        """``main`` restores the caller's SIGTERM handler, and runs off the
-        main thread, where it sets none."""
+        """``main`` restores the caller's handler of each stop signal, and
+        runs off the main thread, where it sets none."""
         import signal
         import threading
-        before = signal.getsignal(signal.SIGTERM)
+        stops = [getattr(signal, name) for name in
+                 ("SIGTERM", "SIGHUP", "SIGINT") if hasattr(signal, name)]
+        before = [signal.getsignal(signum) for signum in stops]
         argv = ["bounds", "--wnorm", "1", "--mu", "0.1"]
         assert main(argv) == 0
-        assert signal.getsignal(signal.SIGTERM) is before
+        assert [signal.getsignal(signum) for signum in stops] == before
         codes = []
         worker = threading.Thread(target=lambda: codes.append(main(argv)))
         worker.start()

@@ -1,4 +1,5 @@
 import math
+import subprocess
 import sys
 import threading
 from dataclasses import FrozenInstanceError
@@ -11,6 +12,7 @@ from fado import streams
 from fado.bounds import GroundTruth, sigma_size
 from fado.detector import _TILE
 from fado.scene import gen_synthetic_clips
+from fado.streamio import read_vectors
 from fado.streams import (
     _SPLIT_DRAWS,
     Design,
@@ -20,6 +22,8 @@ from fado.streams import (
     gen_outliers,
     generate,
 )
+
+from conftest import child_env
 
 
 class TestSplitMix64:
@@ -404,13 +408,78 @@ class TestOutliers:
                                              "nonnegative finite number$"):
             gen_outliers(self._truth(), 10, delta_min, 5.0, SplitMix64(5))
 
-    def test_rejection_expected_iterations_bounded(self):
-        # volume-ratio argument: E[iters] = 1 / (1 - (lower/outer)**n) < 100
-        for dim, lower_extra, outer in ((2, 0.0, 1.01), (10, 0.0, 1.2),
-                                        (100, 0.1, 1.2)):
-            ratio = (1.0 + lower_extra) / outer
-            expected_iters = 1.0 / (1.0 - ratio ** dim)
-            assert expected_iters < 100.0
+    def test_draws_per_row_are_fixed(self):
+        """Each outlier takes 2*ceil(dim/2) + 1 draws, in a thin shell as
+        in a thick one: no row is drawn again."""
+        for dim in (1, 2, 5):
+            truth = GroundTruth(np.full(dim, 2.0), 1.0, 0.1)
+            for radius_max in (1.0000001, 5.0):
+                rng = SplitMix64(21)
+                gen_outliers(truth, 1_000, 0.0, radius_max, rng)
+                per_row = 2 * ((dim + 1) // 2) + 1
+                assert rng._state == \
+                    SplitMix64(21).jumped(1_000 * per_row)._state
+
+    @pytest.mark.parametrize("width", [1e-7, 1e-3, 4.0])
+    @pytest.mark.parametrize("dim", [2, 10, 100])
+    def test_every_row_lies_in_the_shell(self, dim, width):
+        """By the norm that ``sigma_size`` takes, however thin the shell
+        (its outer radius is 1 + width times its inner one)."""
+        center = np.zeros(dim)
+        center[:2] = 2.0
+        truth = GroundTruth(center, 1.0, 0.1)
+        radius_max = 1.25 * (1.0 + width)
+        pts = gen_outliers(truth, 2_000, 0.25, radius_max, SplitMix64(8))
+        dists = np.linalg.norm(pts - truth.w_bar, axis=1)
+        assert (dists >= 1.25).all() and (dists <= radius_max).all()
+
+    def test_radius_is_uniform_in_volume(self):
+        """(r**n - lower**n) / (R**n - lower**n) is uniform on [0, 1]."""
+        truth = GroundTruth(np.zeros(3), 1.5)
+        pts = gen_outliers(truth, 200_000, 0.0, 4.0, SplitMix64(10))
+        r = np.linalg.norm(pts, axis=1)
+        share = (r ** 3 - 1.5 ** 3) / (4.0 ** 3 - 1.5 ** 3)
+        probs = [0.1, 0.25, 0.5, 0.75, 0.9]
+        assert np.abs(np.quantile(share, probs) - probs).max() <= 0.005
+
+    @pytest.mark.parametrize("center, ulps", [
+        ((2.0, 2.0), 1), ((1e6, 0.0), 1000)], ids=["1-ulp", "far-1000-ulp"])
+    def test_a_shell_too_thin_for_float64_is_refused(
+            self, tmp_path, capsys, center, ulps):
+        """No float64 point lands in the shell around this center, so the
+        sampler raises where a rejection loop would spin forever; through
+        ``fado gen`` that is exit 1, one line and no file."""
+        from fado.cli import main
+        radius_max = 1.0 + ulps * 2.0 ** -52
+        truth = GroundTruth(np.array(center), 1.0, 0.1)
+        with pytest.raises(ValueError, match=(
+                rf"^the shell 1\.0 <= \|y - center\| <= {radius_max!r} "
+                "is thinner than float64 resolves around its center$")):
+            gen_outliers(truth, 1_000, 0.0, radius_max, SplitMix64(1))
+        out = tmp_path / "m.bin"
+        assert main(["gen", "--design", "mixture", "--dim", "2", "--count",
+                     "2000", "--center", ",".join(map(repr, center)),
+                     "--epsilon", "1", "--mu", "0.1", "--fraction", "0.5",
+                     "--radius-max", repr(radius_max), "--seed", "1",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the shell ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_thin_shell_mixture_is_generated_in_time(self, tmp_path):
+        """A shell 1e-7 wide once kept rejection sampling spinning."""
+        out = tmp_path / "m.bin"
+        subprocess.run(
+            [sys.executable, "-m", "fado.cli", "gen", "--design", "mixture",
+             "--dim", "2", "--count", "20000", "--center", "2",
+             "--epsilon", "1", "--mu", "0.1", "--fraction", "0.5",
+             "--radius-max", "1.0000001", "--seed", "1", "--out", str(out)],
+            env=child_env(), capture_output=True, check=True, timeout=10)
+        dists = np.linalg.norm(read_vectors(out) - 2.0, axis=1)
+        outliers = dists > 0.9
+        assert outliers.sum() > 9_000
+        assert ((dists[outliers] >= 1.0)
+                & (dists[outliers] <= 1.0000001)).all()
 
 
 class TestContaminatedStream:
@@ -441,6 +510,17 @@ class TestContaminatedStream:
             samples, labels = generate(spec)
             rep = sigma_size(samples, spec.truth)
             assert rep.p_T == int(labels.sum())
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("radius_max", [1.0000001, 1.001, 5.0])
+    def test_labels_agree_for_thin_and_thick_shells(self, radius_max, seed):
+        center = np.zeros(5)
+        center[:2] = 2.0
+        spec = StreamSpec(dim=5, count=4_000, truth=GroundTruth(
+            center, 1.0, 0.1), seed=seed, design=Design.MIXTURE,
+            contamination_fraction=0.3, outlier_radius_max=radius_max)
+        samples, labels = generate(spec)
+        assert sigma_size(samples, spec.truth).p_T == int(labels.sum())
 
     def test_ten_dimensional_variant(self):
         spec = self._spec(0.2, dim=10)
@@ -593,7 +673,21 @@ class TestSplitGeneration:
 
         split, serial, threads = _on_both_paths(monkeypatch, draw)
         assert split == serial
-        assert threads >= 2  # the normal rows and the first outlier draw
+        assert threads == 2  # the normal rows and the outlier rows
+
+    @pytest.mark.parametrize("radius_max", [1.0000001, 3.0])
+    def test_outlier_bytes_do_not_depend_on_the_split(self, monkeypatch,
+                                                      radius_max):
+        truth = GroundTruth(np.array([2.0, 2.0, 0.0, 0.0, 0.0]), 1.0, 0.1)
+        count = _split_threshold(7) + 7
+
+        def draw():
+            rng = SplitMix64(12)
+            return (gen_outliers(truth, count, 0.0, radius_max,
+                                 rng).tobytes(), rng._state)
+
+        split, serial, threads = _on_both_paths(monkeypatch, draw)
+        assert split == serial and threads == 1
 
     @pytest.mark.parametrize("in_worker", [True, False],
                              ids=["worker", "caller"])

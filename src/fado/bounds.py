@@ -24,7 +24,7 @@ from decimal import Context, Decimal, localcontext
 
 import numpy as np
 
-from .detector import Detector, PowerDecay, _dot, as_vector
+from .detector import Detector, PowerDecay, _check_finite, _dot, as_vector
 
 __all__ = [
     "riemann_zeta",
@@ -71,18 +71,13 @@ def riemann_zeta(s: float) -> float:
     return math.fsum(terms)
 
 
-def _check_positive(name: str, value: float) -> None:
-    if not (value > 0 and math.isfinite(value)):
-        raise ValueError(f"{name} must be a positive finite number")
-
-
 def ac_y_bound(a: float, c: float) -> float:
     """Bound on |y| when x + y <= c*sqrt(a + 2y), y >= -a/2, x >= 0.
 
     The second branch is the positive root of y = c*sqrt(a + 2y).
     """
-    _check_positive("a", a)
-    _check_positive("c", c)
+    _check_finite("a", a)
+    _check_finite("c", c)
     return max(a / 2.0, c * math.sqrt(a + c * c) + c * c)
 
 
@@ -168,7 +163,7 @@ def power_delta_bound(norm_w_bar: float, m_T: int, tau: float = 0.25,
     turns back upward, which is exactly where the chain's a = O(c^2)
     premise stops holding.
     """
-    _check_positive("norm_w_bar", norm_w_bar)
+    _check_finite("norm_w_bar", norm_w_bar)
     if m_T < 1:
         raise ValueError("m_T must be at least 1")
     energy = _gain_energy(tau, gamma0)
@@ -185,10 +180,9 @@ def mistake_bound_agnostic(norm_w_bar: float, mu: float, tau: float,
     (the Cauchy-Schwarz coupling of gain energy and fault sizes); with
     sigma_T = 0 this reduces to :func:`mistake_bound_realizable`.
     """
-    _check_positive("norm_w_bar", norm_w_bar)
-    _check_positive("mu", mu)
-    if not (sigma_T >= 0 and math.isfinite(sigma_T)):
-        raise ValueError("sigma_T must be a nonnegative finite number")
+    _check_finite("norm_w_bar", norm_w_bar)
+    _check_finite("mu", mu)
+    _check_finite("sigma_T", sigma_T, zero_ok=True)
     zeta_energy = _gain_energy(tau, gamma0)
     x_max = ac_x_bound(zeta_energy, norm_w_bar)
     rhs = x_max + math.sqrt(zeta_energy * sigma_T)
@@ -208,9 +202,8 @@ def sigma_admissibility_ratio(norm_w_bar: float, sigma_T: float) -> float:
 
     Zero when sigma_T is; otherwise a ratio outside float range, where
     norm_w_bar**8 overflows or underflows, is a ValueError."""
-    _check_positive("norm_w_bar", norm_w_bar)
-    if not (sigma_T >= 0 and math.isfinite(sigma_T)):
-        raise ValueError("sigma_T must be a nonnegative finite number")
+    _check_finite("norm_w_bar", norm_w_bar)
+    _check_finite("sigma_T", sigma_T, zero_ok=True)
     if sigma_T == 0:
         return 0.0
     try:
@@ -264,8 +257,8 @@ def adaptive_mistake_bound(norm_w_bar: float, epsilon: float,
     counts below the first such root escape the argument and are admitted
     into the cap unchallenged.
     """
-    _check_positive("norm_w_bar", norm_w_bar)
-    _check_positive("epsilon", epsilon)
+    _check_finite("norm_w_bar", norm_w_bar)
+    _check_finite("epsilon", epsilon)
     ac_cap = 2.0 * ac_x_bound(_gain_energy(tau, gamma0), norm_w_bar)
 
     threshold = _split_threshold(2.0 * epsilon * gamma0, 0.5 + tau)
@@ -289,9 +282,8 @@ class GroundTruth:
         w_bar = as_vector(self.w_bar, name="w_bar").copy()
         w_bar.flags.writeable = False
         object.__setattr__(self, "w_bar", w_bar)
-        _check_positive("epsilon", self.epsilon)
-        if not (self.mu >= 0 and math.isfinite(self.mu)):
-            raise ValueError("mu must be a nonnegative finite number")
+        _check_finite("epsilon", self.epsilon)
+        _check_finite("mu", self.mu, zero_ok=True)
         if self.mu > 0 and self.mu >= self.epsilon:
             raise ValueError("mu must be smaller than epsilon (empty ball otherwise)")
 

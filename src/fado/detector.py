@@ -36,14 +36,14 @@ raises :class:`ChildProcessError`.  Both paths give the same bits.
 * ``fado run``'s blocks (:func:`_outcome_blocks`): the first is scanned
   and yielded before the second is read, and a forked child scans the
   second onward while the caller writes the blocks before.
-* A scan whose chunks hold one row (more than 65,536 values) may hand the
-  columns from a slice boundary near the middle to a forked partner
-  (:func:`_column_partner`), which runs the same :func:`_judge` and
-  :func:`_move` on them and keeps each slice's own sum as a partial; the
-  scan adds the partials on to its running total left to right, as an
-  in-process scan adds the same slices, so the distance has the same
-  bits.  While the partner lives the center is shared memory, and each
-  process moves its own columns of it.
+* ``fado scene``'s frames (:func:`_frame_outcomes`): a scan whose chunks
+  hold one row (more than 65,536 values) may hand the columns from a slice
+  boundary near the middle to a forked partner (:func:`_column_partner`),
+  which runs the same :func:`_judge` and :func:`_move` on them and keeps
+  each slice's own sum as a partial; the scan adds the partials on to its
+  running total left to right, as an in-process scan adds the same slices,
+  so the distance has the same bits.  While the partner lives the center is
+  shared memory, and each process moves its own columns of it.
 
 The per-step bookkeeping needed by the invariant auditors (gain energy,
 gain mass, and the gain-weighted inner products with the pre-update center)
@@ -345,6 +345,15 @@ def _column_partner(detector: "Detector", scale: float):
         detector.w = private
 
 
+def _frame_outcomes(detector: "Detector", blocks, scale: float):
+    """Yield the :class:`ScanOutcomes` of ``detector``'s scans of the uint8
+    ``blocks(rows)``, read as ``block / scale``, with a partner if one forks
+    (:func:`_column_partner`); uint8 values are finite, so go unchecked."""
+    with _column_partner(detector, scale) as partner:
+        for block in blocks(_block_rows(detector.dim, 1)):
+            yield detector._scan(block, scale, partner)
+
+
 def _outcome_blocks(detector: "Detector", blocks):
     """Yield the outcome columns of each block of ``blocks`` as scanned in
     order by ``detector``: [alarm, distance, threshold, gain_applied].
@@ -404,6 +413,13 @@ def _outcome_blocks(detector: "Detector", blocks):
     vars(detector).update(end)
 
 
+def _check_finite(name: str, value: float, zero_ok: bool = False) -> None:
+    """Reject ``value`` unless finite and > 0 (>= 0 with ``zero_ok``)."""
+    if not (value > 0 or zero_ok and value == 0) or not math.isfinite(value):
+        sign = "nonnegative" if zero_ok else "positive"
+        raise ValueError(f"{name} must be a {sign} finite number")
+
+
 def as_vector(values, dim: int | None = None, name: str = "vector") -> np.ndarray:
     """Validate and convert input to a finite 1-D float64 array.
 
@@ -428,8 +444,7 @@ class PowerDecay:
     tau: float = 0.25
 
     def __post_init__(self):
-        if not (self.gamma0 > 0 and math.isfinite(self.gamma0)):
-            raise ValueError("gamma0 must be a positive finite number")
+        _check_finite("gamma0", self.gamma0)
         if not (0.0 < self.tau < 0.5):
             raise ValueError("tau must lie strictly between 0 and 1/2")
 
@@ -441,8 +456,7 @@ class Constant:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if not (self.gamma > 0 and math.isfinite(self.gamma)):
-            raise ValueError("gamma must be a positive finite number")
+        _check_finite("gamma", self.gamma)
 
 
 GainSchedule = Union[PowerDecay, Constant]
@@ -455,8 +469,7 @@ class FixedRadius:
     epsilon: float
 
     def __post_init__(self):
-        if not (self.epsilon >= 0 and math.isfinite(self.epsilon)):
-            raise ValueError("epsilon must be a nonnegative finite number")
+        _check_finite("epsilon", self.epsilon, zero_ok=True)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from .detector import (
     FixedRadius,
     ScanOutcomes,
     _block_rows,
-    _column_partner,
+    _frame_outcomes,
 )
 from .streamio import _open_packed, _write_packed, write_outcome_rows
 
@@ -266,12 +266,8 @@ def run_scene_detection(frames: FrameSequence, epsilon: float = 100.0,
             f"checkpoint dimension {detector.dim} does not match frames "
             f"({frames.dim})")
     start = detector.t
-    parts = []
-    with _column_partner(detector, 255.0) as partner:
-        for chunk in frames.blocks(_block_rows(frames.dim, 1)):
-            # the scan divides each tile by 255 as frame_to_vector does;
-            # values from uint8 are finite, so it takes them unchecked
-            parts.append(detector._scan(chunk, 255.0, partner))
+    # 255 reads each frame as frame_to_vector does
+    parts = _frame_outcomes(detector, frames.blocks, 255.0)
     columns = zip(*((p.alarm, p.distance, p.threshold, p.gain_applied)
                     for p in parts))
     outcomes = ScanOutcomes(*map(np.concatenate, columns))

@@ -44,7 +44,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .bounds import GroundTruth
-from .detector import _TILE, _usable_cpus
+from .detector import _TILE, _check_finite, _usable_cpus
 
 __all__ = [
     "SplitMix64",
@@ -306,8 +306,7 @@ class StreamSpec:
                                _integer(name, getattr(self, name)))
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
-        if self.count < 0:
-            raise ValueError("count must be nonnegative")
+        _count(self.count)
         if self.truth.dim != self.dim:
             raise ValueError(
                 f"truth dimension {self.truth.dim} does not match dim {self.dim}")
@@ -322,6 +321,7 @@ class StreamSpec:
                     "outlier_radius_max is required for the mixture design")
             if self.outlier_radius_max <= self.truth.epsilon:
                 raise ValueError("outlier_radius_max must exceed epsilon")
+            _check_finite("outlier_radius_max", self.outlier_radius_max)
             return
         if self.contamination_fraction != 0.0:
             raise ValueError("contamination_fraction must be 0 outside the "
@@ -342,8 +342,7 @@ def gen_outliers(truth: GroundTruth, count: int, delta_min: float,
     threads like the ball's.  A shell thinner than the float64 spacing
     around ``w`` raises ValueError.
     """
-    if not (delta_min >= 0 and math.isfinite(delta_min)):
-        raise ValueError("delta_min must be a nonnegative finite number")
+    _check_finite("delta_min", delta_min, zero_ok=True)
     lower = truth.epsilon + delta_min
     if not radius_max > lower:
         raise ValueError(

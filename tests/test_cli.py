@@ -789,8 +789,13 @@ class TestGen:
          "--dim must be 2 in the circle design (dim = 2)"),
         (["--center", "nan"], "--center contains non-finite entries"),
         (["--mu", "-0.1"], "--mu must be a nonnegative finite number"),
+        (["--design", "mixture", "--radius-max", "inf", "--mu", "0.1"],
+         "--radius-max must be a positive finite number"),
+        (["--design", "mixture", "--radius-max", "nan", "--mu", "0.1"],
+         "--radius-max must be a positive finite number"),
     ], ids=["fraction", "radius-max", "mu", "mixture-mu", "circle-dim",
-            "center", "negative-mu"])
+            "center", "negative-mu", "infinite-radius-max",
+            "nan-radius-max"])
     def test_value_the_spec_rejects_names_its_flag(self, tmp_path, capsys,
                                                    extra, error):
         """A value that GroundTruth or StreamSpec rejects is a usage error

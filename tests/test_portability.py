@@ -1,4 +1,5 @@
-"""Decision digests: the columns of ``fado run`` that no host changes.
+"""Decision digests: the outputs of ``fado run``, ``sweep`` and ``scene``
+that no host changes.
 
 numpy's AVX512 ``log`` and ``pow`` kernels and OpenBLAS's per-core ``ddot``
 give other float bits on other hosts, so the full-byte digests of
@@ -6,9 +7,12 @@ give other float bits on other hosts, so the full-byte digests of
 the golden mixture, each ``RUN_DIGESTS`` mode's ``t``, ``alarm``,
 ``threshold`` and ``gain_applied`` columns hash the same natively and
 under each emulated host below, where only ``distance`` differs (by a few
-ulps).  Each child process generates the mixture itself, so the digests
-also cover a mixture drawn by the emulated kernels.  They were recorded
-before the outlier shell's radius was drawn directly, and still hold.
+ulps).  So do the golden sweep CSVs without ``final_w_error``, the golden
+scene timelines without ``distance`` (their ``#`` summary lines
+included), and the scene snapshots.  Each child process generates the
+mixture itself, so the digests also cover a mixture drawn by the emulated
+kernels.  The ``run`` digests were recorded before the outlier shell's
+radius was drawn directly, and still hold.
 """
 
 import hashlib
@@ -22,14 +26,31 @@ import pytest
 from fado.cli import main
 
 from conftest import child_env
-from test_golden import GEN_DIGESTS, RUN_DIGESTS
+from test_golden import GEN_DIGESTS, RUN_DIGESTS, SWEEP_DIGESTS
 
 DECISION_COLUMNS = ("t", "alarm", "threshold", "gain_applied")
+
+# the arguments of test_golden.py's two scene commands
+SCENE_COMMANDS = {
+    "scene": ["--epsilon", "5"],
+    "long-scene": ["--width", "2", "--height", "2", "--clips", "17",
+                   "--frames-per-clip", "1000", "--epsilon", "0.5"],
+}
 
 DECISION_DIGESTS = {
     "adaptive": "3d2a40d06d3912f132d8bb1a527e548cc4033becb8d3c92be2ce2672e8cf8d09",
     "constant-gain": "fdd171f33a651a6ee15690498e547b27b9c5044b3aad02b5de4ca548608c0c7d",
     "fixed": "b16403db4f609ce125a0109d0f16df11074255a5dfd272464cbd6cd8dadbc95f",
+    "sweep-adaptive": "24235bb1e65b298c01c9635ed88b051e96418d2afbaec0a100891310e30f1d7a",
+    "sweep-center": "50c37361089f7c9a1d3090d23b30ee7cd2ceb2142797bcb376cf4f5690cfe4cc",
+    "sweep-contamination": "49ffe35347df2b0def69a60c8c0d751bbb5ea5f2e5506de3ceda76804c505ad8",
+    "sweep-dim": "5233225f9f46b8f95c36aa74f66682525fd2a0be744c407652b56d6e5a838a8c",
+    "sweep-epsilon": "887606b8ade73cf44fcfebf81c15298d7bcc4cb8fb8704815cacb7abdbd6103f",
+    "sweep-margin": "b4d6b6097936e623f019f8e0c8e096f979c66e20264f92a10885adf190072391",
+    "scene-timeline": "b1e08a38860cee27d962a9362a62cb3f7e27ae8d1262b7882375ed73e01b3188",
+    "scene-snapshot": "71503e082b7baaeb36ebdb1b40267f8d0b496fac1e467b41ca58c20bd287c4b3",
+    "long-scene-timeline": "1f2dac1a68f2a0914d63600f0741c9a905fdb0624f63c49bfc7cd4b1f648e389",
+    "long-scene-snapshot": "71844f215a2b2e741bcc238fbef2b0177ec6ee018ae8e6afdaba093012a38605",
 }
 
 # environment variables that make this host compute as another would:
@@ -54,9 +75,23 @@ with tempfile.TemporaryDirectory() as directory:
 """
 
 
+def _digest(path, drop=None, keep=None) -> str:
+    """SHA-256 of the CSV at ``path`` with only the columns ``keep``, or
+    without the column ``drop``; ``#`` lines are hashed whole."""
+    header, *rows = path.read_text(encoding="ascii").splitlines()
+    names = header.split(",")
+    keep = [names.index(c) for c in keep or names if c != drop]
+    text = "\n".join(row if row.startswith("#")
+                     else ",".join(row.split(",")[i] for i in keep)
+                     for row in [header, *rows])
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
 def decision_digests(directory) -> dict:
     """SHA-256 of the decision columns of each ``RUN_DIGESTS`` mode's run
-    over the golden mixture, generated into ``directory``."""
+    over the golden mixture, of each golden sweep CSV without
+    ``final_w_error``, and of the two golden scene commands' timelines
+    without ``distance`` and their snapshots; all made in ``directory``."""
     directory = Path(directory)
     stream = directory / "mixture.bin"
     assert main(["gen", "--design", "mixture", *GEN_DIGESTS["mixture"][0],
@@ -66,11 +101,20 @@ def decision_digests(directory) -> dict:
         out = directory / f"{mode}.csv"
         assert main(["run", *args, "--input", str(stream),
                      "--output", str(out)]) == 0
-        header, *rows = out.read_text(encoding="ascii").splitlines()
-        keep = [header.split(",").index(c) for c in DECISION_COLUMNS]
-        text = "\n".join(",".join(row.split(",")[i] for i in keep)
-                         for row in [header, *rows])
-        digests[mode] = hashlib.sha256(text.encode("ascii")).hexdigest()
+        digests[mode] = _digest(out, keep=DECISION_COLUMNS)
+    for kind, (_, exit_code) in SWEEP_DIGESTS.items():
+        out = directory / f"sweep-{kind}.csv"
+        assert main(["sweep", kind, "--seeds", "2", "--count", "1500",
+                     "--out", str(out)]) == exit_code
+        digests[f"sweep-{kind}"] = _digest(out, drop="final_w_error")
+    for name, args in SCENE_COMMANDS.items():
+        timeline = directory / f"{name}.csv"
+        snapshot = directory / f"{name}.pgm"
+        assert main(["scene", "--synthetic", *args, "--timeline",
+                     str(timeline), "--snapshot", str(snapshot)]) == 0
+        digests[f"{name}-timeline"] = _digest(timeline, drop="distance")
+        digests[f"{name}-snapshot"] = hashlib.sha256(
+            snapshot.read_bytes()).hexdigest()
     return digests
 
 

@@ -540,6 +540,16 @@ class TestContaminatedStream:
                        design=Design.MIXTURE, contamination_fraction=0.1,
                        outlier_radius_max=5.0)
 
+    @pytest.mark.parametrize("radius_max", [math.inf, math.nan])
+    def test_outer_radius_must_be_finite(self, radius_max):
+        """An infinite outer shell would draw rows of inf and -inf."""
+        truth = GroundTruth(np.array([2.0, 2.0]), 1.0, 0.1)
+        with pytest.raises(ValueError, match="^outlier_radius_max must be "
+                                             "a positive finite number$"):
+            StreamSpec(dim=2, count=10, truth=truth, seed=1,
+                       design=Design.MIXTURE, contamination_fraction=0.5,
+                       outlier_radius_max=radius_max)
+
 
 class TestGenerateDispatch:
     def test_dispatches_by_design(self):

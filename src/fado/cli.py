@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import json
 import os
 import stat
@@ -332,23 +331,24 @@ def _cmd_run(args, parser) -> int:
                         PowerDecay(**_given(gamma0=args.gamma0,
                                             tau=args.tau)))
         detector = Detector(block.shape[1], mode, schedule)
-    start = detector.t + 1
-    count = alarms = 0
+    start, prior_alarms = detector.t + 1, detector.m
+    count = 0
     header = "t,alarm,distance,threshold,gain_applied"
     with _all_or_nothing(args.output, args.checkpoint_out) as (output,
                                                                state_out):
         with (open(output, "w", encoding="ascii") if output
               else contextlib.nullcontext(sys.stdout)) as fh, \
-                contextlib.closing(_outcome_blocks(
-                    detector, itertools.chain([block], blocks))) as outcomes:
-            for columns in outcomes:
-                write_outcome_rows(fh, header, start + count, columns)
+                contextlib.closing(_outcome_blocks(detector, block,
+                                                   blocks)) as outcomes:
+            for out in outcomes:
+                write_outcome_rows(fh, header, start + count, [
+                    out.alarm, out.distance, out.threshold, out.gain_applied])
                 header = None
-                count += len(columns[0])
-                alarms += int(columns[0].sum())
+                count += len(out)
         if state_out:
             Path(state_out).write_bytes(checkpoint_encode(detector))
-    _log(f"processed {count} transactions, {alarms} alarms")
+    # the detector is current once the blocks end, forked or in process
+    _log(f"processed {count} transactions, {detector.m - prior_alarms} alarms")
     return 0
 
 

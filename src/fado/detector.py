@@ -354,32 +354,28 @@ def _frame_outcomes(detector: "Detector", blocks, scale: float):
             yield detector._scan(block, scale, partner)
 
 
-def _outcome_blocks(detector: "Detector", blocks):
-    """Yield the outcome columns of each block of ``blocks`` as scanned in
-    order by ``detector``: [alarm, distance, threshold, gain_applied].
+def _outcome_blocks(detector: "Detector", block, blocks):
+    """Yield the :class:`ScanOutcomes` of ``detector``'s scans, in order,
+    of ``block`` and then of each block of ``blocks``.
 
-    The first block is scanned here, and yielded before the second block
-    is read.  When there is a second block and :func:`_forked` forks, a
-    forked child reads and scans the second block onward, while the caller
-    writes the blocks before, and pickles each block's columns down a
-    pipe, then the detector's attributes, which are installed in
-    ``detector``, or the exception it caught, which is raised here once
-    the blocks before it are yielded, as the in-process scan raises it.
-    Otherwise each block is read once the one before it is yielded.
-    Closing the generator kills and reaps the child.  The caller leaves
-    ``blocks`` alone while the child lives: the two processes share the
-    input file's offset.
+    ``block`` is scanned here, and yielded before the first of ``blocks``
+    is read.  When ``blocks`` has a block and :func:`_forked` forks, a
+    forked child reads and scans ``blocks``, while the caller writes the
+    blocks before, and pickles each block's outcomes down a pipe, then the
+    detector's attributes, which are installed in ``detector``, or the
+    exception it caught, which is raised here once the blocks before it
+    are yielded, as the in-process scan raises it.  Otherwise each block is
+    read once the one before it is yielded.  Closing the generator kills
+    and reaps the child.  The caller leaves ``blocks`` alone while the
+    child lives: the two processes share the input file's offset.
     """
-    count = 0
+    t = detector.t
 
     def scan(block):
-        nonlocal count
         # a bad row is named by its index in the whole stream
-        out = detector._scan(_as_block(block, detector.dim, count))
-        count += len(out)
-        return [out.alarm, out.distance, out.threshold, out.gain_applied]
+        return detector._scan(_as_block(block, detector.dim, detector.t - t))
 
-    yield scan(next(blocks))
+    yield scan(block)
     ahead = next(blocks, None)
     if ahead is None:
         return
@@ -389,8 +385,8 @@ def _outcome_blocks(detector: "Detector", blocks):
     def child(_, writer):
         with open(writer, "wb", closefd=False) as pipe:
             try:
-                for columns in map(scan, blocks):
-                    pickle.dump(columns, pipe, 5)
+                for out in map(scan, blocks):
+                    pickle.dump(out, pipe, 5)
                     pipe.flush()
             except Exception as exc:
                 pickle.dump(exc, pipe, 5)
@@ -403,7 +399,7 @@ def _outcome_blocks(detector: "Detector", blocks):
             return
         with open(ends[0], "rb", closefd=False) as pipe:
             try:
-                while isinstance(end := pickle.load(pipe), list):
+                while isinstance(end := pickle.load(pipe), ScanOutcomes):
                     yield end
             except (EOFError, pickle.UnpicklingError):
                 raise ChildProcessError("the scan-ahead process ended "

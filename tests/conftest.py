@@ -1,3 +1,6 @@
+import ctypes
+import functools
+import glob
 import json
 import os
 import subprocess
@@ -12,6 +15,27 @@ from fado.detector import Detector
 
 # /proc/self/task lists the threads of the process reading it (Linux only).
 HAVE_TASKS = os.path.isdir("/proc/self/task")
+
+# NPY_DISABLE_CPU_FEATURES value that turns off numpy's AVX512 kernels
+NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
+
+
+@functools.cache
+def host_key():
+    """The two traits of this process's host that set the float bits of
+    ``test_golden.py``'s keyed digests: the core name of numpy's bundled
+    OpenBLAS, which picks its kernels (``OPENBLAS_CORETYPE`` overrides
+    it), or None where numpy bundles none; and whether numpy dispatches
+    its AVX512 kernels (``NPY_DISABLE_CPU_FEATURES`` can turn them off)."""
+    from numpy._core._multiarray_umath import __cpu_features__
+    core = None
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs",
+                                       "libscipy_openblas64_*.so")):
+        corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        core = corename().decode()
+    return core, bool(__cpu_features__.get("AVX512_SKX"))
+
 
 # Runs fado.cli.main on sys.argv[1:] in a fresh interpreter and prints its
 # exit code, its thread count and OPENBLAS_NUM_THREADS after the command,

@@ -1465,6 +1465,58 @@ class TestScanAhead:
                "entries\n", None, None)
         assert [path.name for path in tmp_path.iterdir()] == [stream.name]
 
+    @pytest.fixture(scope="class")
+    def resumable(self, tmp_path_factory):
+        """A 40,000 x 10 mixture (four blocks), the same with a NaN in its
+        last row, and the checkpoint of a fixed-radius run over a 1000-row
+        mixture of the same design."""
+        tmp = tmp_path_factory.mktemp("resumable")
+        design = ["--design", "mixture", "--dim", "10",
+                  "--center", "2,2,0,0,0,0,0,0,0,0", "--epsilon", "1",
+                  "--mu", "0.1", "--fraction", "0.05", "--radius-max", "5"]
+        for name, count, seed in (("head", 1000, 1), ("s", 40_000, 2)):
+            assert run_cli("gen", *design, "--count", str(count), "--seed",
+                           str(seed), "--out", str(tmp / f"{name}.bin"))[0] == 0
+        rows = read_vectors(tmp / "s.bin")
+        assert rows.nbytes > 3 * SCAN_CHUNK_BYTES
+        rows[-1, 3] = np.nan
+        write_vectors(rows, tmp / "nan.bin")
+        assert run_cli("run", "--mode", "fixed", "--epsilon", "1",
+                       "--input", str(tmp / "head.bin"),
+                       "--output", str(tmp / "head.csv"),
+                       "--checkpoint-out", str(tmp / "head.ckpt"))[0] == 0
+        return tmp
+
+    def test_a_resumed_run_logs_its_own_alarms(self, resumable, tmp_path):
+        """A checkpoint resumed on several blocks logs this run's alarm
+        count, the sum of its CSV's alarm column, on both paths."""
+        out = tmp_path / "out.csv"
+        forked, in_process = self.both_paths(
+            ["run", "--checkpoint-in", resumable / "head.ckpt",
+             "--input", resumable / "s.bin", "--output", out], out)
+        assert forked == in_process
+        code, _, stderr, text = forked
+        rows = text.decode().splitlines()[1:]
+        alarms = sum(int(row.split(",")[1]) for row in rows)
+        assert code == 0 and rows[0].startswith("1001,")
+        assert len(rows) == 40_000 and 0 < alarms < len(rows)
+        assert stderr == f"processed 40000 transactions, {alarms} alarms\n"
+
+    def test_a_resumed_runs_bad_last_row_is_named_in_its_input(self,
+                                                               resumable,
+                                                               tmp_path):
+        """The row is named by its index in this run's input, not by the
+        step the checkpoint had reached, on both paths."""
+        out = tmp_path / "out.csv"
+        forked, in_process = self.both_paths(
+            ["run", "--checkpoint-in", resumable / "head.ckpt",
+             "--input", resumable / "nan.bin", "--output", out], out)
+        assert forked == in_process
+        code, _, stderr, text = forked
+        assert (code, stderr, text) == (
+            1, "error: stream item 39999: transaction contains non-finite "
+               "entries\n", None)
+
     def test_a_fault_in_the_second_block_fails_as_in_process(self, tmp_path):
         """The second block is read before the fork; its fault is raised
         after the first block's rows are written, no child starts, and no
@@ -1636,13 +1688,15 @@ def test_each_block_is_yielded_before_the_next_is_read(monkeypatch):
             yield block
 
     detector = Detector(2, FixedRadius(1.0), PowerDecay())
-    for k, columns in enumerate(_outcome_blocks(detector, blocks())):
+    stream = blocks()
+    for k, columns in enumerate(_outcome_blocks(detector, next(stream),
+                                                stream)):
         events.append(("yield", k))
     assert events == [(event, k) for k in range(3)
                       for event in ("read", "yield")]
     alone = Detector(2, FixedRadius(1.0), PowerDecay())
     assert [alone.step(row).alarm for row in rows][20:] == \
-        columns[0].tolist()
+        columns.alarm.tolist()
     assert checkpoint_encode(detector) == checkpoint_encode(alone)
 
 

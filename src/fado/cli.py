@@ -3,11 +3,12 @@
 Exit codes are a stable contract: 0 on success, 1 on runtime, format or
 out-of-memory failures (one-line diagnostic on stderr), 2 on usage errors.
 Data goes to the requested files or stdout; logging stays on stderr so
-outputs pipe cleanly.  A failed ``run``, ``scene`` or ``gen`` leaves no
-output file: each is written to a temporary beside it that replaces it
-only when the command succeeds (``_all_or_nothing``).  SIGTERM, SIGHUP and
-SIGINT end a command the same way, with exit ``128 + signum`` and nothing
-on stderr; a stop signal the caller ignores stays ignored.  All
+outputs pipe cleanly.  A command that fails leaves no output file: each
+is written to a temporary beside it that replaces it only when the
+command succeeds (``_all_or_nothing``); a sweep whose checks fail still
+writes its results.  SIGTERM, SIGHUP and SIGINT end a command the same
+way, with exit ``128 + signum`` and nothing on stderr; a stop signal the
+caller ignores stays ignored.  All
 configuration is by flag - fado reads no environment variable of its own.
 A flag left out leaves its value to the default of the library function it
 feeds (scene detection defaults to epsilon=100 with unit constant gain; tau
@@ -355,10 +356,11 @@ def _cmd_run(args, parser) -> int:
 def _cmd_sweep(args, parser) -> int:
     _at_least(parser, args, ("seeds", "count"), 1)
     from . import experiments
-    result = getattr(experiments, _SWEEPS[args.kind])(**_given(
-        n_seeds=args.seeds, count=args.count, base_seed=args.base_seed))
-    if args.out:
-        experiments.emit_results(result, args.out)
+    with _all_or_nothing(args.out) as (out,):
+        result = getattr(experiments, _SWEEPS[args.kind])(**_given(
+            n_seeds=args.seeds, count=args.count, base_seed=args.base_seed))
+        if out:
+            experiments.emit_results(result, out)
     for name, check in result.checks.items():
         status = "ok" if check.get("passed") else "FAIL"
         _log(f"check {name}: {status}")

@@ -81,15 +81,15 @@ __all__ = [
     "SCAN_CHUNK_BYTES",
 ]
 
-# Upper bound on the input rows read as one block (float64 rows, or uint8
-# frames) and on the float64 difference rows one scan pass holds at once.
+# Upper bound, counted in float64 rows, on the input rows or frames read
+# as one block and on the difference rows one scan pass holds at once.
 SCAN_CHUNK_BYTES = 1 << 20
 
 
-def _block_rows(dim: int, itemsize: int = 8) -> int:
-    """Rows of ``dim`` values (float64 by default) in one block: as many
-    as :data:`SCAN_CHUNK_BYTES` holds, and at least one."""
-    return max(1, SCAN_CHUNK_BYTES // (itemsize * dim))
+def _block_rows(dim: int) -> int:
+    """Rows of ``dim`` values in one block: as many float64 rows as
+    :data:`SCAN_CHUNK_BYTES` holds, and at least one."""
+    return max(1, SCAN_CHUNK_BYTES // (8 * dim))
 
 
 def _usable_cpus() -> int:
@@ -348,9 +348,11 @@ def _column_partner(detector: "Detector", scale: float):
 def _frame_outcomes(detector: "Detector", blocks, scale: float):
     """Yield the :class:`ScanOutcomes` of ``detector``'s scans of the uint8
     ``blocks(rows)``, read as ``block / scale``, with a partner if one forks
-    (:func:`_column_partner`); uint8 values are finite, so go unchecked."""
+    (:func:`_column_partner`); uint8 values are finite, so go unchecked.
+    A block holds as many frames as a scan chunk may: one frame where a
+    partner forks."""
     with _column_partner(detector, scale) as partner:
-        for block in blocks(_block_rows(detector.dim, 1)):
+        for block in blocks(_block_rows(detector.dim)):
             yield detector._scan(block, scale, partner)
 
 

@@ -248,9 +248,9 @@ def run_scene_detection(frames: FrameSequence, epsilon: float = 100.0,
                         ) -> Tuple[DetectionTimeline, Detector]:
     """Constant-gain fixed-radius detection over a frame sequence.
 
-    The scan takes ``frames.blocks`` of at most :data:`SCAN_CHUNK_BYTES`
-    as they come, so frames read from files on demand are never all held
-    at once.  Pass a decoded checkpoint as ``detector`` to resume a
+    The scan takes ``frames.blocks`` as they come, each of as many frames
+    as one scan chunk holds, so frames read from files on demand are never
+    all held at once.  Pass a decoded checkpoint as ``detector`` to resume a
     stream; the dimension must match the frames, and the checkpoint's own
     radius and gain are used (``epsilon``/``gamma`` apply only to fresh
     detectors).

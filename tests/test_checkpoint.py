@@ -1,5 +1,7 @@
 import itertools
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from fado.checkpoint import (
     checkpoint_decode,
     checkpoint_encode,
 )
+from fado.cli import main
 from fado.detector import (
     AdaptiveRadius,
     Constant,
@@ -18,6 +21,7 @@ from fado.detector import (
     FixedRadius,
     PowerDecay,
 )
+from fado.streamio import write_vectors
 from fado.streams import Design, StreamSpec, generate
 
 
@@ -123,6 +127,25 @@ def test_resealed_prefixes_and_trailing_byte_rejected(mode, schedule):
     assert _states_equal(checkpoint_decode(_seal(body)), state)
 
 
+def test_a_checkpoint_cut_after_its_version_fails_a_resume(tmp_path,
+                                                            capsys):
+    """Magic and version alone, under a valid CRC, is a truncated
+    checkpoint; ``fado run`` resuming from it exits 1 on that one line
+    and writes no output."""
+    blob = _seal(checkpoint_encode(
+        Detector(2, FixedRadius(1.0), PowerDecay(1.0, 0.25)))[:len(MAGIC) + 4])
+    with pytest.raises(CheckpointError, match="^truncated checkpoint$"):
+        checkpoint_decode(blob)
+    (tmp_path / "cut.ckpt").write_bytes(blob)
+    write_vectors(np.zeros((3, 2)), tmp_path / "s.csv")
+    assert main(["run", "--checkpoint-in", str(tmp_path / "cut.ckpt"),
+                 "--input", str(tmp_path / "s.csv"),
+                 "--output", str(tmp_path / "o.csv"),
+                 "--checkpoint-out", str(tmp_path / "o.ckpt")]) == 1
+    assert capsys.readouterr().err == "error: truncated checkpoint\n"
+    assert sorted(os.listdir(tmp_path)) == ["cut.ckpt", "s.csv"]
+
+
 def test_non_finite_payload_rejected():
     state = Detector(2, FixedRadius(1.0), PowerDecay(1.0, 0.25))
     blob = bytearray(checkpoint_encode(state))
@@ -219,3 +242,42 @@ def test_wire_layout_is_pinned():
         pos += 32
         assert struct.unpack_from("<dd", blob, pos) == (0.25, -1.0)
         assert len(blob) == pos + 16 + 4
+
+
+@pytest.fixture
+def frozen_reader(monkeypatch):
+    """``read_checkpoint`` of the benchmark's reference, which is frozen
+    at version 1: a checkpoint it refuses fails every benchmark check."""
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import reference
+    return reference.read_checkpoint
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--mode", "fixed", "--epsilon", "1"],
+    ["run", "--mode", "adaptive"],
+    ["run", "--mode", "constant-gain", "--epsilon", "1", "--gamma", "0.5"],
+    ["scene", "--synthetic", "--clips", "3", "--frames-per-clip", "4",
+     "--epsilon", "5"],
+], ids=["fixed", "adaptive", "constant-gain", "scene"])
+def test_the_benchmark_reads_every_checkpoint_fado_writes(
+        tmp_path, frozen_reader, argv):
+    """Each checkpoint that ``fado run`` and ``fado scene`` write decodes
+    in the benchmark's reader to fado's own t, m, trace and center."""
+    if argv[0] == "run":
+        stream, _ = generate(StreamSpec(
+            dim=10, count=2000, truth=GroundTruth(np.r_[2.0, 2.0, [0.0] * 8],
+                                                  1.0, 0.1),
+            seed=1, design=Design.MIXTURE, contamination_fraction=0.05,
+            outlier_radius_max=5.0))
+        write_vectors(stream, tmp_path / "s.bin")
+        argv = [*argv, "--input", str(tmp_path / "s.bin"),
+                "--output", str(tmp_path / "o.csv")]
+    ckpt = tmp_path / "c.ckpt"
+    assert main([*argv, "--checkpoint-out", str(ckpt)]) == 0
+    blob = ckpt.read_bytes()
+    ours, theirs = checkpoint_decode(blob), frozen_reader(blob)
+    assert (theirs.t, theirs.m) == (ours.t, ours.m) and ours.m > 1
+    assert theirs.trace == ours.trace.as_tuple()
+    assert theirs.w.tobytes() == ours.w.astype("<f8").tobytes()

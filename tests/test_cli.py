@@ -15,7 +15,8 @@ from fado.bounds import (adaptive_mistake_bound, mistake_bound_realizable,
                          riemann_zeta)
 from fado.checkpoint import checkpoint_encode
 from fado.cli import main
-from fado.detector import SCAN_CHUNK_BYTES, Detector, FixedRadius, PowerDecay
+from fado.detector import (SCAN_CHUNK_BYTES, Detector, FixedRadius,
+                           PowerDecay, _block_rows)
 from fado.streamio import read_vectors, write_vectors
 
 from conftest import HAVE_TASKS, child_env, main_in_child
@@ -658,6 +659,27 @@ class TestRun:
             whole.distance.tolist()
         assert ckpt.read_bytes() == checkpoint_encode(det)
 
+    @pytest.mark.parametrize("batches", [1, 2])
+    def test_a_csv_stream_ending_on_a_batch_boundary_reads_whole(
+            self, tmp_path, capsys, batches):
+        """A CSV stream whose last batch of lines is full is run to its
+        last row: at 10 values a row a batch holds 1,638 lines."""
+        count = batches * _block_rows(8 * 10)
+        assert count == batches * 1638
+        rows = np.random.default_rng(8).normal(size=(count, 10)) * 2.0
+        stream, out = tmp_path / "s.csv", tmp_path / "out.csv"
+        write_vectors(rows, stream)
+        assert run_cli("run", "--mode", "fixed", "--epsilon", "3",
+                       "--input", str(stream), "--output", str(out))[0] == 0
+        lines = out.read_text().splitlines()[1:]
+        assert [ln.split(",")[0] for ln in lines] == \
+            [str(t) for t in range(1, count + 1)]
+        det = Detector(10, FixedRadius(3.0), PowerDecay())
+        assert [float(ln.split(",")[2]) for ln in lines] == \
+            det.scan(rows).distance.tolist()
+        assert capsys.readouterr().err.startswith(
+            f"processed {count} transactions, ")
+
     def test_adaptive_mode_outcomes(self, tmp_path):
         stream = tmp_path / "s.csv"
         write_vectors(np.array([[3.0, 0.0], [3.0, 0.0]]), stream)
@@ -1084,6 +1106,41 @@ class TestSweep:
         code, _ = run_cli("sweep", "margin", "--out",
                           str(tmp_path / "m.csv"))
         assert code == 1
+
+    def test_an_out_in_a_missing_directory_fails_before_the_sweep(
+            self, monkeypatch, tmp_path, capsys):
+        """The results file is staged before the sweep runs, so a path that
+        cannot be written exits 1 at once, on one line."""
+        import fado.experiments as experiments
+        calls = []
+        monkeypatch.setattr(experiments, "sweep_epsilon",
+                            lambda **kwargs: calls.append(kwargs))
+        out = tmp_path / "missing" / "x.json"
+        assert run_cli("sweep", "epsilon", "--out", str(out))[0] == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert calls == [] and not out.parent.exists()
+
+    def test_a_failed_write_keeps_an_existing_out(self, monkeypatch,
+                                                   tmp_path):
+        """An ``emit_results`` that writes part of the file and then fails
+        leaves the results file that was there byte for byte, and no
+        temporary beside it."""
+        import fado.experiments as experiments
+        from fado.experiments import SweepResult
+
+        def partial_write(result, path):
+            Path(path).write_text("parameter,val")
+            raise OSError(28, "No space left on device", str(path))
+
+        monkeypatch.setattr(experiments, "sweep_margin", lambda **kwargs:
+                            SweepResult(parameter="mu", grid=[], records=[]))
+        monkeypatch.setattr(experiments, "emit_results", partial_write)
+        out = tmp_path / "m.csv"
+        out.write_bytes(b"parameter,value\nmu,0.1\n")
+        assert run_cli("sweep", "margin", "--out", str(out))[0] == 1
+        assert out.read_bytes() == b"parameter,value\nmu,0.1\n"
+        assert os.listdir(tmp_path) == ["m.csv"]
 
 
 def test_console_entrypoint_runs():

@@ -11,6 +11,7 @@ from fado.detector import SCAN_CHUNK_BYTES, Constant, Detector, FixedRadius
 from fado.scene import (
     FrameFormatError,
     FrameSequence,
+    _FrameReader,
     _open_frames_packed,
     _open_pgm_sequence,
     detection_latencies,
@@ -487,9 +488,11 @@ class TestPackedFrames:
 
     def test_frames_read_on_demand_decide_as_in_memory(self, tmp_path):
         """A pack and a PGM list, read a block at a time, give the timeline
-        and center of the same frames held in memory."""
+        and center of the same frames held in memory.  Each block holds as
+        many frames as SCAN_CHUNK_BYTES holds float64 rows of their width."""
         frames, _ = gen_synthetic_clips(40, 40, 5, 40, 10, seed=12)
         assert 8 * frames.dim * len(frames) > 2 * SCAN_CHUNK_BYTES
+        per_block = SCAN_CHUNK_BYTES // (8 * frames.dim)
         pack = tmp_path / "frames.ffr"
         write_frames_packed(frames, pack)
         pgms = [tmp_path / f"{i:03d}.pgm" for i in range(len(frames))]
@@ -498,7 +501,16 @@ class TestPackedFrames:
         want, det = run_scene_detection(frames, 5.0, 1.0)
         for source in (_open_frames_packed(pack), _open_pgm_sequence(pgms)):
             assert (source.width, source.height, len(source)) == (40, 40, 200)
-            got, other = run_scene_detection(source, 5.0, 1.0)
+            sizes = []
+
+            def counted(rows, blocks=source.blocks):
+                for block in blocks(rows):
+                    sizes.append(len(block))
+                    yield block
+
+            got, other = run_scene_detection(
+                _FrameReader(40, 40, len(source), counted), 5.0, 1.0)
+            assert sizes == [per_block, per_block, 200 - 2 * per_block]
             for name in ("alarm", "distance", "threshold", "gain_applied"):
                 assert getattr(got.outcomes, name).tobytes() == \
                     getattr(want.outcomes, name).tobytes()
@@ -729,8 +741,8 @@ class TestColumnPartner:
     def test_a_bad_frame_leaves_a_callers_detector_as_in_process(
             self, inputs, tmp_path):
         """``run_scene_detection`` on a detector of the caller's: when
-        frame 14 fails (in the second block the reader decodes, of 12
-        frames), the detector holds what the in-process scan left, center
+        frame 14 fails (read, as every frame of this size, as a block of
+        its own), the detector holds what the in-process scan left, center
         halves included, whether a partner was forked or not."""
         paths = sorted(inputs.glob("*.pgm"))
         bad = tmp_path / "14.pgm"
@@ -764,6 +776,6 @@ class TestColumnPartner:
             results.append(state)
         partner, in_process = results
         assert partner == in_process
-        # the detector judged frames 0-11 and moved on its alarms
+        # the detector judged frames 0-13 and moved on its alarms
         detector = checkpoint_decode(bytes.fromhex(partner))
-        assert detector.t == 12 and detector.m > 1
+        assert detector.t == 14 and detector.m > 1

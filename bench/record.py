@@ -18,10 +18,12 @@ perfbench prints the run's environment on its second-to-last stdout line
 and its result on the last; the BENCH file keeps, per checkout (one
 section per label) and workload, the median, quartiles and IQR of each
 end-to-end metric, every run's value, ``correct``, ``attempted``,
-``failed``, the environment and ``src_lines``.  perfbench's
-``openblas_threads`` is the thread count of its own driver process, not of
-the ``fado`` processes it times, so the BENCH file names it
-``driver_openblas_threads``.
+``failed``, the environment and ``src_lines``; and per checkout its
+``revision`` and ``src_sha256``, a hash of its ``src/`` tree that names
+the code measured even where the revision is unknown or dirty.
+perfbench's ``openblas_threads`` is the thread count of its own driver
+process, not of the ``fado`` processes it times, so the BENCH file names
+it ``driver_openblas_threads``.
 
 After recording, the script prints each end-to-end metric's change from
 the first section of ``--out`` to its last, and with ``--compare
@@ -36,6 +38,7 @@ Standard library only; perfbench itself needs numpy.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -69,6 +72,20 @@ def revision(checkout: Path):
     return proc.stdout.strip() or None
 
 
+def tree_hash(checkout: Path) -> str:
+    """SHA-256 of the checkout's ``src/**/*.py``: for each file, in sorted
+    order of its path relative to ``src``, that path and its bytes, each
+    after its length, so that equal trees hash equal wherever they lie."""
+    digest = hashlib.sha256()
+    src = checkout / "src"
+    files = {path.relative_to(src).as_posix(): path
+             for path in src.rglob("*.py")}
+    for name in sorted(files):
+        for part in (name.encode(), files[name].read_bytes()):
+            digest.update(len(part).to_bytes(8, "little") + part)
+    return digest.hexdigest()
+
+
 def summary(values: list) -> dict:
     q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
                       if len(values) > 1 else values * 3)
@@ -100,6 +117,7 @@ def record(checkouts: dict, seeds: int) -> dict:
                for k, v in envs[label].items()
                if k not in ("workload", "seed", "trace")}
         section = {"revision": revision(checkouts[label]),
+                   "src_sha256": tree_hash(checkouts[label]),
                    "src_lines": env["src_lines"], "env": env,
                    "workloads": {}}
         for workload, runs in results[label].items():

@@ -23,7 +23,7 @@ _EXPORTS = {
                "mistake_bound_agnostic", "mistake_bound_realizable",
                "power_delta_bound", "riemann_zeta", "sigma_size"),
     "checkpoint": ("CheckpointError", "checkpoint_decode",
-                   "checkpoint_encode"),
+                   "checkpoint_encode", "checkpoint_read", "checkpoint_write"),
     "detector": ("AdaptiveRadius", "Constant", "Detector",
                  "DiagnosticsTrace", "FixedRadius", "PowerDecay",
                  "ScanOutcomes", "StepOutcome", "gain_value"),

@@ -16,10 +16,14 @@ Layout (little-endian throughout):
     crc     u32      CRC32 of all preceding bytes
 
 Decoding reproduces the state bit-exactly, trace accumulators included.
+:func:`checkpoint_write` and :func:`checkpoint_read` stream a file with no
+copy of the center beside the detector's own; :func:`checkpoint_encode` and
+:func:`checkpoint_decode` are the same codec over bytes in memory.
 """
 
 from __future__ import annotations
 
+import io
 import struct
 import zlib
 
@@ -34,7 +38,8 @@ from .detector import (
     PowerDecay,
 )
 
-__all__ = ["CheckpointError", "checkpoint_encode", "checkpoint_decode"]
+__all__ = ["CheckpointError", "checkpoint_encode", "checkpoint_decode",
+           "checkpoint_write", "checkpoint_read"]
 
 MAGIC = b"FADOCKPT"
 VERSION = 1
@@ -44,13 +49,22 @@ _MODE_ADAPTIVE = 1
 _SCHED_POWER = 0
 _SCHED_CONSTANT = 1
 
+# The longest header, magic to trace sums (fixed radius, power decay).
+_HEAD = len(MAGIC) + struct.calcsize("<IBdBddQQQ4d")
+# Bytes per read of the CRC pass over a checkpoint file.
+_CHUNK = 1 << 16
+
 
 class CheckpointError(ValueError):
     """Malformed, truncated, or corrupted checkpoint bytes."""
 
 
-def checkpoint_encode(state: Detector) -> bytes:
-    """Serialize a detector state to the checkpoint wire format."""
+def checkpoint_write(state: Detector, fh) -> None:
+    """Write ``state`` to the binary file ``fh`` in the wire format.
+
+    The header goes first, then the center straight from its own buffer,
+    under one running CRC, so no copy of the center is made.
+    """
     parts = [MAGIC, struct.pack("<I", VERSION)]
     if isinstance(state.mode, FixedRadius):
         parts.append(struct.pack("<Bd", _MODE_FIXED, state.mode.epsilon))
@@ -63,20 +77,38 @@ def checkpoint_encode(state: Detector) -> bytes:
         parts.append(struct.pack("<Bd", _SCHED_CONSTANT, state.schedule.gamma))
     parts.append(struct.pack("<QQQ", state.dim, state.t, state.m))
     parts.append(struct.pack("<4d", *state.trace.as_tuple()))
-    parts.append(np.ascontiguousarray(state.w, dtype="<f8").tobytes())
-    body = b"".join(parts)
-    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+    head = b"".join(parts)
+    w = np.ascontiguousarray(state.w, dtype="<f8")
+    fh.write(head)
+    fh.write(w)
+    fh.write(struct.pack("<I", zlib.crc32(w, zlib.crc32(head))))
 
 
-def checkpoint_decode(data: bytes) -> Detector:
-    """Reconstruct a detector state from checkpoint bytes."""
-    if len(data) < len(MAGIC) + 8:
+def checkpoint_read(fh) -> Detector:
+    """Reconstruct a detector state from the binary file ``fh``, read from
+    its position to its end.
+
+    The CRC is checked in one pass of :data:`_CHUNK` bytes at a time before
+    any field is parsed, and the header's dimension against the file's
+    size before the center is allocated; the center is then read into its
+    own array.  A stream that cannot seek, such as a pipe, is read whole.
+    """
+    if not fh.seekable():
+        fh = io.BytesIO(fh.read())
+    start = fh.tell()
+    size = fh.seek(0, io.SEEK_END) - start
+    fh.seek(start)
+    if size < len(MAGIC) + 8:
         raise CheckpointError("truncated checkpoint")
-    if data[:len(MAGIC)] != MAGIC:
+    length = size - 4  # of the body, which the CRC covers
+    head = _read(fh, min(length, _HEAD))
+    if head[:len(MAGIC)] != MAGIC:
         raise CheckpointError("bad magic, not a checkpoint")
-    (stored_crc,) = struct.unpack("<I", data[-4:])
-    body = data[:-4]
-    actual_crc = zlib.crc32(body) & 0xFFFFFFFF
+    actual_crc = zlib.crc32(head)
+    for lo in range(len(head), length, _CHUNK):
+        actual_crc = zlib.crc32(_read(fh, min(_CHUNK, length - lo)),
+                                actual_crc)
+    (stored_crc,) = struct.unpack("<I", _read(fh, 4))
     if stored_crc != actual_crc:
         raise CheckpointError(
             f"CRC mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}"
@@ -87,7 +119,7 @@ def checkpoint_decode(data: bytes) -> Detector:
     def take(fmt: str):
         nonlocal pos
         try:
-            out = struct.unpack_from(fmt, body, pos)
+            out = struct.unpack_from(fmt, head, pos)
         except struct.error:
             raise CheckpointError("truncated checkpoint") from None
         pos += struct.calcsize(fmt)
@@ -119,11 +151,15 @@ def checkpoint_decode(data: bytes) -> Detector:
     trace_vals = take("<4d")
     if not np.isfinite(trace_vals).all():
         raise CheckpointError("non-finite trace sum in checkpoint")
-    if len(body) - pos < 8 * n:
+    if length - pos < 8 * n:
         raise CheckpointError("truncated checkpoint")
-    if len(body) - pos > 8 * n:
+    if length - pos > 8 * n:
         raise CheckpointError("trailing bytes after center payload")
-    w = np.frombuffer(body, dtype="<f8", offset=pos).astype(np.float64)
+    w = np.empty(n, dtype="<f8")
+    fh.seek(start + pos)
+    if fh.readinto(w) != w.nbytes:
+        raise CheckpointError("truncated checkpoint")
+    w = w.astype(np.float64, copy=False)
     if not np.isfinite(w).all():
         raise CheckpointError("non-finite center payload")
 
@@ -133,6 +169,26 @@ def checkpoint_decode(data: bytes) -> Detector:
     state.m = int(m)
     state.trace = DiagnosticsTrace(*trace_vals)
     return state
+
+
+def checkpoint_encode(state: Detector) -> bytes:
+    """Serialize a detector state to the checkpoint wire format."""
+    buf = io.BytesIO()
+    checkpoint_write(state, buf)
+    return buf.getvalue()
+
+
+def checkpoint_decode(data: bytes) -> Detector:
+    """Reconstruct a detector state from checkpoint bytes."""
+    return checkpoint_read(io.BytesIO(data))
+
+
+def _read(fh, size: int) -> bytes:
+    """The next ``size`` bytes of ``fh``; fewer is a truncated checkpoint."""
+    data = fh.read(size)
+    if len(data) != size:
+        raise CheckpointError("truncated checkpoint")
+    return data
 
 
 def _configure(cls, *args):

@@ -36,7 +36,6 @@ import json
 import os
 import stat
 import sys
-from pathlib import Path
 
 from . import __version__
 
@@ -295,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args, parser) -> int:
-    from .checkpoint import checkpoint_decode, checkpoint_encode
+    from .checkpoint import checkpoint_read, checkpoint_write
     from .detector import (AdaptiveRadius, Constant, Detector, FixedRadius,
                            PowerDecay, _outcome_blocks)
     from .streamio import _vector_blocks, write_outcome_rows
@@ -319,7 +318,8 @@ def _cmd_run(args, parser) -> int:
     blocks = _vector_blocks(args.input)
     block = next(blocks)  # the header is checked before the checkpoint
     if args.checkpoint_in:
-        detector = checkpoint_decode(Path(args.checkpoint_in).read_bytes())
+        with open(args.checkpoint_in, "rb") as fh:
+            detector = checkpoint_read(fh)
         if detector.dim != block.shape[1]:
             raise ValueError(f"checkpoint dimension {detector.dim} does not "
                              f"match stream ({block.shape[1]})")
@@ -347,7 +347,8 @@ def _cmd_run(args, parser) -> int:
                 header = None
                 count += len(out)
         if state_out:
-            Path(state_out).write_bytes(checkpoint_encode(detector))
+            with open(state_out, "wb") as fh:
+                checkpoint_write(detector, fh)
     # the detector is current once the blocks end, forked or in process
     _log(f"processed {count} transactions, {detector.m - prior_alarms} alarms")
     return 0
@@ -371,7 +372,7 @@ def _cmd_sweep(args, parser) -> int:
 
 
 def _cmd_scene(args, parser) -> int:
-    from .checkpoint import checkpoint_decode, checkpoint_encode
+    from .checkpoint import checkpoint_read, checkpoint_write
     from .detector import Constant, FixedRadius
     from .scene import (_open_frames_packed, _open_pgm_sequence,
                         gen_synthetic_clips, run_scene_detection,
@@ -404,7 +405,8 @@ def _cmd_scene(args, parser) -> int:
                   else _open_pgm_sequence(args.frames))
     detector = None
     if args.checkpoint_in:
-        detector = checkpoint_decode(Path(args.checkpoint_in).read_bytes())
+        with open(args.checkpoint_in, "rb") as fh:
+            detector = checkpoint_read(fh)
     with _all_or_nothing(args.timeline, args.snapshot,
                          args.checkpoint_out) as (timeline_out, snapshot_out,
                                                   state_out):
@@ -425,7 +427,8 @@ def _cmd_scene(args, parser) -> int:
             write_memory_snapshot(detector, frames.width, frames.height,
                                   snapshot_out)
         if state_out:
-            Path(state_out).write_bytes(checkpoint_encode(detector))
+            with open(state_out, "wb") as fh:
+                checkpoint_write(detector, fh)
     _log(f"{len(frames)} frames, {timeline.alarms} alarms "
          f"(rate {timeline.alarm_rate:.4f})")
     return 0

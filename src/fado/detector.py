@@ -304,7 +304,10 @@ def _column_partner(detector: "Detector", scale: float):
     leaving the block the partner is killed and reaped, and the shared
     center is copied into the array ``detector.w`` held before, which it
     holds again, on every path: so the center moves in place, as an
-    in-process scan moves it.
+    in-process scan moves it.  The copy goes a chunk of whole pages at a
+    time, and where ``mmap`` offers ``MADV_REMOVE`` each chunk of the
+    shared center is freed once it is copied, so the process never holds
+    both whole centers.
 
     A process, not a thread: ``np.vecdot`` holds the GIL, so a partner
     thread's slice sums would wait on the scan's.
@@ -341,7 +344,16 @@ def _column_partner(detector: "Detector", scale: float):
             yield None if ends is None else _Partner(ends, lo, row,
                                                      partials, alarm)
     finally:
-        private[:] = detector.w
+        # chunks of whole pages (both sizes are powers of two), each freed
+        # once it is copied
+        step = max(_TILE, mmap.PAGESIZE // 8)
+        remove = getattr(mmap, "MADV_REMOVE", None)
+        for start in range(0, dim, step):
+            private[start:start + step] = detector.w[start:start + step]
+            if remove is not None:  # a kernel may still refuse it
+                with contextlib.suppress(OSError):
+                    shared.madvise(remove, 8 * start,
+                                   8 * min(step, dim - start))
         detector.w = private
 
 

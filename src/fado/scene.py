@@ -27,6 +27,7 @@ from .detector import (
     Detector,
     FixedRadius,
     ScanOutcomes,
+    _TILE,
     _block_rows,
     _frame_outcomes,
 )
@@ -185,7 +186,7 @@ def write_pgm(pixels: np.ndarray, path) -> None:
     height, width = pixels.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
-        fh.write(pixels.tobytes())
+        fh.write(np.ascontiguousarray(pixels))
 
 
 def _open_pgm_sequence(paths: Sequence) -> _FrameReader:
@@ -343,12 +344,17 @@ def write_memory_snapshot(state: Detector, width: int, height: int,
     if state.dim != width * height:
         raise ValueError(
             f"detector dimension {state.dim} does not match {width}x{height}")
-    # one float copy of w, worked in place: a wide memory is 8 bytes a pixel
-    scaled = np.clip(state.w, 0.0, 1.0)
-    scaled *= 255.0
-    scaled += 0.5
-    np.floor(scaled, out=scaled)
-    write_pgm(scaled.astype(np.uint8).reshape(height, width), path)
+    # one tile of w at a time in float: a wide memory is 8 bytes a pixel
+    pixels = np.empty(state.dim, np.uint8)
+    scaled = np.empty(min(_TILE, state.dim))
+    for lo in range(0, state.dim, _TILE):
+        tile = scaled[:min(_TILE, state.dim - lo)]
+        np.clip(state.w[lo:lo + _TILE], 0.0, 1.0, out=tile)
+        tile *= 255.0
+        tile += 0.5
+        np.floor(tile, out=tile)
+        pixels[lo:lo + _TILE] = tile
+    write_pgm(pixels.reshape(height, width), path)
 
 
 def detection_latencies(timeline: DetectionTimeline,

@@ -36,7 +36,7 @@ __all__ = ["StreamFormatError", "write_vectors", "read_vectors",
 MAGIC = b"FADOVECS"
 
 # Rows formatted per write, which bounds the text held at once.
-_CSV_ROWS = 8192
+_CSV_ROWS = 1024
 
 
 class StreamFormatError(ValueError):

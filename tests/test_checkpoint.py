@@ -1,6 +1,9 @@
 import itertools
 import os
 import struct
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +24,11 @@ from fado.detector import (
     FixedRadius,
     PowerDecay,
 )
+from fado.scene import gen_synthetic_clips, run_scene_detection
 from fado.streamio import write_vectors
 from fado.streams import Design, StreamSpec, generate
+
+from conftest import child_env
 
 
 def _states_equal(a, b):
@@ -254,17 +260,20 @@ def frozen_reader(monkeypatch):
     return reference.read_checkpoint
 
 
-@pytest.mark.parametrize("argv", [
+# the commands that write a checkpoint, one per mode, and ``scene``
+_WRITERS = pytest.mark.parametrize("argv", [
     ["run", "--mode", "fixed", "--epsilon", "1"],
     ["run", "--mode", "adaptive"],
     ["run", "--mode", "constant-gain", "--epsilon", "1", "--gamma", "0.5"],
     ["scene", "--synthetic", "--clips", "3", "--frames-per-clip", "4",
      "--epsilon", "5"],
 ], ids=["fixed", "adaptive", "constant-gain", "scene"])
-def test_the_benchmark_reads_every_checkpoint_fado_writes(
-        tmp_path, frozen_reader, argv):
-    """Each checkpoint that ``fado run`` and ``fado scene`` write decodes
-    in the benchmark's reader to fado's own t, m, trace and center."""
+
+
+def _run_writer(argv, tmp_path):
+    """Run a :data:`_WRITERS` command; its checkpoint's bytes, and its
+    stream (None for ``scene``)."""
+    stream = None
     if argv[0] == "run":
         stream, _ = generate(StreamSpec(
             dim=10, count=2000, truth=GroundTruth(np.r_[2.0, 2.0, [0.0] * 8],
@@ -276,7 +285,76 @@ def test_the_benchmark_reads_every_checkpoint_fado_writes(
                 "--output", str(tmp_path / "o.csv")]
     ckpt = tmp_path / "c.ckpt"
     assert main([*argv, "--checkpoint-out", str(ckpt)]) == 0
-    blob = ckpt.read_bytes()
+    return ckpt.read_bytes(), stream
+
+
+@_WRITERS
+def test_the_file_fado_writes_is_the_encoded_state(tmp_path, argv):
+    """The checkpoint file that ``fado`` streams out has the bytes of
+    ``checkpoint_encode`` of the same run made in process."""
+    blob, stream = _run_writer(argv, tmp_path)
+    if stream is None:
+        frames, _ = gen_synthetic_clips(40, 40, 3, 4, 10, 0xFAD0)
+        _, state = run_scene_detection(frames, epsilon=5.0)
+    else:
+        mode = AdaptiveRadius() if "adaptive" in argv else FixedRadius(1.0)
+        schedule = Constant(0.5) if "constant-gain" in argv else PowerDecay()
+        state = Detector(10, mode, schedule)
+        state.scan(stream)
+    assert state.m > 1
+    assert blob == checkpoint_encode(state)
+
+
+def test_a_huge_declared_center_over_a_short_body_is_truncated(tmp_path,
+                                                               capsys):
+    """A CRC-valid header that declares n = 2**40 (an 8 TiB center) over
+    a body of two values: the size check refuses it before any center is
+    allocated, in bytes and as a file ``fado run`` resumes from."""
+    body = bytearray(checkpoint_encode(
+        Detector(2, FixedRadius(1.0), PowerDecay(1.0, 0.25)))[:-4])
+    n_offset = len(MAGIC) + 4 + 9 + 17  # version, mode, schedule
+    struct.pack_into("<Q", body, n_offset, 2 ** 40)
+    blob = _seal(bytes(body))
+    with pytest.raises(CheckpointError, match="^truncated checkpoint$"):
+        checkpoint_decode(blob)
+    (tmp_path / "huge.ckpt").write_bytes(blob)
+    write_vectors(np.zeros((3, 2)), tmp_path / "s.csv")
+    started = time.perf_counter()
+    assert main(["run", "--checkpoint-in", str(tmp_path / "huge.ckpt"),
+                 "--input", str(tmp_path / "s.csv"),
+                 "--output", str(tmp_path / "o.csv")]) == 1
+    assert time.perf_counter() - started < 5.0
+    assert capsys.readouterr().err == "error: truncated checkpoint\n"
+
+
+def test_a_checkpoint_read_from_a_pipe_resumes_as_from_its_file(tmp_path):
+    """A pipe cannot seek, so its checkpoint is read whole, then decoded
+    as a file's is: both resumes write the same outcome bytes."""
+    state = Detector(2, FixedRadius(1.0), PowerDecay(1.0, 0.25))
+    state.scan(np.random.default_rng(4).normal(size=(30, 2)) * 3.0)
+    blob = checkpoint_encode(state)
+    (tmp_path / "c.ckpt").write_bytes(blob)
+    write_vectors(np.random.default_rng(5).normal(size=(20, 2)) * 3.0,
+                  tmp_path / "s.csv")
+    outputs = []
+    for source, feed in (("c.ckpt", None), ("/dev/stdin", blob)):
+        out = tmp_path / f"{len(outputs)}.csv"
+        subprocess.run([sys.executable, "-m", "fado.cli", "run",
+                        "--checkpoint-in", str(tmp_path / source),
+                        "--input", str(tmp_path / "s.csv"),
+                        "--output", str(out)],
+                       input=feed, env=child_env(), check=True,
+                       capture_output=True)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] and outputs[0].count(b"\n") == 21
+
+
+@_WRITERS
+def test_the_benchmark_reads_every_checkpoint_fado_writes(
+        tmp_path, frozen_reader, argv):
+    """Each checkpoint that ``fado run`` and ``fado scene`` write decodes
+    in the benchmark's reader to fado's own t, m, trace and center."""
+    blob, _ = _run_writer(argv, tmp_path)
     ours, theirs = checkpoint_decode(blob), frozen_reader(blob)
     assert (theirs.t, theirs.m) == (ours.t, ours.m) and ours.m > 1
     assert theirs.trace == ours.trace.as_tuple()

@@ -9,7 +9,8 @@ partner, so the sum of the two peaks is bounded too, as the command itself
 reads them.  The readers hold one bounded block of the
 input at a time, so the larger input may raise the peak by a small fixed
 margin only; readers that hold the whole input raise it by about as much
-as the input grows, 12 to 16 MB.
+as the input grows, 12 to 16 MB.  Nor may a wide scene's peak grow by more
+than a few times its center when the frames widen.
 """
 
 import os
@@ -19,6 +20,7 @@ import sys
 import numpy as np
 import pytest
 
+from fado.detector import _usable_cpus
 from fado.scene import FrameSequence, write_frames_packed
 from fado.streamio import write_vectors
 
@@ -57,7 +59,9 @@ def _peak_rss_mib(argv, summed=False) -> float:
     proc = subprocess.run(
         [sys.executable, "-c", _SPAWNER, sys.executable, *command,
          *map(str, argv)],
-        env=child_env(), capture_output=True, text=True, check=True)
+        # with no thread count set fado runs one thread, so it may fork
+        env=child_env(OPENBLAS_NUM_THREADS=None), capture_output=True,
+        text=True, check=True)
     *inner, code, max_rss = map(int, proc.stdout.split())
     assert code == 0, argv
     return (inner[0] if summed else max_rss) / 1024  # KiB on Linux
@@ -124,3 +128,38 @@ def test_scene_summed_peak_rss_is_bounded(tmp_path):
     held at once."""
     assert _growth(tmp_path, _make_pack, _scene_command, 50,
                    summed=True) < _MARGIN_MIB
+
+
+def _partner_forks() -> bool:
+    """Whether a ``fado scene`` child may fork its column partner: it
+    runs one thread, so this is the rest of ``detector._may_fork``."""
+    return (hasattr(os, "fork") and _usable_cpus() >= 2
+            and os.path.isdir("/proc/self/task"))
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4") or not _partner_forks(),
+                    reason="needs os.wait4 and a forked column partner")
+def test_a_wide_scene_holds_its_center_once(tmp_path):
+    """20 frames of 300 x 300 and of 600 x 600, where the partner forks:
+    the center grows by 2.16 MB.  A fresh scene holds the shared center,
+    the parent's half of the difference row and one frame, so its peak
+    may grow by at most twice the center's growth; a resumed one also
+    holds the caller's decoded center, and may grow by three times."""
+    peaks = {}
+    for side in (300, 600):
+        pack = tmp_path / f"{side}.pack"
+        rng = np.random.default_rng(side)
+        write_frames_packed(FrameSequence(side, side, rng.integers(
+            0, 256, size=(20, side, side), dtype=np.uint8)), pack)
+        fresh = tmp_path / f"fresh{side}.ckpt"
+        peaks[side] = [_peak_rss_mib(
+            ["scene", "--packed", pack, *start, "--timeline",
+             tmp_path / "t.csv", "--snapshot", tmp_path / "s.pgm",
+             "--checkpoint-out", out])
+            for start, out in (([], fresh),
+                               (["--checkpoint-in", fresh],
+                                tmp_path / "resumed.ckpt"))]
+    center = 8 * (600 ** 2 - 300 ** 2) / 2 ** 20  # MiB
+    fresh, resumed = np.subtract(peaks[600], peaks[300])
+    assert fresh <= 2.0 * center, peaks
+    assert resumed <= 3.0 * center, peaks

@@ -82,6 +82,7 @@ def test_bench_file_holds_one_section_per_checkout(tmp_path, checkouts,
     assert record.sections(doc) == ["parent", "head"]
     head = doc["head"]
     assert head["revision"] == "head"
+    assert head["src_sha256"] == record.tree_hash(checkouts["head"])
     assert head["src_lines"] == 90
     assert "workload" not in head["env"] and "seed" not in head["env"]
     # perfbench's count is of its driver process, and is labelled so
@@ -155,3 +156,27 @@ def test_bad_arguments_exit_two(tmp_path, argv, calls):
 def test_summary_of_one_value():
     assert record.summary([2.0]) == {"median": 2.0, "q1": 2.0, "q3": 2.0,
                                      "iqr": 0.0, "values": [2.0]}
+
+
+def _tree(root, files):
+    for name, data in files.items():
+        (root / "src" / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / "src" / name).write_bytes(data)
+    return root
+
+
+def test_equal_trees_hash_equal_and_a_one_byte_edit_does_not(tmp_path):
+    """The hash covers each ``src/**/*.py`` file's relative path and
+    bytes, wherever the checkout lies, and nothing else."""
+    files = {"fado/__init__.py": b"", "fado/cli.py": b"x = 1\n"}
+    a = record.tree_hash(_tree(tmp_path / "a", files))
+    b = _tree(tmp_path / "b", files)
+    (b / "src" / "fado" / "__pycache__").mkdir()
+    (b / "src" / "fado" / "__pycache__" / "cli.pyc").write_bytes(b"\0")
+    (b / "src" / "notes.txt").write_bytes(b"not code")
+    assert record.tree_hash(b) == a
+    assert len(a) == 64 and a != record.tree_hash(tmp_path / "empty")
+    edited = {**files, "fado/cli.py": b"x = 2\n"}
+    assert record.tree_hash(_tree(tmp_path / "c", edited)) != a
+    moved = {"fado/__init__.py": b"", "fado/main.py": b"x = 1\n"}
+    assert record.tree_hash(_tree(tmp_path / "d", moved)) != a

@@ -7,7 +7,8 @@ import pytest
 
 from fado.checkpoint import checkpoint_decode, checkpoint_encode
 from fado.cli import main
-from fado.detector import SCAN_CHUNK_BYTES, Constant, Detector, FixedRadius
+from fado.detector import (SCAN_CHUNK_BYTES, _TILE, Constant, Detector,
+                           FixedRadius)
 from fado.scene import (
     FrameFormatError,
     FrameSequence,
@@ -424,8 +425,9 @@ class TestMemorySnapshot:
         np.testing.assert_array_equal(pixels, expected)
 
     def test_peak_memory_is_one_copy_of_the_memory(self, tmp_path):
-        """The snapshot is worked in one float copy of w: the peak of the
-        allocations it makes stays under 1.5 times w's size."""
+        """The snapshot is worked one tile of w at a time into the uint8
+        pixels: the peak of the allocations it makes stays under the
+        pixels, one tile of floats and 64 KiB, under half of w's size."""
         import tracemalloc
         det = Detector(160_000, FixedRadius(1.0), Constant(1.0))
         det.w[:] = np.random.default_rng(7).uniform(-0.2, 1.2, 160_000)
@@ -435,7 +437,31 @@ class TestMemorySnapshot:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * det.w.nbytes
+        assert peak < det.dim + 8 * _TILE + (1 << 16) < det.w.nbytes / 2
+
+    def test_tiles_give_the_bytes_of_the_untiled_formula(self, tmp_path):
+        """A center of three tiles and part of a fourth: values below 0
+        and above 1, each level's exact half step (k + 0.5) / 255 and its
+        float neighbours, at tile edges and between, are clipped, scaled,
+        rounded half up and floored as the whole array would be."""
+        dim = 3 * _TILE + 1234
+        halves = (np.arange(256) + 0.5) / 255.0
+        special = np.concatenate([
+            [-1e300, -1.0, -1e-300, -0.0, 0.0, 1.0, 1.0 + 2.0 ** -52, 2.0,
+             1e300], np.arange(256) / 255.0, halves,
+            np.nextafter(halves, -np.inf), np.nextafter(halves, np.inf)])
+        rng = np.random.default_rng(8)
+        w = np.resize(special, dim)
+        w[::3] = rng.uniform(-0.5, 1.5, len(w[::3]))
+        w[_TILE - 4:_TILE + 4] = special[-8:]  # across a tile edge
+        det = Detector(dim, FixedRadius(1.0), Constant(1.0))
+        det.w[:] = w
+        path = tmp_path / "w.pgm"
+        write_memory_snapshot(det, dim, 1, path)
+        expected = np.floor(np.clip(w, 0.0, 1.0) * 255.0 + 0.5)
+        assert dim % _TILE and dim > 3 * _TILE
+        assert path.read_bytes() == (f"P5\n{dim} 1\n255\n".encode()
+                                     + expected.astype(np.uint8).tobytes())
 
     def test_dimension_mismatch(self, tmp_path):
         det = Detector(5, FixedRadius(1.0), Constant(1.0))

@@ -42,8 +42,9 @@ raises :class:`ChildProcessError`.  Both paths give the same bits.
   which runs the same :func:`_judge` and :func:`_move` on them and keeps
   each slice's own sum as a partial; the scan adds the partials on to its
   running total left to right, as an in-process scan adds the same slices,
-  so the distance has the same bits.  While the partner lives the center is
-  shared memory, and each process moves its own columns of it.
+  so the distance has the same bits.  While a partner lives,
+  ``detector.w[lo:]`` holds the columns as they were when the frames
+  started, and they are brought up to date when the frames end or fail.
 
 The per-step bookkeeping needed by the invariant auditors (gain energy,
 gain mass, and the gain-weighted inner products with the pre-update center)
@@ -293,21 +294,19 @@ def _column_partner(detector: "Detector", scale: float):
     read as ``row / scale``, or None, when the scan stays whole in process.
 
     A partner is forked (see :func:`_forked`) only when a scan chunk is one
-    row.  It owns the columns from the :data:`_DOT_WIDTH` boundary nearest
-    the middle.  The center, the row's columns, the partner's partial sums
-    and an alarm's distance and gain live in one shared anonymous ``mmap``:
-    for the block's lifetime ``detector.w`` is a view of it, and each
-    process moves its own columns.  The partner judges and moves its
-    columns as one tile with :func:`_judge` and :func:`_move`, the scan's
-    own code, and copies the ``parts`` of each into the shared partials;
-    so each partial has the bits of the slice an in-process scan adds.  On
-    leaving the block the partner is killed and reaped, and the shared
-    center is copied into the array ``detector.w`` held before, which it
-    holds again, on every path: so the center moves in place, as an
-    in-process scan moves it.  The copy goes a chunk of whole pages at a
-    time, and where ``mmap`` offers ``MADV_REMOVE`` each chunk of the
-    shared center is freed once it is copied, so the process never holds
-    both whole centers.
+    row.  It owns the columns from the :data:`_DOT_WIDTH` boundary ``lo``
+    nearest the middle and runs the scan's :func:`_judge` and :func:`_move`
+    on them as one tile, copying the ``parts`` of each into the shared
+    partials; so each partial has the bits of the slice an in-process scan
+    adds.  One shared anonymous ``mmap`` holds its columns of the center,
+    copied from ``detector.w[lo:]`` before its first message, the row's
+    columns, the partials and an alarm's distance and gain; the scan moves
+    ``detector.w[:lo]`` in the caller's array.  While a partner lives,
+    ``detector.w[lo:]`` holds the columns as they were when the frames
+    started, and they are brought up to date when the frames end or fail:
+    once the partner is killed and reaped, on every path, its columns are
+    copied back a chunk of whole pages at a time, each freed where ``mmap``
+    offers ``MADV_REMOVE``.  A refused fork copies nothing.
 
     A process, not a thread: ``np.vecdot`` holds the GIL, so a partner
     thread's slice sums would wait on the scan's.
@@ -319,16 +318,14 @@ def _column_partner(detector: "Detector", scale: float):
     import mmap
     lo = _DOT_WIDTH * round(dim / (2 * _DOT_WIDTH))
     width = dim - lo
-    floats = dim + len(range(0, width, _DOT_WIDTH)) + 2
+    floats = width + len(range(0, width, _DOT_WIDTH)) + 2
     shared = mmap.mmap(-1, 8 * floats + width)
     numbers = np.frombuffer(shared, np.float64, floats)
-    partials, alarm = numbers[dim:-2], numbers[-2:]
+    columns, partials, alarm = np.split(numbers, [width, floats - 2])
     row = np.frombuffer(shared, np.uint8, width, 8 * floats).reshape(1, -1)
-    private, detector.w = detector.w, numbers[:dim]
-    detector.w[:] = private
 
     def serve(reader, writer):
-        tiles = [(row, detector.w[lo:], np.empty((1, width)))]
+        tiles = [(row, columns, np.empty((1, width)))]
         with np.errstate(over="ignore", invalid="ignore"):
             while message := os.read(reader, 1):
                 parts = []
@@ -339,22 +336,24 @@ def _column_partner(detector: "Detector", scale: float):
                 partials[:] = np.ravel(parts)
                 os.write(writer, b"d")
 
+    partner = None
     try:
         with _forked(serve) as ends:
-            yield None if ends is None else _Partner(ends, lo, row,
-                                                     partials, alarm)
+            if ends is not None:
+                columns[:] = detector.w[lo:]
+                partner = _Partner(ends, lo, row, partials, alarm)
+            yield partner
     finally:
-        # chunks of whole pages (both sizes are powers of two), each freed
-        # once it is copied
-        step = max(_TILE, mmap.PAGESIZE // 8)
-        remove = getattr(mmap, "MADV_REMOVE", None)
-        for start in range(0, dim, step):
-            private[start:start + step] = detector.w[start:start + step]
-            if remove is not None:  # a kernel may still refuse it
-                with contextlib.suppress(OSError):
-                    shared.madvise(remove, 8 * start,
-                                   8 * min(step, dim - start))
-        detector.w = private
+        if partner is not None:
+            # chunks of whole pages (both sizes are powers of two), each
+            # freed once it is copied
+            step = max(_TILE, mmap.PAGESIZE // 8)
+            for start in range(0, width, step):
+                detector.w[lo + start:][:step] = columns[start:][:step]
+                # refused by a kernel, or absent from an mmap module
+                with contextlib.suppress(OSError, AttributeError):
+                    shared.madvise(mmap.MADV_REMOVE, 8 * start,
+                                   8 * min(step, width - start))
 
 
 def _frame_outcomes(detector: "Detector", blocks, scale: float):

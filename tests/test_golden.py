@@ -9,13 +9,16 @@ row-by-row step loop, before the block scan replaced it.  Frames wider than
 the kernel's 8192-element slice must give the same bytes whatever the
 number of BLAS threads.  The long 2x2 timeline (17000 frames) spans two
 8192-row boundaries of the outcome-CSV writer; it was recorded when the
-timeline was one joined string.  The ``margin``, ``dim``, ``epsilon`` and
-``contamination`` sweep digests were re-recorded when the summed zeta (good
-to 1e-10) gave way to the Euler-Maclaurin one (good to about an ulp): only
-their ``bound`` column moved, by at most 6.4e-11 relative.  The splitmix64
-block and the synthetic clip digests were recorded before generation was
-mixed in place tile by tile; they span several tiles and frames wider than
-one tile.  They use only integer operations and correctly rounded float
+timeline was one joined string.  The wide scene (400 x 400 frames, half
+of whose columns a forked partner may judge) was recorded with the
+partner forked, and its snapshot is the same under each emulated host.
+The ``margin``, ``dim``, ``epsilon`` and ``contamination`` sweep digests
+were re-recorded when the summed zeta (good to 1e-10) gave way to the
+Euler-Maclaurin one (good to about an ulp): only their ``bound`` column
+moved, by at most 6.4e-11 relative.  The splitmix64 block and the
+synthetic clip digests were recorded before generation was mixed in place
+tile by tile; they span several tiles and frames wider than one tile.
+They use only integer operations and correctly rounded float
 arithmetic, so unlike the ``gen`` digests they hold on every host.
 The ``epsilon`` sweep digest was re-recorded when the radius sweep moved to
 a power-of-two grid whose radii share each seed's nuisance draw.  The
@@ -85,6 +88,7 @@ DIGESTS = {
     "gen circle.csv": "5bca18e52ad03949891c516bc706926e4420feea0182e40ebf19662d298e39d3",
     "gen mixture labels": "2f482cabbcd13516923a9c60679d86c09713e0cd9bb64a54fdf079b6c728561b",
     "scene memory.pgm": "71503e082b7baaeb36ebdb1b40267f8d0b496fac1e467b41ca58c20bd287c4b3",
+    "wide scene memory.pgm": "924ccb277ebf577548ff12bdb5d5b15f4ee088c2f17621a605a5dfde770bc0c5",
 }
 
 # host_key() -> the digests of the golden outputs whose float bits depend
@@ -114,6 +118,8 @@ HOST_DIGESTS = {
         "scene state.ckpt": "a42ed18f2f7cf44fd2b7e5b6e583db0e4fd0587c869f598f6262f317e0c0339f",
         "long scene timeline.csv": "a6f00ef7bae59c78eca865506e85b1fe17246854e8ae445ed972f783937c3cbf",
         "split gen": "2e0e24d45d71f104b7b4f465fe8b9a4a50c008eef2af75cf83e8eea76f1cc528",
+        "wide scene timeline.csv": "ea93a2caaa92a5dbf18e018f3b1ccee8cf6a24df12e199a5413c2571e43bb477",
+        "wide scene state.ckpt": "3b16daee5964e3a00a5733c06e911be359de0e1ec9e015e598199c4d96e3c40a",
     },
     ("Haswell", True): {
         "sweep adaptive": "2b6a8b71c9a827edb56af5b554b129b21bf103a377d9bd244572a70f39004e67",
@@ -136,6 +142,8 @@ HOST_DIGESTS = {
         "scene state.ckpt": "08d3f0ab54ac8e13ba3fc4ce229e83bc185b38511f21e8e444e5de41c97f486e",
         "long scene timeline.csv": "e3ea2af793b759bfcafec954b5a1ec5875e613bef440915cb00fc6732d33b1e8",
         "split gen": "2e0e24d45d71f104b7b4f465fe8b9a4a50c008eef2af75cf83e8eea76f1cc528",
+        "wide scene timeline.csv": "cc5a8d4d87eb59278cbc4de20def6816abfa26a373fa37ec2777bfb75bc2fb91",
+        "wide scene state.ckpt": "dcdce988874057b03aa4d77712cbf66c5159ee4cd6aba65307ed78139ea1d21d",
     },
     ("Haswell", False): {
         "sweep adaptive": "2b6a8b71c9a827edb56af5b554b129b21bf103a377d9bd244572a70f39004e67",
@@ -158,6 +166,8 @@ HOST_DIGESTS = {
         "scene state.ckpt": "08d3f0ab54ac8e13ba3fc4ce229e83bc185b38511f21e8e444e5de41c97f486e",
         "long scene timeline.csv": "e3ea2af793b759bfcafec954b5a1ec5875e613bef440915cb00fc6732d33b1e8",
         "split gen": "18f3c68139b2ad89c0dce361ce123fb6e95c831a74660516f820bd123ab7298f",
+        "wide scene timeline.csv": "cc5a8d4d87eb59278cbc4de20def6816abfa26a373fa37ec2777bfb75bc2fb91",
+        "wide scene state.ckpt": "dcdce988874057b03aa4d77712cbf66c5159ee4cd6aba65307ed78139ea1d21d",
     },
 }
 
@@ -261,6 +271,24 @@ def test_scene_outputs_are_pinned(tmp_path):
                  "--checkpoint-out", str(paths["state.ckpt"])]) == 0
     for name, path in paths.items():
         _check(f"scene {name}", _sha256(path))
+
+
+def test_wide_scene_outputs_are_pinned(tmp_path):
+    """400 x 400 frames (n = 160,000): a scan chunk is one frame, so the
+    scan may hand half of each frame's columns to a forked partner.  The
+    command runs in a child that may fork it: one BLAS thread, as ``fado``
+    runs when no thread count is set."""
+    paths = {name: tmp_path / name
+             for name in ("timeline.csv", "memory.pgm", "state.ckpt")}
+    probe = main_in_child(
+        ["scene", "--synthetic", "--width", "400", "--height", "400",
+         "--clips", "2", "--frames-per-clip", "6", "--epsilon", "225",
+         "--timeline", paths["timeline.csv"], "--snapshot",
+         paths["memory.pgm"], "--checkpoint-out", paths["state.ckpt"]],
+        OPENBLAS_NUM_THREADS=None)
+    assert probe["code"] == 0, probe["stderr"]
+    for name, path in paths.items():
+        _check(f"wide scene {name}", _sha256(path))
 
 
 def test_long_scene_timeline_is_pinned(tmp_path):

@@ -141,10 +141,12 @@ def _partner_forks() -> bool:
                     reason="needs os.wait4 and a forked column partner")
 def test_a_wide_scene_holds_its_center_once(tmp_path):
     """20 frames of 300 x 300 and of 600 x 600, where the partner forks:
-    the center grows by 2.16 MB.  A fresh scene holds the shared center,
-    the parent's half of the difference row and one frame, so its peak
-    may grow by at most twice the center's growth; a resumed one also
-    holds the caller's decoded center, and may grow by three times."""
+    the center grows by 2.16 MB.  A fresh scene holds the center, the
+    shared copy of the partner's half of it, the parent's half of the
+    difference row and one frame, so its peak may grow by at most twice
+    the center's growth; a resumed one also decodes a checkpoint's center,
+    and may grow by two and a half times (2.2 here; 2.8 when the shared
+    map held a copy of the whole center beside the caller's)."""
     peaks = {}
     for side in (300, 600):
         pack = tmp_path / f"{side}.pack"
@@ -162,4 +164,4 @@ def test_a_wide_scene_holds_its_center_once(tmp_path):
     center = 8 * (600 ** 2 - 300 ** 2) / 2 ** 20  # MiB
     fresh, resumed = np.subtract(peaks[600], peaks[300])
     assert fresh <= 2.0 * center, peaks
-    assert resumed <= 3.0 * center, peaks
+    assert resumed <= 2.5 * center, peaks

@@ -31,11 +31,13 @@ from test_golden import GEN_ARGS, RUN_ARGS, SWEEP_EXIT_CODES
 
 DECISION_COLUMNS = ("t", "alarm", "threshold", "gain_applied")
 
-# the arguments of test_golden.py's two scene commands
+# the arguments of test_golden.py's three scene commands
 SCENE_COMMANDS = {
     "scene": ["--epsilon", "5"],
     "long-scene": ["--width", "2", "--height", "2", "--clips", "17",
                    "--frames-per-clip", "1000", "--epsilon", "0.5"],
+    "wide-scene": ["--width", "400", "--height", "400", "--clips", "2",
+                   "--frames-per-clip", "6", "--epsilon", "225"],
 }
 
 DECISION_DIGESTS = {
@@ -52,6 +54,8 @@ DECISION_DIGESTS = {
     "scene-snapshot": "71503e082b7baaeb36ebdb1b40267f8d0b496fac1e467b41ca58c20bd287c4b3",
     "long-scene-timeline": "1f2dac1a68f2a0914d63600f0741c9a905fdb0624f63c49bfc7cd4b1f648e389",
     "long-scene-snapshot": "71844f215a2b2e741bcc238fbef2b0177ec6ee018ae8e6afdaba093012a38605",
+    "wide-scene-timeline": "d97a29fa3f82fae0f81582adbee0378c00fc18d79cb38e85f6d66bb1a5e88053",
+    "wide-scene-snapshot": "924ccb277ebf577548ff12bdb5d5b15f4ee088c2f17621a605a5dfde770bc0c5",
 }
 
 # environment variables that make this host compute as another would:
@@ -101,7 +105,7 @@ def _digest(path, drop=None, keep=None) -> str:
 def decision_digests(directory) -> dict:
     """SHA-256 of the decision columns of each ``RUN_ARGS`` mode's run
     over the golden mixture, of each golden sweep CSV without
-    ``final_w_error``, and of the two golden scene commands' timelines
+    ``final_w_error``, and of the three golden scene commands' timelines
     without ``distance`` and their snapshots; all made in ``directory``."""
     directory = Path(directory)
     stream = directory / "mixture.bin"

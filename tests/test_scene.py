@@ -603,12 +603,13 @@ class TestColumnPartner:
         return tmp
 
     @staticmethod
-    def both_paths(argv, tmp_path, prelude="", forks=True):
+    def both_paths(argv, tmp_path, prelude="", forks=True, **variables):
         """Run ``fado scene argv`` with the partner's fork allowed, then
         pinned to one CPU, each writing a timeline, a snapshot and a
         checkpoint; for each: the exit code, stderr and the bytes of the
         three files (None if absent).  ``forks`` is whether the first run
-        reaps a partner, or None where that is not known in advance."""
+        reaps a partner, or None where that is not known in advance;
+        ``variables`` are set in both runs' environments."""
         files = [tmp_path / name for name in ("t.csv", "s.pgm", "c.ckpt")]
         results = []
         for pin in ("", _ONE_CPU):
@@ -617,7 +618,7 @@ class TestColumnPartner:
             probe = main_in_child(
                 ["scene", *argv, "--timeline", files[0], "--snapshot",
                  files[1], "--checkpoint-out", files[2]], prelude + pin,
-                OPENBLAS_NUM_THREADS=None)
+                OPENBLAS_NUM_THREADS=None, **variables)
             if pin or forks is not None:
                 assert probe["reaped_child"] is (not pin and forks), pin
             results.append((probe["code"], probe["stderr"],
@@ -663,6 +664,19 @@ class TestColumnPartner:
         frames = int(stderr.split()[0])
         assert 1 < alarms < frames, stderr
         assert timeline.count(b"\n# ") >= 2
+
+    def test_both_paths_agree_on_the_generic_blas_kernel(self, inputs,
+                                                         tmp_path):
+        """OpenBLAS's generic ``ddot`` (``OPENBLAS_CORETYPE=Prescott``)
+        sums a misaligned head in another order, so the paths agree there
+        only while the partner's shared columns start 16-byte aligned, as
+        the scan's difference rows do.  Shared columns 8 bytes off make
+        the two paths differ on this kernel, and not on SkylakeX's."""
+        partner, in_process = self.both_paths(
+            ["--packed", inputs / "81920.pack", "--epsilon",
+             repr(self.epsilon(81920)), "--gamma", "1"], tmp_path,
+            OPENBLAS_CORETYPE="Prescott")
+        assert partner == in_process and partner[0] == 0
 
     def test_a_refused_fork_scans_in_process(self, inputs, tmp_path):
         """At a limit on processes ``os.fork`` fails; the frames are judged
@@ -749,6 +763,38 @@ class TestColumnPartner:
         private, state, alarms, alone = proc.stdout.split()
         assert (private, alarms) == ("True", "4")
         assert state == alone
+
+    def test_a_partner_moves_a_callers_center_in_place(self, inputs):
+        """``run_scene_detection`` on a detector of the caller's: with a
+        partner forked, as in process, the detector keeps its own center
+        array, moved in place, and ends in the same state."""
+        script = (
+            "import resource, sys\n"
+            "from fado.checkpoint import checkpoint_encode\n"
+            "from fado.detector import Constant, Detector, FixedRadius\n"
+            "from fado.scene import read_frames_packed, run_scene_detection\n"
+            "frames = read_frames_packed(sys.argv[1])\n"
+            "detector = Detector(frames.dim, FixedRadius(80.0), "
+            "Constant(1.0))\n"
+            "w = detector.w\n"
+            "run_scene_detection(frames, detector=detector)\n"
+            "children = resource.getrusage(resource.RUSAGE_CHILDREN)\n"
+            "print(children.ru_utime + children.ru_stime > 0)\n"
+            "print(detector.w is w and w.base is None)\n"
+            "print(checkpoint_encode(detector).hex())\n")
+        states = []
+        for pin in ("", _ONE_CPU):
+            proc = subprocess.run(
+                [sys.executable, "-c", pin + script, inputs / "160000.pack"],
+                env=child_env(OPENBLAS_NUM_THREADS="1"), capture_output=True,
+                text=True, check=True)
+            forked, private, state = proc.stdout.split()
+            assert (forked, private) == (str(not pin), "True")
+            states.append(state)
+        partner, in_process = states
+        assert partner == in_process
+        detector = checkpoint_decode(bytes.fromhex(partner))
+        assert detector.t == 18 and detector.m > 1
 
     def test_a_bad_frame_mid_stream_is_named(self, inputs, tmp_path):
         """Frame 7 of the PGM list is not a binary PGM: both paths fail on

@@ -26,11 +26,16 @@ process, not of the ``fado`` processes it times, so the BENCH file names
 it ``driver_openblas_threads``.
 
 After recording, the script prints each end-to-end metric's change from
-the first section of ``--out`` to its last, and with ``--compare
-OTHER.json`` from the last section of OTHER to the last of ``--out``, next
-to the bound that ``BENCHMARK.json`` allows, after the change in
-``src_lines``.  This is a report: the exit status says only whether
-recording worked and every output was correct.
+the first section of ``--out`` to its last, next to the bound that
+``BENCHMARK.json`` allows and a verdict, after the change in
+``src_lines``.  With ``--compare OTHER.json`` it also prints each change
+from the last section of OTHER to the last of ``--out``, but with no
+verdict: the two were recorded in different sessions, and the host can
+drift between sessions by more than a bound (``BENCH_43.json``'s head
+against ``BENCH_44.json``'s read ``stream-resume`` ``invoke_p50_s`` as
++26.6% on the same ``run`` code, where the pair recorded together read
++5.7%).  This is a report: the exit status says only whether recording
+worked and every output was correct.
 
 Standard library only; perfbench itself needs numpy.
 """
@@ -143,10 +148,14 @@ def sections(doc: dict) -> list:
             if isinstance(value, dict) and "workloads" in value]
 
 
-def compare(old: dict, new: dict, title: str) -> None:
+def compare(old: dict, new: dict, title: str, verdicts: bool = True) -> None:
     """Print the change in ``src_lines``, when both sections hold it, and
-    each end-to-end metric's median change beside its bound."""
+    each end-to-end metric's median change, beside its bound and verdict
+    if ``verdicts``; sections of different sessions get none."""
     print(title)
+    if not verdicts:
+        print("  recorded in different sessions: changes include host "
+              "drift, so no verdict")
     if "src_lines" in old and "src_lines" in new:
         a, b = old["src_lines"], new["src_lines"]
         print(f"  src_lines {a} -> {b} ({b - a:+d})")
@@ -159,14 +168,16 @@ def compare(old: dict, new: dict, title: str) -> None:
             if a is None or b is None or a["median"] == 0:
                 continue
             change = b["median"] / a["median"] - 1.0
-            worse = change if spec["better"] == "lower" else -change
-            verdict = ("beyond bound" if worse > spec["bound"]
-                       else "better" if worse < 0 else "within bound")
-            if abs(b["median"] - a["median"]) <= a["iqr"]:
-                verdict += ", within the base's IQR"
-            print(f"  {workload:14} {name:13} {a['median']:12.5g} -> "
-                  f"{b['median']:12.5g} {spec['unit']:4} {change:+7.1%} "
-                  f"(bound {spec['bound']:.0%}; {verdict})")
+            line = (f"  {workload:14} {name:13} {a['median']:12.5g} -> "
+                    f"{b['median']:12.5g} {spec['unit']:4} {change:+7.1%}")
+            if verdicts:
+                worse = change if spec["better"] == "lower" else -change
+                verdict = ("beyond bound" if worse > spec["bound"]
+                           else "better" if worse < 0 else "within bound")
+                if abs(b["median"] - a["median"]) <= a["iqr"]:
+                    verdict += ", within the base's IQR"
+                line += f" (bound {spec['bound']:.0%}; {verdict})"
+            print(line)
         print(f"  {workload:14} failed {before['failed']}/"
               f"{before['attempted']} -> {after['failed']}/"
               f"{after['attempted']}, correct {before['correct']} -> "
@@ -205,7 +216,7 @@ def main(argv=None) -> int:
         other = json.loads(args.compare.read_text())
         compare(other[sections(other)[-1]], doc[labels[-1]],
                 f"{args.compare} -> {args.out}: {sections(other)[-1]} -> "
-                f"{labels[-1]}")
+                f"{labels[-1]}", verdicts=False)
     correct = all(w["correct"] for label in labels
                   for w in doc[label]["workloads"].values())
     return 0 if correct else 1

@@ -1,6 +1,8 @@
 import contextlib
+import gc
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -14,7 +16,7 @@ import fado
 from fado.bounds import (adaptive_mistake_bound, mistake_bound_realizable,
                          riemann_zeta)
 from fado.checkpoint import checkpoint_encode
-from fado.cli import main
+from fado.cli import console, main
 from fado.detector import (SCAN_CHUNK_BYTES, Detector, FixedRadius,
                            PowerDecay, _block_rows)
 from fado.streamio import read_vectors, write_vectors
@@ -1143,11 +1145,78 @@ class TestSweep:
         assert os.listdir(tmp_path) == ["m.csv"]
 
 
-def test_console_entrypoint_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "fado.cli", "--version"],
-        capture_output=True, text=True)
-    assert proc.returncode == 0
+# Runs fado.cli.console on sys.argv[1:] and prints, as one JSON line, its
+# exit code (a returned one or a SystemExit's) and gc's freeze count before
+# and after it.
+_CONSOLE_PROBE = """
+import gc, json, sys
+from fado.cli import console
+before = gc.get_freeze_count()
+try:
+    code = console(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"code": code, "before": before,
+                  "after": gc.get_freeze_count()}))
+"""
+
+
+class TestConsole:
+    """The ``fado`` script and ``python -m fado.cli`` run ``console``: it
+    returns what ``main`` returns, or lets its ``SystemExit`` through, and
+    freezes the heap on the way out; ``main`` leaves the collector alone."""
+
+    @pytest.fixture
+    def commands(self, tmp_path):
+        """argv giving exit 0, 1 (a missing input) and 2 (a usage error)."""
+        stream = tmp_path / "s.bin"
+        write_vectors(np.random.default_rng(3).normal(size=(40, 3)), stream)
+        run = ["run", "--mode", "fixed", "--epsilon", "1", "--output",
+               str(tmp_path / "o.csv")]
+        return {0: [*run, "--input", str(stream)],
+                1: [*run, "--input", str(tmp_path / "missing.bin")],
+                2: [*run, "--input", str(stream), "--no-such-flag"]}
+
+    @pytest.mark.parametrize("code", [0, 1, 2])
+    def test_console_returns_mains_code_and_freezes(self, commands, code):
+        proc = subprocess.run(
+            [sys.executable, "-c", _CONSOLE_PROBE, *commands[code]],
+            env=child_env(), capture_output=True, text=True, check=True)
+        probe = json.loads(proc.stdout.splitlines()[-1])
+        assert probe["code"] == code
+        assert probe["before"] == 0 < probe["after"]
+
+    def test_main_leaves_the_freeze_count_alone(self, commands):
+        before = gc.get_freeze_count()
+        for code, argv in commands.items():
+            assert run_cli(*argv)[0] == code
+            assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("code", [0, 1, 2])
+    def test_module_entry_matches_main(self, commands, code, tmp_path,
+                                       capsys):
+        output = tmp_path / "o.csv"
+        results = []
+        for via in ("main", "-m"):
+            output.unlink(missing_ok=True)
+            if via == "main":
+                got, stdout = run_cli(*commands[code])
+                stderr = capsys.readouterr().err
+            else:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "fado.cli", *commands[code]],
+                    env=child_env(), capture_output=True, text=True)
+                got, stdout, stderr = proc.returncode, proc.stdout, proc.stderr
+            results.append((got, stdout, stderr, output.exists()
+                            and output.read_bytes()))
+        assert results[0] == results[1]
+        assert results[0][0] == code
+
+    def test_console_script_names_the_entry_function(self):
+        text = (Path(__file__).resolve().parents[1]
+                / "pyproject.toml").read_text()
+        target = re.search(r'^fado = "fado\.cli:(\w+)"$', text, re.M)
+        assert target and getattr(fado.cli, target[1]) is console
 
 
 class TestRunGainFlags:
@@ -1398,12 +1467,12 @@ class TestBlasThreads:
 
     def test_imports_load_no_numpy_and_set_nothing(self):
         code = ("import os, sys, fado, fado.cli; "
-                "print('numpy' in sys.modules, "
+                "print('numpy' in sys.modules, 'json' in sys.modules, "
                 "os.environ.get('OPENBLAS_NUM_THREADS'))")
         proc = subprocess.run([sys.executable, "-c", code], text=True,
                               env=child_env(OPENBLAS_NUM_THREADS=None),
                               capture_output=True, check=True)
-        assert proc.stdout.split() == ["False", "None"]
+        assert proc.stdout.split() == ["False", "False", "None"]
 
     def test_main_after_numpy_leaves_environment_alone(self, run_argv,
                                                        monkeypatch):

@@ -122,8 +122,33 @@ def test_report_compares_last_section_with_first_and_other(
     assert all("beyond bound" in line for line in rows)
     # Against OTHER only the one metric both files hold is compared.
     tail = lines[lines.index(next(x for x in lines if "base -> head" in x)):]
-    assert [line.split()[1] for line in tail[1:]] == ["cpu_s", "failed"]
-    assert "+100.0%" in tail[1] and "beyond bound" in tail[1]
+    assert [line.split()[1] for line in tail[2:]] == ["cpu_s", "failed"]
+    assert "+100.0%" in tail[2]
+
+
+def test_report_against_another_file_gives_no_verdict(tmp_path, checkouts,
+                                                      calls, capsys):
+    """Sections of two BENCH files come from different sessions, between
+    which the host may drift past a bound: each change is printed, with
+    neither bound nor verdict, under a line that says why."""
+    other = tmp_path / "OTHER.json"
+    _main(tmp_path, checkouts)
+    (tmp_path / "BENCH.json").rename(other)
+    capsys.readouterr()
+    _main(tmp_path, checkouts, "--compare", str(other))
+    lines = capsys.readouterr().out.splitlines()
+    start = lines.index(next(x for x in lines if "OTHER.json -> " in x))
+    same, cross = lines[:start], lines[start:]
+    assert cross[1] == ("  recorded in different sessions: changes include "
+                        "host drift, so no verdict")
+    changes = [line for line in cross if "%" in line]
+    assert len(changes) == len(record.WORKLOADS) * len(record.BOUNDS)
+    assert all(line.endswith("+0.0%") for line in changes)
+    assert not any(word in line for line in cross
+                   for word in ("bound", "better", "IQR"))
+    # the pair recorded together keeps its verdicts
+    assert all("(bound " in line for line in same if "%" in line)
+    assert not any("different sessions" in line for line in same)
 
 
 def test_incorrect_output_fails_the_exit_status(tmp_path, checkouts, calls,

@@ -1145,15 +1145,20 @@ class TestSweep:
         assert os.listdir(tmp_path) == ["m.csv"]
 
 
-# Runs fado.cli.console on sys.argv[1:] and prints, as one JSON line, its
-# exit code (a returned one or a SystemExit's) and gc's freeze count before
-# and after it.
+# Runs fado.cli on sys.argv[2:], through console if sys.argv[1] is
+# "console", else as ``python -m fado.cli`` runs it, and prints, as one JSON
+# line, its exit code (a returned one or a SystemExit's) and gc's freeze
+# count before and after it.
 _CONSOLE_PROBE = """
-import gc, json, sys
-from fado.cli import console
+import gc, json, runpy, sys
+entry = sys.argv.pop(1)
 before = gc.get_freeze_count()
 try:
-    code = console(sys.argv[1:])
+    if entry == "console":
+        from fado.cli import console
+        code = console(sys.argv[1:])
+    else:
+        runpy.run_module("fado.cli", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
 print(json.dumps({"code": code, "before": before,
@@ -1177,10 +1182,12 @@ class TestConsole:
                 1: [*run, "--input", str(tmp_path / "missing.bin")],
                 2: [*run, "--input", str(stream), "--no-such-flag"]}
 
+    @pytest.mark.parametrize("entry", ["console", "-m"])
     @pytest.mark.parametrize("code", [0, 1, 2])
-    def test_console_returns_mains_code_and_freezes(self, commands, code):
+    def test_console_returns_mains_code_and_freezes(self, commands, code,
+                                                    entry):
         proc = subprocess.run(
-            [sys.executable, "-c", _CONSOLE_PROBE, *commands[code]],
+            [sys.executable, "-c", _CONSOLE_PROBE, entry, *commands[code]],
             env=child_env(), capture_output=True, text=True, check=True)
         probe = json.loads(proc.stdout.splitlines()[-1])
         assert probe["code"] == code
@@ -1195,22 +1202,18 @@ class TestConsole:
     @pytest.mark.parametrize("code", [0, 1, 2])
     def test_module_entry_matches_main(self, commands, code, tmp_path,
                                        capsys):
+        """Same exit code, stdout, stderr and output bytes."""
         output = tmp_path / "o.csv"
-        results = []
-        for via in ("main", "-m"):
-            output.unlink(missing_ok=True)
-            if via == "main":
-                got, stdout = run_cli(*commands[code])
-                stderr = capsys.readouterr().err
-            else:
-                proc = subprocess.run(
-                    [sys.executable, "-m", "fado.cli", *commands[code]],
-                    env=child_env(), capture_output=True, text=True)
-                got, stdout, stderr = proc.returncode, proc.stdout, proc.stderr
-            results.append((got, stdout, stderr, output.exists()
-                            and output.read_bytes()))
-        assert results[0] == results[1]
-        assert results[0][0] == code
+        got, stdout = run_cli(*commands[code])
+        in_process = (got, stdout, capsys.readouterr().err,
+                      output.exists() and output.read_bytes())
+        output.unlink(missing_ok=True)
+        proc = subprocess.run(
+            [sys.executable, "-m", "fado.cli", *commands[code]],
+            env=child_env(), capture_output=True, text=True)
+        assert in_process[0] == code
+        assert (proc.returncode, proc.stdout, proc.stderr,
+                output.exists() and output.read_bytes()) == in_process
 
     def test_console_script_names_the_entry_function(self):
         text = (Path(__file__).resolve().parents[1]

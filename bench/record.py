@@ -19,16 +19,18 @@ and its result on the last; the BENCH file keeps, per checkout (one
 section per label) and workload, the median, quartiles and IQR of each
 end-to-end metric, every run's value, ``correct``, ``attempted``,
 ``failed``, the environment and ``src_lines``; and per checkout its
-``revision`` and ``src_sha256``, a hash of its ``src/`` tree that names
-the code measured even where the revision is unknown or dirty.
+``revision``, its ``code_lines`` (the lines of ``src/**/*.py`` that hold
+code: no blank, comment or docstring line) and ``src_sha256``, a hash of
+its ``src/`` tree that names the code measured even where the revision is
+unknown or dirty.
 perfbench's ``openblas_threads`` is the thread count of its own driver
 process, not of the ``fado`` processes it times, so the BENCH file names
 it ``driver_openblas_threads``.
 
 After recording, the script prints each end-to-end metric's change from
 the first section of ``--out`` to its last, next to the bound that
-``BENCHMARK.json`` allows and a verdict, after the change in
-``src_lines``.  With ``--compare OTHER.json`` it also prints each change
+``BENCHMARK.json`` allows and a verdict, after the changes in
+``src_lines`` and ``code_lines``.  With ``--compare OTHER.json`` it also prints each change
 from the last section of OTHER to the last of ``--out``, but with no
 verdict: the two were recorded in different sessions, and the host can
 drift between sessions by more than a bound (``BENCH_43.json``'s head
@@ -43,11 +45,14 @@ Standard library only; perfbench itself needs numpy.
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
+import io
 import json
 import statistics
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -91,6 +96,33 @@ def tree_hash(checkout: Path) -> str:
     return digest.hexdigest()
 
 
+# tokens that hold no code: a line with only these is not a code line
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+             tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def code_lines(checkout: Path) -> int:
+    """Lines of the checkout's ``src/**/*.py`` that hold a token other
+    than a comment, where a line of a module, class or function docstring
+    is not counted: the size of the code, whatever its comments."""
+    total = 0
+    for path in (checkout / "src").rglob("*.py"):
+        source = path.read_bytes()
+        docstrings = set()
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef))
+                    and ast.get_docstring(node, clean=False) is not None):
+                first = node.body[0]
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+        lines = set()
+        for token in tokenize.tokenize(io.BytesIO(source).readline):
+            if token.type not in _NOT_CODE:
+                lines.update(range(token.start[0], token.end[0] + 1))
+        total += len(lines - docstrings)
+    return total
+
+
 def summary(values: list) -> dict:
     q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
                       if len(values) > 1 else values * 3)
@@ -123,7 +155,8 @@ def record(checkouts: dict, seeds: int) -> dict:
                if k not in ("workload", "seed", "trace")}
         section = {"revision": revision(checkouts[label]),
                    "src_sha256": tree_hash(checkouts[label]),
-                   "src_lines": env["src_lines"], "env": env,
+                   "src_lines": env["src_lines"],
+                   "code_lines": code_lines(checkouts[label]), "env": env,
                    "workloads": {}}
         for workload, runs in results[label].items():
             section["workloads"][workload] = {
@@ -149,16 +182,18 @@ def sections(doc: dict) -> list:
 
 
 def compare(old: dict, new: dict, title: str, verdicts: bool = True) -> None:
-    """Print the change in ``src_lines``, when both sections hold it, and
-    each end-to-end metric's median change, beside its bound and verdict
-    if ``verdicts``; sections of different sessions get none."""
+    """Print the change in ``src_lines`` and in ``code_lines``, each when
+    both sections hold it, and each end-to-end metric's median change,
+    beside its bound and verdict if ``verdicts``; sections of different
+    sessions get none."""
     print(title)
     if not verdicts:
         print("  recorded in different sessions: changes include host "
               "drift, so no verdict")
-    if "src_lines" in old and "src_lines" in new:
-        a, b = old["src_lines"], new["src_lines"]
-        print(f"  src_lines {a} -> {b} ({b - a:+d})")
+    for key in ("src_lines", "code_lines"):
+        if key in old and key in new:
+            a, b = old[key], new[key]
+            print(f"  {key} {a} -> {b} ({b - a:+d})")
     for workload, after in new["workloads"].items():
         before = old["workloads"].get(workload)
         if before is None:

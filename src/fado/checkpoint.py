@@ -51,8 +51,6 @@ _SCHED_CONSTANT = 1
 
 # The longest header, magic to trace sums (fixed radius, power decay).
 _HEAD = len(MAGIC) + struct.calcsize("<IBdBddQQQ4d")
-# Bytes per read of the CRC pass over a checkpoint file.
-_CHUNK = 1 << 16
 
 
 class CheckpointError(ValueError):
@@ -86,12 +84,17 @@ def checkpoint_write(state: Detector, fh) -> None:
 
 def checkpoint_read(fh) -> Detector:
     """Reconstruct a detector state from the binary file ``fh``, read from
-    its position to its end.
+    its position to its end, once, in the order :func:`checkpoint_write`
+    wrote it.
 
-    The CRC is checked in one pass of :data:`_CHUNK` bytes at a time before
-    any field is parsed, and the header's dimension against the file's
-    size before the center is allocated; the center is then read into its
-    own array.  A stream that cannot seek, such as a pipe, is read whole.
+    The magic, the version and the two tags are checked as they are read,
+    and the header's length and dimension against the file's size before
+    the center is allocated, for they place the center: a file cut short is
+    a ``truncated checkpoint``, a padded one has ``trailing bytes``.  The
+    center is then read into its own array, and the CRC, run over the
+    header and the center as the writer ran it, is checked before any other
+    field is trusted, so damage to a value is a ``CRC mismatch``.  A stream
+    that cannot seek, such as a pipe, is read whole.
     """
     if not fh.seekable():
         fh = io.BytesIO(fh.read())
@@ -101,19 +104,9 @@ def checkpoint_read(fh) -> Detector:
     if size < len(MAGIC) + 8:
         raise CheckpointError("truncated checkpoint")
     length = size - 4  # of the body, which the CRC covers
-    head = _read(fh, min(length, _HEAD))
+    head = fh.read(min(length, _HEAD))
     if head[:len(MAGIC)] != MAGIC:
         raise CheckpointError("bad magic, not a checkpoint")
-    actual_crc = zlib.crc32(head)
-    for lo in range(len(head), length, _CHUNK):
-        actual_crc = zlib.crc32(_read(fh, min(_CHUNK, length - lo)),
-                                actual_crc)
-    (stored_crc,) = struct.unpack("<I", _read(fh, 4))
-    if stored_crc != actual_crc:
-        raise CheckpointError(
-            f"CRC mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}"
-        )
-
     pos = len(MAGIC)
 
     def take(fmt: str):
@@ -131,26 +124,22 @@ def checkpoint_read(fh) -> Detector:
 
     (mode_tag,) = take("<B")
     if mode_tag == _MODE_FIXED:
-        mode = _configure(FixedRadius, *take("<d"))
+        mode_args = (FixedRadius, *take("<d"))
     elif mode_tag == _MODE_ADAPTIVE:
-        mode = AdaptiveRadius()
+        mode_args = (AdaptiveRadius,)
     else:
         raise CheckpointError(f"unknown mode tag {mode_tag}")
 
     (sched_tag,) = take("<B")
     if sched_tag == _SCHED_POWER:
-        schedule = _configure(PowerDecay, *take("<dd"))
+        sched_args = (PowerDecay, *take("<dd"))
     elif sched_tag == _SCHED_CONSTANT:
-        schedule = _configure(Constant, *take("<d"))
+        sched_args = (Constant, *take("<d"))
     else:
         raise CheckpointError(f"unknown schedule tag {sched_tag}")
 
     n, t, m = take("<QQQ")
-    if m > t:
-        raise CheckpointError(f"mistake count {m} exceeds step count {t}")
     trace_vals = take("<4d")
-    if not np.isfinite(trace_vals).all():
-        raise CheckpointError("non-finite trace sum in checkpoint")
     if length - pos < 8 * n:
         raise CheckpointError("truncated checkpoint")
     if length - pos > 8 * n:
@@ -159,6 +148,18 @@ def checkpoint_read(fh) -> Detector:
     fh.seek(start + pos)
     if fh.readinto(w) != w.nbytes:
         raise CheckpointError("truncated checkpoint")
+    stored_crc = int.from_bytes(fh.read(4), "little")
+    actual_crc = zlib.crc32(w, zlib.crc32(head[:pos]))
+    if stored_crc != actual_crc:
+        raise CheckpointError(
+            f"CRC mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}"
+        )
+
+    mode, schedule = _configure(*mode_args), _configure(*sched_args)
+    if m > t:
+        raise CheckpointError(f"mistake count {m} exceeds step count {t}")
+    if not np.isfinite(trace_vals).all():
+        raise CheckpointError("non-finite trace sum in checkpoint")
     w = w.astype(np.float64, copy=False)
     if not np.isfinite(w).all():
         raise CheckpointError("non-finite center payload")
@@ -181,14 +182,6 @@ def checkpoint_encode(state: Detector) -> bytes:
 def checkpoint_decode(data: bytes) -> Detector:
     """Reconstruct a detector state from checkpoint bytes."""
     return checkpoint_read(io.BytesIO(data))
-
-
-def _read(fh, size: int) -> bytes:
-    """The next ``size`` bytes of ``fh``; fewer is a truncated checkpoint."""
-    data = fh.read(size)
-    if len(data) != size:
-        raise CheckpointError("truncated checkpoint")
-    return data
 
 
 def _configure(cls, *args):

@@ -1,3 +1,4 @@
+import io
 import itertools
 import os
 import struct
@@ -15,6 +16,7 @@ from fado.checkpoint import (
     CheckpointError,
     checkpoint_decode,
     checkpoint_encode,
+    checkpoint_read,
 )
 from fado.cli import main
 from fado.detector import (
@@ -221,6 +223,90 @@ def test_unknown_tag_rejected(offset, what):
     body[offset] = 2
     with pytest.raises(CheckpointError, match=f"^unknown {what} tag 2$"):
         checkpoint_decode(_seal(bytes(body)))
+
+
+_MODES_AND_SCHEDULES = pytest.mark.parametrize("mode,schedule", [
+    (FixedRadius(1.0), PowerDecay(1.0, 0.25)),
+    (FixedRadius(1.0), Constant(0.5)),
+    (AdaptiveRadius(), PowerDecay(0.5, 0.1)),
+    (AdaptiveRadius(), Constant(2.0)),
+])
+
+
+def _stepped(dim, mode, schedule):
+    """A detector of ``dim`` values that has alarmed on a few rows."""
+    state = Detector(dim, mode, schedule)
+    state.run_stream(np.random.default_rng(7).normal(size=(50, dim)) * 3.0)
+    assert state.m > 1
+    return state
+
+
+@_MODES_AND_SCHEDULES
+def test_a_cut_or_padded_file_says_so_under_its_own_crc(mode, schedule):
+    """The header places the center, so a file cut short or padded, with
+    its CRC left as written, is named for what happened to it, not for
+    the CRC it no longer matches."""
+    blob = checkpoint_encode(_stepped(20, mode, schedule))
+    for cut in (1, 100):
+        with pytest.raises(CheckpointError, match="^truncated checkpoint$"):
+            checkpoint_decode(blob[:-cut])
+    with pytest.raises(CheckpointError,
+                       match="^trailing bytes after center payload$"):
+        checkpoint_decode(blob + bytes(8))
+
+
+def test_an_unknown_version_is_named_under_its_own_crc():
+    blob = bytearray(checkpoint_encode(
+        _stepped(2, FixedRadius(1.0), PowerDecay(1.0, 0.25))))
+    struct.pack_into("<I", blob, len(MAGIC), 99)
+    with pytest.raises(CheckpointError,
+                       match="^unsupported checkpoint version 99$"):
+        checkpoint_decode(bytes(blob))
+
+
+@pytest.mark.parametrize("offset", [
+    len(MAGIC) + 4 + 1 + 7,  # epsilon: its sign, a negative radius
+    len(MAGIC) + 4 + 9 + 17 + 8 + 7,  # t: its top bit
+    len(MAGIC) + 4 + 9 + 17 + 24 + 7,  # sum_d_gamma_sq: its sign
+    len(MAGIC) + 4 + 9 + 17 + 24 + 32 + 8 * 3 + 7,  # center value 3: sign
+], ids=["epsilon", "t", "trace", "center"])
+def test_a_flipped_value_is_a_crc_mismatch(offset):
+    """A value the header does not place by is trusted only after the CRC:
+    its damage is a CRC mismatch, not the range error it may imply."""
+    blob = bytearray(checkpoint_encode(
+        _stepped(20, FixedRadius(1.0), PowerDecay(1.0, 0.25))))
+    blob[offset] ^= 0x80
+    with pytest.raises(CheckpointError, match="^CRC mismatch: stored "):
+        checkpoint_decode(bytes(blob))
+
+
+class _CountingBytesIO(io.BytesIO):
+    """A BytesIO that counts the bytes read from it."""
+
+    bytes_read = 0
+
+    def read(self, size=-1):
+        data = super().read(size)
+        self.bytes_read += len(data)
+        return data
+
+    def readinto(self, buffer):
+        got = super().readinto(buffer)
+        self.bytes_read += got
+        return got
+
+
+@_MODES_AND_SCHEDULES
+def test_a_wide_checkpoint_is_read_once(mode, schedule):
+    """A 160,000-wide checkpoint is read in one pass: its header, over-read
+    by at most the 16 bytes that the shortest header lacks of the longest,
+    then the center into its own array, then the CRC."""
+    state = Detector(160_000, mode, schedule)
+    state.run_stream(np.random.default_rng(8).normal(size=(2, 160_000)))
+    blob = checkpoint_encode(state)
+    fh = _CountingBytesIO(blob)
+    assert _states_equal(checkpoint_read(fh), state)
+    assert len(blob) <= fh.bytes_read <= len(blob) + 16
 
 
 def test_wire_layout_is_pinned():

@@ -1222,6 +1222,85 @@ class TestConsole:
         assert target and getattr(fado.cli, target[1]) is console
 
 
+# Runs fado.cli on sys.argv[1:] as ``python -m fado.cli`` runs it, and at
+# exit, after the command's own exit and before the interpreter's teardown,
+# prints as one JSON line whether it reaped a child that used CPU time.
+_REAPED_PROBE = """
+import atexit, json, resource, runpy
+def report():
+    children = resource.getrusage(resource.RUSAGE_CHILDREN)
+    print(json.dumps({"reaped_child":
+                      children.ru_utime + children.ru_stime > 0}))
+atexit.register(report)
+runpy.run_module("fado.cli", run_name="__main__", alter_sys=True)
+"""
+
+# The one line of stderr that ``fado run`` and ``fado scene`` print
+_SUMMARY = re.compile(r"(processed (\d+) transactions|(\d+) frames), "
+                      r"(\d+) alarms( \(rate [\d.]+\))?\n")
+
+
+@pytest.mark.skipif(not HAVE_TASKS or not hasattr(os, "fork")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs os.fork, /proc/self/task and two CPUs: "
+                           "elsewhere the fork rule keeps the work in "
+                           "process")
+class TestModuleEntryExit:
+    """``python -X dev -W error::ResourceWarning -m fado.cli`` after a
+    forked multi-block ``run`` and a partnered wide ``scene``: exit 0, the
+    one summary line on stderr and nothing printed at exit, the helper
+    reaped, and the bytes ``main`` writes in a child of its own."""
+
+    @staticmethod
+    def check(argv, outputs):
+        """Run ``argv`` through ``main`` in a child, then through the
+        module entry under ``-X dev``, with OpenBLAS left to fado; return
+        the summary line's match."""
+        expected = main_in_child(argv, OPENBLAS_NUM_THREADS=None)
+        assert (expected["code"], expected["reaped_child"]) == (0, True)
+        written = [path.read_bytes() for path in outputs]
+        for path in outputs:
+            path.unlink()
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+             "-c", _REAPED_PROBE, *map(str, argv)],
+            env=child_env(OPENBLAS_NUM_THREADS=None), capture_output=True,
+            text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        summary = _SUMMARY.fullmatch(proc.stderr)
+        assert summary and proc.stderr == expected["stderr"], proc.stderr
+        assert json.loads(proc.stdout) == {"reaped_child": True}
+        assert [path.read_bytes() for path in outputs] == written
+        return summary
+
+    def test_a_forked_multi_block_run(self, tmp_path):
+        stream, outcomes = tmp_path / "s.bin", tmp_path / "o.csv"
+        assert main(["gen", "--design", "mixture", "--dim", "10", "--count",
+                     "40000", "--center", "2,2,0,0,0,0,0,0,0,0",
+                     "--epsilon", "1", "--mu", "0.1", "--fraction", "0.05",
+                     "--radius-max", "5", "--seed", "1",
+                     "--out", str(stream)]) == 0
+        assert 40000 > 3 * SCAN_CHUNK_BYTES // (8 * 10)  # four blocks
+        summary = self.check(["run", "--mode", "fixed", "--epsilon", "1",
+                              "--input", stream, "--output", outcomes],
+                             [outcomes])
+        assert summary[2] == "40000" and 0 < int(summary[4])
+
+    def test_a_partnered_wide_scene(self, tmp_path):
+        pack = tmp_path / "wide.pack"
+        subprocess.run([sys.executable,
+                        Path(__file__).resolve().parents[1] / "perfbench"
+                        / "make_pack.py", "400", "400", "4", "10", "10", "1",
+                        pack], env=child_env(), check=True)
+        outputs = [tmp_path / name
+                   for name in ("t.csv", "snapshot.pgm", "c.ckpt")]
+        summary = self.check(["scene", "--packed", pack, "--epsilon", "215",
+                              "--timeline", outputs[0], "--snapshot",
+                              outputs[1], "--checkpoint-out", outputs[2]],
+                             outputs)
+        assert 0 < int(summary[4]) < int(summary[3]) == 40
+
+
 class TestRunGainFlags:
     """A fresh ``fado run`` rejects the gain flags of the other schedule."""
 

@@ -205,3 +205,42 @@ def test_equal_trees_hash_equal_and_a_one_byte_edit_does_not(tmp_path):
     assert record.tree_hash(_tree(tmp_path / "c", edited)) != a
     moved = {"fado/__init__.py": b"", "fado/main.py": b"x = 1\n"}
     assert record.tree_hash(_tree(tmp_path / "d", moved)) != a
+
+
+_SOURCE = b'''"""A module docstring,
+over two lines."""
+# a comment
+
+import os
+
+
+class A:
+    """A class docstring."""
+
+    def f(self, x):
+        """A function docstring."""
+        s = """a string,
+not a docstring"""
+        return x  # a trailing comment
+'''
+
+
+def test_code_lines_count_lines_that_hold_code(tmp_path):
+    """Blank, comment and docstring lines are not counted; each line of a
+    string that is not a docstring is, in every ``src/**/*.py`` file."""
+    root = _tree(tmp_path, {"fado/a.py": _SOURCE, "fado/sub/b.py": b"x = 1\n",
+                            "fado/notes.txt": b"y = 2\n"})
+    # import, class, def, the string's two lines, return; and b.py's line
+    assert record.code_lines(root) == 6 + 1
+    assert record.code_lines(tmp_path / "empty") == 0
+
+
+def test_each_section_records_its_code_lines_and_the_report_compares_them(
+        tmp_path, checkouts, calls, capsys):
+    _tree(checkouts["parent"], {"fado/a.py": _SOURCE + b"y = 2\n"})
+    _tree(checkouts["head"], {"fado/a.py": _SOURCE})
+    _, doc = _main(tmp_path, checkouts)
+    assert (doc["parent"]["code_lines"], doc["head"]["code_lines"]) == (7, 6)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:3] == ["  src_lines 100 -> 90 (-10)",
+                          "  code_lines 7 -> 6 (-1)"]

@@ -30,14 +30,15 @@ it ``driver_openblas_threads``.
 After recording, the script prints each end-to-end metric's change from
 the first section of ``--out`` to its last, next to the bound that
 ``BENCHMARK.json`` allows and a verdict, after the changes in
-``src_lines`` and ``code_lines``.  With ``--compare OTHER.json`` it also prints each change
-from the last section of OTHER to the last of ``--out``, but with no
-verdict: the two were recorded in different sessions, and the host can
-drift between sessions by more than a bound (``BENCH_43.json``'s head
-against ``BENCH_44.json``'s read ``stream-resume`` ``invoke_p50_s`` as
-+26.6% on the same ``run`` code, where the pair recorded together read
-+5.7%).  This is a report: the exit status says only whether recording
-worked and every output was correct.
+``src_lines`` and ``code_lines``.  With ``--compare OTHER.json`` it also
+prints each change from the last section of OTHER to the last of
+``--out``, but with no verdict: the two were recorded in different
+sessions, and the host can drift between sessions by more than a bound
+(``BENCH_43.json``'s head against ``BENCH_44.json``'s read
+``stream-resume`` ``invoke_p50_s`` as +26.6% on the same ``run`` code,
+where the pair recorded together read +5.7%).  This is a report: the
+exit status says only whether recording worked and every output was
+correct.
 
 Standard library only; perfbench itself needs numpy.
 """

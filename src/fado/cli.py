@@ -24,8 +24,8 @@ time and spin idle.  An explicit value wins, and after numpy has loaded
 ``main`` sets nothing.  Each command imports only the modules it uses, and
 ``import fado.cli`` imports no numpy and changes no environment variable.
 
-``run`` and ``scene`` may fork one helper process, under the rule that
-``fado.detector`` states.
+``run`` may fork one helper process, under the rule that
+``fado.detector`` states; ``scene`` runs in one process.
 
 The ``fado`` script and ``python -m fado.cli`` run ``console``, which
 calls ``main`` and then, on every way out, ``gc.freeze()``: the

@@ -25,26 +25,18 @@ converted, subtracted and summed while it is in cache (:func:`_judge`), and
 an alarm moves the center tile by tile (:func:`_move`); every partial sum
 continues the running total left to right, so tiling changes no bit.
 
-Two jobs may fork one helper process, under one rule (:func:`_may_fork`):
-only when ``os.fork`` exists, the process may use two CPUs (on one, the
-two processes would only take turns) and it runs one thread (a fork copies
+``fado run``'s blocks (:func:`_outcome_blocks`) may be scanned ahead in
+one forked child: the first is scanned and yielded before the second is
+read, and the child scans the second onward while the caller writes the
+blocks before.  It forks under one rule (:func:`_may_fork`): only when
+``os.fork`` exists, the process may use two CPUs (on one, the two
+processes would only take turns) and it runs one thread (a fork copies
 only the calling thread, so a process with, say, a second OpenBLAS thread
-works in process, as it does when the fork is refused).  The helper is
+works in process, as it does when the fork is refused).  The child is
 killed and reaped on every exit path (:func:`_forked`); one that dies
-raises :class:`ChildProcessError`.  Both paths give the same bits.
-
-* ``fado run``'s blocks (:func:`_outcome_blocks`): the first is scanned
-  and yielded before the second is read, and a forked child scans the
-  second onward while the caller writes the blocks before.
-* ``fado scene``'s frames (:func:`_frame_outcomes`): a scan whose chunks
-  hold one row (more than 65,536 values) may hand the columns from a slice
-  boundary near the middle to a forked partner (:func:`_column_partner`),
-  which runs the same :func:`_judge` and :func:`_move` on them and keeps
-  each slice's own sum as a partial; the scan adds the partials on to its
-  running total left to right, as an in-process scan adds the same slices,
-  so the distance has the same bits.  While a partner lives,
-  ``detector.w[lo:]`` holds the columns as they were when the frames
-  started, and they are brought up to date when the frames end or fail.
+raises :class:`ChildProcessError`.  Both paths give the same bits.  Every
+other scan, ``fado scene``'s frames of every width included, runs in
+process.
 
 The per-step bookkeeping needed by the invariant auditors (gain energy,
 gain mass, and the gain-weighted inner products with the pre-update center)
@@ -111,27 +103,27 @@ def _may_fork() -> bool:
 
 @contextlib.contextmanager
 def _forked(child):
-    """Run ``child(reader, writer)`` in a forked process; yield the
-    parent's ``(reader, writer)``, or None when the work stays in process.
+    """Run ``child(writer)`` in a forked process; yield the parent's
+    ``reader``, or None when the work stays in process.
 
-    ``reader`` and ``writer`` are file descriptors of two pipes, one each
-    way, that this function closes.  It forks only when :func:`_may_fork`
-    holds, and yields None when the fork is refused, say at a limit on
-    processes.  The child exits when ``child`` returns, with code 0, or
-    raises, with code 1 (printing the traceback of any error but a failed
-    pipe, which means the parent has gone); it never returns into the
-    caller's code.  On leaving the block the child is killed and reaped,
-    on every path.
+    ``writer`` and ``reader`` are the file descriptors of one pipe, from
+    the child to the parent, that this function closes.  It forks only when
+    :func:`_may_fork` holds, and yields None when the fork is refused, say
+    at a limit on processes.  The child exits when ``child`` returns, with
+    code 0, or raises, with code 1 (printing the traceback of any error but
+    a failed pipe, which means the parent has gone); it never returns into
+    the caller's code.  On leaving the block the child is killed and
+    reaped, on every path.
     """
     if not _may_fork():
         yield None
         return
-    down, up = os.pipe(), os.pipe()  # parent to child, child to parent
+    reader, writer = os.pipe()
     try:
         pid = os.fork()
     except OSError:
-        for fd in (*down, *up):
-            os.close(fd)
+        os.close(reader)
+        os.close(writer)
         yield None
         return
     if pid == 0:
@@ -139,9 +131,8 @@ def _forked(child):
         # files that the parent owns
         code = 1
         try:
-            os.close(down[1])
-            os.close(up[0])
-            child(down[0], up[1])
+            os.close(reader)
+            child(writer)
             code = 0
         except OSError:
             pass  # a pipe failed: the parent has gone
@@ -151,15 +142,13 @@ def _forked(child):
             sys.stderr.flush()
         finally:
             os._exit(code)
-    os.close(down[0])
-    os.close(up[1])
+    os.close(writer)
     try:
-        yield up[0], down[1]
+        yield reader
     finally:
         os.kill(pid, signal.SIGKILL)  # a child that has exited is a zombie
         os.waitpid(pid, 0)
-        os.close(up[0])
-        os.close(down[1])
+        os.close(reader)
 
 
 # Longest slice one ``vecdot`` call sums.  OpenBLAS runs a dot product of
@@ -170,7 +159,7 @@ def _forked(child):
 _DOT_WIDTH = 8192
 
 
-def _dot(a: np.ndarray, b: np.ndarray, total=None, parts=None):
+def _dot(a: np.ndarray, b: np.ndarray, total=None):
     """Inner product along the last axis, summed slice by slice.
 
     The one dot kernel: ``vecdot`` over consecutive column slices of at
@@ -180,18 +169,12 @@ def _dot(a: np.ndarray, b: np.ndarray, total=None, parts=None):
     the block scan and the step path decide identically.  ``total``, the
     sum of the slices left of ``a`` and ``b``, is continued: tiles of whole
     slices then sum to the bits of the whole row (their own sums would not).
-    ``parts``, a list if given, gets each slice's own sum appended in
-    place of the total, which is then None: a caller can add the slices on
-    to a running total elsewhere, as :class:`_Partner` does.
     """
     if a.shape[-1] > _DOT_WIDTH:
         for lo in range(0, a.shape[-1], _DOT_WIDTH):
             total = _dot(a[..., lo:lo + _DOT_WIDTH],
-                         b[..., lo:lo + _DOT_WIDTH], total, parts)
+                         b[..., lo:lo + _DOT_WIDTH], total)
         return total
-    if parts is not None:
-        parts.append(np.vecdot(a, b))
-        return None
     return np.vecdot(a, b) if total is None else total + np.vecdot(a, b)
 
 
@@ -200,7 +183,7 @@ def _dot(a: np.ndarray, b: np.ndarray, total=None, parts=None):
 _TILE = 4 * _DOT_WIDTH
 
 
-def _judge(tiles, i, stop, scale, parts=None):
+def _judge(tiles, i, stop, scale):
     """Squared distances of rows ``i .. stop - 1`` from the center.
 
     ``tiles`` are ``(y, w, d)`` column tiles, left to right, of the rows,
@@ -209,8 +192,6 @@ def _judge(tiles, i, stop, scale, parts=None):
     ``scale`` is given), have ``w`` subtracted and their dot slices added
     on to the running total while in cache.  Sums run left to right as in
     one whole-row :func:`_dot`, so the bits do not depend on the tiling.
-    Given ``parts``, :func:`_dot` appends the slices' own sums to it in
-    place of the total, and None is returned.
     """
     total = None
     for y, w, d in tiles:
@@ -218,15 +199,14 @@ def _judge(tiles, i, stop, scale, parts=None):
         if scale is not None:
             y = np.divide(y, scale, out=d)
         np.subtract(y, w, out=d)
-        total = _dot(d, d, total, parts)
+        total = _dot(d, d, total)
     return total
 
 
-def _move(tiles, k, distance, gain, parts=None):
+def _move(tiles, k, distance, gain):
     """Move the center of ``tiles`` (as for :func:`_judge`) by ``gain``
     times the unit step of row ``k`` of their buffers; return ``v . w``
-    with the center before the move, or None with ``parts`` (as for
-    :func:`_judge`).
+    with the center before the move.
 
     The row ``d[k]``, the difference ``y - w``, becomes the unit step ``v``
     and then ``gain * v`` (a unit gain skips the multiply, as
@@ -236,135 +216,11 @@ def _move(tiles, k, distance, gain, parts=None):
     for _, w, d in tiles:
         v = d[k]
         v /= distance
-        vw = _dot(v, w, vw, parts)
+        vw = _dot(v, w, vw)
         if gain != 1.0:
             v *= gain
         w += v
     return vw
-
-
-class _Partner:
-    """The parent's side of :func:`_column_partner`: columns ``lo ..`` of
-    each row are judged and learned in the partner process.
-
-    :meth:`scan` and :meth:`learn` start the partner on a row or an alarm
-    with a one-byte message; :meth:`fold` waits for its one-byte reply and
-    adds its per-slice partial sums on to a running total, left to right.
-    """
-
-    def __init__(self, ends, lo, row, partials, alarm):
-        self.reader, self.writer = ends
-        self.lo = lo
-        self._row, self._partials, self._alarm = row, partials, alarm
-
-    def _send(self, message: bytes) -> None:
-        try:
-            os.write(self.writer, message)
-        except BrokenPipeError:
-            raise self._ended() from None
-
-    @staticmethod
-    def _ended():
-        return ChildProcessError("the column partner process ended before "
-                                 "the frames did")
-
-    def scan(self, row) -> None:
-        """Start on the partner's columns of ``row``."""
-        self._row[:] = row[self.lo:]
-        self._send(b"s")
-
-    def learn(self, distance: float, gain: float) -> None:
-        """Start the alarm on the row last scanned: the partner moves its
-        columns of the center with :func:`_move`."""
-        self._alarm[:] = distance, gain
-        self._send(b"l")
-
-    def fold(self, total):
-        """``total`` continued by the partner's partial sums."""
-        if os.read(self.reader, 1) != b"d":
-            raise self._ended()
-        for part in self._partials:
-            total = total + part
-        return total
-
-
-@contextlib.contextmanager
-def _column_partner(detector: "Detector", scale: float):
-    """Yield a :class:`_Partner` for scans by ``detector`` of uint8 rows
-    read as ``row / scale``, or None, when the scan stays whole in process.
-
-    A partner is forked (see :func:`_forked`) only when a scan chunk is one
-    row.  It owns the columns from the :data:`_DOT_WIDTH` boundary ``lo``
-    nearest the middle and runs the scan's :func:`_judge` and :func:`_move`
-    on them as one tile, copying the ``parts`` of each into the shared
-    partials; so each partial has the bits of the slice an in-process scan
-    adds.  One shared anonymous ``mmap`` holds its columns of the center,
-    copied from ``detector.w[lo:]`` before its first message, the row's
-    columns, the partials and an alarm's distance and gain; the scan moves
-    ``detector.w[:lo]`` in the caller's array.  While a partner lives,
-    ``detector.w[lo:]`` holds the columns as they were when the frames
-    started, and they are brought up to date when the frames end or fail:
-    once the partner is killed and reaped, on every path, its columns are
-    copied back a chunk of whole pages at a time, each freed where ``mmap``
-    offers ``MADV_REMOVE``.  A refused fork copies nothing.
-
-    A process, not a thread: ``np.vecdot`` holds the GIL, so a partner
-    thread's slice sums would wait on the scan's.
-    """
-    dim = detector.dim
-    if _block_rows(dim) > 1 or not _may_fork():
-        yield None
-        return
-    import mmap
-    lo = _DOT_WIDTH * round(dim / (2 * _DOT_WIDTH))
-    width = dim - lo
-    floats = width + len(range(0, width, _DOT_WIDTH)) + 2
-    shared = mmap.mmap(-1, 8 * floats + width)
-    numbers = np.frombuffer(shared, np.float64, floats)
-    columns, partials, alarm = np.split(numbers, [width, floats - 2])
-    row = np.frombuffer(shared, np.uint8, width, 8 * floats).reshape(1, -1)
-
-    def serve(reader, writer):
-        tiles = [(row, columns, np.empty((1, width)))]
-        with np.errstate(over="ignore", invalid="ignore"):
-            while message := os.read(reader, 1):
-                parts = []
-                if message == b"s":
-                    _judge(tiles, 0, 1, scale, parts)
-                else:
-                    _move(tiles, 0, *alarm, parts)
-                partials[:] = np.ravel(parts)
-                os.write(writer, b"d")
-
-    partner = None
-    try:
-        with _forked(serve) as ends:
-            if ends is not None:
-                columns[:] = detector.w[lo:]
-                partner = _Partner(ends, lo, row, partials, alarm)
-            yield partner
-    finally:
-        if partner is not None:
-            # chunks of whole pages (both sizes are powers of two), each
-            # freed once it is copied
-            step = max(_TILE, mmap.PAGESIZE // 8)
-            for start in range(0, width, step):
-                detector.w[lo + start:][:step] = columns[start:][:step]
-                # refused by a kernel, or absent from an mmap module
-                with contextlib.suppress(OSError, AttributeError):
-                    shared.madvise(mmap.MADV_REMOVE, 8 * start,
-                                   8 * min(step, width - start))
-
-
-def _frame_outcomes(detector: "Detector", blocks, scale: float):
-    """Yield the :class:`ScanOutcomes` of ``detector``'s scans of the uint8
-    ``blocks(rows)``, read as ``block / scale``, with a partner if one forks
-    (:func:`_column_partner`); uint8 values are finite, so go unchecked.
-    A block holds as many frames as a scan chunk may: one frame where a
-    partner forks."""
-    with _column_partner(detector, scale) as partner:
-        for block in blocks(_block_rows(detector.dim)):
-            yield detector._scan(block, scale, partner)
 
 
 def _outcome_blocks(detector: "Detector", block, blocks):
@@ -395,7 +251,7 @@ def _outcome_blocks(detector: "Detector", block, blocks):
     blocks = itertools.chain([ahead], blocks)
     import pickle
 
-    def child(_, writer):
+    def child(writer):
         with open(writer, "wb", closefd=False) as pipe:
             try:
                 for out in map(scan, blocks):
@@ -406,11 +262,11 @@ def _outcome_blocks(detector: "Detector", block, blocks):
             else:
                 pickle.dump(vars(detector), pipe, 5)
 
-    with _forked(child) as ends:
-        if ends is None:
+    with _forked(child) as reader:
+        if reader is None:
             yield from map(scan, blocks)
             return
-        with open(ends[0], "rb", closefd=False) as pipe:
+        with open(reader, "rb", closefd=False) as pipe:
             try:
                 while isinstance(end := pickle.load(pipe), ScanOutcomes):
                     yield end
@@ -617,13 +473,12 @@ class Detector:
             return self.mode.epsilon
         return 1.0 / gain_value(self.schedule, self.m + 1)
 
-    def _learn(self, distance: float, tiles, k: int, partner=None) -> float:
+    def _learn(self, distance: float, tiles, k: int) -> float:
         """Count an alarm at ``distance`` from the center on row ``k`` of
         the scan's ``tiles`` and move the center (see :func:`_move`);
         return the gain.
 
-        A ``partner``, if one is given, moves its own columns and its
-        ``v . w`` partials are folded in last.  The adaptive detector's
+        The adaptive detector's
         pre-decision gain uses m+1, which equals the fixed-radius gain at
         the incremented count, so one line serves both.
 
@@ -642,11 +497,7 @@ class Detector:
             # but the update direction is undefined, so none is applied.
             return 0.0
         gain = gain_value(self.schedule, self.m)
-        if partner is not None:
-            partner.learn(distance, gain)
         vw = _move(tiles, k, distance, gain)
-        if partner is not None:
-            vw = partner.fold(vw)
         self.trace.record_alarm(gain, float(vw))
         if not all(map(math.isfinite, self.trace.as_tuple())):
             raise OverflowError(
@@ -683,14 +534,10 @@ class Detector:
         """
         return self._scan(_as_block(rows, self.dim))
 
-    def _scan(self, block: np.ndarray, scale=None,
-              partner=None) -> ScanOutcomes:
+    def _scan(self, block: np.ndarray, scale=None) -> ScanOutcomes:
         """The body of :meth:`scan`, over a finite (T, dim) block: float64
         rows :func:`_as_block` has checked, or with ``scale`` rows such as
-        uint8 frames that are read as ``block / scale``.  A ``partner``
-        from :func:`_column_partner` judges the columns from its ``lo``
-        on, one row a chunk, and its partial sums are folded in after the
-        tiles here.
+        uint8 frames that are read as ``block / scale``.
 
         A chunk goes in column tiles of :data:`_TILE`, over one reused
         difference buffer: :func:`_judge` sums its distances, and an alarm
@@ -702,18 +549,17 @@ class Detector:
         distance = np.empty(count)
         threshold = np.empty(count)
         gain = np.zeros(count)
-        cap = _block_rows(self.dim)
-        width = self.dim if partner is None else partner.lo
+        dim = self.dim
+        cap = _block_rows(dim)
         # Rows padded to an even number of doubles start 16-byte aligned,
         # as step's fresh difference does: OpenBLAS's generic ddot sums a
         # misaligned head in another order, which would change the bits.
-        buf = np.empty((min(cap, count), width + width % 2))[:, :width]
-        tiles = [(block[:, lo:min(lo + _TILE, width)],
-                  self.w[lo:min(lo + _TILE, width)], buf[:, lo:lo + _TILE])
-                 for lo in range(0, width, _TILE)]
+        buf = np.empty((min(cap, count), dim + dim % 2))[:, :dim]
+        tiles = [(block[:, lo:lo + _TILE], self.w[lo:lo + _TILE],
+                  buf[:, lo:lo + _TILE]) for lo in range(0, dim, _TILE)]
         # A pass costs about as much as judging 8192 values, so a floor of
         # half that wastes less on dense streams than it saves on sparse.
-        floor = max(1, min(cap, 32, _DOT_WIDTH // (2 * self.dim)))
+        floor = max(1, min(cap, 32, _DOT_WIDTH // (2 * dim)))
         size = floor
         radius = self.current_radius()
         i = 0
@@ -723,11 +569,7 @@ class Detector:
         with np.errstate(over="ignore", invalid="ignore"):
             while i < count:
                 stop = min(count, i + size)
-                if partner is not None:
-                    partner.scan(block[i])
                 total = _judge(tiles, i, stop, scale)
-                if partner is not None:
-                    total = partner.fold(total)
                 dist = distance[i:stop]
                 np.sqrt(total, out=dist)
                 threshold[i:stop] = radius
@@ -738,7 +580,7 @@ class Detector:
                     size = min(2 * size, cap)
                     continue
                 self.t = t + i + k + 1  # the step an overflow names
-                gain[i + k] = self._learn(float(dist[k]), tiles, k, partner)
+                gain[i + k] = self._learn(float(dist[k]), tiles, k)
                 radius = self.current_radius()
                 i += k + 1
                 size = max(1 if k == 0 else floor, size // 2)

@@ -29,7 +29,6 @@ from .detector import (
     ScanOutcomes,
     _TILE,
     _block_rows,
-    _frame_outcomes,
 )
 from .streamio import _open_packed, _write_packed, write_outcome_rows
 
@@ -267,8 +266,10 @@ def run_scene_detection(frames: FrameSequence, epsilon: float = 100.0,
             f"checkpoint dimension {detector.dim} does not match frames "
             f"({frames.dim})")
     start = detector.t
-    # 255 reads each frame as frame_to_vector does
-    parts = _frame_outcomes(detector, frames.blocks, 255.0)
+    # uint8 values are finite, so go unchecked; 255 reads each frame as
+    # frame_to_vector does
+    parts = (detector._scan(block, 255.0)
+             for block in frames.blocks(_block_rows(detector.dim)))
     columns = zip(*((p.alarm, p.distance, p.threshold, p.gain_applied)
                     for p in parts))
     outcomes = ScanOutcomes(*map(np.concatenate, columns))

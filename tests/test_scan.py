@@ -205,8 +205,7 @@ def test_dot_is_one_vecdot_up_to_the_slice_width(n):
 def test_dot_continues_a_running_total_over_tiles(n):
     """Tiles of one and of two slices, each added on to the total so far,
     give the bits of one left-to-right sum over every 8192-column slice;
-    at five slices, adding each tile's own sum would not.  ``parts`` gets
-    each slice's own sum in place of the total."""
+    at five slices, adding each tile's own sum would not."""
     a, b = np.random.default_rng(n).normal(size=(2, 6, n))
     slices = range(0, n, 8192)
     for x, y in ((a, b), (a[4], b[4])):
@@ -216,9 +215,6 @@ def test_dot_continues_a_running_total_over_tiles(n):
         for part in own[1:]:
             expect = expect + part
         assert detector_module._dot(x, y).tobytes() == expect.tobytes()
-        parts = []
-        assert detector_module._dot(x, y, parts=parts) is None
-        assert [p.tobytes() for p in parts] == [p.tobytes() for p in own]
         for width in (8192, 2 * 8192):
             total = None
             for lo in range(0, n, width):

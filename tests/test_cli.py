@@ -1247,17 +1247,18 @@ _SUMMARY = re.compile(r"(processed (\d+) transactions|(\d+) frames), "
                            "process")
 class TestModuleEntryExit:
     """``python -X dev -W error::ResourceWarning -m fado.cli`` after a
-    forked multi-block ``run`` and a partnered wide ``scene``: exit 0, the
-    one summary line on stderr and nothing printed at exit, the helper
-    reaped, and the bytes ``main`` writes in a child of its own."""
+    forked multi-block ``run`` and a wide ``scene``, which forks nothing:
+    exit 0, the one summary line on stderr and nothing printed at exit,
+    the run's helper reaped, and the bytes ``main`` writes in a child of
+    its own."""
 
     @staticmethod
-    def check(argv, outputs):
+    def check(argv, outputs, reaped):
         """Run ``argv`` through ``main`` in a child, then through the
-        module entry under ``-X dev``, with OpenBLAS left to fado; return
-        the summary line's match."""
+        module entry under ``-X dev``, with OpenBLAS left to fado; each
+        reaps a child if ``reaped``.  Return the summary line's match."""
         expected = main_in_child(argv, OPENBLAS_NUM_THREADS=None)
-        assert (expected["code"], expected["reaped_child"]) == (0, True)
+        assert (expected["code"], expected["reaped_child"]) == (0, reaped)
         written = [path.read_bytes() for path in outputs]
         for path in outputs:
             path.unlink()
@@ -1269,7 +1270,7 @@ class TestModuleEntryExit:
         assert proc.returncode == 0, proc.stderr
         summary = _SUMMARY.fullmatch(proc.stderr)
         assert summary and proc.stderr == expected["stderr"], proc.stderr
-        assert json.loads(proc.stdout) == {"reaped_child": True}
+        assert json.loads(proc.stdout) == {"reaped_child": reaped}
         assert [path.read_bytes() for path in outputs] == written
         return summary
 
@@ -1283,10 +1284,10 @@ class TestModuleEntryExit:
         assert 40000 > 3 * SCAN_CHUNK_BYTES // (8 * 10)  # four blocks
         summary = self.check(["run", "--mode", "fixed", "--epsilon", "1",
                               "--input", stream, "--output", outcomes],
-                             [outcomes])
+                             [outcomes], reaped=True)
         assert summary[2] == "40000" and 0 < int(summary[4])
 
-    def test_a_partnered_wide_scene(self, tmp_path):
+    def test_a_wide_scene_in_one_process(self, tmp_path):
         pack = tmp_path / "wide.pack"
         subprocess.run([sys.executable,
                         Path(__file__).resolve().parents[1] / "perfbench"
@@ -1297,7 +1298,7 @@ class TestModuleEntryExit:
         summary = self.check(["scene", "--packed", pack, "--epsilon", "215",
                               "--timeline", outputs[0], "--snapshot",
                               outputs[1], "--checkpoint-out", outputs[2]],
-                             outputs)
+                             outputs, reaped=False)
         assert 0 < int(summary[4]) < int(summary[3]) == 40
 
 

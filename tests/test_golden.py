@@ -9,9 +9,10 @@ row-by-row step loop, before the block scan replaced it.  Frames wider than
 the kernel's 8192-element slice must give the same bytes whatever the
 number of BLAS threads.  The long 2x2 timeline (17000 frames) spans two
 8192-row boundaries of the outcome-CSV writer; it was recorded when the
-timeline was one joined string.  The wide scene (400 x 400 frames, half
-of whose columns a forked partner may judge) was recorded with the
-partner forked, and its snapshot is the same under each emulated host.
+timeline was one joined string.  The wide scene (400 x 400 frames) was
+recorded while a forked column partner judged half of each frame's
+columns; the one in-process scan that replaced it gives the same bytes,
+and its snapshot is the same under each emulated host.
 The ``margin``, ``dim``, ``epsilon`` and ``contamination`` sweep digests
 were re-recorded when the summed zeta (good to 1e-10) gave way to the
 Euler-Maclaurin one (good to about an ulp): only their ``bound`` column
@@ -274,10 +275,9 @@ def test_scene_outputs_are_pinned(tmp_path):
 
 
 def test_wide_scene_outputs_are_pinned(tmp_path):
-    """400 x 400 frames (n = 160,000): a scan chunk is one frame, so the
-    scan may hand half of each frame's columns to a forked partner.  The
-    command runs in a child that may fork it: one BLAS thread, as ``fado``
-    runs when no thread count is set."""
+    """400 x 400 frames (n = 160,000): a scan chunk is one frame.  The
+    command runs in a child with one BLAS thread, as ``fado`` runs when no
+    thread count is set."""
     paths = {name: tmp_path / name
              for name in ("timeline.csv", "memory.pgm", "state.ckpt")}
     probe = main_in_child(

@@ -4,9 +4,9 @@ with the input.
 Each command runs as a child process on an input and on one four times
 larger.  Peak RSS comes from the child's rusage (``os.wait4``), which is
 the larger of its own peak and its children's; ``fado run`` may scan ahead
-in a forked child and ``fado scene`` may judge wide frames with a forked
-partner, so the sum of the two peaks is bounded too, as the command itself
-reads them.  The readers hold one bounded block of the
+in a forked child, so the sum of the two peaks is bounded too, as the
+command itself reads them (``fado scene`` forks nothing, so for it the sum
+is its own peak).  The readers hold one bounded block of the
 input at a time, so the larger input may raise the peak by a small fixed
 margin only; readers that hold the whole input raise it by about as much
 as the input grows, 12 to 16 MB.  Nor may a wide scene's peak grow by more
@@ -20,7 +20,6 @@ import sys
 import numpy as np
 import pytest
 
-from fado.detector import _usable_cpus
 from fado.scene import FrameSequence, write_frames_packed
 from fado.streamio import write_vectors
 
@@ -40,8 +39,7 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 # Runs fado.cli.main on sys.argv[1:] and prints the sum of its own peak RSS
-# and its reaped children's (the scan-ahead child's or the partner's) as it
-# ends.
+# and its reaped children's (the scan-ahead child's) as it ends.
 _SUMMED = """
 import resource, sys
 from fado.cli import main
@@ -123,30 +121,19 @@ def test_scene_peak_rss_is_bounded(tmp_path):
 
 @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
 def test_scene_summed_peak_rss_is_bounded(tmp_path):
-    """The same packs, with the peaks of the scene run and of the partner
-    that judges half of each frame's columns for it summed, as both are
-    held at once."""
+    """The same packs, with the peaks of the scene run and of any child
+    it reaped summed."""
     assert _growth(tmp_path, _make_pack, _scene_command, 50,
                    summed=True) < _MARGIN_MIB
 
 
-def _partner_forks() -> bool:
-    """Whether a ``fado scene`` child may fork its column partner: it
-    runs one thread, so this is the rest of ``detector._may_fork``."""
-    return (hasattr(os, "fork") and _usable_cpus() >= 2
-            and os.path.isdir("/proc/self/task"))
-
-
-@pytest.mark.skipif(not hasattr(os, "wait4") or not _partner_forks(),
-                    reason="needs os.wait4 and a forked column partner")
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
 def test_a_wide_scene_holds_its_center_once(tmp_path):
-    """20 frames of 300 x 300 and of 600 x 600, where the partner forks:
-    the center grows by 2.16 MB.  A fresh scene holds the center, the
-    shared copy of the partner's half of it, the parent's half of the
-    difference row and one frame, so its peak may grow by at most twice
-    the center's growth; a resumed one also decodes a checkpoint's center,
-    and may grow by two and a half times (2.2 here; 2.8 when the shared
-    map held a copy of the whole center beside the caller's)."""
+    """20 frames of 300 x 300 and of 600 x 600: the center grows by 2.16
+    MB.  A fresh scene holds the center, the scan's difference row, as wide
+    as a frame, and one frame, and a resumed one also decodes a
+    checkpoint's center, so the summed peak of either may grow by at most
+    two and a half times the center's growth (2.08 to 2.19 here)."""
     peaks = {}
     for side in (300, 600):
         pack = tmp_path / f"{side}.pack"
@@ -157,11 +144,11 @@ def test_a_wide_scene_holds_its_center_once(tmp_path):
         peaks[side] = [_peak_rss_mib(
             ["scene", "--packed", pack, *start, "--timeline",
              tmp_path / "t.csv", "--snapshot", tmp_path / "s.pgm",
-             "--checkpoint-out", out])
+             "--checkpoint-out", out], summed=True)
             for start, out in (([], fresh),
                                (["--checkpoint-in", fresh],
                                 tmp_path / "resumed.ckpt"))]
     center = 8 * (600 ** 2 - 300 ** 2) / 2 ** 20  # MiB
     fresh, resumed = np.subtract(peaks[600], peaks[300])
-    assert fresh <= 2.0 * center, peaks
+    assert fresh <= 2.5 * center, peaks
     assert resumed <= 2.5 * center, peaks

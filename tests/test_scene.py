@@ -1,4 +1,4 @@
-import os
+import json
 import subprocess
 import sys
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fado.checkpoint import checkpoint_decode, checkpoint_encode
-from fado.cli import main
+from fado.cli import _SYNTHETIC, main
 from fado.detector import (SCAN_CHUNK_BYTES, _TILE, Constant, Detector,
                            FixedRadius)
 from fado.scene import (
@@ -557,19 +557,57 @@ class TestPackedFrames:
             read_frames_packed(path)
 
 
-# Pins the process to one CPU, where fado scene judges every column in
-# process.
-_ONE_CPU = ("import os\n"
-            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n")
+# Writes the timeline, snapshot and checkpoint that ``fado scene`` writes
+# to the paths sys.argv[2:5], from Detector.step over frame_to_vector
+# frames; the JSON object sys.argv[1] names the frames (a pack, PGM files
+# or gen_synthetic_clips arguments) and the detector (a checkpoint, or a
+# fresh one's epsilon and gamma).
+_STEPPED = """
+import json, sys
+import numpy as np
+from fado.checkpoint import checkpoint_decode, checkpoint_encode
+from fado.detector import Constant, Detector, FixedRadius, ScanOutcomes
+from fado.scene import (DetectionTimeline, frame_to_vector,
+                        gen_synthetic_clips, read_frames_packed, read_pgm,
+                        timeline_to_csv, write_memory_snapshot)
+spec = json.loads(sys.argv[1])
+transitions = None
+if "pgm" in spec:
+    decoded = [read_pgm(path) for path in spec["pgm"]]
+    width, height, _ = decoded[0]
+    frames = [pixels for *_, pixels in decoded]
+else:
+    if "packed" in spec:
+        clips = read_frames_packed(spec["packed"])
+    else:
+        clips, transitions = gen_synthetic_clips(*spec["synthetic"])
+    width, height, frames = clips.width, clips.height, clips.frames
+if "checkpoint" in spec:
+    with open(spec["checkpoint"], "rb") as fh:
+        detector = checkpoint_decode(fh.read())
+else:
+    detector = Detector(width * height, FixedRadius(spec["epsilon"]),
+                        Constant(spec["gamma"]))
+start = detector.t
+if transitions is not None:
+    transitions = [t + start for t in transitions]
+steps = [detector.step(frame_to_vector(frame)) for frame in frames]
+timeline = DetectionTimeline(ScanOutcomes(*map(np.array, zip(*steps))), start)
+timeline_path, snapshot_path, state_path = sys.argv[2:]
+timeline_to_csv(timeline, transitions, timeline_path)
+write_memory_snapshot(detector, width, height, snapshot_path)
+with open(state_path, "wb") as fh:
+    fh.write(checkpoint_encode(detector))
+"""
 
 
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
-                    reason="needs os.sched_setaffinity")
 class TestColumnPartner:
-    """``fado scene`` on frames of more than 65,536 pixels hands the
-    columns from a slice boundary near the middle to a forked partner when
-    it may use two CPUs and runs one thread.  Pinned to one CPU it judges
-    every column in process.  Both write the same bytes and fail alike."""
+    """``fado scene`` on frames of more than 65,536 pixels, where a scan
+    chunk holds one frame, judges every frame in process with no helper
+    process, and writes the bytes of a ``Detector.step`` loop: the scan's
+    column tiles continue one running total, as ``step``'s whole-row dot
+    does.  (The class keeps the name it had while a forked column partner
+    judged half of each such frame.)"""
 
     # (width, height) of frames of 65,537, 81,919, 81,920, 81,921 and
     # 160,000 pixels: one past the one-row chunk limit, the three around a
@@ -588,7 +626,7 @@ class TestColumnPartner:
         """Per size: 3 clips of 6 frames as a pack, and a checkpoint of a
         detector of that size (gain 0.5) that has seen 4 other frames; and
         the 81,920-pixel frames as PGM files."""
-        tmp = tmp_path_factory.mktemp("partner")
+        tmp = tmp_path_factory.mktemp("wide")
         for dim, (width, height) in self.SIZES.items():
             frames, _ = gen_synthetic_clips(width, height, 3, 6, 10,
                                             seed=dim)
@@ -603,28 +641,28 @@ class TestColumnPartner:
         return tmp
 
     @staticmethod
-    def both_paths(argv, tmp_path, prelude="", forks=True, **variables):
-        """Run ``fado scene argv`` with the partner's fork allowed, then
-        pinned to one CPU, each writing a timeline, a snapshot and a
-        checkpoint; for each: the exit code, stderr and the bytes of the
-        three files (None if absent).  ``forks`` is whether the first run
-        reaps a partner, or None where that is not known in advance;
-        ``variables`` are set in both runs' environments."""
-        files = [tmp_path / name for name in ("t.csv", "s.pgm", "c.ckpt")]
-        results = []
-        for pin in ("", _ONE_CPU):
-            for path in files:
-                path.unlink(missing_ok=True)
-            probe = main_in_child(
-                ["scene", *argv, "--timeline", files[0], "--snapshot",
-                 files[1], "--checkpoint-out", files[2]], prelude + pin,
-                OPENBLAS_NUM_THREADS=None, **variables)
-            if pin or forks is not None:
-                assert probe["reaped_child"] is (not pin and forks), pin
-            results.append((probe["code"], probe["stderr"],
-                            *(path.read_bytes() if path.exists() else None
-                              for path in files)))
-        return results
+    def scene(argv, tmp_path, **variables):
+        """Run ``fado scene argv``, with OpenBLAS left to fado and
+        ``variables`` set, writing a timeline, a snapshot and a checkpoint,
+        and assert that it reaped no child; return its probe and the bytes
+        of the three files (None if absent)."""
+        files = [tmp_path / f"scene.{ext}" for ext in ("csv", "pgm", "ckpt")]
+        probe = main_in_child(
+            ["scene", *argv, "--timeline", files[0], "--snapshot", files[1],
+             "--checkpoint-out", files[2]], OPENBLAS_NUM_THREADS=None,
+            **variables)
+        assert probe["reaped_child"] is False
+        return probe, [path.read_bytes() if path.exists() else None
+                       for path in files]
+
+    @staticmethod
+    def steps(spec, tmp_path, **variables):
+        """The bytes of the three files that ``_STEPPED`` writes from
+        ``spec``, run with ``variables`` set."""
+        files = [tmp_path / f"steps.{ext}" for ext in ("csv", "pgm", "ckpt")]
+        subprocess.run([sys.executable, "-c", _STEPPED, json.dumps(spec),
+                        *files], env=child_env(**variables), check=True)
+        return [path.read_bytes() for path in files]
 
     @pytest.mark.parametrize("dim, gamma, source, resume", [
         (65537, "1", "packed", False),
@@ -643,211 +681,95 @@ class TestColumnPartner:
     ])
     def test_both_paths_write_the_same_bytes(self, inputs, tmp_path, dim,
                                              gamma, source, resume):
+        """The command's scan and a ``step`` loop write the same
+        timeline, snapshot and checkpoint."""
         width, height = self.SIZES[dim]
-        argv = {"packed": ["--packed", inputs / f"{dim}.pack"],
-                "pgm": sorted(inputs.glob("*.pgm")),
-                "synthetic": ["--synthetic", "--width", width, "--height",
-                              height, "--clips", 2, "--frames-per-clip", 5]
-                }[source]
+        pack, pgms = inputs / f"{dim}.pack", sorted(inputs.glob("*.pgm"))
+        clips = [width, height, 2, 5]
+        argv, spec = {
+            "packed": (["--packed", pack], {"packed": str(pack)}),
+            "pgm": (pgms, {"pgm": list(map(str, pgms))}),
+            "synthetic": (
+                ["--synthetic", "--width", width, "--height", height,
+                 "--clips", 2, "--frames-per-clip", 5],
+                {"synthetic": [*clips, _SYNTHETIC["noise"],
+                               _SYNTHETIC["seed"]]}),
+        }[source]
         if resume:
             argv += ["--checkpoint-in", inputs / f"{dim}.ckpt"]
+            spec["checkpoint"] = str(inputs / f"{dim}.ckpt")
         else:
             argv += ["--epsilon", repr(self.epsilon(dim)), "--gamma", gamma]
-        # the thread that draws synthetic frames may still be listed when
-        # the scan starts, which keeps the scan in process
-        partner, in_process = self.both_paths(
-            argv, tmp_path, forks=None if source == "synthetic" else True)
-        assert partner == in_process
-        code, stderr, timeline, snapshot, state = partner
-        assert code == 0 and snapshot and state, stderr
+            spec.update(epsilon=self.epsilon(dim), gamma=float(gamma))
+        probe, written = self.scene(argv, tmp_path)
+        stderr = probe["stderr"]
+        assert probe["code"] == 0, stderr
+        assert written == self.steps(spec, tmp_path)
         alarms = int(stderr.split(", ")[1].split()[0])
         frames = int(stderr.split()[0])
         assert 1 < alarms < frames, stderr
-        assert timeline.count(b"\n# ") >= 2
+        assert written[0].count(b"\n# ") >= 2
 
     def test_both_paths_agree_on_the_generic_blas_kernel(self, inputs,
                                                          tmp_path):
         """OpenBLAS's generic ``ddot`` (``OPENBLAS_CORETYPE=Prescott``)
-        sums a misaligned head in another order, so the paths agree there
-        only while the partner's shared columns start 16-byte aligned, as
-        the scan's difference rows do.  Shared columns 8 bytes off make
-        the two paths differ on this kernel, and not on SkylakeX's."""
-        partner, in_process = self.both_paths(
-            ["--packed", inputs / "81920.pack", "--epsilon",
-             repr(self.epsilon(81920)), "--gamma", "1"], tmp_path,
-            OPENBLAS_CORETYPE="Prescott")
-        assert partner == in_process and partner[0] == 0
-
-    def test_a_refused_fork_scans_in_process(self, inputs, tmp_path):
-        """At a limit on processes ``os.fork`` fails; the frames are judged
-        in process and give the same bytes."""
-        refuse = ("import errno, os\n"
-                  "def fork():\n"
-                  "    raise BlockingIOError(errno.EAGAIN, 'refused')\n"
-                  "os.fork = fork\n")
-        refused, in_process = self.both_paths(
-            ["--packed", inputs / "160000.pack", "--epsilon", "80"], tmp_path,
-            prelude=refuse, forks=False)
-        assert refused == in_process and refused[0] == 0
-
-    def test_a_partner_killed_mid_stream_fails_on_one_line(self, inputs,
-                                                           tmp_path):
-        """The partner is killed on its fifth frame (each alarmed frame
-        takes 20 of its ``vecdot`` calls): exit 1 with one line, no
-        checkpoint, and no process left."""
-        kill = ("import os, signal, numpy\n"
-                "vecdot, parent, calls = numpy.vecdot, os.getpid(), []\n"
-                "def counted(*args, **kwargs):\n"
-                "    if os.getpid() != parent:\n"
-                "        calls.append(None)\n"
-                "        if len(calls) == 4 * 20 + 1:\n"
-                "            os.kill(os.getpid(), signal.SIGKILL)\n"
-                "    return vecdot(*args, **kwargs)\n"
-                "numpy.vecdot = counted\n")
-        pack, ckpt = inputs / "160000.pack", tmp_path / "c.ckpt"
-        # the prelude loads numpy, so OpenBLAS is kept to one thread here
-        probe = main_in_child(
-            ["scene", "--packed", pack, "--epsilon", "80", "--checkpoint-out",
-             ckpt],
-            kill, OPENBLAS_NUM_THREADS="1")
-        assert (probe["code"], probe["stderr"]) == (
-            1, "error: the column partner process ended before the frames "
-               "did\n")
-        assert probe["reaped_child"] and not ckpt.exists()
-        assert subprocess.run(["pgrep", "-f", str(pack)]).returncode == 1
-
-    def test_a_killed_partner_leaves_a_callers_detector_as_in_process(
-            self, inputs):
-        """``run_scene_detection`` on a detector of the caller's, with the
-        partner killed on its fifth frame as above: it raises
-        ``ChildProcessError``, and the detector, whose center is its own
-        private array again, holds what an in-process scan of the first
-        four frames leaves, the partner's columns of the center
-        included."""
-        script = (
-            "import os, signal, sys, numpy\n"
-            "vecdot, parent, calls = numpy.vecdot, os.getpid(), []\n"
-            "def counted(*args, **kwargs):\n"
-            "    if os.getpid() != parent:\n"
-            "        calls.append(None)\n"
-            "        if len(calls) == 4 * 20 + 1:\n"
-            "            os.kill(os.getpid(), signal.SIGKILL)\n"
-            "    return vecdot(*args, **kwargs)\n"
-            "numpy.vecdot = counted\n"
-            "from fado.checkpoint import checkpoint_encode\n"
-            "from fado.detector import Constant, Detector, FixedRadius\n"
-            "from fado.scene import (FrameSequence, read_frames_packed,\n"
-            "                        run_scene_detection)\n"
-            "frames = read_frames_packed(sys.argv[1])\n"
-            "detector = Detector(frames.dim, FixedRadius(80.0), "
-            "Constant(1.0))\n"
-            "w = detector.w\n"
-            "try:\n"
-            "    run_scene_detection(frames, detector=detector)\n"
-            "except ChildProcessError as exc:\n"
-            "    print(exc, file=sys.stderr)\n"
-            "print(detector.w is w and w.base is None)\n"
-            "print(checkpoint_encode(detector).hex())\n"
-            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
-            "head = FrameSequence(frames.width, frames.height, "
-            "frames.frames[:4])\n"
-            "_, alone = run_scene_detection(head, detector=Detector(\n"
-            "    frames.dim, FixedRadius(80.0), Constant(1.0)))\n"
-            "print(alone.m, checkpoint_encode(alone).hex())\n")
-        proc = subprocess.run(
-            [sys.executable, "-c", script, inputs / "160000.pack"],
-            env=child_env(OPENBLAS_NUM_THREADS="1"), capture_output=True,
-            text=True, check=True)
-        assert proc.stderr == ("the column partner process ended before "
-                               "the frames did\n")
-        private, state, alarms, alone = proc.stdout.split()
-        assert (private, alarms) == ("True", "4")
-        assert state == alone
+        sums a misaligned head in another order, so the scan agrees with a
+        ``step`` loop there only while its difference rows start 16-byte
+        aligned, as ``step``'s fresh difference does."""
+        pack, epsilon = inputs / "81920.pack", self.epsilon(81920)
+        probe, written = self.scene(
+            ["--packed", pack, "--epsilon", repr(epsilon), "--gamma", "1"],
+            tmp_path, OPENBLAS_CORETYPE="Prescott")
+        assert probe["code"] == 0, probe["stderr"]
+        assert written == self.steps(
+            {"packed": str(pack), "epsilon": epsilon, "gamma": 1.0},
+            tmp_path, OPENBLAS_CORETYPE="Prescott")
 
     def test_a_partner_moves_a_callers_center_in_place(self, inputs):
-        """``run_scene_detection`` on a detector of the caller's: with a
-        partner forked, as in process, the detector keeps its own center
-        array, moved in place, and ends in the same state."""
-        script = (
-            "import resource, sys\n"
-            "from fado.checkpoint import checkpoint_encode\n"
-            "from fado.detector import Constant, Detector, FixedRadius\n"
-            "from fado.scene import read_frames_packed, run_scene_detection\n"
-            "frames = read_frames_packed(sys.argv[1])\n"
-            "detector = Detector(frames.dim, FixedRadius(80.0), "
-            "Constant(1.0))\n"
-            "w = detector.w\n"
-            "run_scene_detection(frames, detector=detector)\n"
-            "children = resource.getrusage(resource.RUSAGE_CHILDREN)\n"
-            "print(children.ru_utime + children.ru_stime > 0)\n"
-            "print(detector.w is w and w.base is None)\n"
-            "print(checkpoint_encode(detector).hex())\n")
-        states = []
-        for pin in ("", _ONE_CPU):
-            proc = subprocess.run(
-                [sys.executable, "-c", pin + script, inputs / "160000.pack"],
-                env=child_env(OPENBLAS_NUM_THREADS="1"), capture_output=True,
-                text=True, check=True)
-            forked, private, state = proc.stdout.split()
-            assert (forked, private) == (str(not pin), "True")
-            states.append(state)
-        partner, in_process = states
-        assert partner == in_process
-        detector = checkpoint_decode(bytes.fromhex(partner))
+        """``run_scene_detection`` on a detector of the caller's keeps the
+        detector's own center array, moved in place, and ends in the state
+        a ``step`` loop leaves."""
+        frames = read_frames_packed(inputs / "160000.pack")
+        detector, stepped = (Detector(frames.dim, FixedRadius(80.0),
+                                      Constant(1.0)) for _ in range(2))
+        w = detector.w
+        run_scene_detection(frames, detector=detector)
+        for frame in frames.frames:
+            stepped.step(frame_to_vector(frame))
+        assert detector.w is w and w.base is None
+        assert checkpoint_encode(detector) == checkpoint_encode(stepped)
         assert detector.t == 18 and detector.m > 1
 
     def test_a_bad_frame_mid_stream_is_named(self, inputs, tmp_path):
-        """Frame 7 of the PGM list is not a binary PGM: both paths fail on
-        the one line that names it, write nothing, and the partner is
-        reaped."""
+        """Frame 7 of the PGM list is not a binary PGM: the command fails
+        on the one line that names it and writes nothing."""
         paths = sorted(inputs.glob("*.pgm"))
         bad = tmp_path / "07.pgm"
         bad.write_bytes(b"P2\n1 1\n255\n0\n")
         paths[7] = bad
-        partner, in_process = self.both_paths(
+        probe, written = self.scene(
             [*paths, "--epsilon", "60", "--gamma", "0.5"], tmp_path)
-        assert partner == in_process == (
+        assert (probe["code"], probe["stderr"], written) == (
             1, f"error: frame 7: {bad}: not a binary PGM (missing P5)\n",
-            None, None, None)
+            [None, None, None])
 
     def test_a_bad_frame_leaves_a_callers_detector_as_in_process(
             self, inputs, tmp_path):
         """``run_scene_detection`` on a detector of the caller's: when
         frame 14 fails (read, as every frame of this size, as a block of
-        its own), the detector holds what the in-process scan left, center
-        halves included, whether a partner was forked or not."""
+        its own), the detector holds what a ``step`` loop over frames 0-13
+        leaves."""
         paths = sorted(inputs.glob("*.pgm"))
         bad = tmp_path / "14.pgm"
         bad.write_bytes(b"P2\n1 1\n255\n0\n")
         paths[14] = bad
-        script = (
-            "import resource, sys\n"
-            "from fado.checkpoint import checkpoint_encode\n"
-            "from fado.detector import Constant, Detector, FixedRadius\n"
-            "from fado.scene import (FrameFormatError, _open_pgm_sequence,\n"
-            "                        run_scene_detection)\n"
-            "frames = _open_pgm_sequence(sys.argv[1:])\n"
-            "detector = Detector(frames.dim, FixedRadius(60.0), "
-            "Constant(0.5))\n"
-            "try:\n"
-            "    run_scene_detection(frames, detector=detector)\n"
-            "except FrameFormatError as exc:\n"
-            "    print(exc, file=sys.stderr)\n"
-            "children = resource.getrusage(resource.RUSAGE_CHILDREN)\n"
-            "print(children.ru_utime + children.ru_stime > 0)\n"
-            "print(checkpoint_encode(detector).hex())\n")
-        results = []
-        for pin in ("", _ONE_CPU):
-            proc = subprocess.run(
-                [sys.executable, "-c", pin + script, *paths],
-                env=child_env(OPENBLAS_NUM_THREADS="1"), capture_output=True,
-                text=True, check=True)
-            assert proc.stderr.startswith("frame 14: "), proc.stderr
-            forked, state = proc.stdout.split()
-            assert forked == str(not pin)
-            results.append(state)
-        partner, in_process = results
-        assert partner == in_process
+        frames = _open_pgm_sequence(paths)
+        detector, stepped = (Detector(frames.dim, FixedRadius(60.0),
+                                      Constant(0.5)) for _ in range(2))
+        with pytest.raises(FrameFormatError, match="^frame 14: "):
+            run_scene_detection(frames, detector=detector)
+        for path in paths[:14]:
+            stepped.step(frame_to_vector(read_pgm(path)[2]))
+        assert checkpoint_encode(detector) == checkpoint_encode(stepped)
         # the detector judged frames 0-13 and moved on its alarms
-        detector = checkpoint_decode(bytes.fromhex(partner))
         assert detector.t == 14 and detector.m > 1

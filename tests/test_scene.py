@@ -685,14 +685,13 @@ class TestColumnPartner:
         timeline, snapshot and checkpoint."""
         width, height = self.SIZES[dim]
         pack, pgms = inputs / f"{dim}.pack", sorted(inputs.glob("*.pgm"))
-        clips = [width, height, 2, 5]
         argv, spec = {
             "packed": (["--packed", pack], {"packed": str(pack)}),
             "pgm": (pgms, {"pgm": list(map(str, pgms))}),
             "synthetic": (
                 ["--synthetic", "--width", width, "--height", height,
                  "--clips", 2, "--frames-per-clip", 5],
-                {"synthetic": [*clips, _SYNTHETIC["noise"],
+                {"synthetic": [width, height, 2, 5, _SYNTHETIC["noise"],
                                _SYNTHETIC["seed"]]}),
         }[source]
         if resume:
